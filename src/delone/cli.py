@@ -3,13 +3,12 @@ duality-check, render.
 
 Data goes to files (or standard output), logging to standard error only.
 Exit codes: 0 success, 1 validation failure, 2 certification failure,
-3 I/O error.  The DELONE_THREADS environment variable caps the numeric
-worker count.
+3 I/O error.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import sys
 
 import click
@@ -27,13 +26,6 @@ EXIT_CERTIFICATION = 2
 EXIT_IO = 3
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("DELONE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -43,6 +35,35 @@ def _load(path, parser):
         return parser(jsonio.read(path))
     except (OSError, ValueError) as exc:
         raise _IoFailure(f"{path}: {exc}") from exc
+
+
+def _load_net_and_complex(net_path, cx_path):
+    """The net, and the complex checked against it (dimension, vertex range)."""
+    net = _load(net_path, jsonio.net_from_dict)
+    return net, _load(cx_path, lambda d: jsonio.complex_from_dict(d, net))
+
+
+def _parse_override(adv_str: str, family: nsy.ParamFamily, net: tess.Net):
+    """(param, index, vector) of a ``param:index:dx,dy`` override."""
+    usage = "--adversarial needs param:index:dx,dy"
+    parts = adv_str.split(":")
+    if len(parts) != 3:
+        raise ValidationError(usage)
+    param, index, vec = parts
+    try:
+        index = int(index)
+        vector = [float(x) for x in vec.split(",")]
+    except ValueError:
+        raise ValidationError(f"{usage}, got {adv_str!r}") from None
+    if param not in family.params:
+        raise ValidationError(f"--adversarial parameter {param!r} is not a "
+                              f"depth-{family.depth} binary string")
+    if not 0 <= index < len(net):
+        raise ValidationError(f"--adversarial index {index} is out of range "
+                              f"for a {len(net)}-point net")
+    if len(vector) != net.dim or not all(math.isfinite(x) for x in vector):
+        raise ValidationError(f"--adversarial vector must be {net.dim} finite numbers")
+    return param, index, vector
 
 
 class _IoFailure(Exception):
@@ -128,15 +149,12 @@ def cmd_triangulate(net_path, out):
 def cmd_certify(net_path, cx_path, bundle_path, family_depth, family_seed,
                 adv_str, out):
     """Certify family stability of a complex; exit 2 on a failing certificate."""
-    net = _load(net_path, jsonio.net_from_dict)
-    cx = _load(cx_path, jsonio.complex_from_dict)
+    net, cx = _load_net_and_complex(net_path, cx_path)
     bundle = _load(bundle_path, jsonio.bundle_from_dict)
     family = nsy.make_family(bundle, depth=family_depth, dim=net.dim,
                              seed=family_seed)
     if adv_str:
-        param, index, vec = adv_str.split(":")
-        family = family.with_override(param, int(index),
-                                      [float(x) for x in vec.split(",")])
+        family = family.with_override(*_parse_override(adv_str, family, net))
     cert = nsy.certify_family_stability(net, cx, family, bundle)
     _write_out(out, jsonio.certificate_to_dict(cert))
     if not cert.ok:
@@ -150,8 +168,7 @@ def cmd_certify(net_path, cx_path, bundle_path, family_depth, family_seed,
 @click.option("--complex", "cx_path", type=click.Path(dir_okay=False), required=True)
 def cmd_duality(net_path, cx_path):
     """Verify Voronoi/Delaunay duality; exit 2 on violations."""
-    net = _load(net_path, jsonio.net_from_dict)
-    cx = _load(cx_path, jsonio.complex_from_dict)
+    net, cx = _load_net_and_complex(net_path, cx_path)
     report = tess.check_duality(net, cx)
     if not report.ok:
         _log(f"duality violations: {report.violations[:5]}")
@@ -166,8 +183,10 @@ def cmd_duality(net_path, cx_path):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_render(net_path, cx_path, cert_path, out):
     """Render a 2D net/complex to SVG."""
-    net = _load(net_path, jsonio.net_from_dict)
-    cx = _load(cx_path, jsonio.complex_from_dict) if cx_path else None
+    if cx_path:
+        net, cx = _load_net_and_complex(net_path, cx_path)
+    else:
+        net, cx = _load(net_path, jsonio.net_from_dict), None
     cert = None
     if cert_path:
         try:
@@ -262,7 +281,6 @@ def _write_out(path, obj: dict) -> None:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     try:
         cli.main(args=argv, standalone_mode=False)
         return EXIT_OK

@@ -119,9 +119,14 @@ def complex_to_dict(cx: tess.DelaunayComplex, dim: int) -> dict:
     return {"v": 1, "dim": dim, "simplices": simplices, "regular": cx.regular}
 
 
-def complex_from_dict(d: dict) -> tess.DelaunayComplex:
+def complex_from_dict(d: dict, net: tess.Net | None = None) -> tess.DelaunayComplex:
+    """Load a complex; with ``net``, also require the net's dimension and
+    vertex indices that name its points."""
     _check_version(d, "complex")
     dim = _require(d, "dim", int, "complex")
+    if net is not None and dim != net.dim:
+        raise ValidationError(f"dim {dim} differs from the net's dim {net.dim}",
+                              path="complex.dim")
     raw = _require(d, "simplices", list, "complex")
     by_dim: dict = {}
     seen = set()
@@ -133,6 +138,10 @@ def complex_from_dict(d: dict) -> tess.DelaunayComplex:
                                   path=f"{path}.verts")
         if len(set(verts)) != len(verts):
             raise ValidationError("repeated vertex", path=f"{path}.verts")
+        if net is not None and verts and max(verts) >= len(net):
+            raise ValidationError(
+                f"vertex {max(verts)} is out of range for a {len(net)}-point net",
+                path=f"{path}.verts")
         if verts in seen:
             raise ValidationError("duplicate simplex", path=f"{path}.verts")
         seen.add(verts)

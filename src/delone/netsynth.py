@@ -157,6 +157,11 @@ class ParamFamily:
     seed: int = 0
     overrides: tuple = ()  # ((param, index, vector), ...)
 
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ValidationError(f"depth must be >= 1, got {self.depth}",
+                                  path="family.depth")
+
     @property
     def params(self) -> tuple:
         return tuple("".join(bits) for bits in
@@ -685,15 +690,12 @@ def _robustness_2d(stacks: np.ndarray) -> np.ndarray:
     return np.minimum(lab, h)
 
 
-def _clearances(points: np.ndarray, stacks, centers, radii) -> np.ndarray:
-    """min over non-vertex net points of d(center, y) - radius, per simplex."""
-    n1 = stacks.shape[1]
-    k = n1 + 1
-    tree = cKDTree(points)
-    d, _ = tree.query(centers, k=k)
-    # the n+1 vertices sit at distance ~radius; the (n+2)-nd neighbor is the
-    # nearest non-vertex point
-    return d[:, -1] - radii
+def _clearances(points: np.ndarray, centers, radii) -> np.ndarray:
+    """min over non-vertex net points of d(center, y) - radius, per simplex:
+    the (n+2)-nd nearest site of each center, since the n+1 vertices sit at
+    distance ~radius."""
+    n = points.shape[1]
+    return tess.sphere_neighbours(points, centers, n)[:, n + 1] - radii
 
 
 def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
@@ -701,7 +703,9 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     """Certify that the complex survives every parameter of the family:
     per-translate the top simplices keep robustness, their circumcenters and
     radii drift within (eps3 rF/2, eps3 rF), their spheres stay empty with
-    eps1 rF clearance, and the rebuilt complex is combinatorially identical.
+    eps1 rF clearance, and the translate's Delaunay top simplices
+    (``tess.delaunay_top``, Qhull with the enumeration fallback) are
+    combinatorially identical to the complex's.
     """
     n = net.dim
     rF = bundle.rF
@@ -712,7 +716,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     drift_r_max = bundle.eps3 * rF
 
     top = complex_.top(n)
-    verts = np.array([s.vertices for s in top], dtype=np.int64)
+    verts = np.array([s.vertices for s in top], dtype=np.int64).reshape(-1, n + 1)
     base_pts = net.points
     stacks = base_pts[verts]
     centers = np.array([s.sphere.center for s in top])
@@ -733,12 +737,10 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         rho = (_robustness_2d(stacks) if n == 2 else np.array(
             [robustness.robustness_of(st).rho for st in stacks]))
         m_rho = rho - rho_floor
-        m_clear = _clearances(base_pts, stacks, centers, radii) - clear_base
+        m_clear = _clearances(base_pts, centers, radii) - clear_base
         for i in range(len(top)):
             records[i]["robustness_margin"] = float(m_rho[i])
             records[i]["base_clearance_margin"] = float(m_clear[i])
-            records[i]["center_drift"] = 0.0
-            records[i]["radius_drift"] = 0.0
         i = int(np.argmin(m_rho))
         note("robustness", m_rho[i], i, None)
         i = int(np.argmin(m_clear))
@@ -747,10 +749,12 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             ok = False
 
     base_set = {s.vertices for s in top}
+    center_drift = np.zeros(len(top))
+    radius_drift = np.zeros(len(top))
     for param in family.params:
         tnet = translate_net(net, param, family)
-        tstacks = tnet.points[verts] if len(top) else np.zeros((0, n + 1, n))
         if len(top):
+            tstacks = tnet.points[verts]
             tc, tr, tvalid = cs.circumcenter_batch(tstacks)
             if not np.all(tvalid):
                 ok = False
@@ -761,10 +765,9 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             dr = np.abs(tr - radii)
             trho = (_robustness_2d(tstacks) if n == 2 else np.array(
                 [robustness.robustness_of(st).rho for st in tstacks]))
-            tclear = _clearances(tnet.points, tstacks, tc, tr)
-            for i in range(len(top)):
-                records[i]["center_drift"] = max(records[i]["center_drift"], float(dc[i]))
-                records[i]["radius_drift"] = max(records[i]["radius_drift"], float(dr[i]))
+            tclear = _clearances(tnet.points, tc, tr)
+            np.maximum(center_drift, dc, out=center_drift)
+            np.maximum(radius_drift, dr, out=radius_drift)
             checks = (
                 ("robustness", trho - rho_floor),
                 ("translate_clearance", tclear - clear_trans),
@@ -777,15 +780,19 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
                 if margins[i] < 0:
                     ok = False
         # combinatorial identity under translation
-        tcomplex = tess.build_delaunay(tnet, None)
-        tset = {s.vertices for s in tcomplex.top(n)}
+        tverts = tess.delaunay_top(tnet.points, net.d2)[0]
+        if np.array_equal(tverts, verts):
+            continue
+        tset = set(map(tuple, tverts.tolist()))
         if tset != base_set:
             ok = False
             diff = sorted(tset ^ base_set)
             note("combinatorics", -math.inf, None, param)
-            worst.setdefault("detail", None)
             worst["detail"] = {"param": param, "symmetric_difference": [
                 [int(v) for v in t] for t in diff[:8]]}
+    for i, rec in enumerate(records):
+        rec["center_drift"] = float(center_drift[i])
+        rec["radius_drift"] = float(radius_drift[i])
     if worst["quantity"] is None:
         worst.update(quantity="empty_complex", margin=0.0)
     return StabilityCertificate(ok=ok, worst=worst,
@@ -818,29 +825,18 @@ def _vertex_incidence(complex_: tess.DelaunayComplex, n: int) -> dict:
     return inc
 
 
-def _locate_simplex(net: tess.Net, complex_: tess.DelaunayComplex, q,
-                    require_interior: bool = True, incidence: dict = None,
-                    interior: np.ndarray = None):
-    """Containing top simplex of q, searched through the simplicial cone of
-    its nearest site first (the containing simplex need not be incident to
-    the nearest site, so nearby sites' cones are scanned as fallback)."""
-    if incidence is None:
-        incidence = _vertex_incidence(complex_, net.dim)
-    i, _ = tess.nearest_site(q, net, None)
-    if require_interior:
-        if interior is None:
-            interior = net.interior_mask()
-        if not interior[i]:
-            raise CoverageGapError(f"nearest site {i} of sample {q} is not interior")
-    d = np.linalg.norm(net.points - np.asarray(q, dtype=float), axis=1)
-    order = np.argsort(d)[: min(len(d), 12)]
+def _locate_simplex(points: np.ndarray, incidence: dict, q, candidates):
+    """Containing top simplex of q and q's barycentric coordinates, searched
+    through the simplicial cones of the candidate sites in order (the
+    containing simplex need not be incident to the nearest site, so nearby
+    sites' cones are scanned as well)."""
     seen = set()
-    for j in order:
+    for j in candidates:
         for s in incidence.get(int(j), ()):
             if s.vertices in seen:
                 continue
             seen.add(s.vertices)
-            bary = tess.barycentric_coordinates(net.points[list(s.vertices)], q)
+            bary = tess.barycentric_coordinates(points[list(s.vertices)], q)
             if np.all(bary >= -1e-12):
                 return s, bary
     raise CoverageGapError(f"sample {q} lies outside every cone simplex")
@@ -853,8 +849,9 @@ def build_product_structure(K: Region, net: tess.Net,
     """Phi(y, t) = realization of the t-translated containing simplex of y at
     y's barycentric coordinates, tabulated over a regular grid of K.
 
-    Raises CoverageGap when a grid sample escapes the simplicial cones of
-    the interior sites.
+    Each sample's containing simplex is searched among the cones of its 12
+    nearest sites, ordered by (distance, index).  Raises CoverageGap when a
+    sample's nearest site is not interior, or the sample escapes those cones.
     """
     lo, hi = K.bounding_box()
     axes = [np.linspace(lo[k], hi[k], grid_shape[k]) for k in range(K.dim)]
@@ -867,10 +864,17 @@ def build_product_structure(K: Region, net: tess.Net,
     translated = {p: translate_net(net, p, family).points for p in params}
     incidence = _vertex_incidence(complex_, net.dim)
     interior = net.interior_mask()
+    k = min(12, len(net))
+    dist, near = cKDTree(net.points).query(grid, k=k)
+    dist, near = dist.reshape(len(grid), k), near.reshape(len(grid), k)
+    order = np.lexsort((near, dist), axis=1)
+    near = np.take_along_axis(near, order, axis=1)
     table = {}
     for gi, y in enumerate(grid):
-        s, bary = _locate_simplex(net, complex_, y, incidence=incidence,
-                                  interior=interior)
+        if not interior[near[gi, 0]]:
+            raise CoverageGapError(
+                f"nearest site {int(near[gi, 0])} of sample {y} is not interior")
+        s, bary = _locate_simplex(net.points, incidence, y, near[gi])
         vidx = list(s.vertices)
         for p in params:
             img = bary @ translated[p][vidx]

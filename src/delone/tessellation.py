@@ -1,11 +1,20 @@
 """Voronoi cells, Delaunay complexes, duality, and geometric realization.
 
-Nets are separated/dense point sets in a compact region.  The Delaunay
-complex is built by locality-pruned brute force: every (n+1)-subset of sites
-pairwise within 2*d2 is tested for an empty circumscribed sphere of radius
-at most d2.  Lower-dimensional simplices are the faces of the kept top
-simplices, each inheriting a witness sphere.  Geometric realization is the
-iterated geodesic-cone map in vertex-creation order.
+Nets are separated/dense point sets in a compact region.  In the flat metric
+the top simplices of the Delaunay complex come from one kernel,
+``delaunay_top``: Qhull's Delaunay triangulation (Barber, Dobkin &
+Huhdanpaa, "The Quickhull algorithm for convex hulls", ACM TOMS 1996,
+through ``scipy.spatial.Delaunay``), restricted to the simplices whose
+circumscribed sphere has radius at most d2 and is empty of other sites.
+When the net is regular (no n+2 sites cospherical) the Delaunay
+triangulation is unique, so this equals the set of all empty small spheres.
+When it is not, or Qhull cannot triangulate the input, the kernel falls back
+to enumerating every (n+1)-subset of sites pairwise within 2*d2, which keeps
+all empty spheres of a cospherical configuration.  That enumeration is also
+the independent oracle of ``check_duality``.  Lower-dimensional simplices
+are the faces of the kept top simplices, each inheriting a witness sphere.
+Geometric realization is the iterated geodesic-cone map in vertex-creation
+order.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from . import circumsphere as cs
 from .circumsphere import CircumSphere
@@ -25,6 +34,10 @@ MEMBERSHIP_RTOL = 1e-9
 
 #: Relative margin used by the empty-sphere filter during construction.
 EMPTY_RTOL = 1e-12
+
+#: Relative band around a sphere inside which an extra site makes the
+#: configuration cospherical (not regular).
+COSPHERICAL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -225,49 +238,122 @@ def _local_subsets(points: np.ndarray, n: int, reach: float) -> np.ndarray:
     return np.vstack(chunks)
 
 
-def build_delaunay(net: Net, metric, tol_cocirc: float | None = None) -> DelaunayComplex:
-    """Delaunay complex of a net: every (n+1)-subset of sites pairwise within
-    2*d2 whose circumscribed sphere has radius <= d2 and is empty of other
-    sites.  Faces of kept simplices are added with inherited witness spheres.
+def _qhull_simplices(pts: np.ndarray):
+    """Qhull's Delaunay simplices as sorted int64 rows, or None when Qhull
+    cannot triangulate the points or sets coincident points aside."""
+    n = pts.shape[1]
+    if n < 2 or len(pts) < n + 1:  # Qhull triangulates in dimension >= 2
+        return None
+    try:
+        tri = Delaunay(pts)
+    except QhullError:  # all points in a hyperplane
+        return None
+    if len(tri.coplanar):
+        return None
+    return np.sort(tri.simplices, axis=1).astype(np.int64)
+
+
+def sphere_neighbours(points: np.ndarray, centers: np.ndarray, n: int) -> np.ndarray:
+    """Distances from each center to its n+2 nearest sites, shape
+    (len(centers), n+2), inf where the net has fewer sites.  For the
+    circumsphere of n+1 sites, column 0 is the emptiness test and column n+1
+    is the nearest site off the sphere: its clearance, and the cospherical
+    test."""
+    d, _ = cKDTree(points).query(centers, k=n + 2)
+    return d
+
+
+def _small_empty_spheres(pts: np.ndarray, rows: np.ndarray, d2: float,
+                         tol_cocirc: float):
+    """The rows whose circumsphere is valid, of radius <= d2 and empty of
+    other sites, in lexicographic order: (verts, centers, radii, regular)."""
+    n = pts.shape[1]
+    if not len(rows):
+        return rows, np.zeros((0, n)), np.zeros(0), True
+    centers, radii, valid = cs.circumcenter_batch(pts[rows])
+    small = np.nonzero(valid & (radii <= d2))[0]
+    d = sphere_neighbours(pts, centers[small], n)
+    r = radii[small]
+    empty = d[:, 0] >= r * (1.0 - EMPTY_RTOL)
+    # an extra site within tol*radius of a kept sphere's surface makes n+2
+    # cospherical sites; sites deeper inside fail the emptiness test
+    regular = not bool(np.any(d[empty, n + 1] <= r[empty] * (1.0 + tol_cocirc)))
+    keep = small[empty]
+    keep = keep[np.lexsort(rows[keep].T[::-1])]
+    return rows[keep], centers[keep], radii[keep], regular
+
+
+def delaunay_top(points, d2: float, tol_cocirc: float = COSPHERICAL_RTOL):
+    """Top simplices of the flat Delaunay complex with circumradius <= d2.
+
+    Returns (verts, centers, radii, regular): sorted int64 vertex rows in
+    lexicographic order, their circumcenters and radii, and False iff some
+    kept sphere carries an extra site within tol_cocirc*radius of its
+    surface.  The result is that of enumerating every (n+1)-subset of sites
+    pairwise within 2*d2 and keeping the valid spheres of radius <= d2 with
+    no site nearer their center than radius*(1 - EMPTY_RTOL).
+
+    The candidates are Qhull's Delaunay simplices.  Why a regular Qhull
+    result equals the enumeration set:
+
+    * Every kept Qhull simplex is a sorted row whose vertices are pairwise
+      within 2*radius <= 2*d2, and it passes the enumeration's tests,
+      computed by the same row-wise batched solve: it is enumerated, with a
+      bitwise-equal center.
+    * Let S be enumerated.  If no other site lies within tol_cocirc*radius
+      of S's sphere (EMPTY_RTOL < tol_cocirc, so this covers sites inside),
+      all other sites are strictly outside it, S is a cell of the unique
+      Delaunay subdivision, and Qhull returns S (its roundoff is far below
+      tol_cocirc).  Otherwise S's sphere carries n+2 sites; Qhull
+      triangulates their Delaunay cell with simplices sharing that small
+      empty sphere, which are kept and fail regularity.
+
+    Falls back to the enumeration of ``_local_subsets`` when Qhull cannot
+    triangulate the points (fewer than n+1 of them, all in a hyperplane, or
+    dimension 1), when it sets coincident points aside, or when its result
+    is not regular: the enumeration keeps every empty sphere of a
+    cospherical configuration.
     """
-    n = net.dim
-    pts = net.points
-    if metric is not None and metric.kind != "flat":
-        return _build_delaunay_curved(net, metric, tol_cocirc)
-    subsets = _local_subsets(pts, n, 2.0 * net.d2)
-    kept = []
-    if len(subsets):
-        stacks = pts[subsets]
-        centers, radii, valid = cs.circumcenter_batch(stacks)
-        tree = cKDTree(pts)
-        ok = valid & (radii <= net.d2)
-        idx = np.nonzero(ok)[0]
-        if idx.size:
-            dmin, _ = tree.query(centers[idx])
-            empty = dmin >= radii[idx] * (1.0 - EMPTY_RTOL)
-            for j in idx[empty]:
-                kept.append(Simplex(
-                    vertices=tuple(int(v) for v in subsets[j]),
-                    sphere=CircumSphere(center=centers[j], radius=float(radii[j])),
-                ))
-    kept.sort(key=lambda s: s.vertices)
-    by_dim = {n: kept}
-    # face closure: every face inherits the witness sphere of its first parent
+    pts = np.asarray(points, dtype=float)
+    rows = _qhull_simplices(pts)
+    if rows is not None:
+        top = _small_empty_spheres(pts, rows, d2, tol_cocirc)
+        if top[3]:
+            return top
+    n = pts.shape[1]
+    return _small_empty_spheres(pts, _local_subsets(pts, n, 2.0 * d2), d2, tol_cocirc)
+
+
+def _face_closure(top: list, n: int) -> dict:
+    """{k: sorted simplices} for k = n..0: the top simplices and all their
+    faces, each face inheriting the witness sphere of its first parent."""
+    by_dim = {n: top}
     for k in range(n - 1, -1, -1):
         seen = {}
         for s in by_dim[k + 1]:
             for face in itertools.combinations(s.vertices, k + 1):
-                if face not in seen:
-                    seen[face] = s.sphere
+                seen.setdefault(face, s.sphere)
         by_dim[k] = [Simplex(vertices=f, sphere=sph)
                      for f, sph in sorted(seen.items())]
-    tol = tol_cocirc if tol_cocirc is not None else 1e-9
-    complex_ = DelaunayComplex(simplices_by_dim=by_dim, regular=True)
-    regular = check_regular(complex_, tol, net=net)
-    return DelaunayComplex(simplices_by_dim=by_dim, regular=regular)
+    return by_dim
 
 
-def _build_delaunay_curved(net: Net, metric, tol_cocirc):
+def build_delaunay(net: Net, metric, tol_cocirc: float | None = None) -> DelaunayComplex:
+    """Delaunay complex of a net: every (n+1)-subset of sites whose
+    circumscribed sphere has radius <= d2 and is empty of other sites
+    (``delaunay_top`` in the flat metric), closed under faces.
+    """
+    tol = COSPHERICAL_RTOL if tol_cocirc is None else tol_cocirc
+    if metric is not None and metric.kind != "flat":
+        return _build_delaunay_curved(net, metric, tol)
+    verts, centers, radii, regular = delaunay_top(net.points, net.d2, tol)
+    top = [Simplex(vertices=tuple(row), sphere=CircumSphere(center=c, radius=float(r)))
+           for row, c, r in zip(verts.tolist(), centers, radii)]
+    return DelaunayComplex(simplices_by_dim=_face_closure(top, net.dim),
+                           regular=regular)
+
+
+def _build_delaunay_curved(net: Net, metric, tol_cocirc: float):
     """Curved-metric construction in geodesic normal coordinates at each
     candidate's first vertex; distances for the emptiness test are metric."""
     from . import metrics as mt
@@ -298,17 +384,9 @@ def _build_delaunay_curved(net: Net, metric, tol_cocirc):
             kept.append(Simplex(vertices=combo,
                                 sphere=CircumSphere(center=center, radius=radius)))
     kept.sort(key=lambda s: s.vertices)
-    by_dim = {n: kept}
-    for k in range(n - 1, -1, -1):
-        seen = {}
-        for s in by_dim[k + 1]:
-            for face in itertools.combinations(s.vertices, k + 1):
-                seen.setdefault(face, s.sphere)
-        by_dim[k] = [Simplex(vertices=f, sphere=sph)
-                     for f, sph in sorted(seen.items())]
-    tol = tol_cocirc if tol_cocirc is not None else 1e-9
+    by_dim = _face_closure(kept, n)
     complex_ = DelaunayComplex(simplices_by_dim=by_dim, regular=True)
-    regular = check_regular(complex_, tol, net=net, metric=metric)
+    regular = check_regular(complex_, tol_cocirc, net=net, metric=metric)
     return DelaunayComplex(simplices_by_dim=by_dim, regular=regular)
 
 
@@ -324,17 +402,11 @@ def check_regular(complex_: DelaunayComplex, tol: float, net: Net = None,
         return True
     pts = net.points
     if metric is None or metric.kind == "flat":
-        # nearest non-vertex distance per sphere: the (n+2)-nd neighbor of
-        # the center (the n+1 vertices sit at distance ~radius).  An extra
-        # point within tol*radius of the surface satisfies d <= r (1 + tol);
-        # points deeper inside are excluded by the emptiness of the sphere.
+        # points deeper inside than the surface band are excluded by the
+        # emptiness of the sphere
         centers = np.array([s.sphere.center for s in top])
         radii = np.array([s.sphere.radius for s in top])
-        k = min(n + 2, len(pts))
-        d, _ = cKDTree(pts).query(centers, k=k)
-        d = np.atleast_2d(d)
-        if k < n + 2:
-            return True
+        d = sphere_neighbours(pts, centers, n)
         return not bool(np.any(d[:, n + 1] <= radii * (1.0 + tol)))
     for s in top:
         r = s.sphere.radius
@@ -356,60 +428,54 @@ class DualityReport:
         return not self.violations
 
 
-def check_duality(net: Net, complex_: DelaunayComplex, metric=None,
+def check_duality(net: Net, complex_: DelaunayComplex,
                   rtol: float = MEMBERSHIP_RTOL) -> DualityReport:
-    """Both directions of Voronoi/Delaunay duality on interior sites.
+    """Both directions of flat Voronoi/Delaunay duality on interior sites.
 
     Forward: the circumcenter of every kept top simplex (all vertices
     interior) lies in each incident Voronoi cell.  Backward: every local
-    (n+1)-subset of interior sites whose circumcenter lies strictly inside
-    all its cells appears as a kept simplex.
+    (n+1)-subset of interior sites whose circumsphere has radius <= d2 and
+    whose circumcenter lies in all its cells, with no site inside the
+    sphere, appears as a kept simplex.  The backward candidates come from
+    the ``_local_subsets`` enumeration, not from Qhull, so the check is
+    independent of the builder.  "In a cell" means no farther from the
+    site than from the nearest site, up to rtol*max(1, distance).
     """
     n = net.dim
     pts = net.points
     interior = net.interior_mask()
+    tree = cKDTree(pts)
     violations = []
-    checked = 0
-    kept = {s.vertices for s in complex_.top(n)}
 
-    def near_dist(q):
-        if metric is None or metric.kind == "flat":
-            d = np.linalg.norm(pts - q, axis=1)
-        else:
-            d = np.array([metric.distance(q, p) for p in pts])
-        return d
+    def in_cells(verts, centers):
+        """(nearest-site distance, per-vertex in-cell mask) of each center."""
+        dmin, _ = tree.query(centers)
+        dv = np.linalg.norm(pts[verts] - centers[:, None, :], axis=2)
+        return dmin, dv <= (dmin + rtol * np.maximum(1.0, dmin))[:, None]
 
-    for s in complex_.top(n):
-        if not all(interior[v] for v in s.vertices):
-            continue
-        checked += 1
-        d = near_dist(s.sphere.center)
-        dmin = float(np.min(d))
-        for v in s.vertices:
-            if d[v] > dmin + rtol * max(1.0, dmin):
-                violations.append(("center_outside_cell", s.vertices, int(v)))
-                break
+    top = complex_.top(n)
+    verts = np.array([s.vertices for s in top], dtype=np.int64).reshape(-1, n + 1)
+    centers = np.array([s.sphere.center for s in top], dtype=float).reshape(-1, n)
+    fwd = np.nonzero(np.all(interior[verts], axis=1))[0]
+    _, inside = in_cells(verts[fwd], centers[fwd])
+    for j in np.nonzero(~np.all(inside, axis=1))[0]:
+        s = top[fwd[j]]
+        violations.append(("center_outside_cell", s.vertices,
+                           int(verts[fwd[j], np.argmin(inside[j])])))
 
-    for row in _local_subsets(pts, n, 2.0 * net.d2):
-        combo = tuple(int(v) for v in row)
-        if not all(interior[v] for v in combo):
-            continue
-        if combo in kept:
-            continue
-        try:
-            sph = cs.circumcenter(pts[list(combo)])
-        except Exception:
-            continue
-        if sph.radius > net.d2:
-            continue
-        checked += 1
-        d = near_dist(sph.center)
-        dmin = float(np.min(d))
-        # strictly inside all n+1 cells => the simplex had an empty sphere
-        if all(d[v] <= dmin + rtol * max(1.0, dmin) for v in combo) and \
-                dmin >= sph.radius * (1.0 - rtol):
-            violations.append(("missing_simplex", combo, None))
-    return DualityReport(violations=tuple(violations), checked=checked)
+    kept = {s.vertices for s in top}
+    rows = _local_subsets(pts, n, 2.0 * net.d2)
+    rows = rows[np.all(interior[rows], axis=1)]
+    c, r, valid = cs.circumcenter_batch(pts[rows])
+    small = np.nonzero(valid & (r <= net.d2))[0]
+    new = small[[row not in kept for row in map(tuple, rows[small].tolist())]]
+    dmin, inside = in_cells(rows[new], c[new])
+    # in all n+1 cells and no site inside => the subset had an empty sphere
+    missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - rtol))
+    violations.extend(("missing_simplex", tuple(row), None)
+                      for row in rows[new[missing]].tolist())
+    return DualityReport(violations=tuple(violations),
+                         checked=len(fwd) + len(new))
 
 
 def simplicial_cone(complex_: DelaunayComplex, i: int):

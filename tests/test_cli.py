@@ -122,6 +122,69 @@ class TestPipeline:
         assert cert["worst"]["quantity"] is not None
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+class TestBadCertifyArguments:
+    def _certify(self, files, tmp_path, *extra):
+        return cli.main(["certify", "--net", files["net"], "--complex", files["cx"],
+                         "--bundle", files["bundle"], *extra,
+                         "--out", str(tmp_path / "cert.json")])
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_family_depth_below_one(self, tiny_files, tmp_path, capsys, depth):
+        capsys.readouterr()
+        assert self._certify(tiny_files, tmp_path, "--family-depth", depth) == 1
+        assert "family.depth" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("adv", [
+        "bogus", "1:0", "1:x:1.0,0.0", "1:0:a,b",  # malformed
+        "2:0:1.0,0.0", "11:0:1.0,0.0",  # not a parameter of depth 1
+        "1:99999:1.0,0.0", "1:-1:1.0,0.0",  # index outside the net
+        "1:0:1.0", "1:0:1.0,nan",  # not a finite 2-vector
+    ])
+    def test_bad_adversarial_override(self, tiny_files, tmp_path, capsys, adv):
+        capsys.readouterr()
+        assert self._certify(tiny_files, tmp_path, "--family-depth", "1",
+                             "--adversarial", adv) == 1
+        assert "--adversarial" in _one_line_error(capsys)
+
+
+class TestNetComplexMismatch:
+    @pytest.fixture
+    def mismatched(self, tiny_files, tmp_path):
+        """A complex whose faces are complete but name vertex 99999, and one
+        whose dim differs from the net's."""
+        sphere = {"center": [0.0, 0.0], "radius": 1.0}
+        verts = [[0], [1], [99999], [0, 1], [0, 99999], [1, 99999], [0, 1, 99999]]
+        far = tmp_path / "far.json"
+        jsonio.write(far, {"v": 1, "dim": 2, "regular": True,
+                           "simplices": [{"verts": v, **sphere} for v in verts]})
+        cx = jsonio.read(tiny_files["cx"])
+        dim3 = tmp_path / "dim3.json"
+        jsonio.write(dim3, {**cx, "dim": 3})
+        return {"vertex": str(far), "dim": str(dim3)}
+
+    @pytest.mark.parametrize("kind", ["vertex", "dim"])
+    @pytest.mark.parametrize("command", ["certify", "duality-check", "render"])
+    def test_exits_one_with_message(self, tiny_files, mismatched, tmp_path,
+                                    capsys, kind, command):
+        args = [command, "--net", tiny_files["net"], "--complex", mismatched[kind]]
+        if command == "certify":
+            args += ["--bundle", tiny_files["bundle"],
+                     "--out", str(tmp_path / "cert.json")]
+        if command == "render":
+            args += ["--out", str(tmp_path / "net.svg")]
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        err = _one_line_error(capsys)
+        assert ("99999" in err) if kind == "vertex" else ("complex.dim" in err)
+
+
 class TestRender:
     def test_three_point_svg(self, tmp_path):
         net = tess.Net(dim=2,

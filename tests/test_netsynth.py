@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from delone import circumsphere as cs
+from delone import jsonio
 from delone import netsynth as nsy
 from delone import tessellation as tess
 from delone.errors import RegionExhaustedError, ValidationError
@@ -90,6 +92,11 @@ class TestParamFamily:
         assert np.allclose(disp[3], [0.5, -0.5])
         disp0 = fam.indexed_displacements("000", pts)
         assert np.allclose(disp0, 0.0)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        with pytest.raises(ValidationError, match="family.depth"):
+            self._family(depth=depth)
 
 
 class TestTranslateNet:
@@ -270,6 +277,75 @@ def tiny(bundle2):
     return net, cx
 
 
+def _rebuild_certificate(net, complex_, family, bundle) -> dict:
+    """Reference certifier: per-simplex loops for the drift maxima and a full
+    ``build_delaunay`` rebuild of every translate for the identity check."""
+    n = net.dim
+    rF = bundle.rF
+    top = complex_.top(n)
+    verts = np.array([s.vertices for s in top], dtype=np.int64).reshape(-1, n + 1)
+    centers = np.array([s.sphere.center for s in top])
+    radii = np.array([s.sphere.radius for s in top])
+    worst = {"quantity": None, "simplex": None, "param": None, "margin": math.inf}
+    records = [{"simplex": tuple(int(v) for v in s.vertices)} for s in top]
+
+    def note(quantity, margin, sidx, param):
+        if margin < worst["margin"]:
+            worst.update(quantity=quantity, margin=float(margin),
+                         simplex=None if sidx is None else top[sidx].vertices,
+                         param=param)
+
+    def clearance(points, c, r):
+        d, _ = cKDTree(points).query(c, k=n + 2)
+        return d[:, -1] - r
+
+    ok = True
+    if len(top):
+        m_rho = nsy._robustness_2d(net.points[verts]) - 1.5 * bundle.eps2 * rF
+        m_clear = clearance(net.points, centers, radii) - 2.0 * bundle.eps1 * rF
+        for i in range(len(top)):
+            records[i].update(robustness_margin=float(m_rho[i]),
+                              base_clearance_margin=float(m_clear[i]),
+                              center_drift=0.0, radius_drift=0.0)
+        note("robustness", m_rho.min(), int(np.argmin(m_rho)), None)
+        note("base_clearance", m_clear.min(), int(np.argmin(m_clear)), None)
+        ok = bool(m_rho.min() >= 0 and m_clear.min() >= 0)
+    base_set = {s.vertices for s in top}
+    for param in family.params:
+        tnet = nsy.translate_net(net, param, family)
+        if len(top):
+            tstacks = tnet.points[verts]
+            tc, tr, tvalid = cs.circumcenter_batch(tstacks)
+            if not np.all(tvalid):
+                ok = False
+                note("circumcenter_exists", -math.inf,
+                     int(np.nonzero(~tvalid)[0][0]), param)
+                continue
+            dc = np.linalg.norm(tc - centers, axis=1)
+            dr = np.abs(tr - radii)
+            for i in range(len(top)):
+                records[i]["center_drift"] = max(records[i]["center_drift"], float(dc[i]))
+                records[i]["radius_drift"] = max(records[i]["radius_drift"], float(dr[i]))
+            for quantity, margins in (
+                    ("robustness", nsy._robustness_2d(tstacks) - 1.5 * bundle.eps2 * rF),
+                    ("translate_clearance", clearance(tnet.points, tc, tr) - bundle.eps1 * rF),
+                    ("center_drift", bundle.eps3 * rF / 2.0 - dc),
+                    ("radius_drift", bundle.eps3 * rF - dr)):
+                i = int(np.argmin(margins))
+                note(quantity, margins[i], i, param)
+                ok = ok and bool(margins[i] >= 0)
+        tset = {s.vertices for s in tess.build_delaunay(tnet, None).top(n)}
+        if tset != base_set:
+            ok = False
+            note("combinatorics", -math.inf, None, param)
+            worst["detail"] = {"param": param, "symmetric_difference": [
+                list(t) for t in sorted(tset ^ base_set)[:8]]}
+    if worst["quantity"] is None:
+        worst.update(quantity="empty_complex", margin=0.0)
+    return {"v": 1, "pass": ok, "worst": worst, "params": list(family.params),
+            "per_simplex": records}
+
+
 class TestCertification:
     def test_pass(self, tiny, bundle2):
         net, cx = tiny
@@ -288,6 +364,26 @@ class TestCertification:
         assert not cert.ok
         assert cert.worst["param"] == "10"
         assert cert.worst["quantity"] is not None
+
+    def test_matches_rebuild_reference(self, tiny, bundle2, small_net_pack,
+                                       small_complex):
+        # three sites: fewer than n+2, so no site lies off the one sphere
+        s = 0.15 * bundle2.rF
+        triangle = tess.Net(dim=2, points=[[0.0, 0.0], [s, 0.0], [0.5 * s, 0.8 * s]],
+                            d1=bundle2.d1, d2=bundle2.d2)
+        cases = [tiny, (small_net_pack["net"], small_complex),
+                 (triangle, tess.build_delaunay(triangle, None))]
+        failed = set()
+        for net, cx in cases:
+            fam = nsy.make_family(bundle2, depth=2, seed=3)
+            for override in (None, ("01", 0, [10.0 * bundle2.d1, 0.0]),
+                             ("11", 1, [0.0, 0.3 * bundle2.d1])):
+                f = fam if override is None else fam.with_override(*override)
+                cert = nsy.certify_family_stability(net, cx, f, bundle2)
+                want = _rebuild_certificate(net, cx, f, bundle2)
+                assert jsonio.dumps(cert.to_dict()) == jsonio.dumps(want)
+                failed.update(() if cert.ok else [cert.worst["quantity"]])
+        assert "combinatorics" in failed
 
 
 class TestProductStructure:

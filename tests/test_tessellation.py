@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from delone import circumsphere as cs
+from delone import jsonio
 from delone import tessellation as tess
 from delone.metrics import MetricModel
 
@@ -187,6 +191,157 @@ def _poisson(rng, count, min_sep):
     return np.array(pts)
 
 
+def _all_subsets_top(pts, d2, tol=tess.COSPHERICAL_RTOL):
+    """Brute-force reference for ``delaunay_top``: every (n+1)-subset of all
+    sites, no locality pruning and no Qhull, with each emptiness and
+    regularity test made against every site."""
+    n = pts.shape[1]
+    rows = np.array(list(itertools.combinations(range(len(pts)), n + 1)),
+                    dtype=np.int64).reshape(-1, n + 1)
+    if not len(rows):
+        return rows, np.zeros((0, n)), np.zeros(0), True
+    centers, radii, valid = cs.circumcenter_batch(pts[rows])
+    keep, regular = [], True
+    for j in np.nonzero(valid & (radii <= d2))[0]:
+        d = np.sort(np.linalg.norm(pts - centers[j], axis=1))
+        if d[0] >= radii[j] * (1.0 - tess.EMPTY_RTOL):
+            keep.append(j)
+            if len(d) > n + 1 and d[n + 1] <= radii[j] * (1.0 + tol):
+                regular = False
+    keep = np.array(keep, dtype=np.int64)
+    return rows[keep], centers[keep], radii[keep], regular
+
+
+def _enumeration_top(pts, d2):
+    """The kernel's enumeration path on its own."""
+    n = pts.shape[1]
+    return tess._small_empty_spheres(pts, tess._local_subsets(pts, n, 2.0 * d2),
+                                     d2, tess.COSPHERICAL_RTOL)
+
+
+def _kernel_case(kind, rng):
+    """(points, d2) of one input family for the kernel property test."""
+    if kind == "poisson":
+        return _poisson(rng, int(rng.integers(4, 25)), 0.15), 0.35
+    if kind == "jittered":
+        return _lattice(2) + 0.05 * rng.standard_normal((25, 2)), 0.9
+    if kind == "square":  # every unit square is cocircular
+        return _lattice(int(rng.integers(1, 3))) * 0.5 + rng.uniform(-1, 1, 2), 0.375
+    if kind == "duplicate":
+        pts = _poisson(rng, int(rng.integers(4, 16)), 0.15)
+        return np.vstack([pts, pts[int(rng.integers(len(pts)))]]), 0.35
+    if kind == "poisson3d":
+        return rng.uniform(0.0, 1.0, (int(rng.integers(5, 16)), 3)), 0.6
+    raise ValueError(kind)
+
+
+def _assert_same_top(got, want):
+    verts, centers, radii, regular = got
+    assert verts.dtype == np.int64
+    assert np.array_equal(verts, want[0])
+    assert np.array_equal(centers, want[1])  # bitwise
+    assert np.array_equal(radii, want[2])
+    assert regular == want[3]
+
+
+class TestDelaunayKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["poisson", "jittered", "square", "duplicate",
+                            "poisson3d"]))
+    def test_matches_brute_force_and_enumeration(self, seed, kind):
+        pts, d2 = _kernel_case(kind, np.random.default_rng(seed))
+        got = tess.delaunay_top(pts, d2)
+        _assert_same_top(got, _all_subsets_top(pts, d2))
+        _assert_same_top(got, _enumeration_top(pts, d2))
+        if kind == "square" and len(got[0]):
+            assert not got[3]
+
+    @pytest.mark.parametrize("pts", [
+        [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],  # collinear: Qhull refuses
+        [[0.0, 0.0], [1.0, 0.0]],  # fewer than n+1 points
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],  # n+1 points
+    ])
+    def test_small_inputs(self, pts):
+        pts = np.array(pts)
+        got = tess.delaunay_top(pts, 0.8)
+        _assert_same_top(got, _all_subsets_top(pts, 0.8))
+        _assert_same_top(got, _enumeration_top(pts, 0.8))
+
+    def test_regular_input_skips_enumeration(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        pts = _lattice(3) + 0.05 * rng.standard_normal((49, 2))
+        want = _enumeration_top(pts, 0.9)
+        calls = []
+        monkeypatch.setattr(tess, "_local_subsets",
+                            lambda *a: calls.append(a) or np.zeros((0, 3), np.int64))
+        _assert_same_top(tess.delaunay_top(pts, 0.9), want)
+        assert calls == []
+
+    @pytest.mark.parametrize("pts", [
+        _lattice(2).astype(float),  # cospherical squares
+        np.vstack([_lattice(2), [[0.0, 0.0]]]).astype(float),  # coincident
+    ])
+    def test_irregular_input_falls_back(self, pts, monkeypatch):
+        calls = []
+        enumerate_ = tess._local_subsets
+        monkeypatch.setattr(tess, "_local_subsets",
+                            lambda *a: calls.append(a) or enumerate_(*a))
+        tess.delaunay_top(pts, 0.75)
+        assert len(calls) == 1
+
+
+def _enumeration_complex(net):
+    """The flat complex as built by enumerating every local subset, with
+    its own face closure and regularity test: the builder's reference."""
+    n = net.dim
+    pts = net.points
+    subsets = tess._local_subsets(pts, n, 2.0 * net.d2)
+    kept = []
+    if len(subsets):
+        centers, radii, valid = cs.circumcenter_batch(pts[subsets])
+        idx = np.nonzero(valid & (radii <= net.d2))[0]
+        if idx.size:
+            dmin, _ = cKDTree(pts).query(centers[idx])
+            for j in idx[dmin >= radii[idx] * (1.0 - tess.EMPTY_RTOL)]:
+                kept.append(tess.Simplex(
+                    vertices=tuple(int(v) for v in subsets[j]),
+                    sphere=cs.CircumSphere(center=centers[j], radius=float(radii[j]))))
+    kept.sort(key=lambda s: s.vertices)
+    by_dim = {n: kept}
+    for k in range(n - 1, -1, -1):
+        seen = {}
+        for s in by_dim[k + 1]:
+            for face in itertools.combinations(s.vertices, k + 1):
+                seen.setdefault(face, s.sphere)
+        by_dim[k] = [tess.Simplex(vertices=f, sphere=sph)
+                     for f, sph in sorted(seen.items())]
+    regular = tess.check_regular(tess.DelaunayComplex(by_dim, True), 1e-9, net=net)
+    return tess.DelaunayComplex(simplices_by_dim=by_dim, regular=regular)
+
+
+def _complex_bytes(cx, dim):
+    return jsonio.dumps(jsonio.complex_to_dict(cx, dim))
+
+
+class TestBuilderArtifacts:
+    def test_byte_equal_to_enumeration(self):
+        rng = np.random.default_rng(12)
+        nets = [_net(_poisson(rng, 25, 0.15), 0.15, 0.35) for _ in range(5)]
+        nets.append(_net(_lattice(2), 0.9, 0.75))  # irregular: fallback
+        nets.append(_net(rng.uniform(0.0, 1.0, (14, 3)), 0.01, 0.6, dim=3))
+        for net in nets:
+            cx = tess.build_delaunay(net, None)
+            assert _complex_bytes(cx, net.dim) == \
+                _complex_bytes(_enumeration_complex(net), net.dim)
+
+    def test_synthesized_net_byte_equal(self, small_net_pack, small_complex):
+        net = small_net_pack["net"]
+        assert small_complex.regular
+        assert _complex_bytes(small_complex, 2) == \
+            _complex_bytes(_enumeration_complex(net), 2)
+
+
 class TestDuality:
     def test_square_plus_center_ok(self):
         net = _net(SQUARE_CENTER, 0.3, 0.6)
@@ -214,6 +369,87 @@ class TestDuality:
         rep = tess.check_duality(net, broken)
         kinds = {v[0] for v in rep.violations}
         assert "missing_simplex" in kinds
+
+
+def _scalar_duality(net, complex_, rtol=tess.MEMBERSHIP_RTOL):
+    """Per-simplex and per-subset reference for ``check_duality``: an O(m)
+    distance scan for every check and a scalar circumcenter per subset."""
+    n = net.dim
+    pts = net.points
+    interior = net.interior_mask()
+    violations = []
+    checked = 0
+    kept = {s.vertices for s in complex_.top(n)}
+    for s in complex_.top(n):
+        if not all(interior[v] for v in s.vertices):
+            continue
+        checked += 1
+        d = np.linalg.norm(pts - s.sphere.center, axis=1)
+        dmin = float(np.min(d))
+        for v in s.vertices:
+            if d[v] > dmin + rtol * max(1.0, dmin):
+                violations.append(("center_outside_cell", s.vertices, int(v)))
+                break
+    for row in tess._local_subsets(pts, n, 2.0 * net.d2):
+        combo = tuple(int(v) for v in row)
+        if not all(interior[v] for v in combo) or combo in kept:
+            continue
+        try:
+            sph = cs.circumcenter(pts[list(combo)])
+        except Exception:
+            continue
+        if sph.radius > net.d2:
+            continue
+        checked += 1
+        d = np.linalg.norm(pts - sph.center, axis=1)
+        dmin = float(np.min(d))
+        if all(d[v] <= dmin + rtol * max(1.0, dmin) for v in combo) and \
+                dmin >= sph.radius * (1.0 - rtol):
+            violations.append(("missing_simplex", combo, None))
+    return tess.DualityReport(violations=tuple(violations), checked=checked)
+
+
+def _with_top(cx, tops):
+    return tess.DelaunayComplex(simplices_by_dim={**cx.simplices_by_dim, 2: tops},
+                                regular=cx.regular)
+
+
+class TestBatchedDuality:
+    def _cases(self):
+        from delone import netsynth as nsy
+
+        rng = np.random.default_rng(13)
+        region = nsy.Region.box([0.0, 0.0], [1.0, 1.0])
+        for _ in range(4):
+            net = _net(_poisson(rng, 40, 0.12), 0.1, 0.3, region=region)
+            yield net, tess.build_delaunay(net, None)
+        net = _net(_lattice(2) + 0.05 * rng.standard_normal((25, 2)), 0.7, 0.9)
+        cx = tess.build_delaunay(net, None)
+        tops = list(cx.top(2))
+        yield net, cx
+        yield net, _with_top(cx, tops[::2])  # missing simplices
+        # centers pulled toward the first vertex leave the cells of the others
+        moved = [tess.Simplex(vertices=s.vertices, sphere=cs.CircumSphere(
+            center=0.5 * (s.sphere.center + net.points[s.vertices[0]]),
+            radius=s.sphere.radius)) for s in tops[3:6]]
+        yield net, _with_top(cx, tops[:3] + moved + tops[6:])
+
+    def test_matches_scalar_reference(self):
+        found = set()
+        for net, cx in self._cases():
+            got = tess.check_duality(net, cx)
+            want = _scalar_duality(net, cx)
+            assert got.violations == want.violations
+            assert got.checked == want.checked
+            found.update((v[0], v[2] == v[1][0]) for v in got.violations)
+        assert found == {("missing_simplex", False), ("center_outside_cell", False)}
+
+    def test_synthesized_net(self, small_net_pack, small_complex):
+        net = small_net_pack["net"]
+        got = tess.check_duality(net, small_complex)
+        want = _scalar_duality(net, small_complex)
+        assert got.ok and got.violations == want.violations
+        assert got.checked == want.checked > 0
 
 
 class TestConeAndFilling:
