@@ -115,14 +115,18 @@ def cmd_constants(dim, mode, eps_str, metric_str, out):
 def cmd_synthesize(bundle_path, box_str, seed, out):
     """Synthesize a net covering the box region."""
     bundle = _load(bundle_path, jsonio.bundle_from_dict)
-    vals = [float(x) for x in box_str.split(",")]
+    try:
+        vals = [float(x) for x in box_str.split(",")]
+    except ValueError:
+        vals = []
     if len(vals) != 4:
-        raise ValidationError("--box needs x0,y0,x1,y1")
+        raise ValidationError(f"--box needs four numbers x0,y0,x1,y1, got {box_str!r}")
     region = nsy.Region.box(vals[:2], vals[2:])
     net, _, report = nsy.synthesize_net(region, bundle, seed=seed)
     _write_out(out, jsonio.net_to_dict(net))
     _log(f"net written: {len(net)} points, {report.steps} steps, "
-         f"max excluded fraction {report.max_excluded_fraction:.3f}")
+         f"max excluded bound {report.max_excluded_bound:.3f}, "
+         f"sampled max excluded fraction {report.max_excluded_fraction:.3f}")
 
 
 @cli.command("triangulate")

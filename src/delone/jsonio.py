@@ -89,6 +89,9 @@ def net_from_dict(d: dict) -> tess.Net:
     pts = np.asarray(raw, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValidationError(f"points must be {dim}-vectors", path="net.points")
+    if not np.all(np.isfinite(pts)):
+        i = int(np.nonzero(~np.all(np.isfinite(pts), axis=1))[0][0])
+        raise ValidationError(f"point {i} is not finite", path="net.points")
     if not (0 < d1 < d2):
         raise ValidationError("require 0 < d1 < d2", path="net.d1")
     region = region_from_dict(d["region"]) if "region" in d else None

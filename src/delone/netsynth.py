@@ -9,6 +9,16 @@ and thickenings of local affine patches), and selects a point in the
 remainder.  The excluded widths guarantee empty-sphere clearance and
 properly-ordered robustness for every simplex of the final net.
 
+Annuli are kept only around circles of radius at most R = CIRCLE_CAP_D2 * d2,
+the circles that can become (translated) Delaunay simplices; the comment on
+CIRCLE_CAP_D2 gives the inequality that makes R enough.  Every step is
+certified by the closed-form bound ``excluded_volume_bound`` < 1/2 on the
+excluded fraction of the selection ball, and falls back to the sampled audit
+``excluded_volume_fraction`` when the bound does not certify it.  The front
+of candidate centers is ``_BandFront``: a boolean grid of the nodes in the
+band with per-row counts, whose node of least flat index is the next
+candidate.
+
 Stability of the resulting Delaunay complex is then certified over a finite
 family of near-isometric translations: per-parameter the complex must be
 combinatorially identical with small circumcenter/radius drifts.
@@ -16,7 +26,6 @@ combinatorially identical with small circumcenter/radius drifts.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,11 +43,26 @@ from .errors import (
     ValidationError,
 )
 
-#: Forbidden-volume fraction audited every this many synthesis steps.
+#: Sampled forbidden-volume audit every this many synthesis steps (and at any
+#: step whose closed-form bound is not below 1/2).
 VOLUME_AUDIT_STRIDE = 64
 
 #: Rejection-sampling attempts before the fallback grid scan.
 MAX_REJECTIONS = 10_000
+
+#: Annuli are kept only around circles of radius <= CIRCLE_CAP_D2 * d2 (R).
+#: An annulus protects the empty-sphere clearance of a simplex that can be a
+#: Delaunay simplex of the final net or of a translate, whose radius is at
+#: most d2 plus the certified radius drift eps3*rF.  When the last vertex v
+#: of such a simplex {a, b, v} is chosen, an earlier point y is kept off its
+#: circle by the annulus of circle(a, b, y) instead; y within delta of
+#: circle(a, b, v) puts radius(a, b, y) within 2 r^2 delta / d1^2 of it to
+#: first order (the circumcenter moves along the bisector of ab at rate
+#: r / dist(y, line ab), and dist(y, line ab) = |ya| |yb| / 2r >= d1^2 / 2r by
+#: d1-separation).  With the practical bundle's eps3*rF = 5e-5 d2 and delta of
+#: the clearance order (2*eps1*rF), both slacks are below 1e-4 d2, so
+#: R = 1.25 d2 loses no annulus that matters; 1.25 is the value measured.
+CIRCLE_CAP_D2 = 1.25
 
 
 @dataclass(frozen=True)
@@ -52,11 +76,22 @@ class Region:
         if self.kind not in ("box", "disk"):
             raise ValidationError(f"unknown region kind {self.kind!r}", path="region.kind")
         a, b = self.bounds
-        object.__setattr__(self, "bounds",
-                           (np.asarray(a, dtype=float) if self.kind == "box"
-                            else np.asarray(a, dtype=float),
-                            np.asarray(b, dtype=float) if self.kind == "box"
-                            else float(b)))
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float) if self.kind == "box" else float(b)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValidationError("bounds must be finite", path="region.bounds")
+        if self.kind == "box":
+            if a.ndim != 1 or a.shape != b.shape:
+                raise ValidationError("lo and hi must be vectors of one dimension",
+                                      path="region.bounds")
+            if np.any(a >= b):
+                raise ValidationError(f"need lo < hi on every axis, got lo "
+                                      f"{a.tolist()}, hi {b.tolist()}",
+                                      path="region.bounds")
+        elif b <= 0.0:
+            raise ValidationError(f"radius must be positive, got {b}",
+                                  path="region.bounds")
+        object.__setattr__(self, "bounds", (a, b))
 
     @property
     def dim(self) -> int:
@@ -336,8 +371,13 @@ def _circumcircles_2d(a, b, c):
 
 
 def forbidden_regions(net_points, xi_prime, bundle):
-    """(annuli, slabs) for the selection ball B(xi_prime, rF/200), built from
-    the local set Omega = net cap D(xi_prime, 4*d2)."""
+    """(annuli, slabs) for the selection ball B(xi_prime, rF/200).
+
+    Slabs and point patches come from the local set Omega = net cap
+    D(xi_prime, 4*d2).  Annuli come only from circles of radius at most
+    R = CIRCLE_CAP_D2 * d2 (see there); such a circle reaches the ball only
+    if its three points lie within 2R + rF/200 + 2*eps1*rF of xi_prime, so
+    the triples are drawn from that smaller part of Omega."""
     xi = np.asarray(xi_prime, dtype=float)
     pts = np.asarray(net_points, dtype=float)
     n = len(xi)
@@ -345,6 +385,8 @@ def forbidden_regions(net_points, xi_prime, bundle):
     ball_r = rF / 200.0
     w_ann = 2.0 * bundle.eps1 * rF
     w_slab = 2.0 * bundle.eps2 * rF
+    cap_r = CIRCLE_CAP_D2 * bundle.d2
+    tri_reach = 2.0 * cap_r + ball_r + w_ann
     if len(pts):
         omega = pts[np.linalg.norm(pts - xi, axis=1) <= 4.0 * bundle.d2]
     else:
@@ -357,17 +399,24 @@ def forbidden_regions(net_points, xi_prime, bundle):
     if n != 2:
         raise ValidationError("synthesis is implemented for dim 2")
 
-    # annuli: circumscribed circles of all local triples.  The exact solve is
-    # only run on triples whose circle can reach the selection ball; those
-    # are prefiltered via the point-power identity
+    q = omega - xi
+    sq = np.einsum("ij,ij->i", q, q)
+    # the triple points first: pairs of range(s_t) are then the first
+    # C(s_t, 2) rows of the max-sorted pair array of range(s)
+    near_t = sq <= tri_reach * tri_reach
+    s_t = int(np.count_nonzero(near_t))
+    order = np.argsort(~near_t, kind="stable")
+    omega, q, sq = omega[order], q[order], sq[order]
+
+    # annuli: circumscribed circles of the triples.  The exact solve is only
+    # run on triples whose circle can reach the selection ball; those are
+    # prefiltered via the point-power identity
     #   det[(p_i - xi | |p_i - xi|^2)] = -2 S (d^2 - r^2),
     # which bounds the distance from xi to the circle using nothing but
     # pairwise cross products and squared edge lengths.
     count_ann = 0
     keep_c = np.zeros((0, n))
     keep_r = np.zeros(0)
-    q = omega - xi
-    sq = np.einsum("ij,ij->i", q, q)
     pr = _combo_indices(s, 2)
     qa, qb = q[pr[:, 0]], q[pr[:, 1]]
     dvec = qb - qa
@@ -375,13 +424,13 @@ def forbidden_regions(net_points, xi_prime, bundle):
     # cross(a - xi, b - xi) doubles as 2 * signed_area(xi, a, b), i.e. the
     # perpendicular distance from xi to line(a, b) times |b - a|
     crossp = qa[:, 0] * qb[:, 1] - qa[:, 1] * qb[:, 0]
-    if s >= 3:
-        tri, iab, iac, ibc = _triple_pack(s)
+    if s_t >= 3:
+        tri, iab, iac, ibc = _triple_pack(s_t)
         # the prefilter runs in float32; the threshold carries an additive
         # slack far above float32 roundoff for these magnitudes (edges
-        # <= 8 d2, squared norms <= (4 d2)^2), so no true candidate is lost
-        # and the exact second stage makes the result identical to a full
-        # float64 scan
+        # <= 2 tri_reach, squared norms <= tri_reach^2), so no true candidate
+        # is lost and the exact second stage makes the result identical to a
+        # full float64 scan
         sq32 = sq.astype(np.float32)
         x32 = crossp.astype(np.float32)
         l32 = l2p.astype(np.float32)
@@ -397,7 +446,7 @@ def forbidden_regions(net_points, xi_prime, bundle):
         # |det| = 2|S|(d + r)|d - r| and 4|S| r = |ab||ac||bc|, so every
         # triple with |d - r| <= rho satisfies the kept inequality
         thr = rho * np.sqrt(l2ab * l2ac * l2bc) + rho * rho * two_s \
-            + np.float32(1e-5 * (4.0 * bundle.d2) ** 4)
+            + np.float32(1e-5 * tri_reach ** 4)
         cand = nondeg & (np.abs(det) <= thr)
         if np.any(cand):
             t = tri[cand]
@@ -405,7 +454,7 @@ def forbidden_regions(net_points, xi_prime, bundle):
                 omega[t[:, 0]], omega[t[:, 1]], omega[t[:, 2]])
             reach = np.abs(np.linalg.norm(centers - xi, axis=1) - radii) \
                 <= ball_r + w_ann
-            sel = valid & reach
+            sel = valid & reach & (radii <= cap_r)
             keep_c, keep_r = centers[sel], radii[sel]
     annuli = Annuli(centers=keep_c, radii=keep_r, width=w_ann,
                     count_total=count_ann)
@@ -448,8 +497,8 @@ def _allowed(p, xi, ball_r, annuli: Annuli, slabs: Slabs) -> bool:
 
 def excluded_volume_fraction(xi_prime, ball_r, annuli: Annuli, slabs: Slabs,
                              samples: int = 512, rng=None) -> float:
-    """Monte-Carlo fraction of the selection ball covered by the forbidden
-    regions (must stay below 1/2)."""
+    """Sampled (Monte-Carlo) fraction of the selection ball covered by the
+    forbidden regions; ``excluded_volume_bound`` is the certified figure."""
     rng = np.random.default_rng(0) if rng is None else rng
     xi = np.asarray(xi_prime, dtype=float)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=samples)
@@ -469,6 +518,26 @@ def excluded_volume_fraction(xi_prime, ball_r, annuli: Annuli, slabs: Slabs,
                            axis=2)
         hit |= np.any(d <= slabs.width, axis=1)
     return int(np.sum(hit)) / samples
+
+
+def excluded_volume_bound(ball_r: float, annuli: Annuli, slabs: Slabs) -> float:
+    """Closed-form upper bound on the fraction of the selection ball
+    B(xi', rho), rho = ball_r, covered by the forbidden regions:
+
+        (sum_annuli 2w 2pi(rho + w) + sum_slabs 2w 2(rho + w)
+         + sum_point_patches pi w^2) / (pi rho^2),
+
+    each term with its region's width w.  An annulus {|d(p, c) - r| <= w} is
+    swept by circles of radius in [r - w, r + w], each meeting the ball in one
+    arc whose convex hull lies in the ball, so of length at most the ball's
+    perimeter; a slab {dist(p, line) <= w} is swept by parallel chords of
+    length at most 2 rho; a point patch is a disk of radius w."""
+    rho = ball_r
+    wa, ws = annuli.width, slabs.width
+    area = (len(annuli.radii) * 2.0 * wa * 2.0 * math.pi * (rho + wa)
+            + len(slabs.directions) * 2.0 * ws * 2.0 * (rho + ws)
+            + len(slabs.point_patches) * math.pi * ws * ws)
+    return area / (math.pi * rho * rho)
 
 
 def select_point(xi_prime, forbidden, rng, ball_r: float):
@@ -554,9 +623,52 @@ def propose_candidate(K: Region, net_points, bundle, resolution: float | None = 
     return grid[idx[0]]
 
 
+class _BandFront:
+    """Selection front of the synthesizer: the grid nodes whose stored squared
+    distance to the net lies in the band [lo2, hi2] and whose selection ball
+    fits the domain (``clear``), with per-row counts of them.
+
+    Stored distances only decrease, so a node enters the band at most once
+    and leaves it at most once; ``next`` is the in-band node of least flat
+    index, which is the pop order of a min-heap that takes each node as it
+    enters the band and drops it, when popped, if it has left."""
+
+    def __init__(self, clear: np.ndarray, lo2: float, hi2: float):
+        self.clear = clear
+        self.lo2, self.hi2 = lo2, hi2
+        self.dist2 = np.full(clear.shape, np.inf)
+        self.inband = np.zeros(clear.shape, dtype=bool)
+        self.rows = np.zeros(clear.shape[0], dtype=np.int64)
+
+    def lower(self, i0: int, j0: int, dd: np.ndarray) -> None:
+        """dist2 <- min(dist2, dd) on the window starting at node (i0, j0)."""
+        i1, j1 = i0 + dd.shape[0], j0 + dd.shape[1]
+        sub = self.dist2[i0:i1, j0:j1]
+        np.minimum(sub, dd, out=sub)
+        band = self.inband[i0:i1, j0:j1]
+        self.rows[i0:i1] -= np.count_nonzero(band, axis=1)
+        np.logical_and(sub >= self.lo2, sub <= self.hi2, out=band)
+        band &= self.clear[i0:i1, j0:j1]
+        self.rows[i0:i1] += np.count_nonzero(band, axis=1)
+
+    def next(self):
+        """(row, column) of the in-band node of least flat index, or None."""
+        nz = np.flatnonzero(self.rows)
+        if not len(nz):
+            return None
+        i = int(nz[0])
+        return i, int(np.argmax(self.inband[i]))
+
+
 @dataclass
 class SynthesisReport:
+    """Per-run synthesis figures.  ``max_excluded_bound`` is the largest
+    closed-form bound (``excluded_volume_bound``) over all steps;
+    ``max_excluded_fraction`` is the largest sampled Monte-Carlo fraction
+    over the ``audits`` steps that ran ``excluded_volume_fraction``."""
+
     steps: int = 0
+    max_excluded_bound: float = 0.0
     max_excluded_fraction: float = 0.0
     audits: int = 0
 
@@ -586,11 +698,9 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
         >= ball_r).reshape(nx, ny)
     # squared nearest-net-point distances; band tests compare against the
     # squared band bounds, which is order-equivalent
-    dist2 = np.full((nx, ny), np.inf)
-    bl2, bh2 = band_lo * band_lo, band_hi * band_hi
+    front = _BandFront(clear, band_lo * band_lo, band_hi * band_hi)
     rng = np.random.default_rng(seed)
     buckets = _Buckets(cell=4.0 * bundle.d2)
-    heap: list = []
     points: list = []
     report = SynthesisReport()
 
@@ -605,29 +715,25 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
             return
         gx = xs[i0:i1 + 1][:, None] - z[0]
         gy = ys[j0:j1 + 1][None, :] - z[1]
-        dd = gx * gx + gy * gy
-        sub = dist2[i0:i1 + 1, j0:j1 + 1]
-        # a node is pushed exactly once: when its distance first drops to
-        # band_hi or below (sub > band_hi rules out already-pushed nodes)
-        entering = (sub > bh2) & (dd >= bl2) & (dd <= bh2) \
-            & clear[i0:i1 + 1, j0:j1 + 1]
-        np.minimum(sub, dd, out=sub)
-        a, b = np.nonzero(entering)
-        for key in ((i0 + a) * ny + (j0 + b)).tolist():
-            heapq.heappush(heap, key)
+        front.lower(i0, j0, gx * gx + gy * gy)
 
     def step(xi):
         forb = forbidden_regions(
             buckets.near(xi, 4.0 * bundle.d2), xi, bundle)
         report.steps += 1
-        if report.steps % VOLUME_AUDIT_STRIDE == 1:
+        # a bound below 1/2 certifies the step; the sampled audit runs on the
+        # stride as a diagnostic, and on any step the bound does not certify
+        bound = excluded_volume_bound(ball_r, *forb)
+        report.max_excluded_bound = max(report.max_excluded_bound, bound)
+        if bound >= 0.5 or report.steps % VOLUME_AUDIT_STRIDE == 1:
             frac = excluded_volume_fraction(xi, ball_r, *forb, samples=256,
                                             rng=np.random.default_rng(seed ^ report.steps))
             report.audits += 1
             report.max_excluded_fraction = max(report.max_excluded_fraction, frac)
             if frac >= 0.5:
                 raise SelectionFailedError(
-                    f"excluded volume fraction {frac:.3f} >= 1/2")
+                    f"sampled excluded volume fraction {frac:.3f} >= 1/2 "
+                    f"(bound {bound:.3f})")
         z = select_point(xi, forb, rng, ball_r)
         add_point(z)
 
@@ -639,14 +745,12 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
         raise RegionExhaustedError("domain has no interior at this scale")
     step(np.array([xs[ci], ys[cj]]))
 
-    # The stored dist of a node is exact whenever it is <= band_hi: every net
+    # A node's stored distance is exact whenever it is <= band_hi: every net
     # point within band_hi of the node has run an update window covering it.
-    # So band membership can be validated straight from the array.
-    flat = dist2.ravel()
-    while heap:
-        key = heapq.heappop(heap)
-        if bl2 <= flat[key] <= bh2:
-            step(np.array([xs[key // ny], ys[key % ny]]))
+    # Stepping at a node puts a point within ball_r < band_lo of it, so the
+    # node leaves the band and the loop ends when no node is left in it.
+    while (node := front.next()) is not None:
+        step(np.array([xs[node[0]], ys[node[1]]]))
 
     pts = np.array(points)
     net = tess.Net(dim=2, points=pts, d1=bundle.d1, d2=bundle.d2, region=domain)

@@ -58,6 +58,32 @@ class TestExitCodes:
         assert rc == 1
 
 
+class TestBadInputs:
+    @pytest.mark.parametrize("box", ["0,0,a,1", "0,0,-1,1", "0,0,0,0",
+                                     "0,0,nan,1", "0,0,1,inf"])
+    def test_bad_box(self, tmp_path, bundle_file, capsys, box):
+        capsys.readouterr()
+        out = tmp_path / "net.json"
+        rc = cli.main(["synthesize", "--bundle", bundle_file, "--box", box,
+                       "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = _one_line_error(capsys)
+        assert "--box" in err or "region.bounds" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_net_point(self, tiny_files, tmp_path, capsys, value):
+        d = jsonio.read(tiny_files["net"])
+        d["points"][0][0] = float(value)  # written as NaN / Infinity
+        bad = tmp_path / "net.json"
+        jsonio.write(bad, d)
+        capsys.readouterr()
+        rc = cli.main(["triangulate", "--net", str(bad),
+                       "--out", str(tmp_path / "cx.json")])
+        assert rc == 1
+        assert "net.points" in _one_line_error(capsys)
+
+
 class TestConstantsCommand:
     def test_writes_valid_bundle(self, tmp_path):
         out = tmp_path / "bundle.json"

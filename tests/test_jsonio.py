@@ -48,6 +48,19 @@ class TestNetIo:
         with pytest.raises(ValidationError):
             jsonio.net_from_dict(d)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_point_rejected(self, value):
+        d = jsonio.net_to_dict(_triangle_net())
+        d["points"][2][1] = value
+        with pytest.raises(ValidationError, match="net.points: point 2"):
+            jsonio.net_from_dict(d)
+
+    def test_inverted_region_rejected(self):
+        d = jsonio.net_to_dict(_triangle_net())
+        d["region"]["bounds"] = [[2.0, 2.0], [-1.0, -1.0]]
+        with pytest.raises(ValidationError, match="region.bounds"):
+            jsonio.net_from_dict(d)
+
     def test_bad_d_order_rejected(self):
         d = jsonio.net_to_dict(_triangle_net())
         d["d1"], d["d2"] = d["d2"], d["d1"]

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 
@@ -43,6 +44,26 @@ class TestRegion:
     def test_bad_kind(self):
         with pytest.raises(ValidationError):
             nsy.Region(kind="triangle", bounds=([0, 0], [1, 1]))
+
+    @pytest.mark.parametrize("lo,hi", [
+        ([0.0, 0.0], [0.0, 0.0]),  # empty
+        ([0.0, 0.0], [-1.0, 1.0]),  # inverted
+        ([0.0, 0.0], [1.0, 0.0]),  # flat
+        ([0.0, 0.0], [math.nan, 1.0]),
+        ([-math.inf, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, 1.0, 1.0]),  # dimensions differ
+    ])
+    def test_bad_box_rejected(self, lo, hi):
+        with pytest.raises(ValidationError, match="region.bounds"):
+            nsy.Region.box(lo, hi)
+
+    @pytest.mark.parametrize("center,radius", [
+        ([0.0, 0.0], 0.0), ([0.0, 0.0], -1.0), ([0.0, 0.0], math.nan),
+        ([math.inf, 0.0], 1.0),
+    ])
+    def test_bad_disk_rejected(self, center, radius):
+        with pytest.raises(ValidationError, match="region.bounds"):
+            nsy.Region.disk(center, radius)
 
 
 class TestParamFamily:
@@ -149,29 +170,52 @@ class TestForbiddenRegions:
         assert annuli.count_total == 1
         assert len(annuli.radii) == 0  # circle does not reach the ball
 
+    @staticmethod
+    def _circle_set(circles):
+        return {(round(float(c[0]), 9), round(float(c[1]), 9), round(float(r), 9))
+                for c, r in circles}
+
+    def _brute_force_annuli(self, omega, xi, bundle):
+        """Every triple of omega whose circle has radius <= R and whose
+        annulus can reach the selection ball."""
+        ball_r = bundle.rF / 200.0
+        w_ann = 2.0 * bundle.eps1 * bundle.rF
+        cap_r = nsy.CIRCLE_CAP_D2 * bundle.d2
+        ref = []
+        for combo in itertools.combinations(range(len(omega)), 3):
+            try:
+                sph = cs.circumcenter(omega[list(combo)])
+            except Exception:
+                continue
+            reach = abs(np.linalg.norm(sph.center - xi) - sph.radius)
+            if reach <= ball_r + w_ann and sph.radius <= cap_r:
+                ref.append((sph.center, sph.radius))
+        return self._circle_set(ref)
+
     def test_brute_force_equivalence(self, bundle2):
         rng = np.random.default_rng(4)
-        ball_r = bundle2.rF / 200.0
-        w_ann = 2.0 * bundle2.eps1 * bundle2.rF
+        kept = 0
         for _ in range(10):
             omega = rng.uniform(0.0, 0.6, size=(15, 2))
             xi = rng.uniform(0.2, 0.4, size=2)
             annuli, slabs = nsy.forbidden_regions(omega, xi, bundle2)
-            got = {(round(float(c[0]), 9), round(float(c[1]), 9),
-                    round(float(r), 9))
-                   for c, r in zip(annuli.centers, annuli.radii)}
-            ref = set()
-            for combo in itertools.combinations(range(15), 3):
-                try:
-                    sph = cs.circumcenter(omega[list(combo)])
-                except Exception:
-                    continue
-                reach = abs(np.linalg.norm(sph.center - xi) - sph.radius)
-                if reach <= ball_r + w_ann:
-                    ref.add((round(float(sph.center[0]), 9),
-                             round(float(sph.center[1]), 9),
-                             round(float(sph.radius), 9)))
-            assert got == ref
+            got = self._circle_set(zip(annuli.centers, annuli.radii))
+            assert got == self._brute_force_annuli(omega, xi, bundle2)
+            kept += len(got)
+        assert kept > 0
+
+    @pytest.mark.parametrize("scale,kept", [(1.0 - 1e-9, 1), (1.0 + 1e-9, 0)])
+    def test_radius_cap(self, bundle2, scale, kept):
+        # three points on a circle through xi of radius just below / above R
+        r = nsy.CIRCLE_CAP_D2 * bundle2.d2 * scale
+        c = np.array([0.3, 0.3])
+        theta = np.array([0.5, 2.0, 4.0])
+        omega = c + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        xi = c + np.array([-r, 0.0])
+        annuli, _ = nsy.forbidden_regions(omega, xi, bundle2)
+        assert annuli.count_total == 1
+        assert len(annuli.radii) == kept
+        assert len(self._brute_force_annuli(omega, xi, bundle2)) == kept
 
     def test_excluded_fraction_small(self, bundle2):
         sph = cs.circumcenter(TRIANGLE)
@@ -196,6 +240,33 @@ class TestForbiddenRegions:
         hits = sum(0 if nsy._allowed(p, xi, ball_r * (1 + 1e-9), *forb) else 1
                    for p in pts)
         assert frac == pytest.approx(hits / 256)
+
+
+class TestExcludedVolumeBound:
+    def test_formula(self):
+        rho, wa, ws = 1.0, 0.01, 0.02
+        annuli = nsy.Annuli(np.zeros((2, 2)), np.ones(2), wa, 2)
+        slabs = nsy.Slabs(np.zeros((3, 2)), np.ones((3, 2)), np.zeros((1, 2)), ws, 4)
+        want = (2 * 2 * wa * 2 * math.pi * (rho + wa) + 3 * 2 * ws * 2 * (rho + ws)
+                + math.pi * ws * ws) / (math.pi * rho * rho)
+        assert nsy.excluded_volume_bound(rho, annuli, slabs) == pytest.approx(want)
+
+    def test_dominates_sampled_fraction(self):
+        # wide regions, so that the sampled fraction is far from zero
+        rng = np.random.default_rng(6)
+        rho = 1.0
+        xi = np.zeros(2)
+        for _ in range(5):
+            annuli = nsy.Annuli(rng.uniform(-2, 2, size=(4, 2)),
+                                rng.uniform(0.2, 2.5, size=4), 0.03, 4)
+            theta = rng.uniform(0, math.pi, size=3)
+            slabs = nsy.Slabs(rng.uniform(-0.8, 0.8, size=(3, 2)),
+                              np.stack([np.cos(theta), np.sin(theta)], axis=1),
+                              rng.uniform(-0.8, 0.8, size=(2, 2)), 0.04, 5)
+            bound = nsy.excluded_volume_bound(rho, annuli, slabs)
+            frac = nsy.excluded_volume_fraction(xi, rho, annuli, slabs,
+                                                samples=20_000, rng=rng)
+            assert 0.0 < frac <= bound + 4.0 * math.sqrt(frac / 20_000)
 
 
 class TestSelectPoint:
@@ -249,7 +320,17 @@ class TestSynthesizeNet:
         # the synthesis domain (K plus the 2*d2 collar) is d2-dense
         assert net.check_density(bundle2.rF / 100.0) <= bundle2.d2
         assert report.max_excluded_fraction < 0.5
+        assert 0.0 < report.max_excluded_bound < 0.5
         assert report.audits >= 1
+
+    def test_uncertified_step_is_audited(self, bundle2, monkeypatch):
+        # a bound that certifies no step sends every step to the sampled audit
+        monkeypatch.setattr(nsy, "excluded_volume_bound", lambda *a: 0.75)
+        K = nsy.Region.disk([0.0, 0.0], 0.1)
+        _, _, report = nsy.synthesize_net(K, bundle2, seed=11)
+        assert report.audits == report.steps > 1
+        assert report.max_excluded_bound == 0.75
+        assert report.max_excluded_fraction < 0.5
 
     def test_deterministic(self, bundle2):
         K = nsy.Region.disk([0.0, 0.0], 0.1)
@@ -267,6 +348,72 @@ class TestSynthesizeNet:
         K = nsy.Region(kind="box", bounds=([0, 0, 0], [1, 1, 1]))
         with pytest.raises(ValidationError):
             nsy.synthesize_net(K, bundle2)
+
+
+class _HeapFront:
+    """Reference front: a min-heap of flat node indices.  A node is pushed
+    when its distance first drops into the band, and dropped when popped if
+    it has left the band since."""
+
+    def __init__(self, clear, lo2, hi2):
+        self.clear, self.lo2, self.hi2 = clear, lo2, hi2
+        self.dist2 = np.full(clear.shape, np.inf)
+        self.heap: list = []
+
+    def lower(self, i0, j0, dd):
+        i1, j1 = i0 + dd.shape[0], j0 + dd.shape[1]
+        sub = self.dist2[i0:i1, j0:j1]
+        entering = (sub > self.hi2) & (dd >= self.lo2) & (dd <= self.hi2) \
+            & self.clear[i0:i1, j0:j1]
+        np.minimum(sub, dd, out=sub)
+        a, b = np.nonzero(entering)
+        ny = self.dist2.shape[1]
+        for key in ((i0 + a) * ny + (j0 + b)).tolist():
+            heapq.heappush(self.heap, key)
+
+    def next(self):
+        flat = self.dist2.ravel()
+        while self.heap:
+            key = heapq.heappop(self.heap)
+            if self.lo2 <= flat[key] <= self.hi2:
+                return divmod(key, self.dist2.shape[1])
+        return None
+
+
+class TestBandFront:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_heap_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (23, 31)
+        clear = rng.random(shape) > 0.1
+        fronts = (nsy._BandFront(clear, 0.3, 0.6), _HeapFront(clear, 0.3, 0.6))
+        assert fronts[0].next() is None
+
+        def lower(i, j, consume):
+            # a random window around node (i, j); stepping at a node puts a
+            # point next to it, which takes the node below the band
+            i0, j0 = max(0, i - rng.integers(0, 6)), max(0, j - rng.integers(0, 6))
+            i1 = min(shape[0], i + 1 + rng.integers(0, 6))
+            j1 = min(shape[1], j + 1 + rng.integers(0, 6))
+            dd = rng.uniform(0.0, 1.5, size=(i1 - i0, j1 - j0))
+            if consume:
+                dd[i - i0, j - j0] = rng.uniform(0.0, 0.3)
+            for f in fronts:
+                f.lower(i0, j0, dd)
+
+        lower(shape[0] // 2, shape[1] // 2, False)
+        seq = []
+        while True:
+            node = fronts[0].next()
+            assert node == fronts[1].next()
+            if node is None:
+                break
+            seq.append(node)
+            lower(*node, True)
+            if rng.random() < 0.3:
+                lower(int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1])), False)
+        assert len(seq) > 20
+        assert not fronts[0].inband.any() and not fronts[0].rows.any()
 
 
 @pytest.fixture(scope="module")
