@@ -98,9 +98,12 @@ def cmd_constants(dim, mode, eps_str, metric_str, out):
     elif eps_str is None:
         bundle = consts.default_practical_bundle(dim, metric=metric)
     else:
-        parts = [float(x) for x in eps_str.split(",")]
+        try:
+            parts = [float(x) for x in eps_str.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) not in (4, 5):
-            raise ValidationError("--eps needs e1,e2,e3,e4[,e0]")
+            raise ValidationError(f"--eps needs e1,e2,e3,e4[,e0], got {eps_str!r}")
         e0 = parts[4] if len(parts) == 5 else None
         bundle = consts.practical_bundle(dim, *parts[:4], eps0=e0, metric=metric)
     _write_out(out, jsonio.bundle_to_dict(bundle))

@@ -86,8 +86,11 @@ def net_from_dict(d: dict) -> tess.Net:
     d1 = float(_require(d, "d1", (int, float), "net"))
     d2 = float(_require(d, "d2", (int, float), "net"))
     raw = _require(d, "points", list, "net")
-    pts = np.asarray(raw, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != dim:
+    try:
+        pts = np.asarray(raw, dtype=float)
+    except (ValueError, TypeError):
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != dim:
         raise ValidationError(f"points must be {dim}-vectors", path="net.points")
     if not np.all(np.isfinite(pts)):
         i = int(np.nonzero(~np.all(np.isfinite(pts), axis=1))[0][0])

@@ -527,30 +527,87 @@ def estimate_var_div(family, r: float, samples, metric: MetricModel | None = Non
     return var, div
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (samples, n) stacks, each evaluated by the
+    same vector-vector kernel as ``np.dot`` on one pair of rows."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _gs_conditioned(f: np.ndarray) -> np.ndarray:
+    """Per frame of a (samples, k, n) stack: does it pass the norm and
+    cross-term checks of ``gram_schmidt_correct``?"""
+    ok = np.ones(f.shape[0], dtype=bool)
+    for i in range(f.shape[1]):
+        ni = np.sqrt(_row_dots(f[:, i], f[:, i]))
+        ok &= (1.0 - GS_DELTA_MAX < ni) & (ni < 1.0 + GS_DELTA_MAX)
+        for j in range(i + 1, f.shape[1]):
+            ok &= np.abs(_row_dots(f[:, i], f[:, j])) < GS_DELTA_MAX
+    return ok
+
+
+def _gs_deviation(f: np.ndarray) -> float:
+    """Largest ``gram_schmidt_correct`` deviation over a (samples, k, n)
+    stack of well-conditioned frames, with the same per-frame arithmetic."""
+    out = f.copy()
+    for i in range(f.shape[1]):
+        for j in range(i):
+            out[:, i] -= _row_dots(out[:, i], out[:, j])[:, None] * out[:, j]
+        out[:, i] /= np.sqrt(_row_dots(out[:, i], out[:, i]))[:, None]
+    return float(np.max(np.linalg.norm(out - f, axis=-1), initial=0.0))
+
+
+def _cholesky_fails(m: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
 def measured_gs_delta(n: int, eps: float, samples: int = 48) -> float:
     """Largest perturbation size delta (on a halving grid) for which the
     Gram-Schmidt correction of delta-perturbed frames deviates by at most eps.
 
     This is the measured stand-in for the unspecified threshold function of
     the orthonormalization lemma: monotone in eps with value 0 at eps = 0.
+
+    Each halving step draws its ``samples`` perturbations as one block and
+    treats them as a stack.  The result, the generator stream and the
+    exceptions are those of a loop over the samples that draws n*n entries
+    and then n diagonal entries per sample and stops at the first sample
+    that is ill-conditioned.
     """
     if eps <= 0:
         return 0.0
     rng = np.random.default_rng(24601)
+    width = n * n + n
+    diag = np.arange(n)
 
     def worst_dev(delta: float) -> float:
-        worst = 0.0
-        for _ in range(samples):
-            s = rng.uniform(-0.99, 0.99, size=(n, n))
-            s = 0.5 * (s + s.T)
-            np.fill_diagonal(s, rng.uniform(-0.99, 0.99, size=n))
-            gram = np.eye(n) + delta * s
-            f = np.linalg.cholesky(gram).T  # rows have Gram close to gram
-            try:
-                _, dev = gram_schmidt_correct(f)
-            except IllConditionedError:
-                return math.inf
-            worst = max(worst, dev)
+        state = rng.bit_generator.state
+        draws = rng.uniform(-0.99, 0.99, size=(samples, width))
+        s = draws[:, :n * n].reshape(samples, n, n)
+        s = 0.5 * (s + s.transpose(0, 2, 1))
+        s[:, diag, diag] = draws[:, n * n:]
+        gram = np.eye(n) + delta * s
+        stop = samples
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            # the loop raises at the first matrix that is not positive
+            # definite, unless an earlier sample is ill-conditioned
+            stop = next(k for k in range(samples) if _cholesky_fails(gram[k]))
+            chol = np.linalg.cholesky(gram[:stop])
+        f = chol.transpose(0, 2, 1)  # rows have Gram close to gram
+        bad = np.flatnonzero(~_gs_conditioned(f))
+        if bad.size:
+            # leave the generator where the loop stops: after sample bad[0]
+            rng.bit_generator.state = state
+            rng.uniform(-0.99, 0.99, size=(bad[0] + 1, width))
+            return math.inf
+        if stop < samples:
+            np.linalg.cholesky(gram[stop])  # raises LinAlgError
+        worst = _gs_deviation(f)
         # structured extreme: all cross terms at +delta
         gram = np.full((n, n), 0.999 * delta) + (1.0 - 0.999 * delta) * np.eye(n)
         try:

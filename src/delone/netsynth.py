@@ -125,6 +125,19 @@ class Region:
         c, r = self.bounds
         return r - np.linalg.norm(pts - c, axis=-1)
 
+    def clear_nodes(self, xs, ys, margin: float) -> np.ndarray:
+        """(len(xs), len(ys)) mask of the 2-D grid nodes at inward distance
+        >= margin: ``boundary_distance_many`` of the stacked nodes >= margin,
+        with the same arithmetic, but built from the per-axis arrays."""
+        if self.kind == "box":
+            lo, hi = self.bounds
+            return np.logical_and.outer(np.minimum(xs - lo[0], hi[0] - xs) >= margin,
+                                        np.minimum(ys - lo[1], hi[1] - ys) >= margin)
+        c, r = self.bounds
+        dx = (xs - c[0])[:, None]
+        dy = (ys - c[1])[None, :]
+        return r - np.sqrt(dx * dx + dy * dy) >= margin
+
     def expand(self, margin: float) -> "Region":
         if self.kind == "box":
             lo, hi = self.bounds
@@ -693,9 +706,7 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
     xs = lo[0] + np.arange(nx) * h
     ys = lo[1] + np.arange(ny) * h
     # node clearance: the selection ball must fit inside the domain
-    clear = (domain.boundary_distance_many(
-        np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2))
-        >= ball_r).reshape(nx, ny)
+    clear = domain.clear_nodes(xs, ys, ball_r)
     # squared nearest-net-point distances; band tests compare against the
     # squared band bounds, which is order-equivalent
     front = _BandFront(clear, band_lo * band_lo, band_hi * band_hi)

@@ -4,25 +4,20 @@ An ordered set is rho-robust when every vertex lies at distance >= rho from
 the affine span of its predecessors.  The recursion rho_m tracks how much
 robustness survives after each vertex moves by at most eps; v2_constant is
 the minimal parallelogram area over sphere-constrained triples which feeds
-the volume lower bounds for robust simplices.
+the volume lower bounds for robust simplices.  It is exact, in closed form:
+(e1^3/e2) sqrt(1 - e1^2/4e2^2) = e1^2 sin(2 asin(e1/2e2)), rounded down.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg
 from .errors import InvalidBudgetError, OutOfChartError
-
-#: Safety factor applied to the numerically-minimized parallelogram area so
-#: the reported value is a lower bound despite sampling error.
-V2_SAFETY = 0.9
-
-_V2_SEED = 20240915
 
 
 @dataclass(frozen=True)
@@ -85,74 +80,37 @@ def rho_m_recursion(rho0: float, eps: float, e1: float, e2: float, m: int) -> fl
     return float(rho_m)
 
 
-def _triple_on_circle(t: float, th2: float, th3: float) -> np.ndarray:
-    ang = np.array([0.0, th2, th3])
-    return np.column_stack([t * np.cos(ang), t * np.sin(ang)])
-
-
-def _parallelogram_area(p: np.ndarray) -> float:
-    a = p[1] - p[0]
-    b = p[2] - p[0]
-    return abs(float(a[0] * b[1] - a[1] * b[0]))
-
-
-@lru_cache(maxsize=64)
 def v2_constant(e1: float, e2: float) -> float:
-    """Certified lower bound for the minimal parallelogram area spanned by a
-    triple of points, pairwise >= e1 apart, lying on a sphere of radius <= e2.
+    """Minimal parallelogram area |ab x ac| over triples a, b, c pairwise
+    >= e1 apart on a sphere of radius <= e2: (e1^3/e2) sqrt(1 - e1^2/4e2^2).
 
-    Any such triple lies on a circle of radius <= e2, so the search runs over
-    (circle radius, two angles).  Monte-Carlo seeding plus Nelder-Mead
-    refinement, with a 0.9 safety factor on the result.
+    Any such triple lies on a circle of radius t <= e2 (a plane section of
+    the sphere).  With inscribed angles A, B, C (A + B + C = pi) the sides are
+    2t sin A, 2t sin B, 2t sin C and the area is 4t^2 sin A sin B sin C.  A
+    side is >= e1 exactly when its angle lies in [a, pi - a], a = asin(e1/2t).
+    log sin is concave on (0, pi), so the log-area is minimal at a vertex of
+    that feasible polytope of angles.  Every vertex has two angles equal to a
+    and the third equal to pi - 2a (an angle at pi - a would leave less than
+    a for the others), so the minimum at radius t is
+    4t^2 sin^2 a sin 2a = e1^2 sin(2 asin(e1/2t)).
+    Over t in [e1/sqrt(3), e2], 2a runs over [2 asin(e1/2e2), 2pi/3], where sin
+    is concave, so the least value sits at an endpoint: t = e1/sqrt(3)
+    (equilateral) gives (sqrt(3)/2) e1^2, which is larger because e1 < e2
+    makes 2 asin(e1/2e2) < pi/3.  The minimum is therefore attained at
+    t = e2 with two chords of length e1.
+
+    The float value is stepped down one ulp at a time (``math.nextafter``)
+    until its square is at most the exact rational square of the minimum,
+    so float rounding cannot lift it above the true minimum.
     """
     if not (0 < e1 < e2):
         raise InvalidBudgetError("require 0 < e1 < e2")
-    rng = np.random.default_rng(_V2_SEED)
-    t_min = e1 / np.sqrt(3.0)  # equilateral triple needs at least this radius
-
-    def feasible(t, th2, th3):
-        p = _triple_on_circle(t, th2, th3)
-        d = (
-            np.linalg.norm(p[0] - p[1]),
-            np.linalg.norm(p[0] - p[2]),
-            np.linalg.norm(p[1] - p[2]),
-        )
-        return min(d) >= e1
-
-    best = None
-    for _ in range(4000):
-        t = rng.uniform(t_min, e2)
-        th2, th3 = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=2))
-        if not feasible(t, th2, th3):
-            continue
-        area = _parallelogram_area(_triple_on_circle(t, th2, th3))
-        if best is None or area < best[0]:
-            best = (area, (t, th2, th3))
-    if best is None:
-        raise InvalidBudgetError("no feasible triple found; e1 too close to 2*e2")
-
-    def penalized(x):
-        t, th2, th3 = x
-        t = min(max(t, t_min), e2)
-        p = _triple_on_circle(t, th2, th3)
-        pen = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                gap = e1 - np.linalg.norm(p[i] - p[j])
-                if gap > 0:
-                    pen += 1e3 * gap * gap
-        return _parallelogram_area(p) + pen
-
-    res = minimize(penalized, np.array(best[1]), method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-    t, th2, th3 = res.x
-    t = min(max(float(t), t_min), e2)
-    if feasible(t, th2, th3):
-        refined = _parallelogram_area(_triple_on_circle(t, th2, th3))
-        best_area = min(best[0], refined)
-    else:
-        best_area = best[0]
-    return float(V2_SAFETY * best_area)
+    q1, q2 = Fraction(e1), Fraction(e2)
+    exact_sq = q1 ** 6 / q2 ** 2 * (1 - q1 ** 2 / (4 * q2 ** 2))
+    v2 = e1 ** 3 / e2 * math.sqrt(1.0 - e1 * e1 / (4.0 * e2 * e2))
+    while Fraction(v2) ** 2 > exact_sq:
+        v2 = math.nextafter(v2, 0.0)
+    return v2
 
 
 def metric_robustness(pts, metric, r_limit: float | None = None) -> float:
@@ -163,6 +121,8 @@ def metric_robustness(pts, metric, r_limit: float | None = None) -> float:
     the minimum over k of the distance from pts[k+1] to the exponential
     image of the span of the preceding log vectors.
     """
+    from scipy.optimize import minimize
+
     from . import metrics as mt
 
     points = list(pts)

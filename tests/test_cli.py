@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,6 +87,25 @@ class TestBadInputs:
                        "--out", str(tmp_path / "cx.json")])
         assert rc == 1
         assert "net.points" in _one_line_error(capsys)
+
+    def test_ragged_net_points(self, tiny_files, tmp_path, capsys):
+        d = jsonio.read(tiny_files["net"])
+        d["points"][0] = [0.0]
+        bad = tmp_path / "net.json"
+        jsonio.write(bad, d)
+        capsys.readouterr()
+        rc = cli.main(["triangulate", "--net", str(bad),
+                       "--out", str(tmp_path / "cx.json")])
+        assert rc == 1
+        assert "net.points" in _one_line_error(capsys)
+
+    def test_non_numeric_eps(self, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "b.json"
+        rc = cli.main(["constants", "--eps", "1e-8,a,1,1", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "--eps" in _one_line_error(capsys)
 
 
 class TestConstantsCommand:
@@ -265,3 +289,23 @@ class TestStdout:
         assert rc == 0
         out = capsys.readouterr().out
         assert '"v": 1' in out
+
+
+def test_cli_does_not_import_scipy_optimize(tmp_path):
+    """The constants and synthesize commands run without scipy.optimize,
+    which only the curved-metric robustness needs."""
+    code = """
+import sys
+from delone import cli, jsonio
+bundle, net = sys.argv[1], sys.argv[2]
+assert cli.main(["constants", "--out", bundle]) == 0
+rF = jsonio.read(bundle)["rF"]
+assert cli.main(["synthesize", "--bundle", bundle, "--box", f"0,0,{rF!r},{rF!r}",
+                 "--seed", "1", "--out", net]) == 0
+assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "b.json"),
+                           str(tmp_path / "net.json")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -48,6 +48,13 @@ class TestNetIo:
         with pytest.raises(ValidationError):
             jsonio.net_from_dict(d)
 
+    @pytest.mark.parametrize("point", [[0.0], [0.0, "a"], [0.0, None]])
+    def test_ragged_or_non_numeric_points_rejected(self, point):
+        d = jsonio.net_to_dict(_triangle_net())
+        d["points"][1] = point
+        with pytest.raises(ValidationError, match="net.points"):
+            jsonio.net_from_dict(d)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_point_rejected(self, value):
         d = jsonio.net_to_dict(_triangle_net())

@@ -141,6 +141,24 @@ class TestGramSchmidt:
         d_big = mt.measured_gs_delta(2, 1e-2, samples=16)
         assert 0.0 < d_small <= d_big <= mt.GS_DELTA_MAX
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5, 2e-9, 1e-12])
+    @pytest.mark.parametrize("samples", [16, 48])
+    def test_measured_gs_delta_matches_loop(self, monkeypatch, n, eps, samples):
+        _assert_gs_delta_matches_loop(monkeypatch, n, eps, samples)
+
+    def test_measured_gs_delta_ill_conditioned_sample(self, monkeypatch):
+        # at n = 140 and delta = 0.1 the first sample fails the norm check, so
+        # the loop stops after it; the generator must stop there too
+        _assert_gs_delta_matches_loop(monkeypatch, 140, 1e-1, 2)
+
+    def test_measured_gs_delta_not_positive_definite(self):
+        # at n = 200 the first perturbed Gram matrix is not positive definite
+        with pytest.raises(np.linalg.LinAlgError):
+            _gs_delta_loop(200, 1e-3, 2)
+        with pytest.raises(np.linalg.LinAlgError):
+            mt.measured_gs_delta(200, 1e-3, 2)
+
 
 class TestAlignFrame:
     def test_flat_identity(self):
@@ -291,3 +309,52 @@ class TestParseMetric:
         for sel in ("flat:x", "sphere:", "torus:1.0", "banana:1"):
             with pytest.raises(ValidationError):
                 mt.parse_metric(sel)
+
+
+def _assert_gs_delta_matches_loop(monkeypatch, n, eps, samples):
+    """Same delta as the loop, and the generator left in the same state."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    assert mt.measured_gs_delta(n, eps, samples) == _gs_delta_loop(n, eps, samples)
+    assert made[0].bit_generator.state == made[1].bit_generator.state
+
+
+def _gs_delta_loop(n, eps, samples):
+    """Reference for measured_gs_delta: one sample at a time."""
+    if eps <= 0:
+        return 0.0
+    rng = np.random.default_rng(24601)
+
+    def worst_dev(delta):
+        worst = 0.0
+        for _ in range(samples):
+            s = rng.uniform(-0.99, 0.99, size=(n, n))
+            s = 0.5 * (s + s.T)
+            np.fill_diagonal(s, rng.uniform(-0.99, 0.99, size=n))
+            f = np.linalg.cholesky(np.eye(n) + delta * s).T
+            try:
+                _, dev = mt.gram_schmidt_correct(f)
+            except IllConditionedError:
+                return math.inf
+            worst = max(worst, dev)
+        gram = np.full((n, n), 0.999 * delta) + (1.0 - 0.999 * delta) * np.eye(n)
+        try:
+            _, dev = mt.gram_schmidt_correct(np.linalg.cholesky(gram).T)
+        except (IllConditionedError, np.linalg.LinAlgError):
+            return math.inf
+        return max(worst, dev)
+
+    delta = mt.GS_DELTA_MAX / 2
+    for _ in range(200):
+        if worst_dev(delta) <= eps:
+            return delta
+        delta *= 0.5
+        if delta < 1e-300:
+            return 0.0
+    return 0.0

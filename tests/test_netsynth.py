@@ -41,6 +41,23 @@ class TestRegion:
         assert len(g) > 0
         assert np.all(r.boundary_distance_many(g) >= 0.0)
 
+    @pytest.mark.parametrize("region", [
+        nsy.Region.box([-0.3, 0.1], [0.7, 0.55]),
+        nsy.Region.disk([0.2, -0.1], 0.45),
+    ])
+    def test_clear_nodes_matches_stacked_distance(self, region):
+        # the node grid of synthesize_net: spacing h from the bounding-box corner
+        lo, hi = region.bounding_box()
+        h = 0.0037
+        xs = lo[0] + np.arange(int((hi[0] - lo[0]) / h) + 1) * h
+        ys = lo[1] + np.arange(int((hi[1] - lo[1]) / h) + 1) * h
+        nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        dist = region.boundary_distance_many(nodes)
+        # margins that equal some node's distance exercise the >= tie
+        for margin in (0.0, h, 0.1, float(dist[len(dist) // 3]), float(dist.max())):
+            want = (dist >= margin).reshape(len(xs), len(ys))
+            assert np.array_equal(region.clear_nodes(xs, ys, margin), want)
+
     def test_bad_kind(self):
         with pytest.raises(ValidationError):
             nsy.Region(kind="triangle", bounds=([0, 0], [1, 1]))

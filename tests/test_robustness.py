@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,29 @@ class TestV2Constant:
     def test_infeasible_raises(self):
         with pytest.raises(InvalidBudgetError):
             rb.v2_constant(3.9, 2.0)
+
+    @pytest.mark.parametrize("e1,e2", [(1.0, 2.0), (0.8, 2.0), (1.0, 3.0)])
+    def test_witness_attains_bound(self, e1, e2):
+        """The triple at radius e2 with central angles 0, 2a, 4a, where
+        a = asin(e1/2e2), has two chords of length e1 and the minimal area.
+        Its points come from double-angle identities in 50-digit decimal
+        arithmetic: evaluated in doubles, its area errs by up to ~2e-15
+        relative and can read below the exact, rounded-down bound."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            t, s = Decimal(e2), Decimal(e1) / (2 * Decimal(e2))
+            cos2, sin2 = 1 - 2 * s * s, 2 * s * (1 - s * s).sqrt()
+            cos4, sin4 = 2 * cos2 * cos2 - 1, 2 * sin2 * cos2
+            p = [(t, Decimal(0)), (t * cos2, t * sin2), (t * cos4, t * sin4)]
+            chords = [((p[i][0] - p[j][0]) ** 2 + (p[i][1] - p[j][1]) ** 2).sqrt()
+                      for i, j in ((0, 1), (1, 2), (0, 2))]
+            ab = (p[1][0] - p[0][0], p[1][1] - p[0][1])
+            ac = (p[2][0] - p[0][0], p[2][1] - p[0][1])
+            area = abs(ab[0] * ac[1] - ab[1] * ac[0])
+            v2 = Decimal(rb.v2_constant(e1, e2))
+            assert min(chords) >= Decimal(e1) * (1 - Decimal("1e-40"))
+            assert area >= v2
+            assert area - v2 <= Decimal("1e-12") * v2
 
 
 class TestScaleInvariance:
