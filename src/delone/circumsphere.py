@@ -27,9 +27,6 @@ class CircumSphere:
     center: np.ndarray
     radius: float
 
-    def distances(self, pts) -> np.ndarray:
-        return np.linalg.norm(np.asarray(pts, dtype=float) - self.center, axis=-1)
-
 
 @dataclass(frozen=True)
 class PerturbationBudget:
@@ -112,8 +109,9 @@ def circumcenter_batch(pts: np.ndarray):
 
 
 def displacement_bound(budget: PerturbationBudget, n: int) -> float:
-    """Certified bound on circumcenter displacement under per-vertex moves
-    of size <= eps, for configurations with |det U| >= delta.
+    """The paper's circumcenter displacement estimate: a certified bound on
+    the center's move under per-vertex moves of size <= eps, for
+    configurations with |det U| >= delta.
 
     eps * {1 + n^{3/2} 2^{n+1} e3^n / delta + 2 n^3 2^{2n} e3^{2n} / delta^2};
     scale-invariant when lengths scale by s and delta by s^n.
@@ -128,12 +126,14 @@ def displacement_bound(budget: PerturbationBudget, n: int) -> float:
 
 
 def stability_radius(budget: PerturbationBudget, n: int) -> float:
-    """Largest licensed per-vertex displacement: delta / (2^{n+1} n^{3/2} e2^{n-1})."""
+    """The per-vertex displacement the paper's perturbation lemma for
+    circumcenters licenses: delta / (2^{n+1} n^{3/2} e2^{n-1})."""
     return budget.delta / (2.0 ** (n + 1) * n**1.5 * budget.e2 ** (n - 1))
 
 
 def refine_center(pts, guess, c1: float):
-    """Exact circumcenter plus a certified drift bound for an approximate center.
+    """The paper's estimate for an approximate circumcenter: the exact
+    circumcenter plus a certified bound on the approximate center's drift.
 
     Requires every |dist(guess, pt_i) - r| < c1 for some radius r > c1.
     The bound is 2 sqrt(n) r c1 c2 with c2 the Hadamard inverse-norm bound of
@@ -155,8 +155,9 @@ def refine_center(pts, guess, c1: float):
 
 
 def empty_sphere_test(sphere: CircumSphere, net_points, exclude, margin: float = 0.0) -> bool:
-    """True iff no net point outside ``exclude`` lies at distance
-    < radius - margin from the center.
+    """The empty-sphere condition of a Delaunay simplex, with a margin: True
+    iff no net point outside ``exclude`` lies at distance < radius - margin
+    from the center.
 
     margin >= 0 relaxes the test; margin < 0 demands clearance |margin|
     beyond the sphere surface.

@@ -125,7 +125,7 @@ def cmd_synthesize(bundle_path, box_str, seed, out):
     if len(vals) != 4:
         raise ValidationError(f"--box needs four numbers x0,y0,x1,y1, got {box_str!r}")
     region = nsy.Region.box(vals[:2], vals[2:])
-    net, _, report = nsy.synthesize_net(region, bundle, seed=seed)
+    net, report = nsy.synthesize_net(region, bundle, seed=seed)
     _write_out(out, jsonio.net_to_dict(net))
     _log(f"net written: {len(net)} points, {report.steps} steps, "
          f"max excluded bound {report.max_excluded_bound:.3f}, "
@@ -194,12 +194,7 @@ def cmd_render(net_path, cx_path, cert_path, out):
         net, cx = _load_net_and_complex(net_path, cx_path)
     else:
         net, cx = _load(net_path, jsonio.net_from_dict), None
-    cert = None
-    if cert_path:
-        try:
-            cert = jsonio.read(cert_path)
-        except (OSError, ValueError) as exc:
-            raise _IoFailure(f"{cert_path}: {exc}") from exc
+    cert = _load(cert_path, jsonio.certificate_from_dict) if cert_path else None
     svg = render_svg(net, cx, cert)
     try:
         with open(out, "w") as f:

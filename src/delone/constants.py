@@ -185,9 +185,14 @@ def compute_rF(metric: mt.MetricModel, eps0: float, dFU: float, lF: float) -> fl
     """Basic working scale: min{dFU, lF/5, lambda_{eps0}, 1}.
 
     Exactly-Euclidean metrics contribute an unbounded lambda, reducing to
-    min{dFU, lF/5, 1}.
+    min{dFU, lF/5, 1}.  Raises ValidationError when the working radius
+    lambda_{eps0} is 0 or not finite.
     """
     lam = mt.find_lambda_eps(metric, eps0)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValidationError(f"working radius lambda_eps0 = {lam!r} at eps0 = "
+                              f"{eps0!r} on metric {metric.selector()} is not a "
+                              f"positive number", path="bundle.rF")
     return float(min(dFU, lF / 5.0, lam, 1.0))
 
 
@@ -267,6 +272,8 @@ def validate_bundle(b: ConstantBundle) -> None:
         raise ValidationError(f"unknown mode {b.mode!r}", path="mode")
     if b.Cn != compute_Cn(b.n):
         raise ValidationError("Cn does not match its formula", path="Cn")
+    if not 0 < b.rF <= 1.0:
+        raise ValidationError("rF must lie in (0, 1]", path="rF")
     ladder = (b.d1, b.d1p, b.d1pp, b.d2pp, b.d2p, b.d2)
     for lo, hi in zip(ladder, ladder[1:]):
         if not lo < hi:
@@ -296,8 +303,6 @@ def validate_bundle(b: ConstantBundle) -> None:
     bounds = eps0_bounds(b.n, b.eps1, b.eps2, b.eps3, b.eps4, b.gs_delta)
     if not eps0_constraints_hold(b.eps0, bounds):
         raise ValidationError("eps0 constraints fail", path="eps0")
-    if not 0 < b.rF <= 1.0:
-        raise ValidationError("rF must lie in (0, 1]", path="rF")
     if b.mode == "paper":
         e1, e2, e3 = compute_eps_ladder(b.n)
         for name, have, want in (("eps1", b.eps1, e1), ("eps2", b.eps2, e2),

@@ -62,7 +62,6 @@ def net_to_dict(net: tess.Net) -> dict:
         "dim": net.dim,
         "d1": net.d1,
         "d2": net.d2,
-        "rF": 10.0 * net.d1,
         "points": [[float(x) for x in p] for p in net.points],
     }
     if net.region is not None and hasattr(net.region, "to_dict"):
@@ -242,3 +241,30 @@ def bundle_from_dict(d: dict) -> consts.ConstantBundle:
 
 def certificate_to_dict(cert: nsy.StabilityCertificate) -> dict:
     return cert.to_dict()
+
+
+def _check_simplex(v, path: str) -> None:
+    if not (isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool)
+                                        for x in v)):
+        raise ValidationError("simplex must be a list of integers", path=path)
+
+
+def certificate_from_dict(d: dict) -> dict:
+    """Check a certificate as ``render`` reads it and return it: its version,
+    a bool ``pass``, a ``worst`` object, and ``per_simplex`` records that each
+    name a ``simplex`` of integers and carry numeric ``*_margin`` values."""
+    _check_version(d, "certificate")
+    _require(d, "pass", bool, "certificate")
+    worst = _require(d, "worst", dict, "certificate")
+    if worst.get("simplex") is not None:
+        _check_simplex(worst["simplex"], "certificate.worst.simplex")
+    for i, rec in enumerate(_require(d, "per_simplex", list, "certificate")):
+        path = f"certificate.per_simplex[{i}]"
+        if not isinstance(rec, dict):
+            raise ValidationError("expected an object", path=path)
+        _check_simplex(_require(rec, "simplex", list, path), f"{path}.simplex")
+        for key, v in rec.items():
+            if key.endswith("_margin") and (isinstance(v, bool)
+                                            or not isinstance(v, (int, float))):
+                raise ValidationError("margin must be a number", path=f"{path}.{key}")
+    return d

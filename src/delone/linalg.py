@@ -2,8 +2,8 @@
 
 Everything here works on plain ``numpy`` float64 arrays of dimension
 1 <= n <= 8.  Determinants are computed by cofactor expansion for n <= 4
-(exact evaluation order, no pivot-order dependence) and by LU with partial
-pivoting for 5 <= n <= 8.
+(exact evaluation order, no pivot-order dependence) and by LAPACK's LU with
+partial pivoting for 5 <= n <= 8, for one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -24,55 +24,42 @@ def degeneracy_floor(column_bound: float, n: int) -> float:
     return DEGENERACY_REL * float(column_bound) ** n
 
 
-def _det_cofactor(m: np.ndarray) -> float:
-    n = m.shape[0]
+def _det_cofactor(m: np.ndarray):
+    """Cofactor expansion along the first row of a (..., n, n) stack, n <= 4."""
+    n = m.shape[-1]
     if n == 1:
-        return float(m[0, 0])
+        return m[..., 0, 0]
     if n == 2:
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     if n == 3:
-        return float(
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        return (
+            m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
         )
-    # n == 4: expand along the first row.
     total = 0.0
-    cols = list(range(4))
     for j in range(4):
-        minor = m[1:][:, [c for c in cols if c != j]]
-        total += ((-1.0) ** j) * float(m[0, j]) * _det_cofactor(minor)
+        minor = m[..., 1:, [c for c in range(4) if c != j]]
+        total = total + ((-1.0) ** j) * m[..., 0, j] * _det_cofactor(minor)
     return total
 
 
-def determinant(m) -> float:
-    """Determinant of a square matrix, n <= 8.
+def determinant(m):
+    """Determinant of a square matrix, or of each matrix of a (..., n, n)
+    stack, n <= 8: cofactor expansion for n <= 4 (exact evaluation order,
+    no pivot-order dependence), LAPACK's LU with partial pivoting above.
 
     |det| of the edge matrix of a simplex equals n! times its volume.
-    Returns 0.0 for an exactly singular matrix; never raises.
+    A float for one matrix; 0.0 for an exactly singular one; never raises.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("determinant requires a square matrix")
-    n = a.shape[0]
+    n = a.shape[-1]
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-    if n <= 4:
-        return _det_cofactor(a)
-    # LU with partial pivoting.
-    lu = a.copy()
-    sign = 1.0
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            sign = -sign
-        piv = lu[k, k]
-        if piv == 0.0:
-            return 0.0
-        lu[k + 1:, k] /= piv
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return float(sign * np.prod(np.diag(lu)))
+    det = _det_cofactor(a) if n <= 4 else np.linalg.det(a)
+    return float(det) if a.ndim == 2 else det
 
 
 def column_norm_bound(m) -> float:
@@ -110,23 +97,3 @@ def inverse_norm_bound(m, column_bound: float) -> float:
     if det == 0.0:
         raise DegenerateError("singular matrix has no inverse-norm bound")
     return n * float(column_bound) ** (n - 1) / abs(det)
-
-
-def distance_to_affine_span(q, pts) -> float:
-    """Euclidean distance from q to the affine hull of pts.
-
-    Computed by least-squares projection onto the span of the edge
-    vectors; exactly 0 when q lies in the hull.
-    """
-    qa = np.asarray(q, dtype=float)
-    pa = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pa.shape[0] == 0:
-        raise ValueError("pts must be nonempty")
-    base = pa[0]
-    diff = qa - base
-    if pa.shape[0] == 1:
-        return float(np.linalg.norm(diff))
-    edges = (pa[1:] - base).T  # (n, k)
-    coef, *_ = np.linalg.lstsq(edges, diff, rcond=None)
-    residual = diff - edges @ coef
-    return float(np.linalg.norm(residual))

@@ -181,18 +181,8 @@ class MetricModel:
 
     # -- sphere chart atlas -------------------------------------------
 
-    def chart_count(self) -> int:
-        return len(self._chart_centers) if self.kind == "sphere" else 1
-
     def chart_center(self, i: int):
         return self._chart_centers[i]
-
-    def chart_of(self, x) -> int:
-        """Index of the chart whose center is nearest to x (lowest index wins)."""
-        if self.kind != "sphere":
-            return 0
-        d = [self.distance(x, c) for c in self._chart_centers]
-        return int(np.argmin(d))
 
     def charts_containing(self, x, lam: float):
         """All chart indices whose domain contains the disk D(x, lam)."""
@@ -281,8 +271,9 @@ def gram_schmidt_correct(near_frame, inner_product=None):
 
 
 def align_frame(m: MetricModel, frame_at_x: Frame, y) -> Frame:
-    """Frame at y aligned with frame_at_x: push the axes along the geodesic,
-    then orthonormalize."""
+    """The paper's alignment of frames: the frame at y aligned with
+    frame_at_x, by parallel transport of its axes along the geodesic
+    followed by Gram-Schmidt correction."""
     y = np.asarray(y, dtype=float)
     if m.kind in ("flat", "torus"):
         return Frame(base=y, axes=frame_at_x.axes.copy())
@@ -483,7 +474,8 @@ def find_lambda_eps(m: MetricModel, eps: float, cap: float | None = None,
 
 
 def check_eps_isometry(map_fn, domain_samples, eps: float, metric: MetricModel | None = None) -> bool:
-    """True iff |d(phi x, phi x') - d(x, x')| <= eps over all sampled pairs."""
+    """The paper's eps-isometry condition on a map phi, sampled: True iff
+    |d(phi x, phi x') - d(x, x')| <= eps over all sampled pairs."""
     pts = list(domain_samples)
     imgs = [map_fn(p) for p in pts]
     if metric is None:

@@ -8,6 +8,9 @@ that ball (annular neighborhoods of circumscribed circles of local simplices
 and thickenings of local affine patches), and selects a point in the
 remainder.  The excluded widths guarantee empty-sphere clearance and
 properly-ordered robustness for every simplex of the final net.
+``forbidden_mask`` is the one membership test for the forbidden regions: the
+point selection and the sampled audit both call it.  ``synthesize_net``
+returns the net and a ``SynthesisReport``.
 
 Annuli are kept only around circles of radius at most R = CIRCLE_CAP_D2 * d2,
 the circles that can become (translated) Delaunay simplices; the comment on
@@ -21,14 +24,16 @@ candidate.
 
 Stability of the resulting Delaunay complex is then certified over a finite
 family of near-isometric translations: per-parameter the complex must be
-combinatorially identical with small circumcenter/radius drifts.
+combinatorially identical with small circumcenter/radius drifts, and every
+top simplex keeps its robustness (``robustness.prefix_distances``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -105,9 +110,6 @@ class Region:
     def disk(center, radius: float) -> "Region":
         return Region(kind="disk", bounds=(center, radius))
 
-    def contains(self, p) -> bool:
-        return self.boundary_distance(p) >= 0.0
-
     def boundary_distance(self, p) -> float:
         """Signed inward distance to the boundary (negative outside)."""
         p = np.asarray(p, dtype=float)
@@ -162,28 +164,11 @@ class Region:
             pts = pts[self.boundary_distance_many(pts) >= 0.0]
         return pts
 
-    def volume(self) -> float:
-        if self.kind == "box":
-            lo, hi = self.bounds
-            return float(np.prod(hi - lo))
-        c, r = self.bounds
-        n = len(c)
-        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * r**n
-
     def to_dict(self) -> dict:
         a, b = self.bounds
         if self.kind == "box":
             return {"kind": "box", "bounds": [list(a), list(b)]}
         return {"kind": "disk", "bounds": [list(a), b]}
-
-
-@dataclass(frozen=True)
-class PartialTransversal:
-    """Ordered base-leaf points (creation order) with their chart indices."""
-
-    xi: tuple  # ordered points
-    theta: tuple  # chart index per point
-    complete: bool
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +349,9 @@ def _triple_pack(s: int):
 
 
 def _circumcircles_2d(a, b, c):
-    """Vectorized circumcircles of 2D triples; degenerate rows flagged."""
+    """Vectorized circumcircles of 2D triples; degenerate rows flagged.
+    Kept apart from ``cs.circumcenter_batch``, which gives the same nets but
+    costs more per call at the few dozen rows of a synthesis step."""
     ax, ay = a[:, 0], a[:, 1]
     bx, by = b[:, 0], b[:, 1]
     cx, cy = c[:, 0], c[:, 1]
@@ -489,35 +476,10 @@ def forbidden_regions(net_points, xi_prime, bundle):
     return annuli, slabs
 
 
-def _allowed(p, xi, ball_r, annuli: Annuli, slabs: Slabs) -> bool:
-    if np.linalg.norm(p - xi) > ball_r:
-        return False
-    if len(annuli.radii):
-        d = np.linalg.norm(annuli.centers - p, axis=1)
-        if np.any(np.abs(d - annuli.radii) <= annuli.width):
-            return False
-    if len(slabs.directions):
-        rel = p - slabs.anchors
-        perp = np.abs(rel[:, 0] * slabs.directions[:, 1]
-                      - rel[:, 1] * slabs.directions[:, 0])
-        if np.any(perp <= slabs.width):
-            return False
-    if len(slabs.point_patches):
-        if np.any(np.linalg.norm(slabs.point_patches - p, axis=1) <= slabs.width):
-            return False
-    return True
-
-
-def excluded_volume_fraction(xi_prime, ball_r, annuli: Annuli, slabs: Slabs,
-                             samples: int = 512, rng=None) -> float:
-    """Sampled (Monte-Carlo) fraction of the selection ball covered by the
-    forbidden regions; ``excluded_volume_bound`` is the certified figure."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    xi = np.asarray(xi_prime, dtype=float)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=samples)
-    r = ball_r * np.sqrt(rng.uniform(size=samples))
-    pts = xi + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-    hit = np.zeros(samples, dtype=bool)
+def forbidden_mask(pts, annuli: Annuli, slabs: Slabs) -> np.ndarray:
+    """Which of the (k, 2) points lie in a forbidden region: within the
+    width of an annulus's circle, of a slab's line or of a point patch."""
+    hit = np.zeros(len(pts), dtype=bool)
     if len(annuli.radii):
         d = np.linalg.norm(pts[:, None, :] - annuli.centers[None, :, :], axis=2)
         hit |= np.any(np.abs(d - annuli.radii) <= annuli.width, axis=1)
@@ -530,7 +492,19 @@ def excluded_volume_fraction(xi_prime, ball_r, annuli: Annuli, slabs: Slabs,
         d = np.linalg.norm(pts[:, None, :] - slabs.point_patches[None, :, :],
                            axis=2)
         hit |= np.any(d <= slabs.width, axis=1)
-    return int(np.sum(hit)) / samples
+    return hit
+
+
+def excluded_volume_fraction(xi_prime, ball_r, annuli: Annuli, slabs: Slabs,
+                             samples: int = 512, rng=None) -> float:
+    """Sampled (Monte-Carlo) fraction of the selection ball covered by the
+    forbidden regions; ``excluded_volume_bound`` is the certified figure."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    xi = np.asarray(xi_prime, dtype=float)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=samples)
+    r = ball_r * np.sqrt(rng.uniform(size=samples))
+    pts = xi + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    return float(np.mean(forbidden_mask(pts, annuli, slabs)))
 
 
 def excluded_volume_bound(ball_r: float, annuli: Annuli, slabs: Slabs) -> float:
@@ -555,21 +529,25 @@ def excluded_volume_bound(ball_r: float, annuli: Annuli, slabs: Slabs) -> float:
 
 def select_point(xi_prime, forbidden, rng, ball_r: float):
     """Uniform rejection sample in the selection ball avoiding every
-    forbidden region; falls back to a grid scan after MAX_REJECTIONS."""
+    forbidden region; after MAX_REJECTIONS draws, the first allowed node in
+    row-major order of a 101 x 101 grid over the ball."""
     annuli, slabs = forbidden
     xi = np.asarray(xi_prime, dtype=float)
     for _ in range(MAX_REJECTIONS):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         r = ball_r * math.sqrt(rng.uniform())
         p = xi + np.array([r * math.cos(theta), r * math.sin(theta)])
-        if _allowed(p, xi, ball_r * (1 + 1e-12), annuli, slabs):
+        if np.linalg.norm(p - xi) <= ball_r * (1 + 1e-12) \
+                and not forbidden_mask(p[None], annuli, slabs)[0]:
             return p
     h = ball_r / 50.0
-    for i in np.arange(-ball_r, ball_r + h / 2, h):
-        for j in np.arange(-ball_r, ball_r + h / 2, h):
-            p = xi + np.array([i, j])
-            if _allowed(p, xi, ball_r, annuli, slabs):
-                return p
+    g = np.arange(-ball_r, ball_r + h / 2, h)
+    grid = xi + np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    # the ball test is a per-node norm, as in the draws above: a row-wise norm
+    # can round differently for a node on the ball's edge
+    for p in grid[~forbidden_mask(grid, annuli, slabs)]:
+        if np.linalg.norm(p - xi) <= ball_r:
+            return p
     raise SelectionFailedError("selection ball exhausted despite volume audit")
 
 
@@ -609,31 +587,6 @@ class _Buckets:
         cand = self.arr[idx]
         d = cand - q
         return cand[np.einsum("ij,ij->i", d, d) <= radius * radius]
-
-
-def propose_candidate(K: Region, net_points, bundle, resolution: float | None = None):
-    """First grid point xi' (row-major) with B(xi', rF/200) inside K and in
-    the band between the d1''- and d2''-penumbras of the net.
-
-    Raises RegionExhausted when the net is d2''-complete on the grid.
-    """
-    rF = bundle.rF
-    ball_r = rF / 200.0
-    h = resolution if resolution is not None else rF / 400.0
-    pts = np.asarray(net_points, dtype=float)
-    grid = K.grid(h)
-    clear = K.boundary_distance_many(grid) >= ball_r
-    grid = grid[clear]
-    if len(pts) == 0:
-        if not len(grid):
-            raise RegionExhaustedError("region has no interior at this scale")
-        return grid[0]
-    d, _ = cKDTree(pts).query(grid)
-    band = (d >= bundle.d1pp + ball_r) & (d <= bundle.d2pp - ball_r)
-    idx = np.nonzero(band)[0]
-    if not len(idx):
-        raise RegionExhaustedError("net is d2''-complete")
-    return grid[idx[0]]
 
 
 class _BandFront:
@@ -690,8 +643,9 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
     """Grow a net until the region (plus a 2*d2 collar, so every point of K
     is covered by cells of interior sites) is d2''-complete.
 
-    Returns (Net, PartialTransversal, SynthesisReport).  Deterministic for a
-    fixed (K, bundle, seed).
+    Returns (Net, SynthesisReport).  Deterministic for a fixed
+    (K, bundle, seed).  Raises ValidationError, before allocating the node
+    grid, when its front would not fit in physical memory.
     """
     if K.dim != 2:
         raise ValidationError("synthesis is implemented for dim 2")
@@ -703,6 +657,14 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
     lo, hi = domain.bounding_box()
     h = rF / 200.0
     nx, ny = (int(math.floor((hi[k] - lo[k]) / h)) + 1 for k in range(2))
+    # the front holds a float64 distance and two bool masks per node
+    front_bytes = nx * ny * (8 + 1 + 1)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if front_bytes > memory:
+        raise ValidationError(
+            f"the synthesis grid has {nx * ny} nodes, whose front needs "
+            f"{front_bytes} bytes, more than the {memory} bytes of physical "
+            f"memory", path="region.bounds")
     xs = lo[0] + np.arange(nx) * h
     ys = lo[1] + np.arange(ny) * h
     # node clearance: the selection ball must fit inside the domain
@@ -765,9 +727,7 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
 
     pts = np.array(points)
     net = tess.Net(dim=2, points=pts, d1=bundle.d1, d2=bundle.d2, region=domain)
-    transversal = PartialTransversal(xi=tuple(map(tuple, pts)),
-                                     theta=(0,) * len(pts), complete=True)
-    return net, transversal, report
+    return net, report
 
 
 def translate_net(net: tess.Net, param: str, family: ParamFamily) -> tess.Net:
@@ -792,17 +752,6 @@ class StabilityCertificate:
         return {"v": 1, "pass": self.ok, "worst": self.worst,
                 "params": list(self.params_checked),
                 "per_simplex": [dict(d) for d in self.per_simplex]}
-
-
-def _robustness_2d(stacks: np.ndarray) -> np.ndarray:
-    """Properly-ordered robustness of (m, 3, 2) vertex stacks: min of
-    d(v1, v0) and dist(v2, line(v0, v1))."""
-    a, b, c = stacks[:, 0], stacks[:, 1], stacks[:, 2]
-    ab = b - a
-    lab = np.linalg.norm(ab, axis=1)
-    cr = np.abs((c - a)[:, 0] * ab[:, 1] - (c - a)[:, 1] * ab[:, 0])
-    h = np.where(lab > 0, cr / np.maximum(lab, 1e-300), 0.0)
-    return np.minimum(lab, h)
 
 
 def _clearances(points: np.ndarray, centers, radii) -> np.ndarray:
@@ -849,8 +798,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
 
     ok = True
     if len(top):
-        rho = (_robustness_2d(stacks) if n == 2 else np.array(
-            [robustness.robustness_of(st).rho for st in stacks]))
+        rho = robustness.prefix_distances(stacks).min(axis=1)
         m_rho = rho - rho_floor
         m_clear = _clearances(base_pts, centers, radii) - clear_base
         for i in range(len(top)):
@@ -878,8 +826,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
                 continue
             dc = np.linalg.norm(tc - centers, axis=1)
             dr = np.abs(tr - radii)
-            trho = (_robustness_2d(tstacks) if n == 2 else np.array(
-                [robustness.robustness_of(st).rho for st in tstacks]))
+            trho = robustness.prefix_distances(tstacks).min(axis=1)
             tclear = _clearances(tnet.points, tc, tr)
             np.maximum(center_drift, dc, out=center_drift)
             np.maximum(radius_drift, dr, out=radius_drift)

@@ -1,10 +1,13 @@
 """Robustness of ordered point configurations and its decay under perturbation.
 
 An ordered set is rho-robust when every vertex lies at distance >= rho from
-the affine span of its predecessors.  The recursion rho_m tracks how much
-robustness survives after each vertex moves by at most eps; v2_constant is
-the minimal parallelogram area over sphere-constrained triples which feeds
-the volume lower bounds for robust simplices.  It is exact, in closed form:
+the affine span of its predecessors.  ``prefix_distances`` is the one
+kernel for those distances: vectorized over stacks of configurations, each
+distance a ratio of consecutive Gram volumes of the edge vectors.  The
+recursion rho_m tracks how much robustness survives after each vertex moves
+by at most eps; v2_constant is the minimal parallelogram area over
+sphere-constrained triples which feeds the volume lower bounds for robust
+simplices.  It is exact, in closed form:
 (e1^3/e2) sqrt(1 - e1^2/4e2^2) = e1^2 sin(2 asin(e1/2e2)), rounded down.
 """
 
@@ -17,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import InvalidBudgetError, OutOfChartError
+from .errors import InvalidBudgetError
 
 
 @dataclass(frozen=True)
@@ -28,15 +31,40 @@ class RobustnessReport:
     rho: float
 
 
+def prefix_distances(stacks) -> np.ndarray:
+    """Distances d(p_j, aff(p_0..p_{j-1})), j = 1..k-1, for each ordered
+    point list of a (m, k, n) stack, 2 <= k <= n+1, n <= 8: shape (m, k-1).
+
+    With edge vectors e_i = p_i - p_0, the j-th distance is vol_j / vol_{j-1},
+    where vol_j = sqrt(det Gram(e_1..e_j)) is the j-volume of the
+    parallelepiped on the first j edges and vol_0 = 1; for a full simplex
+    (k = n+1) the last volume is |det U| of its edge matrix.  A step whose
+    previous volume is 0 has distance 0.  In the plane this is |ab| and
+    |det[ab; ac]| / |ab|.
+    """
+    p = np.asarray(stacks, dtype=float)
+    m, k, n = p.shape
+    if not 2 <= k <= n + 1:
+        raise ValueError(f"robustness needs 2 to {n + 1} points in R^{n}, got {k}")
+    e = p[:, 1:] - p[:, :1]
+    out = np.empty((m, k - 1))
+    prev = np.ones(m)
+    for j in range(1, k):
+        if j == n:
+            vol = np.abs(linalg.determinant(e))
+        else:
+            gram = np.sum(e[:, :j, None, :] * e[:, None, :j, :], axis=-1)
+            vol = np.sqrt(np.maximum(linalg.determinant(gram), 0.0))
+        out[:, j - 1] = np.where(prev > 0, vol / np.maximum(prev, 1e-300), 0.0)
+        prev = vol
+    return out
+
+
 def robustness_of(pts) -> RobustnessReport:
-    """Prefix-order robustness of an ordered point list (>= 2 points)."""
-    p = np.asarray(pts, dtype=float)
-    if p.shape[0] < 2:
-        raise ValueError("robustness needs at least 2 points")
-    dists = []
-    for k in range(p.shape[0] - 1):
-        dists.append(linalg.distance_to_affine_span(p[k + 1], p[: k + 1]))
-    return RobustnessReport(per_prefix_distance=tuple(dists), rho=float(min(dists)))
+    """The paper's properly ordered robustness of one ordered point list: the
+    least of its ``prefix_distances``."""
+    d = prefix_distances(np.asarray(pts, dtype=float)[None])[0]
+    return RobustnessReport(per_prefix_distance=tuple(d.tolist()), rho=float(d.min()))
 
 
 def delta_m_sequence(rho0: float, eps: float, e1: float, e2: float, m: int):
@@ -111,58 +139,3 @@ def v2_constant(e1: float, e2: float) -> float:
     while Fraction(v2) ** 2 > exact_sq:
         v2 = math.nextafter(v2, 0.0)
     return v2
-
-
-def metric_robustness(pts, metric, r_limit: float | None = None) -> float:
-    """Robustness of an ordered point list measured inside a metric model.
-
-    For each k the points are mapped to geodesic coordinates at pts[k]
-    (frames aligned from a reference frame at pts[0]); the reported value is
-    the minimum over k of the distance from pts[k+1] to the exponential
-    image of the span of the preceding log vectors.
-    """
-    from scipy.optimize import minimize
-
-    from . import metrics as mt
-
-    points = list(pts)
-    if len(points) < 2:
-        raise ValueError("need at least 2 points")
-    if r_limit is None:
-        r_limit = metric.convexity_radius()
-    for p in points[1:]:
-        if metric.distance(points[0], p) > r_limit:
-            raise OutOfChartError("points exceed the working radius")
-
-    if metric.kind == "flat":
-        return robustness_of(np.asarray(points, dtype=float)).rho
-
-    ref = mt.standard_frame(metric, points[0])
-    best = np.inf
-    for k in range(len(points) - 1):
-        frame = mt.align_frame(metric, ref, points[k])
-        vs = [mt.log_frame(metric, frame, points[j]) for j in range(k + 1)]
-        target = points[k + 1]
-        span = np.array([v for v in vs if np.linalg.norm(v) > 0.0])
-        if span.size == 0:
-            d = metric.distance(points[k], target)
-        else:
-            # Orthonormal basis of the span of the log vectors.
-            q, r = np.linalg.qr(span.T)
-            rank = int(np.sum(np.abs(np.diag(r)) > 1e-12 * np.max(np.abs(r))))
-            basis = q[:, :rank]
-            w = mt.log_frame(metric, frame, target)
-            c0 = basis.T @ w
-
-            def objective(c):
-                a = basis @ c
-                nrm = np.linalg.norm(a)
-                if nrm > r_limit:
-                    a = a * (r_limit / nrm)
-                return metric.distance(mt.exp_frame(metric, frame, a), target)
-
-            res = minimize(objective, c0, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14})
-            d = min(objective(c0), float(res.fun))
-        best = min(best, float(d))
-    return float(best)

@@ -1,7 +1,9 @@
 """Voronoi cells, Delaunay complexes, duality, and geometric realization.
 
-Nets are separated/dense point sets in a compact region.  In the flat metric
-the top simplices of the Delaunay complex come from one kernel,
+Nets are separated/dense point sets in a compact region.  The Delaunay
+complex is built in the flat metric only; a curved metric enters through
+the Voronoi cells' distance oracle and the geodesic-cone realization.  The
+top simplices of the Delaunay complex come from one kernel,
 ``delaunay_top``: Qhull's Delaunay triangulation (Barber, Dobkin &
 Huhdanpaa, "The Quickhull algorithm for convex hulls", ACM TOMS 1996,
 through ``scipy.spatial.Delaunay``), restricted to the simplices whose
@@ -20,14 +22,14 @@ order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from . import circumsphere as cs
 from .circumsphere import CircumSphere
-from .errors import OutOfChartError
+from .errors import DegenerateError, UnsupportedDimError, ValidationError
 
 #: Relative tolerance for cell-membership and duality point location.
 MEMBERSHIP_RTOL = 1e-9
@@ -48,7 +50,7 @@ class Net:
     points: np.ndarray  # (m, dim)
     d1: float
     d2: float
-    region: object = None  # duck-typed: contains(p), boundary_distance(p), grid(h)
+    region: object = None  # duck-typed: boundary_distance(p), grid(h)
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -65,7 +67,8 @@ class Net:
         return float(np.min(d[:, 1]))
 
     def check_density(self, resolution: float) -> float:
-        """Max distance from a region grid sample to the net."""
+        """Max distance from a region grid sample to the net: the d2-density
+        of the paper's (d1, d2)-net, sampled at ``resolution``."""
         if self.region is None:
             return 0.0
         grid = np.asarray(self.region.grid(resolution), dtype=float)
@@ -91,10 +94,6 @@ class Simplex:
     vertices: tuple
     sphere: CircumSphere
 
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
 
 @dataclass(frozen=True)
 class DelaunayComplex:
@@ -115,16 +114,6 @@ class VoronoiCell:
     neighbor_sites: tuple
     halfspaces: tuple | None  # ((a, b), ...) meaning a.x <= b; None if curved
     boundary: bool
-    _net: Net = field(repr=False, default=None)
-    _metric: object = field(repr=False, default=None)
-
-    def contains(self, q, rtol: float = MEMBERSHIP_RTOL) -> bool:
-        """Membership consistent with nearest_site up to relative tolerance."""
-        i, d = nearest_site(q, self._net, self._metric)
-        if i == self.site:
-            return True
-        ds = self._metric.distance(q, self._net.points[self.site])
-        return ds <= d + rtol * max(1.0, d)
 
 
 def nearest_site(q, net: Net, metric):
@@ -138,8 +127,9 @@ def nearest_site(q, net: Net, metric):
 
 
 def voronoi_cell(net: Net, i: int, metric) -> VoronoiCell:
-    """Cell of site i: neighbor list from the 4*d2 locality bound, plus a
-    halfspace list in the flat metric (distance oracle otherwise)."""
+    """The paper's Voronoi cell of net point i: the points no farther from
+    it than from any other net point.  Neighbor list from the 4*d2 locality
+    bound, plus a halfspace list in the flat metric (None otherwise)."""
     p = net.points
     site = p[i]
     flat = metric is None or metric.kind == "flat"
@@ -158,12 +148,12 @@ def voronoi_cell(net: Net, i: int, metric) -> VoronoiCell:
         halfspaces = tuple(hs)
     boundary = not bool(net.interior_mask()[i])
     return VoronoiCell(site=i, neighbor_sites=nbrs, halfspaces=halfspaces,
-                       boundary=boundary, _net=net, _metric=metric)
+                       boundary=boundary)
 
 
 def _cell_vertices_flat(net: Net, i: int, rtol: float = MEMBERSHIP_RTOL):
-    """Voronoi vertices of cell i in the flat metric: pairwise bisector
-    intersections of neighbors, filtered by global nearest-distance."""
+    """Voronoi vertices of cell i of a planar net: circumcenters of the site
+    with pairs of neighbors, kept when no site is nearer."""
     p = net.points
     site = p[i]
     d = np.linalg.norm(p - site, axis=1)
@@ -171,13 +161,8 @@ def _cell_vertices_flat(net: Net, i: int, rtol: float = MEMBERSHIP_RTOL):
     verts = []
     for j, k in itertools.combinations(nbrs, 2):
         try:
-            sphere = cs.circumcenter(np.vstack([site, p[j], p[k]])) \
-                if net.dim == 2 else None
-        except Exception:
-            continue
-        if net.dim == 2:
-            v = sphere.center
-        else:  # general dim: solve the bisector system of i vs (j, k, ...) not needed
+            v = cs.circumcenter(np.vstack([site, p[j], p[k]])).center
+        except DegenerateError:
             continue
         dv = np.linalg.norm(p - v, axis=1)
         if np.linalg.norm(v - site) <= np.min(dv) + rtol * max(1.0, np.min(dv)):
@@ -186,23 +171,18 @@ def _cell_vertices_flat(net: Net, i: int, rtol: float = MEMBERSHIP_RTOL):
 
 
 def star_neighborhood(net: Net, i: int) -> set:
-    """Sites whose cells share a Voronoi vertex with cell i (the vertex set),
-    including i itself; every member lies within 3*d2 of the site."""
+    """The paper's star of a Voronoi cell, for a planar net: the sites whose
+    cells share a Voronoi vertex with cell i, including i itself; every
+    member lies within 3*d2 of the site."""
+    if net.dim != 2:
+        raise UnsupportedDimError("star_neighborhood requires dim = 2")
     p = net.points
     out = {int(i)}
-    rtol = MEMBERSHIP_RTOL
-    if net.dim == 2:
-        for v in _cell_vertices_flat(net, i):
-            dv = np.linalg.norm(p - v, axis=1)
-            dmin = float(np.min(dv))
-            out.update(int(j) for j in np.nonzero(dv <= dmin + rtol * max(1.0, dmin))[0])
-    else:
-        # higher dimensions: vertex-sharing approximated by shared Delaunay
-        # simplices over the local subcomplex
-        local = build_delaunay(net, None)
-        for s in local.top(net.dim):
-            if i in s.vertices:
-                out.update(int(v) for v in s.vertices)
+    for v in _cell_vertices_flat(net, i):
+        dv = np.linalg.norm(p - v, axis=1)
+        dmin = float(np.min(dv))
+        out.update(int(j) for j in
+                   np.nonzero(dv <= dmin + MEMBERSHIP_RTOL * max(1.0, dmin))[0])
     return out
 
 
@@ -339,83 +319,19 @@ def _face_closure(top: list, n: int) -> dict:
 
 
 def build_delaunay(net: Net, metric, tol_cocirc: float | None = None) -> DelaunayComplex:
-    """Delaunay complex of a net: every (n+1)-subset of sites whose
+    """Flat Delaunay complex of a net: every (n+1)-subset of sites whose
     circumscribed sphere has radius <= d2 and is empty of other sites
-    (``delaunay_top`` in the flat metric), closed under faces.
+    (``delaunay_top``), closed under faces.  ``metric`` must be None or flat.
     """
-    tol = COSPHERICAL_RTOL if tol_cocirc is None else tol_cocirc
     if metric is not None and metric.kind != "flat":
-        return _build_delaunay_curved(net, metric, tol)
+        raise ValidationError(f"the Delaunay complex is built in the flat metric "
+                              f"only, not {metric.selector()}")
+    tol = COSPHERICAL_RTOL if tol_cocirc is None else tol_cocirc
     verts, centers, radii, regular = delaunay_top(net.points, net.d2, tol)
     top = [Simplex(vertices=tuple(row), sphere=CircumSphere(center=c, radius=float(r)))
            for row, c, r in zip(verts.tolist(), centers, radii)]
     return DelaunayComplex(simplices_by_dim=_face_closure(top, net.dim),
                            regular=regular)
-
-
-def _build_delaunay_curved(net: Net, metric, tol_cocirc: float):
-    """Curved-metric construction in geodesic normal coordinates at each
-    candidate's first vertex; distances for the emptiness test are metric."""
-    from . import metrics as mt
-
-    n = net.dim
-    pts = [np.asarray(p, float) for p in net.points]
-    m = len(pts)
-    dmat = np.array([[metric.distance(pts[a], pts[b]) for b in range(m)]
-                     for a in range(m)])
-    kept = []
-    for combo in itertools.combinations(range(m), n + 1):
-        if any(dmat[a][b] > 2.0 * net.d2
-               for a, b in itertools.combinations(combo, 2)):
-            continue
-        frame = mt.standard_frame(metric, pts[combo[0]])
-        local = np.array([mt.log_frame(metric, frame, pts[v]) for v in combo])
-        try:
-            sph = cs.circumcenter(local)
-        except Exception:
-            continue
-        center = mt.exp_frame(metric, frame, sph.center)
-        radius = max(metric.distance(center, pts[v]) for v in combo)
-        if radius > net.d2:
-            continue
-        others = [j for j in range(m) if j not in combo]
-        if all(metric.distance(center, pts[j]) >= radius * (1.0 - EMPTY_RTOL)
-               for j in others):
-            kept.append(Simplex(vertices=combo,
-                                sphere=CircumSphere(center=center, radius=radius)))
-    kept.sort(key=lambda s: s.vertices)
-    by_dim = _face_closure(kept, n)
-    complex_ = DelaunayComplex(simplices_by_dim=by_dim, regular=True)
-    regular = check_regular(complex_, tol_cocirc, net=net, metric=metric)
-    return DelaunayComplex(simplices_by_dim=by_dim, regular=regular)
-
-
-def check_regular(complex_: DelaunayComplex, tol: float, net: Net = None,
-                  metric=None) -> bool:
-    """False iff some top simplex's sphere carries an extra net point within
-    tol*radius of its surface (an (n+2)-cospherical configuration)."""
-    if net is None:
-        return True
-    n = max(complex_.simplices_by_dim) if complex_.simplices_by_dim else 0
-    top = complex_.simplices_by_dim.get(n, [])
-    if not top:
-        return True
-    pts = net.points
-    if metric is None or metric.kind == "flat":
-        # points deeper inside than the surface band are excluded by the
-        # emptiness of the sphere
-        centers = np.array([s.sphere.center for s in top])
-        radii = np.array([s.sphere.radius for s in top])
-        d = sphere_neighbours(pts, centers, n)
-        return not bool(np.any(d[:, n + 1] <= radii * (1.0 + tol)))
-    for s in top:
-        r = s.sphere.radius
-        d = np.array([metric.distance(s.sphere.center, p) for p in pts])
-        on = np.abs(d - r) <= tol * r
-        on[list(s.vertices)] = False
-        if np.any(on):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -494,8 +410,9 @@ def barycentric_coordinates(simplex_pts: np.ndarray, q) -> np.ndarray:
 
 def check_filling(net: Net, complex_: DelaunayComplex, i: int,
                   samples: int = 200, rng=None, rtol: float = 1e-9) -> bool:
-    """Sample the Voronoi cell of site i and verify every sample lies in a
-    realized simplex of its simplicial cone."""
+    """The paper's filling property of a Delaunay triangulation, sampled: the
+    Voronoi cell of site i is covered by the realized simplices of its
+    simplicial cone (the top simplices containing i)."""
     rng = np.random.default_rng(0) if rng is None else rng
     cone = simplicial_cone(complex_, i)
     if not cone:
@@ -523,7 +440,8 @@ def check_filling(net: Net, complex_: DelaunayComplex, i: int,
 
 
 def realize_simplex(s: Simplex, metric, bary, vertex_points) -> np.ndarray:
-    """Iterated geodesic-cone realization at barycentric coordinates.
+    """The paper's geometric realization of a Delaunay simplex, as the
+    iterated geodesic cone, evaluated at barycentric coordinates.
 
     vertex_points are the vertex positions in creation order (matching
     s.vertices).  In the flat metric this is the affine combination; in
@@ -547,8 +465,5 @@ def realize_simplex(s: Simplex, metric, bary, vertex_points) -> np.ndarray:
         base = cone(prefix, verts[:-1])
         if metric is None or metric.kind == "flat":
             return (1.0 - wk) * base + wk * verts[-1]
-        try:
-            return metric.exp(base, wk * metric.log(base, verts[-1]))
-        except OutOfChartError:
-            raise
+        return metric.exp(base, wk * metric.log(base, verts[-1]))
     return cone(b, v)

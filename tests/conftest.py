@@ -25,8 +25,8 @@ def bundle2():
 def small_net_pack(bundle2):
     """Net over a 3rF x 3rF box, used by the cheaper end-to-end checks."""
     K = nsy.Region.box([0.0, 0.0], [3.0 * bundle2.rF, 3.0 * bundle2.rF])
-    net, transversal, report = nsy.synthesize_net(K, bundle2, seed=7)
-    return {"K": K, "net": net, "transversal": transversal, "report": report}
+    net, report = nsy.synthesize_net(K, bundle2, seed=7)
+    return {"K": K, "net": net, "report": report}
 
 
 @pytest.fixture(scope="session")
@@ -39,10 +39,9 @@ def big_net_pack(bundle2):
     """Seed-42 net over the 10rF x 10rF box, with its synthesis wall time."""
     K = nsy.Region.box([0.0, 0.0], [10.0 * bundle2.rF, 10.0 * bundle2.rF])
     t0 = time.perf_counter()
-    net, transversal, report = nsy.synthesize_net(K, bundle2, seed=42)
+    net, report = nsy.synthesize_net(K, bundle2, seed=42)
     elapsed = time.perf_counter() - t0
-    return {"K": K, "net": net, "transversal": transversal,
-            "report": report, "elapsed": elapsed}
+    return {"K": K, "net": net, "report": report, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="session")
@@ -50,13 +49,12 @@ def big_complex(big_net_pack):
     return tess.build_delaunay(big_net_pack["net"], None)
 
 
-def random_separated_points(rng, count, box, min_sep, dim=2):
-    """Rejection-sampled point set with pairwise separation >= min_sep."""
-    pts = []
-    tries = 0
-    while len(pts) < count and tries < 200 * count:
-        tries += 1
-        p = rng.uniform(0.0, box, size=dim)
-        if all(np.linalg.norm(p - q) >= min_sep for q in pts):
-            pts.append(p)
-    return np.array(pts)
+def robustness_2d(stacks: np.ndarray) -> np.ndarray:
+    """Reference robustness of (m, 3, 2) vertex stacks by the planar
+    formula: the least of |ab| and the height of c over line ab."""
+    a, b, c = stacks[:, 0], stacks[:, 1], stacks[:, 2]
+    ab = b - a
+    lab = np.linalg.norm(ab, axis=1)
+    cr = np.abs((c - a)[:, 0] * ab[:, 1] - (c - a)[:, 1] * ab[:, 0])
+    h = np.where(lab > 0, cr / np.maximum(lab, 1e-300), 0.0)
+    return np.minimum(lab, h)

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import robustness_2d
 
 from delone import circumsphere as cs
 from delone import cli, jsonio, linalg
@@ -221,7 +222,7 @@ def test_criterion_07_construction_margins(bundle2, big_net_pack, big_complex):
     radii = np.array([s.sphere.radius for s in top])
     d, _ = cKDTree(net.points).query(centers, k=4)
     clearance = d[:, 3] - radii  # 4th neighbor = nearest non-vertex point
-    rho = nsy._robustness_2d(net.points[verts])
+    rho = robustness_2d(net.points[verts])
     clear_min = 2.0 * bundle2.eps1 * bundle2.rF
     rho_min = 1.5 * bundle2.eps2 * bundle2.rF
     bad_clear = int(np.sum(clearance < clear_min))

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ def tiny_files(tmp_path_factory, bundle2, bundle_file):
     """Net + complex files for a small synthesized disk."""
     d = tmp_path_factory.mktemp("tiny")
     K = nsy.Region.disk([0.0, 0.0], 0.15)
-    net, _, _ = nsy.synthesize_net(K, bundle2, seed=5)
+    net, _ = nsy.synthesize_net(K, bundle2, seed=5)
     cx = tess.build_delaunay(net, None)
     net_path = d / "net.json"
     cx_path = d / "cx.json"
@@ -99,6 +101,50 @@ class TestBadInputs:
         assert rc == 1
         assert "net.points" in _one_line_error(capsys)
 
+    def test_huge_box_rejected_before_allocating(self, tmp_path, bundle_file, capsys):
+        capsys.readouterr()
+        out = tmp_path / "net.json"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["synthesize", "--bundle", bundle_file,
+                           "--box", "0,0,1e9,1e9", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert not out.exists()
+        assert peak < 1 << 20  # bytes: no grid was allocated
+        err = _one_line_error(capsys)
+        assert "region.bounds" in err and "bytes of physical memory" in err
+
+    @pytest.mark.parametrize("change,path", [
+        (lambda c: {"per_simplex": 5}, "certificate.v"),
+        (lambda c: {**c, "pass": "yes"}, "certificate.pass"),
+        (lambda c: {**c, "worst": []}, "certificate.worst"),
+        (lambda c: {**c, "per_simplex": 5}, "certificate.per_simplex"),
+        (lambda c: {**c, "per_simplex": [3]}, "certificate.per_simplex[0]"),
+        (lambda c: {**c, "per_simplex": [{**c["per_simplex"][0], "simplex": [[0]]}]},
+         "certificate.per_simplex[0].simplex"),
+        (lambda c: {**c, "per_simplex": [{**c["per_simplex"][0],
+                                          "robustness_margin": "low"}]},
+         "certificate.per_simplex[0].robustness_margin"),
+    ])
+    def test_bad_certificate_for_render(self, tiny_files, tmp_path, capsys,
+                                        change, path):
+        good = tmp_path / "cert.json"
+        assert cli.main(["certify", "--net", tiny_files["net"], "--complex",
+                         tiny_files["cx"], "--bundle", tiny_files["bundle"],
+                         "--out", str(good)]) == 0
+        bad = tmp_path / "bad.json"
+        jsonio.write(bad, change(jsonio.read(good)))
+        out = tmp_path / "net.svg"
+        capsys.readouterr()
+        rc = cli.main(["render", "--net", tiny_files["net"], "--complex",
+                       tiny_files["cx"], "--certificate", str(bad), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert f"{path}:" in _one_line_error(capsys)
+
     def test_non_numeric_eps(self, tmp_path, capsys):
         capsys.readouterr()
         out = tmp_path / "b.json"
@@ -109,6 +155,15 @@ class TestBadInputs:
 
 
 class TestConstantsCommand:
+    def test_sphere_names_the_working_radius(self, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "b.json"
+        rc = cli.main(["constants", "--metric", "sphere:1", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = _one_line_error(capsys)
+        assert "bundle.rF" in err and "lambda_eps0" in err and "sphere:1.0" in err
+
     def test_writes_valid_bundle(self, tmp_path):
         out = tmp_path / "bundle.json"
         rc = cli.main(["constants", "--dim", "2", "--out", str(out)])
@@ -292,8 +347,7 @@ class TestStdout:
 
 
 def test_cli_does_not_import_scipy_optimize(tmp_path):
-    """The constants and synthesize commands run without scipy.optimize,
-    which only the curved-metric robustness needs."""
+    """The constants and synthesize commands run without scipy.optimize."""
     code = """
 import sys
 from delone import cli, jsonio
@@ -309,3 +363,20 @@ assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
                            str(tmp_path / "net.json")],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_never_imports_scipy_optimize():
+    """No module of the package imports scipy.optimize, at any level."""
+    found = []
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mod = node.module or ""  # None for "from . import x"
+                names = [f"{mod}.{a.name}" for a in node.names] + [mod]
+            else:
+                continue
+            if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

@@ -119,6 +119,12 @@ class TestComputeRF:
         assert consts.compute_rF(m, 1e-3, 10.0, 2.0) == pytest.approx(0.4)
         assert consts.compute_rF(m, 1e-3, 10.0, math.inf) == 1.0
 
+    @pytest.mark.parametrize("lam", [0.0, math.nan, math.inf])
+    def test_unusable_working_radius_rejected(self, monkeypatch, lam):
+        monkeypatch.setattr(mt, "find_lambda_eps", lambda m, eps: lam)
+        with pytest.raises(ValidationError, match=r"^bundle\.rF: .*lambda_eps0.*sphere:2\.0"):
+            consts.compute_rF(mt.MetricModel.sphere(2.0), 1e-3, 1.0, math.inf)
+
 
 class TestRStar:
     def test_zero_displacement_family_gets_cap(self):
@@ -175,6 +181,12 @@ class TestBundles:
         d = bundle2.to_dict()
         d["d"][0] = d["d"][0] * 1.01
         with pytest.raises(ValidationError):
+            jsonio.bundle_from_dict(d)
+
+    def test_zero_rF_named_before_the_ladder(self, bundle2):
+        d = bundle2.to_dict()
+        d["rF"], d["d"] = 0.0, [0.0] * 6
+        with pytest.raises(ValidationError, match=r"rF: rF must lie in"):
             jsonio.bundle_from_dict(d)
 
     def test_tampered_rho_hat_rejected(self, bundle2):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,47 @@ class TestFamilyIo:
         d["params"] = d["params"][:-1]
         with pytest.raises(ValidationError):
             jsonio.family_from_dict(d)
+
+
+def _certificate(bundle, override=None) -> dict:
+    """A certificate of the triangle net, as loaded back from its JSON."""
+    s = 0.15 * bundle.rF
+    net = tess.Net(dim=2, points=[[0.0, 0.0], [s, 0.0], [0.5 * s, 0.8 * s]],
+                   d1=bundle.d1, d2=bundle.d2)
+    fam = nsy.make_family(bundle, depth=1)
+    if override:
+        fam = fam.with_override("1", 0, override)
+    cert = nsy.certify_family_stability(net, tess.build_delaunay(net, None), fam, bundle)
+    return json.loads(jsonio.dumps(jsonio.certificate_to_dict(cert)))
+
+
+class TestCertificateIo:
+    def test_passing_and_failing_round_trip(self, bundle2):
+        for override in (None, [10.0 * bundle2.d1, 0.0]):
+            cert = _certificate(bundle2, override)
+            assert cert["pass"] is (override is None)
+            assert jsonio.certificate_from_dict(cert) == cert
+
+    @pytest.mark.parametrize("change,path", [
+        (lambda c: {**c, "v": 2}, "certificate.v"),
+        (lambda c: {**c, "pass": 1}, "certificate.pass"),
+        (lambda c: {k: v for k, v in c.items() if k != "worst"}, "certificate.worst"),
+        (lambda c: {**c, "worst": {**c["worst"], "simplex": [0.5]}},
+         "certificate.worst.simplex"),
+        (lambda c: {**c, "per_simplex": {}}, "certificate.per_simplex"),
+        (lambda c: {**c, "per_simplex": ["x"]}, "certificate.per_simplex[0]"),
+        (lambda c: {**c, "per_simplex": [{"robustness_margin": 1.0}]},
+         "certificate.per_simplex[0].simplex"),
+        (lambda c: {**c, "per_simplex": [{"simplex": [0, True, 2]}]},
+         "certificate.per_simplex[0].simplex"),
+        (lambda c: {**c, "per_simplex": [{"simplex": [0, 1, 2], "base_clearance_margin": None}]},
+         "certificate.per_simplex[0].base_clearance_margin"),
+        (lambda c: {**c, "per_simplex": [{"simplex": [0, 1, 2], "robustness_margin": False}]},
+         "certificate.per_simplex[0].robustness_margin"),
+    ])
+    def test_malformed_rejected_with_path(self, bundle2, change, path):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(path)}:"):
+            jsonio.certificate_from_dict(change(_certificate(bundle2)))
 
 
 class TestFileErrors:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delone import linalg
+from delone import robustness as rb
 from delone.errors import DegenerateError
 
 
@@ -36,6 +37,13 @@ class TestDeterminant:
             ref = float(np.linalg.det(m))
             assert linalg.determinant(m) == pytest.approx(
                 ref, rel=1e-9, abs=1e-12 * max(1.0, abs(ref)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_stack_equals_each_matrix(self, n):
+        stack = np.random.default_rng(10 + n).standard_normal((7, n, n))
+        got = linalg.determinant(stack)
+        assert got.shape == (7,)
+        assert np.array_equal(got, [linalg.determinant(m) for m in stack])
 
     def test_singular_returns_zero(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -111,18 +119,22 @@ class TestInverseNormBound:
 
 
 class TestDistanceToAffineSpan:
+    """The distance from q to the affine hull of pts, as the last of the
+    ``robustness.prefix_distances`` of the ordered list (pts..., q)."""
+
+    @staticmethod
+    def _distance(q, pts):
+        return float(rb.prefix_distances(np.vstack([pts, [q]])[None])[0, -1])
+
     def test_axis(self):
-        assert linalg.distance_to_affine_span(
-            [0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]]) == pytest.approx(1.0)
+        assert self._distance([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]]) == pytest.approx(1.0)
 
     def test_membership(self):
         pts = [[0.0, 0.0], [1.0, 1.0]]
-        assert linalg.distance_to_affine_span([0.5, 0.5], pts) == \
-            pytest.approx(0.0, abs=1e-12)
+        assert self._distance([0.5, 0.5], pts) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_point(self):
-        assert linalg.distance_to_affine_span([3.0, 4.0], [[0.0, 0.0]]) == \
-            pytest.approx(5.0)
+        assert self._distance([3.0, 4.0], [[0.0, 0.0]]) == pytest.approx(5.0)
 
     def test_projection_oracle(self):
         # independent oracle: orthogonal projection via pseudo-inverse
@@ -134,5 +146,4 @@ class TestDistanceToAffineSpan:
             edges = (pts[1:] - pts[0]).T
             proj = edges @ np.linalg.pinv(edges)
             ref = np.linalg.norm((np.eye(4) - proj) @ (q - pts[0]))
-            assert linalg.distance_to_affine_span(q, pts) == \
-                pytest.approx(ref, abs=1e-8)
+            assert self._distance(q, pts) == pytest.approx(ref, abs=1e-8)

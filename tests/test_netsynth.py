@@ -4,30 +4,49 @@ import math
 
 import numpy as np
 import pytest
+from conftest import robustness_2d
 from scipy.spatial import cKDTree
 
 from delone import circumsphere as cs
 from delone import jsonio
 from delone import netsynth as nsy
 from delone import tessellation as tess
-from delone.errors import RegionExhaustedError, ValidationError
+from delone.errors import RegionExhaustedError, SelectionFailedError, ValidationError
+
+
+def _allowed(p, xi, ball_r, annuli, slabs) -> bool:
+    """Reference membership test of one point, region type by region type:
+    inside the ball and outside every forbidden region."""
+    if np.linalg.norm(p - xi) > ball_r:
+        return False
+    if len(annuli.radii):
+        d = np.linalg.norm(annuli.centers - p, axis=1)
+        if np.any(np.abs(d - annuli.radii) <= annuli.width):
+            return False
+    if len(slabs.directions):
+        rel = p - slabs.anchors
+        perp = np.abs(rel[:, 0] * slabs.directions[:, 1]
+                      - rel[:, 1] * slabs.directions[:, 0])
+        if np.any(perp <= slabs.width):
+            return False
+    if len(slabs.point_patches):
+        if np.any(np.linalg.norm(slabs.point_patches - p, axis=1) <= slabs.width):
+            return False
+    return True
 
 
 class TestRegion:
     def test_box_geometry(self):
         r = nsy.Region.box([0.0, 0.0], [2.0, 1.0])
-        assert r.contains([1.0, 0.5])
-        assert not r.contains([2.1, 0.5])
         assert r.boundary_distance([1.0, 0.5]) == pytest.approx(0.5)
         assert r.boundary_distance([-0.2, 0.5]) == pytest.approx(-0.2)
-        assert r.volume() == pytest.approx(2.0)
+        assert r.boundary_distance([2.1, 0.5]) < 0.0
 
     def test_disk_geometry(self):
         r = nsy.Region.disk([1.0, 1.0], 0.5)
-        assert r.contains([1.3, 1.0])
-        assert not r.contains([1.6, 1.0])
+        assert r.boundary_distance([1.3, 1.0]) >= 0.0
+        assert r.boundary_distance([1.6, 1.0]) < 0.0
         assert r.boundary_distance([1.0, 1.0]) == pytest.approx(0.5)
-        assert r.volume() == pytest.approx(math.pi * 0.25)
 
     def test_expand_and_bounding_box(self):
         r = nsy.Region.box([0.0, 0.0], [1.0, 1.0]).expand(0.5)
@@ -254,7 +273,7 @@ class TestForbiddenRegions:
         theta = srng.uniform(0.0, 2.0 * math.pi, size=256)
         r = ball_r * np.sqrt(srng.uniform(size=256))
         pts = xi + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        hits = sum(0 if nsy._allowed(p, xi, ball_r * (1 + 1e-9), *forb) else 1
+        hits = sum(0 if _allowed(p, xi, ball_r * (1 + 1e-9), *forb) else 1
                    for p in pts)
         assert frac == pytest.approx(hits / 256)
 
@@ -304,35 +323,94 @@ class TestSelectPoint:
         assert np.all(dp > slabs.width)
 
 
+def _propose_candidate(K, net_points, bundle, resolution):
+    """Completeness oracle: the first node (row-major) of a fresh grid over K
+    whose selection ball fits K and lies in the band between the d1''- and
+    d2''-penumbras of the net; RegionExhaustedError when there is none."""
+    ball_r = bundle.rF / 200.0
+    grid = K.grid(resolution)
+    grid = grid[K.boundary_distance_many(grid) >= ball_r]
+    d, _ = cKDTree(np.asarray(net_points, dtype=float)).query(grid)
+    band = (d >= bundle.d1pp + ball_r) & (d <= bundle.d2pp - ball_r)
+    idx = np.nonzero(band)[0]
+    if not len(idx):
+        raise RegionExhaustedError("net is d2''-complete")
+    return grid[idx[0]]
+
+
+def _grid_fallback(xi, ball_r, annuli, slabs):
+    """The former grid fallback of select_point: a double loop over the
+    101 x 101 nodes in row-major order; None when every node is excluded."""
+    h = ball_r / 50.0
+    for i in np.arange(-ball_r, ball_r + h / 2, h):
+        for j in np.arange(-ball_r, ball_r + h / 2, h):
+            p = xi + np.array([i, j])
+            if _allowed(p, xi, ball_r, annuli, slabs):
+                return p
+    return None
+
+
+class TestForbiddenMaskAndFallback:
+    XI = np.array([0.3, 0.7])
+    RHO = 0.005
+    NO_ANNULI = nsy.Annuli(np.zeros((0, 2)), np.zeros(0), 0.0, 0)
+
+    def _wide_regions(self, rng):
+        """Regions about as wide as the ball, so that many nodes are excluded."""
+        xi, rho = self.XI, self.RHO
+        annuli = nsy.Annuli(xi + rho * rng.uniform(-2, 2, size=(3, 2)),
+                            rho * rng.uniform(0.5, 2.5, size=3), 0.05 * rho, 3)
+        theta = rng.uniform(0, math.pi, size=2)
+        slabs = nsy.Slabs(xi + rho * rng.uniform(-0.8, 0.8, size=(2, 2)),
+                          np.stack([np.cos(theta), np.sin(theta)], axis=1),
+                          xi + rho * rng.uniform(-0.8, 0.8, size=(2, 2)), 0.1 * rho, 4)
+        return annuli, slabs
+
+    def test_mask_matches_scalar_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            forb = self._wide_regions(rng)
+            pts = self.XI + self.RHO * rng.uniform(-1, 1, size=(500, 2))
+            want = [not _allowed(p, self.XI, math.inf, *forb) for p in pts]
+            assert np.array_equal(nsy.forbidden_mask(pts, *forb), want)
+
+    def test_grid_fallback_matches_double_loop(self, monkeypatch):
+        monkeypatch.setattr(nsy, "MAX_REJECTIONS", 0)
+        xi, rho = self.XI, self.RHO
+        # a vertical slab over the ball's first rows moves the answer inward
+        first_rows = nsy.Slabs(np.array([[xi[0] - rho, 0.0]]), np.array([[0.0, 1.0]]),
+                               np.zeros((0, 2)), 0.3 * rho, 1)
+        rng = np.random.default_rng(8)
+        cases = [(self.NO_ANNULI, first_rows)] + [self._wide_regions(rng) for _ in range(12)]
+        for forb in cases:
+            want = _grid_fallback(xi, rho, *forb)
+            assert want is not None
+            got = nsy.select_point(xi, forb, np.random.default_rng(0), rho)
+            assert np.array_equal(got, want)
+
+    def test_covered_ball_raises(self, monkeypatch):
+        monkeypatch.setattr(nsy, "MAX_REJECTIONS", 0)
+        xi, rho = self.XI, self.RHO
+        covered = nsy.Slabs(np.zeros((0, 2)), np.zeros((0, 2)), xi[None], 1.5 * rho, 1)
+        assert _grid_fallback(xi, rho, self.NO_ANNULI, covered) is None
+        with pytest.raises(SelectionFailedError):
+            nsy.select_point(xi, (self.NO_ANNULI, covered), np.random.default_rng(0), rho)
+
+
 class TestProposeCandidate:
-    def test_empty_net_returns_first_clear_node(self, bundle2):
-        K = nsy.Region.box([0.0, 0.0], [1.0, 1.0])
-        xi = nsy.propose_candidate(K, np.zeros((0, 2)), bundle2)
-        assert K.boundary_distance(xi) >= bundle2.rF / 200.0
-
-    def test_band_respected(self, bundle2):
-        K = nsy.Region.box([0.0, 0.0], [1.0, 1.0])
-        pts = np.array([[0.5, 0.5]])
-        xi = nsy.propose_candidate(K, pts, bundle2)
-        d = np.linalg.norm(xi - pts[0])
-        ball_r = bundle2.rF / 200.0
-        assert bundle2.d1pp + ball_r <= d <= bundle2.d2pp - ball_r
-
     def test_complete_net_exhausts(self, bundle2, small_net_pack):
         # at the synthesis resolution the finished net leaves no band node
         net = small_net_pack["net"]
         with pytest.raises(RegionExhaustedError):
-            nsy.propose_candidate(net.region, net.points, bundle2,
-                                  resolution=bundle2.rF / 200.0)
+            _propose_candidate(net.region, net.points, bundle2,
+                               resolution=bundle2.rF / 200.0)
 
 
 class TestSynthesizeNet:
     def test_small_disk_properties(self, bundle2):
         K = nsy.Region.disk([0.0, 0.0], 0.2)
-        net, transversal, report = nsy.synthesize_net(K, bundle2, seed=5)
+        net, report = nsy.synthesize_net(K, bundle2, seed=5)
         assert len(net) > 3
-        assert transversal.complete
-        assert len(transversal.xi) == len(net)
         assert net.check_separation() >= bundle2.d1
         # the synthesis domain (K plus the 2*d2 collar) is d2-dense
         assert net.check_density(bundle2.rF / 100.0) <= bundle2.d2
@@ -344,21 +422,21 @@ class TestSynthesizeNet:
         # a bound that certifies no step sends every step to the sampled audit
         monkeypatch.setattr(nsy, "excluded_volume_bound", lambda *a: 0.75)
         K = nsy.Region.disk([0.0, 0.0], 0.1)
-        _, _, report = nsy.synthesize_net(K, bundle2, seed=11)
+        _, report = nsy.synthesize_net(K, bundle2, seed=11)
         assert report.audits == report.steps > 1
         assert report.max_excluded_bound == 0.75
         assert report.max_excluded_fraction < 0.5
 
     def test_deterministic(self, bundle2):
         K = nsy.Region.disk([0.0, 0.0], 0.1)
-        n1, _, _ = nsy.synthesize_net(K, bundle2, seed=11)
-        n2, _, _ = nsy.synthesize_net(K, bundle2, seed=11)
+        n1, _ = nsy.synthesize_net(K, bundle2, seed=11)
+        n2, _ = nsy.synthesize_net(K, bundle2, seed=11)
         assert np.array_equal(n1.points, n2.points)
 
     def test_seed_changes_net(self, bundle2):
         K = nsy.Region.disk([0.0, 0.0], 0.1)
-        n1, _, _ = nsy.synthesize_net(K, bundle2, seed=1)
-        n2, _, _ = nsy.synthesize_net(K, bundle2, seed=2)
+        n1, _ = nsy.synthesize_net(K, bundle2, seed=1)
+        n2, _ = nsy.synthesize_net(K, bundle2, seed=2)
         assert not np.array_equal(n1.points, n2.points)
 
     def test_dim_3_rejected(self, bundle2):
@@ -436,7 +514,7 @@ class TestBandFront:
 @pytest.fixture(scope="module")
 def tiny(bundle2):
     K = nsy.Region.disk([0.0, 0.0], 0.2)
-    net, _, _ = nsy.synthesize_net(K, bundle2, seed=5)
+    net, _ = nsy.synthesize_net(K, bundle2, seed=5)
     cx = tess.build_delaunay(net, None)
     return net, cx
 
@@ -465,7 +543,7 @@ def _rebuild_certificate(net, complex_, family, bundle) -> dict:
 
     ok = True
     if len(top):
-        m_rho = nsy._robustness_2d(net.points[verts]) - 1.5 * bundle.eps2 * rF
+        m_rho = robustness_2d(net.points[verts]) - 1.5 * bundle.eps2 * rF
         m_clear = clearance(net.points, centers, radii) - 2.0 * bundle.eps1 * rF
         for i in range(len(top)):
             records[i].update(robustness_margin=float(m_rho[i]),
@@ -491,7 +569,7 @@ def _rebuild_certificate(net, complex_, family, bundle) -> dict:
                 records[i]["center_drift"] = max(records[i]["center_drift"], float(dc[i]))
                 records[i]["radius_drift"] = max(records[i]["radius_drift"], float(dr[i]))
             for quantity, margins in (
-                    ("robustness", nsy._robustness_2d(tstacks) - 1.5 * bundle.eps2 * rF),
+                    ("robustness", robustness_2d(tstacks) - 1.5 * bundle.eps2 * rF),
                     ("translate_clearance", clearance(tnet.points, tc, tr) - bundle.eps1 * rF),
                     ("center_drift", bundle.eps3 * rF / 2.0 - dc),
                     ("radius_drift", bundle.eps3 * rF - dr)):

@@ -2,10 +2,54 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from conftest import robustness_2d
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from delone import linalg, robustness as rb
+from delone import robustness as rb
 from delone.errors import InvalidBudgetError
-from delone.metrics import parse_metric
+
+
+def _lstsq_prefix_distances(p: np.ndarray) -> np.ndarray:
+    """Reference: each d(p_j, aff(p_0..p_{j-1})) as the residual of the
+    least-squares projection of p_j - p_0 onto the span of the edge vectors."""
+    out = []
+    for j in range(1, len(p)):
+        diff = p[j] - p[0]
+        edges = (p[1:j] - p[0]).T
+        if j > 1:
+            coef, *_ = np.linalg.lstsq(edges, diff, rcond=None)
+            diff = diff - edges @ coef
+        out.append(np.linalg.norm(diff))
+    return np.array(out)
+
+
+class TestPrefixDistances:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3), st.just(2)),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    def test_planar_bitwise_equal_to_reference(self, stacks):
+        got = rb.prefix_distances(stacks).min(axis=1)
+        assert np.array_equal(got, robustness_2d(stacks))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_lstsq_reference(self, n):
+        rng = np.random.default_rng(n)
+        checked = 0
+        for k in range(2, n + 2):
+            stacks = rng.standard_normal((200, k, n))
+            for p, got in zip(stacks, rb.prefix_distances(stacks)):
+                want = _lstsq_prefix_distances(p)
+                if want.min() < 0.2:  # keep the well-conditioned stacks
+                    continue
+                checked += 1
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert checked >= 100 * n
+
+    def test_too_many_points_rejected(self):
+        with pytest.raises(ValueError):
+            rb.prefix_distances(np.zeros((1, 4, 2)))
 
 
 class TestRobustnessOf:
@@ -176,27 +220,3 @@ class TestScaleInvariance:
         s = 3.7
         assert rb.robustness_of(s * pts).rho == \
             pytest.approx(s * rb.robustness_of(pts).rho, rel=1e-9)
-
-
-class TestMetricRobustness:
-    def test_flat_reduces_to_euclidean(self):
-        m = parse_metric("flat:2")
-        pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-        assert rb.metric_robustness(pts, m) == \
-            pytest.approx(rb.robustness_of(pts).rho)
-
-    def test_sphere_degenerate_near_zero(self):
-        m = parse_metric("sphere:1")
-        # three points on one great circle: robustness collapses
-        pts = [np.array([1.0, 0.0, 0.0]),
-               np.array([np.cos(0.3), np.sin(0.3), 0.0]),
-               np.array([np.cos(0.6), np.sin(0.6), 0.0])]
-        assert rb.metric_robustness(pts, m) == pytest.approx(0.0, abs=1e-6)
-
-    def test_sphere_generic_positive(self):
-        m = parse_metric("sphere:1")
-        pts = [np.array([1.0, 0.0, 0.0]),
-               np.array([np.cos(0.3), np.sin(0.3), 0.0])]
-        q = np.array([np.cos(0.2), 0.0, np.sin(0.2)])
-        pts.append(q / np.linalg.norm(q))
-        assert rb.metric_robustness(pts, m) > 0.05

@@ -10,6 +10,7 @@ from scipy.spatial import cKDTree
 from delone import circumsphere as cs
 from delone import jsonio
 from delone import tessellation as tess
+from delone.errors import UnsupportedDimError, ValidationError
 from delone.metrics import MetricModel
 
 
@@ -119,8 +120,18 @@ class TestStarNeighborhood:
             for j in tess.star_neighborhood(net, i):
                 assert np.linalg.norm(net.points[i] - net.points[j]) <= 3 * net.d2
 
+    def test_planar_only(self):
+        net = _net(np.eye(3), 0.5, 1.5, dim=3)
+        with pytest.raises(UnsupportedDimError):
+            tess.star_neighborhood(net, 0)
+
 
 class TestBuildDelaunay:
+    def test_curved_metric_rejected(self):
+        net = _net(SQUARE_CENTER, 0.3, 0.6)
+        with pytest.raises(ValidationError, match="flat metric only"):
+            tess.build_delaunay(net, MetricModel.sphere(1.0))
+
     def test_square_plus_center(self):
         net = _net(SQUARE_CENTER, 0.3, 0.6)
         cx = tess.build_delaunay(net, None)
@@ -316,7 +327,12 @@ def _enumeration_complex(net):
                 seen.setdefault(face, s.sphere)
         by_dim[k] = [tess.Simplex(vertices=f, sphere=sph)
                      for f, sph in sorted(seen.items())]
-    regular = tess.check_regular(tess.DelaunayComplex(by_dim, True), 1e-9, net=net)
+    # regular: no site off a kept sphere within 1e-9 * radius of it
+    regular = True
+    if kept:
+        d = tess.sphere_neighbours(pts, np.array([s.sphere.center for s in kept]), n)
+        radii = np.array([s.sphere.radius for s in kept])
+        regular = not bool(np.any(d[:, n + 1] <= radii * (1.0 + 1e-9)))
     return tess.DelaunayComplex(simplices_by_dim=by_dim, regular=regular)
 
 
