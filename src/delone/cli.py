@@ -66,6 +66,16 @@ def _parse_override(adv_str: str, family: nsy.ParamFamily, net: tess.Net):
     return param, index, vector
 
 
+class _Path(click.Path):
+    """``click.Path`` that rejects a NUL byte as a bad value: ``os.stat``
+    raises ValueError for one, which click would let through."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str) and "\x00" in value:
+            self.fail("path contains a NUL byte", param, ctx)
+        return super().convert(value, param, ctx)
+
+
 class _IoFailure(Exception):
     pass
 
@@ -80,14 +90,14 @@ def cli():
 
 
 @cli.command("constants")
-@click.option("--dim", type=int, default=2, show_default=True)
+@click.option("--dim", type=click.IntRange(1, 8), default=2, show_default=True)
 @click.option("--mode", type=click.Choice(["paper", "practical"]), default="practical",
               show_default=True)
 @click.option("--eps", "eps_str", default=None,
               help="practical mode ladder e1,e2,e3,e4[,e0]")
 @click.option("--metric", "metric_str", default=None,
               help="flat:<n> | sphere:<R> | torus:<p1>,<p2>")
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", type=_Path(), required=True)
 def cmd_constants(dim, mode, eps_str, metric_str, out):
     """Build and validate a constant bundle."""
     from . import metrics as mt
@@ -96,6 +106,9 @@ def cmd_constants(dim, mode, eps_str, metric_str, out):
     if mode == "paper":
         bundle = consts.paper_bundle(dim, metric=metric)
     elif eps_str is None:
+        if dim != 2:
+            raise ValidationError(f"the default practical ladder is for --dim 2, "
+                                  f"got {dim}; pass --eps")
         bundle = consts.default_practical_bundle(dim, metric=metric)
     else:
         try:
@@ -111,10 +124,10 @@ def cmd_constants(dim, mode, eps_str, metric_str, out):
 
 
 @cli.command("synthesize")
-@click.option("--bundle", "bundle_path", type=click.Path(dir_okay=False), required=True)
+@click.option("--bundle", "bundle_path", type=_Path(dir_okay=False), required=True)
 @click.option("--box", "box_str", required=True, help="x0,y0,x1,y1 in leaf units")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--out", type=_Path(), required=True)
 def cmd_synthesize(bundle_path, box_str, seed, out):
     """Synthesize a net covering the box region."""
     bundle = _load(bundle_path, jsonio.bundle_from_dict)
@@ -133,8 +146,8 @@ def cmd_synthesize(bundle_path, box_str, seed, out):
 
 
 @cli.command("triangulate")
-@click.option("--net", "net_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@click.option("--net", "net_path", type=_Path(dir_okay=False), required=True)
+@click.option("--out", type=_Path(), required=True)
 def cmd_triangulate(net_path, out):
     """Build the Delaunay complex of a net."""
     net = _load(net_path, jsonio.net_from_dict)
@@ -145,14 +158,14 @@ def cmd_triangulate(net_path, out):
 
 
 @cli.command("certify")
-@click.option("--net", "net_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--complex", "cx_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--bundle", "bundle_path", type=click.Path(dir_okay=False), required=True)
+@click.option("--net", "net_path", type=_Path(dir_okay=False), required=True)
+@click.option("--complex", "cx_path", type=_Path(dir_okay=False), required=True)
+@click.option("--bundle", "bundle_path", type=_Path(dir_okay=False), required=True)
 @click.option("--family-depth", type=int, default=2, show_default=True)
-@click.option("--family-seed", type=int, default=0, show_default=True)
+@click.option("--family-seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--adversarial", "adv_str", default=None,
               help="param:index:dx,dy override for a failing run")
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", type=_Path(), required=True)
 def cmd_certify(net_path, cx_path, bundle_path, family_depth, family_seed,
                 adv_str, out):
     """Certify family stability of a complex; exit 2 on a failing certificate."""
@@ -171,8 +184,8 @@ def cmd_certify(net_path, cx_path, bundle_path, family_depth, family_seed,
 
 
 @cli.command("duality-check")
-@click.option("--net", "net_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--complex", "cx_path", type=click.Path(dir_okay=False), required=True)
+@click.option("--net", "net_path", type=_Path(dir_okay=False), required=True)
+@click.option("--complex", "cx_path", type=_Path(dir_okay=False), required=True)
 def cmd_duality(net_path, cx_path):
     """Verify Voronoi/Delaunay duality; exit 2 on violations."""
     net, cx = _load_net_and_complex(net_path, cx_path)
@@ -184,10 +197,10 @@ def cmd_duality(net_path, cx_path):
 
 
 @cli.command("render")
-@click.option("--net", "net_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--complex", "cx_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--certificate", "cert_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@click.option("--net", "net_path", type=_Path(dir_okay=False), required=True)
+@click.option("--complex", "cx_path", type=_Path(dir_okay=False), default=None)
+@click.option("--certificate", "cert_path", type=_Path(dir_okay=False), default=None)
+@click.option("--out", type=_Path(), required=True)
 def cmd_render(net_path, cx_path, cert_path, out):
     """Render a 2D net/complex to SVG."""
     if cx_path:
@@ -197,8 +210,7 @@ def cmd_render(net_path, cx_path, cert_path, out):
     cert = _load(cert_path, jsonio.certificate_from_dict) if cert_path else None
     svg = render_svg(net, cx, cert)
     try:
-        with open(out, "w") as f:
-            f.write(svg)
+        jsonio.write_text(out, svg)
     except OSError as exc:
         raise _IoFailure(f"{out}: {exc}") from exc
     _log(f"svg written: {out}")

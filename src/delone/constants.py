@@ -125,7 +125,8 @@ def compute_eps4(n: int, eps2: float) -> float:
         else:
             hi = mid
     if lo <= 0.0 or not eps4_inequalities_hold(n, eps2, lo):
-        raise AssertionError("no positive eps4 found (must not happen)")
+        raise ValidationError(f"no positive float64 eps4 satisfies the interleaving "
+                              f"inequalities at n = {n}, eps2 = {eps2!r}", path="eps4")
     return lo
 
 
@@ -170,7 +171,8 @@ def compute_eps0(n: int, eps1: float, eps2: float, eps3: float, eps4: float,
         if eps0_constraints_hold(eps0, bounds):
             return eps0, binding
         eps0 *= 0.5
-    raise AssertionError("no positive eps0 on the halving grid (must not happen)")
+    raise ValidationError(f"no positive float64 eps0 clears its bounds at n = {n}; the "
+                          f"least is {bounds[binding]!r} ({binding})", path="eps0")
 
 
 def practical_eps0(n: int, eps1: float, eps2: float, eps3: float, eps4: float,
@@ -270,10 +272,15 @@ def validate_bundle(b: ConstantBundle) -> None:
     """Assert every bundle invariant; raises ValidationError otherwise."""
     if b.mode not in ("paper", "practical"):
         raise ValidationError(f"unknown mode {b.mode!r}", path="mode")
+    if not 1 <= b.n <= 8:
+        raise ValidationError(f"n must be in 1..8, got {b.n}", path="n")
     if b.Cn != compute_Cn(b.n):
         raise ValidationError("Cn does not match its formula", path="Cn")
     if not 0 < b.rF <= 1.0:
         raise ValidationError("rF must lie in (0, 1]", path="rF")
+    for name in ("eps0", "eps1", "eps2", "eps3", "eps4", "gs_delta"):
+        if not 0 < getattr(b, name) < math.inf:
+            raise ValidationError("must be positive and finite", path=name)
     ladder = (b.d1, b.d1p, b.d1pp, b.d2pp, b.d2p, b.d2)
     for lo, hi in zip(ladder, ladder[1:]):
         if not lo < hi:
@@ -284,7 +291,7 @@ def validate_bundle(b: ConstantBundle) -> None:
     if abs(b.d2 - 2.0 * b.d1) > 1e-12 * max(1.0, b.rF):
         raise ValidationError("d2 != 2*d1", path="d")
     # rho-hat chain: 2(n+2) entries strictly decreasing in (15 eps2, 18 eps2]
-    if len(b.rho_hat) != b.n + 2:
+    if len(b.rho_hat) != b.n + 2 or any(len(pair) != 2 for pair in b.rho_hat):
         raise ValidationError("rho_hat ladder has the wrong length", path="rho_hat")
     flat = [x for pair in b.rho_hat for x in pair]
     if abs(flat[0] - 18.0 * b.eps2) > 1e-15:

@@ -47,6 +47,7 @@ from .errors import (
     SelectionFailedError,
     ValidationError,
 )
+from .metrics import _row_dots
 
 #: Sampled forbidden-volume audit every this many synthesis steps (and at any
 #: step whose closed-form bound is not below 1/2).
@@ -110,14 +111,21 @@ class Region:
     def disk(center, radius: float) -> "Region":
         return Region(kind="disk", bounds=(center, radius))
 
-    def boundary_distance(self, p) -> float:
-        """Signed inward distance to the boundary (negative outside)."""
+    def boundary_distance(self, p):
+        """Signed inward distance to the boundary (negative outside) of one
+        point, as a float, or of each row of an (m, n) stack.  A disk's norm
+        is the ``np.dot`` kernel of ``metrics._row_dots``, so every row gets
+        the bits ``np.linalg.norm`` gives it alone; the elementwise squares
+        of ``boundary_distance_many`` can round the last bit differently."""
         p = np.asarray(p, dtype=float)
+        rows = np.atleast_2d(p)
         if self.kind == "box":
-            lo, hi = self.bounds
-            return float(min(np.min(p - lo), np.min(hi - p)))
-        c, r = self.bounds
-        return float(r - np.linalg.norm(p - c))
+            dist = self.boundary_distance_many(rows)
+        else:
+            c, r = self.bounds
+            v = rows - c
+            dist = r - np.sqrt(_row_dots(v, v))
+        return float(dist[0]) if p.ndim == 1 else dist
 
     def boundary_distance_many(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -252,17 +260,6 @@ class ParamFamily:
         return ParamFamily(depth=self.depth, dim=self.dim, eps=self.eps,
                            scale=self.scale, seed=self.seed,
                            overrides=self.overrides + ((param, int(index), tuple(float(x) for x in vector)),))
-
-    def to_dict(self, net_points=None) -> dict:
-        d = {"v": 1, "depth": self.depth, "dim": self.dim, "eps": self.eps,
-             "scale": self.scale, "seed": self.seed,
-             "params": list(self.params),
-             "overrides": [[p, i, list(v)] for p, i, v in self.overrides]}
-        if net_points is not None:
-            d["fields"] = {p: [list(row) for row in
-                               self.indexed_displacements(p, net_points)]
-                           for p in self.params}
-        return d
 
 
 def make_family(bundle, depth: int, dim: int = 2, seed: int = 0) -> ParamFamily:

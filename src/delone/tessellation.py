@@ -50,7 +50,7 @@ class Net:
     points: np.ndarray  # (m, dim)
     d1: float
     d2: float
-    region: object = None  # duck-typed: boundary_distance(p), grid(h)
+    region: object = None  # duck-typed: boundary_distance(points), grid(h)
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -78,12 +78,11 @@ class Net:
         return float(np.max(d))
 
     def interior_mask(self) -> np.ndarray:
-        """Sites whose cell provably stays inside the region."""
+        """Sites whose cell provably stays inside the region: inward
+        boundary distance >= d2."""
         if self.region is None:
             return np.ones(len(self.points), dtype=bool)
-        return np.array([
-            self.region.boundary_distance(p) >= self.d2 for p in self.points
-        ])
+        return self.region.boundary_distance(self.points) >= self.d2
 
 
 @dataclass(frozen=True)
@@ -313,8 +312,7 @@ def _face_closure(top: list, n: int) -> dict:
         for s in by_dim[k + 1]:
             for face in itertools.combinations(s.vertices, k + 1):
                 seen.setdefault(face, s.sphere)
-        by_dim[k] = [Simplex(vertices=f, sphere=sph)
-                     for f, sph in sorted(seen.items())]
+        by_dim[k] = [Simplex(f, sph) for f, sph in sorted(seen.items())]
     return by_dim
 
 

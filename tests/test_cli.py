@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -144,6 +145,23 @@ class TestBadInputs:
         assert rc == 1
         assert not out.exists()
         assert f"{path}:" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("args", [
+        ["constants", "--dim", "3"],  # the default practical ladder is for dim 2
+        ["constants", "--dim", "4", "--mode", "paper"],  # eps0 underflows float64
+        ["constants", "--dim", "9", "--mode", "paper"],
+        ["synthesize", "--box", "0,0,0.1,0.1", "--seed", "-1"],
+        ["certify", "--family-seed", "-1"],
+    ])
+    def test_out_of_range_arguments(self, tiny_files, tmp_path, capsys, args):
+        inputs = {"synthesize": ["--bundle", tiny_files["bundle"]],
+                  "certify": ["--net", tiny_files["net"], "--complex", tiny_files["cx"],
+                              "--bundle", tiny_files["bundle"]]}.get(args[0], [])
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert cli.main(args + inputs + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_non_numeric_eps(self, tmp_path, capsys):
         capsys.readouterr()
@@ -337,6 +355,37 @@ class TestRender:
         assert "<polygon" in svg
 
 
+class TestOutputPath:
+    """An --out that cannot be written is an I/O error (exit 3) on one line,
+    for the JSON writers and for render alike."""
+
+    @pytest.fixture(params=["directory", "missing parent"])
+    def bad_out(self, request, tmp_path):
+        if request.param == "directory":
+            (tmp_path / "out").mkdir()
+            return str(tmp_path / "out")
+        return str(tmp_path / "absent" / "out.json")
+
+    @pytest.mark.parametrize("command", ["constants", "triangulate", "render"])
+    def test_exit_three_one_line(self, tiny_files, bad_out, capsys, command):
+        args = {"constants": ["constants"],
+                "triangulate": ["triangulate", "--net", tiny_files["net"]],
+                "render": ["render", "--net", tiny_files["net"]]}[command]
+        capsys.readouterr()
+        assert cli.main(args + ["--out", bad_out]) == 3
+        err = _one_line_error(capsys)
+        assert err.startswith("I/O error: ") and bad_out in err
+
+    def test_overwrite_in_place(self, tiny_files, tmp_path):
+        """Rewriting an artifact over a longer file leaves exactly its bytes."""
+        out = tmp_path / "net.svg"
+        out.write_text("x" * 10**6)
+        assert cli.main(["render", "--net", tiny_files["net"], "--out", str(out)]) == 0
+        fresh = tmp_path / "fresh.svg"
+        assert cli.main(["render", "--net", tiny_files["net"], "--out", str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+
 class TestStdout:
     def test_dash_writes_to_stdout(self, capsys):
         rc = cli.main(["constants", "--dim", "1", "--mode", "paper",
@@ -380,3 +429,28 @@ def test_package_never_imports_scipy_optimize():
             if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def test_package_writes_only_through_write_text():
+    """No module of the package opens a file for writing with ``open``, and
+    ``os.open`` is called only by ``jsonio.write_text``: it is the one writer
+    of artifacts."""
+    found, os_open = [], []
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if (isinstance(fn, ast.Attribute) and fn.attr == "open"
+                    and isinstance(fn.value, ast.Name) and fn.value.id == "os"):
+                os_open.append(path.name)
+                continue
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name != "open":
+                continue
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or any(c in str(m.value) for c in "wax+")
+                   for m in modes):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+    assert os_open == ["jsonio.py"] and "os.open(" in inspect.getsource(jsonio.write_text)

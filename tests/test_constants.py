@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,24 @@ class TestBundles:
         d["rF"], d["d"] = 0.0, [0.0] * 6
         with pytest.raises(ValidationError, match=r"rF: rF must lie in"):
             jsonio.bundle_from_dict(d)
+
+    @pytest.mark.parametrize("change,path", [
+        (lambda d: {**d, "n": 9}, "bundle: n: n must be in 1..8"),
+        (lambda d: {**d, "eps": [-1e308] + d["eps"][1:]}, "bundle: eps0: must be positive"),
+        (lambda d: {**d, "rho_hat": d["rho_hat"][:-1] + [[0.00017]]},
+         "bundle: rho_hat: rho_hat ladder has the wrong length"),
+        (lambda d: {**d, "eps": d["eps"][:4] + ["2e-9"]}, "bundle.eps[4]: expected a number"),
+        (lambda d: {**d, "rF": True}, "bundle.rF: expected"),
+        (lambda d: {**d, "v2": []}, "bundle.v2: expected an object"),
+    ])
+    def test_malformed_bundle_named(self, bundle2, change, path):
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}"):
+            jsonio.bundle_from_dict(change(bundle2.to_dict()))
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_paper_constants_that_underflow_are_named(self, n):
+        with pytest.raises(ValidationError, match=rf"no positive float64 eps\d .* n = {n}"):
+            consts.paper_bundle(n)
 
     def test_tampered_rho_hat_rejected(self, bundle2):
         d = bundle2.to_dict()

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -108,20 +110,50 @@ class TestComplexIo:
         with pytest.raises(ValidationError):
             jsonio.complex_from_dict(d)
 
+    def test_missing_vertex_named(self):
+        net = _triangle_net()
+        d = jsonio.complex_to_dict(tess.build_delaunay(net, None), net.dim)
+        d["simplices"] = [s for s in d["simplices"] if s["verts"] != [1]]
+        with pytest.raises(ValidationError,
+                           match=re.escape("complex.simplices: face (1,) of (0, 1, 2) missing")):
+            jsonio.complex_from_dict(d)
 
-class TestFamilyIo:
-    def test_round_trip_with_override(self):
-        fam = nsy.ParamFamily(depth=2, dim=2, eps=1e-6, scale=1.0, seed=3)
-        fam = fam.with_override("01", 2, [0.1, 0.2])
-        again = jsonio.family_from_dict(fam.to_dict())
-        assert again == fam
+    @pytest.mark.parametrize("change,message", [
+        (lambda ss: [s for s in ss if s["verts"] != [0, 2]],
+         "complex.simplices: face (0, 2) of (0, 1, 2) missing"),
+        (lambda ss: ss + [{**ss[0], "verts": [0, 0]}],
+         "complex.simplices[7].verts: repeated vertex"),
+        (lambda ss: ss + [dict(ss[3])], "complex.simplices[7].verts: duplicate simplex"),
+        (lambda ss: ss + [{**ss[0], "verts": [3]}],
+         "complex.simplices[7].verts: vertex 3 is out of range for a 3-point net"),
+        (lambda ss: ss + [{**ss[0], "verts": [0, -1]}],
+         "complex.simplices[7].verts: verts must be nonnegative integers"),
+        (lambda ss: ss[:6] + [{**ss[6], "verts": [False, 1, 2]}],
+         "complex.simplices[6].verts: verts must be nonnegative integers"),
+        (lambda ss: [s for s in ss if len(s["verts"]) < 3],
+         "complex.simplices: no top-dimensional simplices"),
+        (lambda ss: ss + [{**ss[0], "verts": [2, 1]}],
+         "complex.simplices: simplex (2, 1) is not a face of a top simplex"),
+        (lambda ss: ss + [5], "complex.simplices[7]: expected an object"),
+        (lambda ss: ss + [{**ss[0], "radius": "r"}], "complex.simplices[7].radius"),
+        (lambda ss: ss[:2] + [{**ss[2], "center": [0.5]}] + ss[3:],
+         "complex.simplices[2]: center must be a finite 2-vector"),
+        (lambda ss: ss[:5] + [{**ss[5], "radius": float("nan")}] + ss[6:],
+         "complex.simplices[5]: center must be a finite 2-vector and radius a finite"),
+    ])
+    def test_rejections_name_their_field(self, change, message):
+        net = _triangle_net()
+        d = jsonio.complex_to_dict(tess.build_delaunay(net, None), net.dim)
+        assert len(d["simplices"]) == 7
+        d["simplices"] = change(d["simplices"])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            jsonio.complex_from_dict(d, net)
 
-    def test_params_mismatch_rejected(self):
-        fam = nsy.ParamFamily(depth=2, dim=2, eps=1e-6, scale=1.0)
-        d = fam.to_dict()
-        d["params"] = d["params"][:-1]
-        with pytest.raises(ValidationError):
-            jsonio.family_from_dict(d)
+    def test_dim_mismatch_rejected(self):
+        net = _triangle_net()
+        d = jsonio.complex_to_dict(tess.build_delaunay(net, None), net.dim)
+        with pytest.raises(ValidationError, match="^complex.dim: dim 3 differs"):
+            jsonio.complex_from_dict({**d, "dim": 3}, net)
 
 
 def _certificate(bundle, override=None) -> dict:
@@ -183,3 +215,83 @@ class TestFileErrors:
         with pytest.raises(ValidationError) as err:
             jsonio.net_from_dict({"v": 1, "dim": 2, "d1": 0.1, "d2": 0.2})
         assert "points" in str(err.value)
+
+
+class TestWriteText:
+    """``write_text`` overwrites in place and behaves as ``open(path, "w")``
+    does for links, modes and refusals."""
+
+    def test_shorter_content_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "a.json"
+        jsonio.write_text(path, "x" * 1000)
+        jsonio.write_text(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+        jsonio.write_text(path, "")
+        assert path.read_bytes() == b""
+
+    def test_bytes_are_the_utf8_text(self, tmp_path):
+        path = tmp_path / "net.json"
+        text = jsonio.dumps(jsonio.net_to_dict(_triangle_net()))
+        jsonio.write(path, jsonio.net_to_dict(_triangle_net()))
+        assert path.read_bytes() == text.encode("ascii")
+        jsonio.write_text(path, "é\n")
+        assert path.read_bytes() == "é\n".encode("utf-8")
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old content that is long\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        jsonio.write_text(link, "new\n")
+        assert link.is_symlink()
+        assert target.read_text() == "new\n"
+
+    def test_hard_link_updated_through_both_names(self, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_text("old content that is long\n")
+        b = tmp_path / "b.json"
+        os.link(a, b)
+        jsonio.write_text(b, "new\n")
+        assert a.read_text() == b.read_text() == "new\n"
+        assert os.stat(a).st_ino == os.stat(b).st_ino
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        with open(tmp_path / "ref", "w") as f:
+            f.write("x")
+        jsonio.write_text(tmp_path / "new", "x")
+        assert os.stat(tmp_path / "new").st_mode == os.stat(tmp_path / "ref").st_mode
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text("old\n")
+        os.chmod(path, 0o640)
+        jsonio.write_text(path, "new content\n")
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    def test_read_only_file_refused_like_open(self, tmp_path):
+        def outcome(writer, path):
+            path.write_text("old\n")
+            os.chmod(path, 0o444)
+            try:
+                writer(path)
+            except OSError as exc:
+                return type(exc), path.read_text()
+            finally:
+                os.chmod(path, 0o644)
+            return None, path.read_text()
+
+        def by_open(path):
+            with open(path, "w") as f:
+                f.write("new\n")
+
+        want = outcome(by_open, tmp_path / "a")  # no refusal for root
+        assert outcome(lambda p: jsonio.write_text(p, "new\n"), tmp_path / "b") == want
+
+    def test_directory_and_missing_parent_raise(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            jsonio.write_text(tmp_path, "x")
+        with pytest.raises(FileNotFoundError):
+            jsonio.write_text(tmp_path / "absent" / "a.json", "x")
+
+    def test_character_device(self):
+        jsonio.write_text(os.devnull, "x\n")  # nothing to cut to length

@@ -54,6 +54,44 @@ class TestNet:
         mask = net.interior_mask()
         assert list(mask) == [False, False, False, False, True]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["box", "disk"]), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 0.3))
+    def test_interior_mask_matches_per_site_loop(self, kind, seed, d2):
+        """Bit for bit the per-site loop it replaced, on sites placed within
+        a few ulp of inward distance d2 from the boundary."""
+        from delone import netsynth as nsy
+
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-5.0, 5.0, 2)
+        r = rng.uniform(1.0, 3.0)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 200)
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        ulps = rng.integers(-4, 5, (200, 1))
+        if kind == "box":
+            region = nsy.Region.box(c - r, c + r)
+            # one coordinate at d2 inside a random side, the other inside
+            pts = c + rng.uniform(-0.5, 0.5, (200, 2)) * r
+            axis = rng.integers(0, 2, 200)
+            side = rng.choice([-1.0, 1.0], 200)
+            edge = c[axis] + side * (r - d2)
+            pts[np.arange(200), axis] = edge + ulps[:, 0] * np.spacing(edge)
+        else:
+            region = nsy.Region.disk(c, r)
+            rho = (r - d2) + ulps * np.spacing(r - d2)
+            pts = c + rho * u
+
+        def loop_distance(p):
+            if kind == "box":
+                lo, hi = region.bounds
+                return float(min(np.min(p - lo), np.min(hi - p)))
+            return float(r - np.linalg.norm(p - c))
+
+        want = np.array([loop_distance(p) >= d2 for p in pts])
+        net = _net(pts, d2 / 2.0, d2, region=region)
+        assert np.array_equal(net.interior_mask(), want)
+        assert 0 < want.sum() < len(want)  # both sides of the threshold occur
+
 
 class TestNearestSite:
     def test_lattice(self):
