@@ -34,7 +34,8 @@ class PerturbationBudget:
 
     e1 <= pairwise distances <= 2*e2 for the configurations covered;
     e3 = e2 + eps; rho is the robustness floor; delta a lower bound for the
-    parallelepiped volume |det U| of the configuration.
+    parallelepiped volume |det U| of the configuration, or an array of
+    such bounds, one per configuration.
     """
 
     e1: float
@@ -49,7 +50,7 @@ class PerturbationBudget:
             raise InvalidBudgetError("require 0 < e1 < e2")
         if self.eps < 0:
             raise InvalidBudgetError("require eps >= 0")
-        if self.rho <= 0 or self.delta <= 0:
+        if self.rho <= 0 or np.any(np.asarray(self.delta) <= 0):
             raise InvalidBudgetError("require rho > 0 and delta > 0")
         object.__setattr__(self, "e3", self.e2 + self.eps)
 
@@ -108,10 +109,11 @@ def circumcenter_batch(pts: np.ndarray):
     return centers, radii, valid
 
 
-def displacement_bound(budget: PerturbationBudget, n: int) -> float:
+def displacement_bound(budget: PerturbationBudget, n: int):
     """The paper's circumcenter displacement estimate: a certified bound on
     the center's move under per-vertex moves of size <= eps, for
-    configurations with |det U| >= delta.
+    configurations with |det U| >= delta (an array of bounds for an array
+    of deltas).
 
     eps * {1 + n^{3/2} 2^{n+1} e3^n / delta + 2 n^3 2^{2n} e3^{2n} / delta^2};
     scale-invariant when lengths scale by s and delta by s^n.

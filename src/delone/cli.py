@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation failure, 2 certification failure,
 
 from __future__ import annotations
 
-import math
 import sys
 
 import click
@@ -55,14 +54,15 @@ def _parse_override(adv_str: str, family: nsy.ParamFamily, net: tess.Net):
         vector = [float(x) for x in vec.split(",")]
     except ValueError:
         raise ValidationError(f"{usage}, got {adv_str!r}") from None
-    if param not in family.params:
+    if len(param) != family.depth or not set(param) <= {"0", "1"}:
         raise ValidationError(f"--adversarial parameter {param!r} is not a "
                               f"depth-{family.depth} binary string")
     if not 0 <= index < len(net):
         raise ValidationError(f"--adversarial index {index} is out of range "
                               f"for a {len(net)}-point net")
-    if len(vector) != net.dim or not all(math.isfinite(x) for x in vector):
-        raise ValidationError(f"--adversarial vector must be {net.dim} finite numbers")
+    if len(vector) != net.dim or not all(abs(x) <= jsonio.MAX_COORDINATE for x in vector):
+        raise ValidationError(f"--adversarial vector must be {net.dim} numbers of "
+                              f"magnitude at most {jsonio.MAX_COORDINATE:g}")
     return param, index, vector
 
 
@@ -161,7 +161,7 @@ def cmd_triangulate(net_path, out):
 @click.option("--net", "net_path", type=_Path(dir_okay=False), required=True)
 @click.option("--complex", "cx_path", type=_Path(dir_okay=False), required=True)
 @click.option("--bundle", "bundle_path", type=_Path(dir_okay=False), required=True)
-@click.option("--family-depth", type=int, default=2, show_default=True)
+@click.option("--family-depth", type=click.IntRange(1, 16), default=2, show_default=True)
 @click.option("--family-seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--adversarial", "adv_str", default=None,
               help="param:index:dx,dy override for a failing run")
@@ -301,6 +301,11 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         return EXIT_VALIDATION
     except click.UsageError as exc:
+        if isinstance(exc, click.BadParameter) and exc.param is not None \
+                and not isinstance(exc, click.MissingParameter):
+            # one line naming the option, as a ValidationError names its field
+            _log(f"validation error: {exc.param.name.replace('_', '.')}: {exc.message}")
+            return EXIT_VALIDATION
         _log(exc.format_message())
         if exc.ctx is not None:
             _log(exc.ctx.get_usage())

@@ -109,8 +109,8 @@ def _numbers(v, path: str, length: int | None = None) -> list:
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
 
-def _check_version(d: dict, path: str):
-    if d.get("v") != 1:
+def _check_version(d: dict, path: str, version: int = 1):
+    if d.get("v") != version:
         raise ValidationError(f"unsupported schema version {d.get('v')!r}",
                               path=f"{path}.v")
 
@@ -347,11 +347,13 @@ def _check_simplex(v, path: str) -> None:
 
 
 def certificate_from_dict(d: dict) -> dict:
-    """Check a certificate as ``render`` reads it and return it: its version,
-    a bool ``pass``, a ``worst`` object, and ``per_simplex`` records that each
-    name a ``simplex`` of integers and carry numeric ``*_margin`` values."""
-    _check_version(d, "certificate")
+    """Check a certificate as ``render`` reads it and return it: its version
+    (2, the schema with the ``budget`` object), a bool ``pass``, a ``worst``
+    object, a ``budget`` object, and ``per_simplex`` records that each name
+    a ``simplex`` of integers and carry numeric ``*_margin`` values."""
+    _check_version(d, "certificate", 2)
     _require(d, "pass", bool, "certificate")
+    _require(d, "budget", dict, "certificate")
     worst = _require(d, "worst", dict, "certificate")
     if worst.get("simplex") is not None:
         _check_simplex(worst["simplex"], "certificate.worst.simplex")

@@ -22,10 +22,13 @@ of candidate centers is ``_BandFront``: a boolean grid of the nodes in the
 band with per-row counts, whose node of least flat index is the next
 candidate.
 
-Stability of the resulting Delaunay complex is then certified over a finite
-family of near-isometric translations: per-parameter the complex must be
-combinatorially identical with small circumcenter/radius drifts, and every
-top simplex keeps its robustness (``robustness.prefix_distances``).
+Stability of the resulting Delaunay complex is then certified for every
+displacement field within the family's budget at once: margins on each top
+simplex (drift, clearance, radius, robustness from
+``robustness.prefix_distances``) show it survives, and an enumeration of the
+near-empty spheres shows no other simplex can appear.  Only parameters whose
+overrides exceed the budget are checked one by one, against a Qhull rebuild
+of their translate.
 """
 
 from __future__ import annotations
@@ -39,12 +42,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import circumsphere as cs
-from . import robustness
+from . import linalg, robustness
 from . import tessellation as tess
 from .errors import (
     CoverageGapError,
+    InvalidBudgetError,
     RegionExhaustedError,
     SelectionFailedError,
+    UnsupportedDimError,
     ValidationError,
 )
 from .metrics import _row_dots
@@ -744,11 +749,13 @@ class StabilityCertificate:
     worst: dict
     per_simplex: tuple
     params_checked: tuple
+    budget: dict
 
     def to_dict(self) -> dict:
-        return {"v": 1, "pass": self.ok, "worst": self.worst,
+        return {"v": 2, "pass": self.ok, "worst": self.worst,
                 "params": list(self.params_checked),
-                "per_simplex": [dict(d) for d in self.per_simplex]}
+                "per_simplex": [dict(d) for d in self.per_simplex],
+                "budget": dict(self.budget)}
 
 
 def _clearances(points: np.ndarray, centers, radii) -> np.ndarray:
@@ -759,17 +766,100 @@ def _clearances(points: np.ndarray, centers, radii) -> np.ndarray:
     return tess.sphere_neighbours(points, centers, n)[:, n + 1] - radii
 
 
+def _over_budget(family: ParamFamily) -> list:
+    """The parameters carrying an override longer than the budget
+    ``family.eps``, in the family's (lexicographic) order."""
+    return sorted({p for p, _, vec in family.overrides
+                   if float(np.linalg.norm(vec)) > family.eps})
+
+
 def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
                              family: ParamFamily, bundle) -> StabilityCertificate:
-    """Certify that the complex survives every parameter of the family:
-    per-translate the top simplices keep robustness, their circumcenters and
-    radii drift within (eps3 rF/2, eps3 rF), their spheres stay empty with
-    eps1 rF clearance, and the translate's Delaunay top simplices
-    (``tess.delaunay_top``, Qhull with the enumeration fallback) are
-    combinatorially identical to the complex's.
+    """Certify that the complex's top triangles are those of the Delaunay
+    complex (circles of radius <= d2) of the net moved by *any* displacement
+    field of sup-norm at most eta = ``family.eps``, with the bundle's drift,
+    clearance and robustness margins: one certificate for the whole budget,
+    so its cost does not depend on ``family.depth``.  Only a parameter with
+    an override longer than eta is checked on its own (step 4).  Planar
+    nets only: ``v2_constant`` bounds triangles.
+
+    Notation: S a top triangle with vertices y_0, y_1, y_2, U its edge
+    matrix (rows y_k - y_2), c and r its circumcenter and radius, e1 =
+    min(d1, separation of the net), spread(t) = (2 d2 + 2t)^2 - (2 d2)^2,
+    the most |det U| of rows <= 2 d2 changes when each vertex moves by t
+    (Hadamard's inequality).  The float slack eta_f = 64 u (max |coordinate|
+    + d2), u = 2^-53, is a vertex move that covers the rounding of an edge,
+    of a moved site and of a distance, and the backward error of the 2x2 LU
+    solve and determinant (rows moved by at most gamma_6 2 sqrt(2) d2).
+    Below, eta stands for family.eps + eta_f, so the certificate covers the
+    exact fields and their rounded translates alike.
+
+    1. Drift.  D(t, delta) = ``cs.displacement_bound`` bounds the move of
+       c when each vertex moves by t and every moved |det U| is >= delta;
+       r then moves by at most D + t.  (Directly: with U' = U + E, |E_k| <=
+       2t, c' - c = d_2 + U'^-1 (f - E x), |x| = r <= d2, |f_k| <=
+       2t (2 d2 + t) and ||U'^-1|| <= 2 sqrt(2) e3 / delta, so the move is
+       at most t (1 + 24 e3^2 / delta); the paper's estimate
+       t (1 + 16 sqrt(2) e3^2 / delta + 256 e3^4 / delta^2) exceeds that,
+       as delta <= |det U| <= (3 sqrt(3) / 2) r^2.)  S has sides >= e1 and
+       r <= d2, so |det U| >= v2 = ``v2_constant(e1, d2)``; with its own
+       computed determinant, delta_S = max(v2, |det U| - spread(eta_f))
+       - spread(eta) bounds every moved |det|, Delta c = D(eta, delta_S),
+       and each computed center, radius or distance of S is within
+       phi = D(eta_f, delta_S) + eta_f of its exact value.
+    2. Base in translate.  Every site moves by <= eta, so S keeps an empty
+       circle of radius <= d2, with the bundle's translate margins, when
+         clearance - 2 (Delta c + eta) >= eps1 rF   (translate_clearance)
+         d2 - r > Delta c + eta                     (translate_radius)
+         rho - eta delta_2 >= 1.5 eps2 rF           (translate_robustness)
+         Delta c <= eps3 rF / 2                     (center_drift)
+         Delta c + eta <= eps3 rF                   (radius_drift)
+       where rho - eta delta_2 is the paper's perturbed robustness rho_2
+       (``robustness.rho_m_recursion``; delta_2 = 2 + 16 (d2 + e1) / e1
+       exceeds the 2 + 8 d2 / e1 by which |y_0 y_1| and the height of y_2
+       over line y_0 y_1 can shrink: the line's direction turns by at most
+       4 eta / |y_0 y_1| and the foot of y_2 lies within 2 d2 of y_0).  The base margins rho >= 1.5 eps2 rF (robustness) and
+       clearance >= 2 eps1 rF (base_clearance) are checked as well, and
+       delta_S must stay above the degeneracy floor of
+       ``circumcenter_batch`` (circumcenter_exists).
+    3. Translate in base.  Let T be a top triangle of a translate that is
+       not in the complex: radius r' <= d2 and no moved site nearer its
+       center than r' (1 - EMPTY_RTOL).  Its sides are >= e1 - 2 eta, so
+       its moved |det| is >= ``v2_constant(e1 - 2 eta, d2)`` and its
+       unmoved one >= delta' = that - spread(eta).  With Delta c' =
+       D(eta, delta') and phi' = D(eta_f, delta') + eta_f, its base circle
+       has computed radius <= d2 + Delta c' + eta + phi' and no site
+       deeper inside it than 2 (Delta c' + eta + phi') + EMPTY_RTOL d2 (the
+       allowance).  Such triples, if not top triangles, are near misses;
+       they are sought among ``tess.small_spheres``, the enumeration of all
+       local triples that ``check_duality`` uses, not Qhull.  The near_miss
+       margin is the least (depth - allowance) over the small circles that
+       are not top triangles; when it is negative the certificate fails
+       with margin -inf and names the triple.
+    4. Over budget.  A parameter with an override longer than family.eps
+       runs the per-parameter check: its translate's circumcenters, the
+       margins robustness, translate_clearance, center_drift and
+       radius_drift there, and identity of ``tess.delaunay_top`` of the
+       translate with the complex (witness ``combinatorics``).
+
+    Float errors: each margin is reported net of its error bound and passes
+    when >= 0.  Clearances carry 2 phi (a center and a distance), the
+    radius margin phi, the robustness margins (delta_2 + 1) eta_f (edge
+    rounding is a vertex move of eta_f, the Gram volumes' own rounding a
+    few u rho < eta_f), the drift margins 2^-48 of the drift (a dozen
+    roundings of a closed form).  Per-simplex ``center_drift`` and
+    ``radius_drift`` are the certified bounds, raised to the drift measured
+    at an over-budget parameter where that is larger; ``budget`` records
+    eta, eta_f, the largest bounds, Delta c', the near-miss count and the
+    over-budget parameters.
     """
     n = net.dim
+    if n != 2:
+        raise UnsupportedDimError("family certification requires dim = 2: "
+                                  "v2_constant bounds triangles only")
     rF = bundle.rF
+    d2 = net.d2
+    pts = net.points
     rho_floor = 1.5 * bundle.eps2 * rF
     clear_base = 2.0 * bundle.eps1 * rF
     clear_trans = bundle.eps1 * rF
@@ -778,85 +868,138 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
 
     top = complex_.top(n)
     verts = np.array([s.vertices for s in top], dtype=np.int64).reshape(-1, n + 1)
-    base_pts = net.points
-    stacks = base_pts[verts]
-    centers = np.array([s.sphere.center for s in top])
-    radii = np.array([s.sphere.radius for s in top])
+    stacks = pts[verts]
+    centers, radii, valid = cs.circumcenter_batch(stacks)
 
     worst = {"quantity": None, "simplex": None, "param": None, "margin": math.inf}
-    records = [{"simplex": tuple(int(v) for v in s.vertices)} for s in top]
-
-    def note(quantity, margin, sidx, param):
-        if margin < worst["margin"]:
-            worst.update(quantity=quantity, margin=float(margin),
-                         simplex=(tuple(int(v) for v in top[sidx].vertices)
-                                  if sidx is not None else None),
-                         param=param)
-
     ok = True
-    if len(top):
-        rho = robustness.prefix_distances(stacks).min(axis=1)
-        m_rho = rho - rho_floor
-        m_clear = _clearances(base_pts, centers, radii) - clear_base
-        for i in range(len(top)):
-            records[i]["robustness_margin"] = float(m_rho[i])
-            records[i]["base_clearance_margin"] = float(m_clear[i])
-        i = int(np.argmin(m_rho))
-        note("robustness", m_rho[i], i, None)
-        i = int(np.argmin(m_clear))
-        note("base_clearance", m_clear[i], i, None)
-        if np.any(m_rho < 0) or np.any(m_clear < 0):
-            ok = False
 
-    base_set = {s.vertices for s in top}
-    center_drift = np.zeros(len(top))
-    radius_drift = np.zeros(len(top))
-    for param in family.params:
+    def note(quantity, margin, simplex, param, detail=None):
+        nonlocal ok
+        ok = ok and bool(margin >= 0)
+        if margin < worst["margin"]:
+            worst.update(quantity=quantity, margin=float(margin), param=param,
+                         simplex=None if simplex is None else
+                         tuple(int(v) for v in simplex))
+            worst.pop("detail", None)
+            if detail is not None:
+                worst["detail"] = detail
+
+    def check(quantity, margins, param=None):
+        if len(margins):
+            i = int(np.argmin(margins))
+            note(quantity, margins[i], verts[i], param)
+
+    if not np.all(valid):
+        note("circumcenter_exists", -math.inf, verts[np.argmin(valid)], None)
+    eta_f = 64.0 * 2.0 ** -53 * (float(np.max(np.abs(pts), initial=0.0)) + d2)
+    eta = family.eps + eta_f
+    e1 = min(net.d1, net.check_separation())
+    rho = robustness.prefix_distances(stacks).min(axis=1) if len(top) else np.zeros(0)
+    clearance = np.full(len(top), -np.inf)
+    if np.any(valid):
+        clearance[valid] = _clearances(pts, centers[valid], radii[valid])
+
+    def spread(t):
+        return (2.0 * d2 + 2.0 * t) ** 2 - (2.0 * d2) ** 2
+
+    def drift(t, delta):
+        """D(t, delta), and inf where delta is not positive."""
+        pos = delta > 0
+        b = cs.PerturbationBudget(e1=e1, e2=d2, eps=t, rho=rho_floor,
+                                  delta=np.where(pos, delta, 1.0))
+        return np.where(pos, cs.displacement_bound(b, n), np.inf)
+
+    dc = phi = np.full(len(top), np.inf)  # unbounded unless the budget's constants exist
+    rho_err = dc_nm = math.inf
+    near = None
+    try:
+        v2 = robustness.v2_constant(e1, d2)
+        v2_moved = robustness.v2_constant(e1 - 2.0 * eta, d2)
+        step = robustness.delta_m_sequence(e1, eta, e1, d2, n)[-1]
+    except InvalidBudgetError as exc:
+        note("budget", -math.inf, None, None, {"budget": str(exc)})
+    else:
+        det = np.abs(linalg.determinant(stacks[:, :-1] - stacks[:, -1:]))
+        delta = np.maximum(v2, det - spread(eta_f)) - spread(eta)
+        dc = drift(eta, delta)
+        phi = drift(eta_f, delta) + eta_f
+        rho_err = (step + 1.0) * eta_f
+        floor = linalg.DEGENERACY_REL * (2.0 * d2 + 2.0 * eta) ** n + spread(eta_f)
+        check("circumcenter_exists", delta - floor)
+        check("translate_robustness", rho - eta * step - rho_floor - rho_err)
+        check("translate_clearance",
+              clearance - 2.0 * (dc + eta) - clear_trans - 2.0 * phi)
+        check("translate_radius", d2 - radii - (dc + eta) - phi)
+        check("center_drift", drift_c_max - dc * (1.0 + 2.0 ** -48))
+        check("radius_drift", drift_r_max - (dc + eta) * (1.0 + 2.0 ** -48))
+
+        delta_nm = np.array(v2_moved - spread(eta))
+        dc_nm = float(drift(eta, delta_nm))
+        phi_nm = float(drift(eta_f, delta_nm)) + eta_f
+        allowance = 2.0 * (dc_nm + eta + phi_nm) + tess.EMPTY_RTOL * d2
+        rows, c, r = tess.small_spheres(pts, n, d2 + dc_nm + eta + phi_nm)
+        other = ~tess._rows_in(rows, verts, len(pts))
+        rows, c, r = rows[other], c[other], r[other]
+        depth = r - cKDTree(pts).query(c)[0] if len(rows) else np.zeros(0)
+        near = np.nonzero(depth <= allowance)[0]
+        if len(near):
+            note("near_miss", -math.inf, rows[near[0]], None,
+                 {"near_miss": rows[near[:8]].tolist()})
+        elif len(rows):
+            i = int(np.argmin(depth))
+            note("near_miss", depth[i] - allowance, rows[i], None)
+    rho_m = rho - rho_floor - rho_err
+    clear_m = clearance - clear_base - 2.0 * phi
+    check("robustness", rho_m)
+    check("base_clearance", clear_m)
+    over = _over_budget(family)
+    budget = {"eta": family.eps, "eta_float": eta_f,
+              "center_drift": float(dc.max(initial=0.0)),
+              "radius_drift": float(dc.max(initial=0.0)) + eta,
+              "near_miss_drift": dc_nm,
+              "near_miss": None if near is None else len(near),
+              "over_budget": over}
+
+    center_drift = dc.copy()
+    radius_drift = dc + eta
+    for param in over:
         tnet = translate_net(net, param, family)
         if len(top):
             tstacks = tnet.points[verts]
             tc, tr, tvalid = cs.circumcenter_batch(tstacks)
             if not np.all(tvalid):
-                ok = False
-                i = int(np.nonzero(~tvalid)[0][0])
-                note("circumcenter_exists", -math.inf, i, param)
+                note("circumcenter_exists", -math.inf,
+                     verts[int(np.nonzero(~tvalid)[0][0])], param)
                 continue
-            dc = np.linalg.norm(tc - centers, axis=1)
-            dr = np.abs(tr - radii)
-            trho = robustness.prefix_distances(tstacks).min(axis=1)
-            tclear = _clearances(tnet.points, tc, tr)
-            np.maximum(center_drift, dc, out=center_drift)
-            np.maximum(radius_drift, dr, out=radius_drift)
-            checks = (
-                ("robustness", trho - rho_floor),
-                ("translate_clearance", tclear - clear_trans),
-                ("center_drift", drift_c_max - dc),
-                ("radius_drift", drift_r_max - dr),
-            )
-            for quantity, margins in checks:
-                i = int(np.argmin(margins))
-                note(quantity, margins[i], i, param)
-                if margins[i] < 0:
-                    ok = False
+            dcp = np.linalg.norm(tc - centers, axis=1)
+            drp = np.abs(tr - radii)
+            np.maximum(center_drift, dcp, out=center_drift)
+            np.maximum(radius_drift, drp, out=radius_drift)
+            check("robustness", robustness.prefix_distances(tstacks).min(axis=1)
+                  - rho_floor, param)
+            check("translate_clearance",
+                  _clearances(tnet.points, tc, tr) - clear_trans, param)
+            check("center_drift", drift_c_max - dcp, param)
+            check("radius_drift", drift_r_max - drp, param)
         # combinatorial identity under translation
-        tverts = tess.delaunay_top(tnet.points, net.d2)[0]
+        tverts = tess.delaunay_top(tnet.points, d2)[0]
         if np.array_equal(tverts, verts):
             continue
-        tset = set(map(tuple, tverts.tolist()))
-        if tset != base_set:
-            ok = False
-            diff = sorted(tset ^ base_set)
-            note("combinatorics", -math.inf, None, param)
-            worst["detail"] = {"param": param, "symmetric_difference": [
-                [int(v) for v in t] for t in diff[:8]]}
-    for i, rec in enumerate(records):
-        rec["center_drift"] = float(center_drift[i])
-        rec["radius_drift"] = float(radius_drift[i])
+        diff = sorted(set(map(tuple, tverts.tolist())) ^ set(map(tuple, verts.tolist())))
+        if diff:
+            note("combinatorics", -math.inf, None, param,
+                 {"param": param, "symmetric_difference": [list(t) for t in diff[:8]]})
+
+    records = tuple(
+        {"simplex": tuple(row), "robustness_margin": a, "base_clearance_margin": b,
+         "center_drift": c, "radius_drift": r}
+        for row, a, b, c, r in zip(verts.tolist(), rho_m.tolist(), clear_m.tolist(),
+                                   center_drift.tolist(), radius_drift.tolist()))
     if worst["quantity"] is None:
         worst.update(quantity="empty_complex", margin=0.0)
-    return StabilityCertificate(ok=ok, worst=worst,
-                                per_simplex=tuple(records),
-                                params_checked=family.params)
+    return StabilityCertificate(ok=ok, worst=worst, per_simplex=records,
+                                params_checked=family.params, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ When the net is regular (no n+2 sites cospherical) the Delaunay
 triangulation is unique, so this equals the set of all empty small spheres.
 When it is not, or Qhull cannot triangulate the input, the kernel falls back
 to enumerating every (n+1)-subset of sites pairwise within 2*d2, which keeps
-all empty spheres of a cospherical configuration.  That enumeration is also
-the independent oracle of ``check_duality``.  Lower-dimensional simplices
+all empty spheres of a cospherical configuration.  That enumeration
+(``small_spheres``, vectorized from one ``cKDTree.query_pairs``) is also the
+independent oracle of ``check_duality`` and of the certifier's near-miss
+search.  Lower-dimensional simplices
 are the faces of the kept top simplices, each inheriting a witness sphere.
 Geometric realization is the iterated geodesic-cone map in vertex-creation
 order.
@@ -185,36 +187,104 @@ def star_neighborhood(net: Net, i: int) -> set:
     return out
 
 
+#: Rows per block of the enumeration and of ``small_spheres``: bounds the
+#: temporary arrays to a few MiB whatever the net's size.
+_BLOCK = 4096
+
+
 def _local_subsets(points: np.ndarray, n: int, reach: float) -> np.ndarray:
     """Sorted (n+1)-tuples of indices pairwise within ``reach``, as an
-    integer array of shape (M, n+1)."""
-    tree = cKDTree(points)
-    neigh = tree.query_ball_point(points, reach)
-    chunks = []
-    r2 = reach * reach
-    for i, cand in enumerate(neigh):
-        above = np.array(sorted(j for j in cand if j > i), dtype=np.int64)
-        if len(above) < n:
-            continue
-        sub = points[above]
-        diff = sub[:, None, :] - sub[None, :, :]
-        close = np.einsum("abk,abk->ab", diff, diff) <= r2
-        if n == 2:
-            a, b = np.nonzero(np.triu(close, 1))
-            if len(a):
-                chunks.append(np.column_stack([
-                    np.full(len(a), i, dtype=np.int64), above[a], above[b]]))
-        else:
-            rows = [
-                (i, *(int(above[c]) for c in combo))
-                for combo in itertools.combinations(range(len(above)), n)
-                if all(close[a][b] for a, b in itertools.combinations(combo, 2))
-            ]
-            if rows:
-                chunks.append(np.array(rows, dtype=np.int64))
-    if not chunks:
+    integer array of shape (M, n+1) in lexicographic order.
+
+    The pairs i < j within reach come from one ``cKDTree.query_pairs``
+    call.  They form each site's list of higher neighbours, and a tuple is
+    grown one vertex at a time from its least vertex i: the next vertex is
+    a later member of i's list, and its squared distance to every other
+    vertex of the tuple, summed by ``einsum``, must be at most reach^2.
+    Blocks of _BLOCK consecutive pairs are grown one after another.
+    """
+    m = len(points)
+    if m < n + 1:
         return np.zeros((0, n + 1), dtype=np.int64)
-    return np.vstack(chunks)
+    pairs = cKDTree(points).query_pairs(reach, output_type="ndarray").astype(np.int64)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    nbr = pairs[:, 1]
+    end = np.searchsorted(pairs[:, 0], np.arange(m), side="right")
+    r2 = reach * reach
+    out = [np.zeros((0, n + 1), dtype=np.int64)]
+    for lo in range(0, len(pairs), _BLOCK):
+        rows = pairs[lo:lo + _BLOCK]
+        pos = np.arange(lo, lo + len(rows))  # the last vertex's place in nbr
+        for _ in range(n - 1):
+            counts = end[rows[:, 0]] - pos - 1
+            parent = np.repeat(np.arange(len(rows)), counts)
+            kpos = np.arange(len(parent)) + np.repeat(pos + 1 - np.cumsum(counts) + counts,
+                                                      counts)
+            k = nbr[kpos]
+            close = np.ones(len(k), dtype=bool)
+            for col in range(1, rows.shape[1]):
+                diff = points[rows[parent, col]]
+                diff -= points[k]
+                close &= np.einsum("ak,ak->a", diff, diff) <= r2
+            rows = np.column_stack([rows[parent[close]], k[close]])
+            pos = kpos[close]
+        out.append(rows)
+    return np.concatenate(out)
+
+
+def _rows_in(rows: np.ndarray, kept: np.ndarray, m: int) -> np.ndarray:
+    """For each index row, whether it is a row of ``kept`` (indices < m),
+    tested on one integer key per row."""
+    k = rows.shape[1]
+    if m ** k < 2 ** 63:
+        w = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        return np.isin(rows @ w, kept @ w)
+    ids = np.unique(np.vstack([kept, rows]), axis=0, return_inverse=True)[1].ravel()
+    return np.isin(ids[len(kept):], ids[:len(kept)])
+
+
+def _sphere_rows(pts: np.ndarray, rows: np.ndarray, radius: float):
+    """The rows whose circumsphere is valid and of radius <= radius, in
+    their given order: (rows, centers, radii)."""
+    centers, radii, valid = cs.circumcenter_batch(pts[rows])
+    keep = valid & (radii <= radius)
+    return rows[keep], centers[keep], radii[keep]
+
+
+def _maybe_small(pts: np.ndarray, rows: np.ndarray, radius: float) -> np.ndarray:
+    """The planar rows that may have a circumsphere of radius <= radius,
+    by the closed form R = |u||v||u - v| / 2|det[u; v]| (u, v the edges to
+    the last vertex).  A row is dropped only when R > radius (1 + 1e-9) and
+    |det| >= 1e-4 cb^2, cb the longer edge: such a row has condition number
+    at most 2e4, so its solved radius and R agree to far better than 1e-9
+    relative, and the solve would drop it too.  Flatter rows are kept."""
+    u = pts[rows[:, 0]] - pts[rows[:, 2]]
+    v = pts[rows[:, 1]] - pts[rows[:, 2]]
+    w = u - v
+    uu, vv = np.einsum("ij,ij->i", u, u), np.einsum("ij,ij->i", v, v)
+    det = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    sides = np.sqrt(uu * vv * np.einsum("ij,ij->i", w, w))
+    return rows[(sides <= 2.0 * radius * (1.0 + 1e-9) * det)
+                | (det < 1e-4 * np.maximum(uu, vv))]
+
+
+def small_spheres(points, n: int, radius: float):
+    """Every (n+1)-subset of sites whose circumsphere is valid and of
+    radius <= ``radius``: (rows, centers, radii), the rows sorted and in
+    lexicographic order, each center bitwise the one ``circumcenter_batch``
+    gives the row on its own.  The candidates are the ``_local_subsets``
+    within 2*radius, solved in blocks of _BLOCK rows, and in the plane
+    thinned first by ``_maybe_small``.
+    """
+    pts = np.asarray(points, dtype=float)
+    rows = _local_subsets(pts, n, 2.0 * radius)
+    parts = [_sphere_rows(pts, rows[:0], radius)]
+    for lo in range(0, len(rows), _BLOCK):
+        block = rows[lo:lo + _BLOCK]
+        parts.append(_sphere_rows(pts, _maybe_small(pts, block, radius) if n == 2
+                                  else block, radius))
+    rows = block = None  # the candidates go before the kept rows are joined
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _qhull_simplices(pts: np.ndarray):
@@ -242,24 +312,28 @@ def sphere_neighbours(points: np.ndarray, centers: np.ndarray, n: int) -> np.nda
     return d
 
 
+def _empty_spheres(pts: np.ndarray, rows: np.ndarray, centers: np.ndarray,
+                   radii: np.ndarray, tol_cocirc: float):
+    """The rows whose sphere is empty of other sites, in lexicographic
+    order: (verts, centers, radii, regular)."""
+    n = pts.shape[1]
+    if not len(rows):
+        return rows, np.zeros((0, n)), np.zeros(0), True
+    d = sphere_neighbours(pts, centers, n)
+    empty = d[:, 0] >= radii * (1.0 - EMPTY_RTOL)
+    # an extra site within tol*radius of a kept sphere's surface makes n+2
+    # cospherical sites; sites deeper inside fail the emptiness test
+    regular = not bool(np.any(d[empty, n + 1] <= radii[empty] * (1.0 + tol_cocirc)))
+    keep = np.nonzero(empty)[0]
+    keep = keep[np.lexsort(rows[keep].T[::-1])]
+    return rows[keep], centers[keep], radii[keep], regular
+
+
 def _small_empty_spheres(pts: np.ndarray, rows: np.ndarray, d2: float,
                          tol_cocirc: float):
     """The rows whose circumsphere is valid, of radius <= d2 and empty of
     other sites, in lexicographic order: (verts, centers, radii, regular)."""
-    n = pts.shape[1]
-    if not len(rows):
-        return rows, np.zeros((0, n)), np.zeros(0), True
-    centers, radii, valid = cs.circumcenter_batch(pts[rows])
-    small = np.nonzero(valid & (radii <= d2))[0]
-    d = sphere_neighbours(pts, centers[small], n)
-    r = radii[small]
-    empty = d[:, 0] >= r * (1.0 - EMPTY_RTOL)
-    # an extra site within tol*radius of a kept sphere's surface makes n+2
-    # cospherical sites; sites deeper inside fail the emptiness test
-    regular = not bool(np.any(d[empty, n + 1] <= r[empty] * (1.0 + tol_cocirc)))
-    keep = small[empty]
-    keep = keep[np.lexsort(rows[keep].T[::-1])]
-    return rows[keep], centers[keep], radii[keep], regular
+    return _empty_spheres(pts, *_sphere_rows(pts, rows, d2), tol_cocirc)
 
 
 def delaunay_top(points, d2: float, tol_cocirc: float = COSPHERICAL_RTOL):
@@ -287,7 +361,7 @@ def delaunay_top(points, d2: float, tol_cocirc: float = COSPHERICAL_RTOL):
       triangulates their Delaunay cell with simplices sharing that small
       empty sphere, which are kept and fail regularity.
 
-    Falls back to the enumeration of ``_local_subsets`` when Qhull cannot
+    Falls back to the enumeration of ``small_spheres`` when Qhull cannot
     triangulate the points (fewer than n+1 of them, all in a hyperplane, or
     dimension 1), when it sets coincident points aside, or when its result
     is not regular: the enumeration keeps every empty sphere of a
@@ -299,8 +373,7 @@ def delaunay_top(points, d2: float, tol_cocirc: float = COSPHERICAL_RTOL):
         top = _small_empty_spheres(pts, rows, d2, tol_cocirc)
         if top[3]:
             return top
-    n = pts.shape[1]
-    return _small_empty_spheres(pts, _local_subsets(pts, n, 2.0 * d2), d2, tol_cocirc)
+    return _empty_spheres(pts, *small_spheres(pts, pts.shape[1], d2), tol_cocirc)
 
 
 def _face_closure(top: list, n: int) -> dict:
@@ -351,7 +424,7 @@ def check_duality(net: Net, complex_: DelaunayComplex,
     (n+1)-subset of interior sites whose circumsphere has radius <= d2 and
     whose circumcenter lies in all its cells, with no site inside the
     sphere, appears as a kept simplex.  The backward candidates come from
-    the ``_local_subsets`` enumeration, not from Qhull, so the check is
+    the ``small_spheres`` enumeration, not from Qhull, so the check is
     independent of the builder.  "In a cell" means no farther from the
     site than from the nearest site, up to rtol*max(1, distance).
     """
@@ -377,12 +450,9 @@ def check_duality(net: Net, complex_: DelaunayComplex,
         violations.append(("center_outside_cell", s.vertices,
                            int(verts[fwd[j], np.argmin(inside[j])])))
 
-    kept = {s.vertices for s in top}
-    rows = _local_subsets(pts, n, 2.0 * net.d2)
-    rows = rows[np.all(interior[rows], axis=1)]
-    c, r, valid = cs.circumcenter_batch(pts[rows])
-    small = np.nonzero(valid & (r <= net.d2))[0]
-    new = small[[row not in kept for row in map(tuple, rows[small].tolist())]]
+    rows, c, r = small_spheres(pts, n, net.d2)
+    new = np.nonzero(np.all(interior[rows], axis=1)
+                     & ~_rows_in(rows, verts, len(pts)))[0]
     dmin, inside = in_cells(rows[new], c[new])
     # in all n+1 cells and no site inside => the subset had an empty sphere
     missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - rtol))

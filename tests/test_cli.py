@@ -264,11 +264,18 @@ class TestBadCertifyArguments:
         assert self._certify(tiny_files, tmp_path, "--family-depth", depth) == 1
         assert "family.depth" in _one_line_error(capsys)
 
+    def test_family_depth_above_sixteen(self, tiny_files, tmp_path, capsys):
+        # 2^17 parameter strings would be built only to be listed
+        capsys.readouterr()
+        assert self._certify(tiny_files, tmp_path, "--family-depth", "17") == 1
+        assert "family.depth" in _one_line_error(capsys)
+
     @pytest.mark.parametrize("adv", [
         "bogus", "1:0", "1:x:1.0,0.0", "1:0:a,b",  # malformed
         "2:0:1.0,0.0", "11:0:1.0,0.0",  # not a parameter of depth 1
         "1:99999:1.0,0.0", "1:-1:1.0,0.0",  # index outside the net
         "1:0:1.0", "1:0:1.0,nan",  # not a finite 2-vector
+        "1:0:1e308,1e308", "1:0:0,-2e150",  # beyond jsonio.MAX_COORDINATE
     ])
     def test_bad_adversarial_override(self, tiny_files, tmp_path, capsys, adv):
         capsys.readouterr()

@@ -4,8 +4,9 @@ file may end in a Python traceback, and every exit is 0, 1 (validation),
 
 ``cli.main`` runs in-process, so an exception that escapes it fails the test
 with its traceback.  The examples are derandomized, so a run is repeatable;
-the value pools keep every command small (synthesized boxes below 1 rF,
-family depth at most 2), since the point is malformed input, not load.
+the value pools keep every command small (synthesized boxes below 1 rF;
+family depth 16, the largest accepted, certifies the whole displacement
+budget at once), since the point is malformed input, not load.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ VALUES = {
               "0,0,-1,1", ""],
     "--seed": ["0", "1", "-1", "x", "99999999999999999999"],
     "--family-seed": ["0", "1", "-1", "x", "99999999999999999999"],
-    "--family-depth": ["1", "2", "0", "-1", "x"],
+    "--family-depth": ["1", "2", "0", "-1", "x", "16", "17"],
     "--adversarial": ["1:0:1.0,0.0", "01:0:1,0", "1:0", "x", "1:99999:1,1",
                       "1:0:nan,0", "1:0:1e308,1e308", "1:-1:0,0"],
 }

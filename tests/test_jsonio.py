@@ -176,7 +176,7 @@ class TestCertificateIo:
             assert jsonio.certificate_from_dict(cert) == cert
 
     @pytest.mark.parametrize("change,path", [
-        (lambda c: {**c, "v": 2}, "certificate.v"),
+        (lambda c: {**c, "v": 1}, "certificate.v"),  # the schema before `budget`
         (lambda c: {**c, "pass": 1}, "certificate.pass"),
         (lambda c: {k: v for k, v in c.items() if k != "worst"}, "certificate.worst"),
         (lambda c: {**c, "worst": {**c["worst"], "simplex": [0.5]}},

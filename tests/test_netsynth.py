@@ -1,17 +1,21 @@
 import heapq
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from conftest import robustness_2d
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from delone import circumsphere as cs
 from delone import jsonio
 from delone import netsynth as nsy
 from delone import tessellation as tess
-from delone.errors import RegionExhaustedError, SelectionFailedError, ValidationError
+from delone.errors import (RegionExhaustedError, SelectionFailedError,
+                           UnsupportedDimError, ValidationError)
 
 
 def _allowed(p, xi, ball_r, annuli, slabs) -> bool:
@@ -588,6 +592,40 @@ def _rebuild_certificate(net, complex_, family, bundle) -> dict:
             "per_simplex": records}
 
 
+def _json(obj):
+    return json.loads(jsonio.dumps({"obj": obj}))["obj"]
+
+
+def _assert_covers_reference(cert, want, bundle):
+    """The budget certificate against the per-parameter reference: its pass
+    implies the reference's, its base margins are the reference's less at
+    most their float error bounds, and each certified drift bound is at
+    least the largest drift the reference measured."""
+    assert not cert.ok or want["pass"]
+    assert cert.params_checked == tuple(want["params"])
+    assert [r["simplex"] for r in cert.per_simplex] == \
+        [r["simplex"] for r in want["per_simplex"]]
+    for got, ref in zip(cert.per_simplex, want["per_simplex"]):
+        for key in ("robustness_margin", "base_clearance_margin"):
+            assert ref[key] - 1e-9 * bundle.rF <= got[key] <= ref[key]
+        assert got["center_drift"] >= ref["center_drift"]
+        assert got["radius_drift"] >= ref["radius_drift"]
+
+
+def _lattice_patch(bundle, rng, kind, jitter_rF, side=5):
+    """A side x side patch of a triangular or square lattice at spacing
+    0.142 rF, each site moved by up to jitter_rF rF: every square is
+    cocircular, no triangle of the triangular lattice is."""
+    s = 0.142 * bundle.rF
+    i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    if kind == "triangular":
+        pts = np.stack([(i + 0.5 * (j % 2)) * s, j * s * math.sqrt(3.0) / 2.0], axis=-1)
+    else:
+        pts = np.stack([i * s, j * s], axis=-1)
+    pts = pts.reshape(-1, 2) + rng.uniform(-1.0, 1.0, (side * side, 2)) * jitter_rF * bundle.rF
+    return tess.Net(dim=2, points=pts, d1=bundle.d1, d2=bundle.d2)
+
+
 class TestCertification:
     def test_pass(self, tiny, bundle2):
         net, cx = tiny
@@ -609,6 +647,8 @@ class TestCertification:
 
     def test_matches_rebuild_reference(self, tiny, bundle2, small_net_pack,
                                        small_complex):
+        # the same verdict as the per-parameter rebuild, the same witness
+        # where an override fails it, and every drift it saw covered
         # three sites: fewer than n+2, so no site lies off the one sphere
         s = 0.15 * bundle2.rF
         triangle = tess.Net(dim=2, points=[[0.0, 0.0], [s, 0.0], [0.5 * s, 0.8 * s]],
@@ -623,9 +663,92 @@ class TestCertification:
                 f = fam if override is None else fam.with_override(*override)
                 cert = nsy.certify_family_stability(net, cx, f, bundle2)
                 want = _rebuild_certificate(net, cx, f, bundle2)
-                assert jsonio.dumps(cert.to_dict()) == jsonio.dumps(want)
+                assert cert.ok == want["pass"]
+                _assert_covers_reference(cert, want, bundle2)
+                if not cert.ok:
+                    assert _json(cert.worst) == _json(want["worst"])
                 failed.update(() if cert.ok else [cert.worst["quantity"]])
         assert "combinatorics" in failed
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["triangular", "square"]),
+           jitter=st.sampled_from([0.0, 1e-13, 1e-9, 0.005, 0.02]),
+           eps_rF=st.sampled_from([0.0, 1.3e-12, 1e-10, 3e-9, 1e-7]),
+           depth=st.integers(1, 3),
+           override=st.sampled_from([None, "within", "beyond", "far"]))
+    def test_budget_pass_implies_reference_pass(self, bundle2, seed, kind, jitter,
+                                                eps_rF, depth, override):
+        rng = np.random.default_rng(seed)
+        net = _lattice_patch(bundle2, rng, kind, jitter)
+        cx = tess.build_delaunay(net, None)
+        fam = nsy.ParamFamily(depth=depth, dim=2, eps=eps_rF * bundle2.rF,
+                              scale=bundle2.rF, seed=seed % 997)
+        if override:
+            length = {"within": fam.eps, "beyond": 1e-6 * bundle2.rF,
+                      "far": 10.0 * bundle2.d1}[override]
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            fam = fam.with_override(fam.params[int(rng.integers(2 ** depth))],
+                                    int(rng.integers(len(net))),
+                                    [length * math.cos(angle), length * math.sin(angle)])
+        cert = nsy.certify_family_stability(net, cx, fam, bundle2)
+        _assert_covers_reference(cert, _rebuild_certificate(net, cx, fam, bundle2),
+                                 bundle2)
+
+    @pytest.mark.parametrize("radius_d2", [0.75, 1.0 + 1e-9])
+    def test_near_cocircular_net_fails_with_near_miss(self, bundle2, radius_d2):
+        # four sites on one circle, the last pushed out by 1e-10 of its
+        # radius (beyond EMPTY_RTOL, so only one diagonal's two triangles are
+        # kept): the other two (all four when the radius is just above d2)
+        # have circles far less deep than the drift allowance, so a translate
+        # within the budget may flip them
+        r = radius_d2 * bundle2.d2
+        angles = np.array([0.1, 1.7, 3.3, 4.6])
+        pts = r * np.column_stack([np.cos(angles), np.sin(angles)])
+        pts[3] *= 1.0 + 1e-10
+        net = tess.Net(dim=2, points=pts, d1=bundle2.d1, d2=bundle2.d2)
+        cx = tess.build_delaunay(net, None)
+        cert = nsy.certify_family_stability(net, cx, nsy.make_family(bundle2, depth=3),
+                                            bundle2)
+        assert not cert.ok
+        assert cert.worst["quantity"] == "near_miss"
+        assert cert.worst["margin"] == -math.inf
+        assert len(cert.worst["simplex"]) == 3
+        assert cert.worst["simplex"] not in {s.vertices for s in cx.top(2)}
+        assert cert.budget["near_miss"] >= 1
+        assert list(cert.worst["simplex"]) in cert.worst["detail"]["near_miss"]
+
+    def test_depth_independent(self, tiny, bundle2):
+        net, cx = tiny
+        certs = [nsy.certify_family_stability(net, cx, nsy.make_family(bundle2, depth=d),
+                                              bundle2) for d in (1, 8)]
+        assert certs[0].ok and len(certs[1].params_checked) == 256
+        for field in ("worst", "per_simplex", "budget"):
+            assert getattr(certs[0], field) == getattr(certs[1], field)
+
+    def test_planar_only(self, bundle2):
+        pts = np.eye(3) * 0.15 * bundle2.rF
+        net = tess.Net(dim=3, points=np.vstack([np.zeros(3), pts]), d1=bundle2.d1,
+                       d2=bundle2.d2)
+        with pytest.raises(UnsupportedDimError, match="dim = 2"):
+            nsy.certify_family_stability(net, tess.build_delaunay(net, None),
+                                         nsy.make_family(bundle2, depth=1, dim=3),
+                                         bundle2)
+
+    def test_only_overrides_beyond_the_budget_are_audited(self, tiny, bundle2, monkeypatch):
+        net, cx = tiny
+        fam = nsy.make_family(bundle2, depth=2)
+        audited = []
+        real = nsy.translate_net
+        monkeypatch.setattr(nsy, "translate_net",
+                            lambda net_, p, f: audited.append(p) or real(net_, p, f))
+        inside = fam.with_override("01", 0, [fam.eps, 0.0])
+        cert = nsy.certify_family_stability(net, cx, inside, bundle2)
+        assert cert.ok and cert.budget["over_budget"] == [] and audited == []
+        beyond = inside.with_override("10", 1, [0.0, 2.0 * fam.eps])
+        cert = nsy.certify_family_stability(net, cx, beyond, bundle2)
+        assert cert.budget["over_budget"] == ["10"] and audited == ["10"]
+        assert cert.params_checked == fam.params
 
 
 class TestProductStructure:

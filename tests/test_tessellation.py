@@ -229,6 +229,89 @@ class TestBuildDelaunay:
             assert got == ref
 
 
+def _local_subsets_loop(points, n, reach):
+    """The former per-site enumeration, kept as the reference of the
+    vectorized ``_local_subsets``: for each site i, its ball-query
+    neighbours j > i in ascending order, and every n-combination of them
+    pairwise within reach by an einsum distance test."""
+    tree = cKDTree(points)
+    neigh = tree.query_ball_point(points, reach)
+    chunks = []
+    r2 = reach * reach
+    for i, cand in enumerate(neigh):
+        above = np.array(sorted(j for j in cand if j > i), dtype=np.int64)
+        if len(above) < n:
+            continue
+        sub = points[above]
+        diff = sub[:, None, :] - sub[None, :, :]
+        close = np.einsum("abk,abk->ab", diff, diff) <= r2
+        if n == 2:
+            a, b = np.nonzero(np.triu(close, 1))
+            if len(a):
+                chunks.append(np.column_stack([
+                    np.full(len(a), i, dtype=np.int64), above[a], above[b]]))
+        else:
+            rows = [
+                (i, *(int(above[c]) for c in combo))
+                for combo in itertools.combinations(range(len(above)), n)
+                if all(close[a][b] for a, b in itertools.combinations(combo, 2))
+            ]
+            if rows:
+                chunks.append(np.array(rows, dtype=np.int64))
+    if not chunks:
+        return np.zeros((0, n + 1), dtype=np.int64)
+    return np.vstack(chunks)
+
+
+class TestLocalSubsets:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]),
+           st.integers(min_value=0, max_value=30),
+           st.sampled_from(["uniform", "grid", "pair"]))
+    def test_matches_per_site_loop(self, seed, n, count, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            # a quarter-unit grid with repeats: many pairs exactly reach apart
+            pts = rng.integers(0, 6, (count, n)) * 0.25
+            reach = float(rng.choice([0.25, 0.5, 1.0]))
+        else:
+            pts = rng.uniform(0.0, 1.0, (count, n))
+            reach = float(rng.uniform(0.2, 0.7))
+            if kind == "pair" and count >= 2:  # one pair exactly reach apart
+                reach = float(np.linalg.norm(pts[0] - pts[1]))
+        got = tess._local_subsets(pts, n, reach)
+        want = _local_subsets_loop(pts, n, reach)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_row_membership_keys(self):
+        # int64 keys, and the np.unique ids used when m^k would overflow them
+        rng = np.random.default_rng(4)
+        kept = np.sort(rng.integers(0, 9, (12, 3)), axis=1)
+        rows = np.vstack([kept[::3], np.sort(rng.integers(0, 9, (20, 3)), axis=1)])
+        want = [tuple(r) in set(map(tuple, kept.tolist())) for r in rows.tolist()]
+        assert tess._rows_in(rows, kept, 9).tolist() == want
+        assert tess._rows_in(rows, kept, 2 ** 40).tolist() == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]))
+    def test_small_spheres_prefilter_drops_nothing(self, seed, n):
+        # radius exactly some triple's, and near-collinear triples, so rows
+        # sit on both sides of the closed-form prefilter's cut
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, (int(rng.integers(3, 25)), n))
+        line = pts[0] + np.outer(rng.uniform(0.0, 0.5, 4), rng.standard_normal(n))
+        pts = np.vstack([pts, line + 1e-9 * rng.standard_normal((4, n))])
+        radius = float(cs.circumcenter_batch(pts[None, :n + 1])[1][0])
+        if not 0.0 < radius < 1.0:
+            radius = 0.4
+        got = tess.small_spheres(pts, n, radius)
+        want = tess._sphere_rows(pts, tess._local_subsets(pts, n, 2.0 * radius), radius)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)  # bitwise
+
+
 def _poisson(rng, count, min_sep):
     pts = []
     tries = 0
