@@ -835,7 +835,13 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        local triples that ``check_duality`` uses, not Qhull.  The near_miss
        margin is the least (depth - allowance) over the small circles that
        are not top triangles; when it is negative the certificate fails
-       with margin -inf and names the triple.
+       with margin -inf and names the triple.  T's drift must meet the
+       center-drift bound as S's does, Delta c' <= eps3 rF / 2; otherwise
+       (a d1 far below the sites' spacing, or a d2 far above it, or no
+       positive delta') the near_miss margin is eps3 rF / 2 - Delta c'
+       and nothing is enumerated.  So the search radius stays below
+       d2 + 2 eps3 rF, and as Delta c' grows with d2 / e1 the cap also
+       bounds how many sites lie within the enumeration's reach of a site.
     4. Over budget.  A parameter with an override longer than family.eps
        runs the per-parameter check: its translate's circumcenters, the
        margins robustness, translate_clearance, center_drift and
@@ -850,8 +856,8 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     roundings of a closed form).  Per-simplex ``center_drift`` and
     ``radius_drift`` are the certified bounds, raised to the drift measured
     at an over-budget parameter where that is larger; ``budget`` records
-    eta, eta_f, the largest bounds, Delta c', the near-miss count and the
-    over-budget parameters.
+    eta (family.eps), the largest bounds, the near-miss count (None when
+    nothing was enumerated) and the over-budget parameters.
     """
     n = net.dim
     if n != 2:
@@ -911,7 +917,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         return np.where(pos, cs.displacement_bound(b, n), np.inf)
 
     dc = phi = np.full(len(top), np.inf)  # unbounded unless the budget's constants exist
-    rho_err = dc_nm = math.inf
+    rho_err = math.inf
     near = None
     try:
         v2 = robustness.v2_constant(e1, d2)
@@ -937,27 +943,31 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         delta_nm = np.array(v2_moved - spread(eta))
         dc_nm = float(drift(eta, delta_nm))
         phi_nm = float(drift(eta_f, delta_nm)) + eta_f
-        allowance = 2.0 * (dc_nm + eta + phi_nm) + tess.EMPTY_RTOL * d2
-        rows, c, r = tess.small_spheres(pts, n, d2 + dc_nm + eta + phi_nm)
-        other = ~tess._rows_in(rows, verts, len(pts))
-        rows, c, r = rows[other], c[other], r[other]
-        depth = r - cKDTree(pts).query(c)[0] if len(rows) else np.zeros(0)
-        near = np.nonzero(depth <= allowance)[0]
-        if len(near):
-            note("near_miss", -math.inf, rows[near[0]], None,
-                 {"near_miss": rows[near[:8]].tolist()})
-        elif len(rows):
-            i = int(np.argmin(depth))
-            note("near_miss", depth[i] - allowance, rows[i], None)
+        bound_m = drift_c_max - dc_nm * (1.0 + 2.0 ** -48)
+        if not bound_m >= 0:  # inf or nan drift too: nothing is enumerated
+            note("near_miss", bound_m if bound_m < 0 else -math.inf, None, None,
+                 {"near_miss_drift": dc_nm})
+        else:
+            allowance = 2.0 * (dc_nm + eta + phi_nm) + tess.EMPTY_RTOL * d2
+            rows, c, r = tess.small_spheres(pts, n, d2 + dc_nm + eta + phi_nm)
+            other = ~tess._rows_in(rows, verts, len(pts))
+            rows, c, r = rows[other], c[other], r[other]
+            depth = r - cKDTree(pts).query(c)[0] if len(rows) else np.zeros(0)
+            near = np.nonzero(depth <= allowance)[0]
+            if len(near):
+                note("near_miss", -math.inf, rows[near[0]], None,
+                     {"near_miss": rows[near[:8]].tolist()})
+            elif len(rows):
+                i = int(np.argmin(depth))
+                note("near_miss", depth[i] - allowance, rows[i], None)
     rho_m = rho - rho_floor - rho_err
     clear_m = clearance - clear_base - 2.0 * phi
     check("robustness", rho_m)
     check("base_clearance", clear_m)
     over = _over_budget(family)
-    budget = {"eta": family.eps, "eta_float": eta_f,
+    budget = {"eta": family.eps,
               "center_drift": float(dc.max(initial=0.0)),
               "radius_drift": float(dc.max(initial=0.0)) + eta,
-              "near_miss_drift": dc_nm,
               "near_miss": None if near is None else len(near),
               "over_budget": over}
 

@@ -3,6 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -243,6 +244,28 @@ class TestPipeline:
         assert cert["pass"] is False
         assert cert["worst"]["param"] == "1"
         assert cert["worst"]["quantity"] is not None
+
+    def test_certify_net_with_lowered_d1_fails_fast(self, tmp_path, bundle_file,
+                                                     bundle2):
+        # a valid 3 rF net with d1 lowered 100x: the near-miss search would
+        # span ~1.5e8 triples; the drift bound on it fails the certificate
+        K = nsy.Region.box([0.0, 0.0], [3.0 * bundle2.rF, 3.0 * bundle2.rF])
+        net, _ = nsy.synthesize_net(K, bundle2, seed=1)
+        cx = tess.build_delaunay(net, None)
+        net_d = jsonio.net_to_dict(net)
+        net_d["d1"] = net.d1 / 100.0
+        jsonio.write(tmp_path / "net.json", net_d)
+        jsonio.write(tmp_path / "cx.json", jsonio.complex_to_dict(cx, net.dim))
+        out = tmp_path / "cert.json"
+        t0 = time.perf_counter()
+        rc = cli.main(["certify", "--net", str(tmp_path / "net.json"),
+                       "--complex", str(tmp_path / "cx.json"), "--bundle", bundle_file,
+                       "--family-depth", "2", "--out", str(out)])
+        assert time.perf_counter() - t0 < 30.0
+        assert rc == 2
+        cert = jsonio.read(out)
+        assert cert["worst"]["quantity"] == "near_miss"
+        assert cert["budget"]["near_miss"] is None
 
 
 def _one_line_error(capsys) -> str:

@@ -718,6 +718,29 @@ class TestCertification:
         assert cert.budget["near_miss"] >= 1
         assert list(cert.worst["simplex"]) in cert.worst["detail"]["near_miss"]
 
+    @pytest.mark.parametrize("d1_factor, d2_factor", [(1e-2, 1.0), (1e-6, 1.0),
+                                                      (1.0, 1e6)])
+    def test_unbounded_near_miss_drift_fails_before_enumerating(
+            self, tiny, bundle2, monkeypatch, d1_factor, d2_factor):
+        # a d1 far below the sites' spacing, or a d2 far above it, would
+        # make the near-miss search radius unbounded (every triple of the
+        # net); the translate-side drift bound fails first instead
+        net, cx = tiny
+        loose = tess.Net(dim=2, points=net.points, d1=net.d1 * d1_factor,
+                         d2=net.d2 * d2_factor, region=net.region)
+
+        def refuse(*args):
+            raise AssertionError("the near-miss set was enumerated")
+
+        monkeypatch.setattr(tess, "small_spheres", refuse)
+        cert = nsy.certify_family_stability(loose, cx, nsy.make_family(bundle2, depth=2),
+                                            bundle2)
+        assert not cert.ok
+        assert cert.worst["quantity"] == "near_miss"
+        assert cert.worst["margin"] < 0 and cert.worst["simplex"] is None
+        assert cert.worst["detail"]["near_miss_drift"] > bundle2.eps3 * bundle2.rF / 2.0
+        assert cert.budget["near_miss"] is None
+
     def test_depth_independent(self, tiny, bundle2):
         net, cx = tiny
         certs = [nsy.certify_family_stability(net, cx, nsy.make_family(bundle2, depth=d),

@@ -347,8 +347,9 @@ def _all_subsets_top(pts, d2, tol=tess.COSPHERICAL_RTOL):
 def _enumeration_top(pts, d2):
     """The kernel's enumeration path on its own."""
     n = pts.shape[1]
-    return tess._small_empty_spheres(pts, tess._local_subsets(pts, n, 2.0 * d2),
-                                     d2, tess.COSPHERICAL_RTOL)
+    rows = tess._local_subsets(pts, n, 2.0 * d2)
+    return tess._empty_spheres(pts, *tess._sphere_rows(pts, rows, d2),
+                               tess.COSPHERICAL_RTOL)
 
 
 def _kernel_case(kind, rng):
