@@ -3,8 +3,10 @@
 The circumcenter of n+1 affinely independent points in R^n is found from the
 linear system U xi = lambda(U)/2 where the rows of U are the edge vectors
 u_k = y_{k-1} - y_n against the last point as base, and lambda(U) collects
-their squared norms.  The closed-form stability estimates bound how far the
-center can move when every vertex moves by at most eps.
+their squared norms.  ``circumcenter_batch`` is the one kernel: Cramer's rule
+in the plane, LAPACK's batched solve above.  The closed-form stability
+estimates bound how far the center can move when every vertex moves by at
+most eps.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateError, InvalidBudgetError
-
-#: Relative equidistance tolerance for a valid circumsphere.
-EQUIDISTANCE_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CircumSphere:
@@ -62,7 +60,8 @@ def edge_matrix(pts: np.ndarray) -> np.ndarray:
 
 
 def circumcenter(pts) -> CircumSphere:
-    """Circumsphere of n+1 affinely independent points in R^n.
+    """Circumsphere of n+1 affinely independent points in R^n: row 0 of
+    ``circumcenter_batch``.
 
     Raises DegenerateError when the points are affinely dependent beyond
     the scale-relative degeneracy floor.
@@ -71,42 +70,54 @@ def circumcenter(pts) -> CircumSphere:
     m, n = p.shape
     if m != n + 1:
         raise ValueError(f"need n+1 points in R^n, got {m} points in R^{n}")
-    u = edge_matrix(p)
-    lam = np.sum(u * u, axis=1)
-    try:
-        xi = linalg.solve_linear(u, 0.5 * lam)
-    except DegenerateError as exc:
-        raise DegenerateError(f"affinely dependent points: {exc}") from exc
-    center = xi + p[-1]
-    dists = np.linalg.norm(p - center, axis=1)
-    radius = float(dists[-1])
-    return CircumSphere(center=center, radius=radius)
+    centers, radii, valid = circumcenter_batch(p[None])
+    if not valid[0]:
+        raise DegenerateError("affinely dependent points: |det U| below the "
+                              "degeneracy floor")
+    return CircumSphere(center=centers[0], radius=float(radii[0]))
 
 
 def circumcenter_batch(pts: np.ndarray):
     """Vectorized circumcenters for a stack of simplices.
 
     pts has shape (m, n+1, n).  Returns (centers, radii, valid) where valid
-    flags the simplices above the degeneracy floor.  Degenerate rows carry
-    NaN centers and infinite radii.
+    flags the simplices with |det U| >= DEGENERACY_REL cb^n, cb the longest
+    edge to the last vertex.  Degenerate rows carry NaN centers and infinite
+    radii.  Each row is computed on its own, so its bits do not depend on
+    the stack it comes in.
+
+    In the plane, with a, b the rows of U, Cramer's rule gives
+      c - y_2 = (|a|^2 b_1 - |b|^2 a_1, |b|^2 a_0 - |a|^2 b_0) / (2 det U)
+    and r = |c - y_2|.  It is forward stable: for float edges, the computed
+    c - y_2 is within
+      gamma_6 (|a|^2 |b| + |b|^2 |a| + 2 r |a| |b|) / (2 |det U|)
+    of the exact one, with det U as computed, gamma_k = k u / (1 - k u) and
+    u = 2^-53 (the numerators carry gamma_4 (|a|^2 |b| + |b|^2 |a|), the
+    determinant gamma_2 |a| |b|, the quotient one more rounding).  Above
+    the plane the center is LAPACK's batched solve.
     """
     p = np.asarray(pts, dtype=float)
     m, k, n = p.shape
     if k != n + 1:
         raise ValueError("expected stacks of n+1 points in R^n")
-    u = p[:, :-1, :] - p[:, -1:, :]  # (m, n, n)
-    lam = np.sum(u * u, axis=2)  # (m, n)
-    det = np.linalg.det(u)
-    cb = np.maximum(np.max(np.linalg.norm(u, axis=2), axis=1), 1e-300)
+    # coordinates first, so every elementwise step runs along the stack
+    q = np.ascontiguousarray(p.transpose(1, 2, 0))  # (n+1, n, m)
+    u = q[:-1] - q[-1]  # u[i, j] = (y_i - y_n)_j
+    lam = np.sum(u * u, axis=1)  # (n, m)
+    det = linalg.determinant(u.transpose(2, 0, 1))
+    cb = np.maximum(np.sqrt(np.max(lam, axis=0)), 1e-300)
     valid = np.abs(det) >= linalg.DEGENERACY_REL * cb**n
-    centers = np.full((m, n), np.nan)
-    radii = np.full(m, np.inf)
-    if np.any(valid):
-        xi = np.linalg.solve(u[valid], 0.5 * lam[valid][..., None])[..., 0]
-        c = xi + p[valid, -1, :]
-        centers[valid] = c
-        radii[valid] = np.linalg.norm(p[valid, -1, :] - c, axis=1)
-    return centers, radii, valid
+    if n == 2:
+        den = 2.0 * np.where(valid, det, np.nan)
+        xi = np.stack([(lam[0] * u[1, 1] - lam[1] * u[0, 1]) / den,
+                       (lam[1] * u[0, 0] - lam[0] * u[1, 0]) / den])
+    else:
+        xi = np.full((n, m), np.nan)
+        if np.any(valid):
+            xi[:, valid] = np.linalg.solve(u.transpose(2, 0, 1)[valid],
+                                           0.5 * lam[:, valid].T[..., None])[..., 0].T
+    radii = np.where(valid, np.sqrt(np.sum(xi * xi, axis=0)), np.inf)
+    return np.ascontiguousarray((xi + q[-1]).T), radii, valid
 
 
 def displacement_bound(budget: PerturbationBudget, n: int):

@@ -348,11 +348,13 @@ def _check_simplex(v, path: str) -> None:
 
 def certificate_from_dict(d: dict) -> dict:
     """Check a certificate as ``render`` reads it and return it: its version
-    (2, the schema with the ``budget`` object), a bool ``pass``, a ``worst``
-    object, a ``budget`` object, and ``per_simplex`` records that each name
-    a ``simplex`` of integers and carry numeric ``*_margin`` values."""
-    _check_version(d, "certificate", 2)
+    (3, the schema that names the family by ``depth`` and ``seed``), a bool
+    ``pass``, a ``worst`` object, ``family`` and ``budget`` objects, and
+    ``per_simplex`` records that each name a ``simplex`` of integers and
+    carry numeric ``*_margin`` values."""
+    _check_version(d, "certificate", 3)
     _require(d, "pass", bool, "certificate")
+    _require(d, "family", dict, "certificate")
     _require(d, "budget", dict, "certificate")
     worst = _require(d, "worst", dict, "certificate")
     if worst.get("simplex") is not None:

@@ -19,11 +19,6 @@ MAX_DIM = 8
 DEGENERACY_REL = 1e-12
 
 
-def degeneracy_floor(column_bound: float, n: int) -> float:
-    """Scale-relative determinant floor below which a matrix is degenerate."""
-    return DEGENERACY_REL * float(column_bound) ** n
-
-
 def _det_cofactor(m: np.ndarray):
     """Cofactor expansion along the first row of a (..., n, n) stack, n <= 4."""
     n = m.shape[-1]
@@ -66,23 +61,6 @@ def column_norm_bound(m) -> float:
     """Largest Euclidean column norm of a matrix."""
     a = np.asarray(m, dtype=float)
     return float(np.max(np.linalg.norm(a, axis=0)))
-
-
-def solve_linear(m, b) -> np.ndarray:
-    """Solve M x = b for a well-conditioned square system.
-
-    Raises DegenerateError when |det M| is below the scale-relative floor.
-    """
-    a = np.asarray(m, dtype=float)
-    rhs = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    det = determinant(a)
-    floor = degeneracy_floor(max(column_norm_bound(a), 1e-300), n)
-    if abs(det) < floor:
-        raise DegenerateError(
-            f"|det| = {abs(det):.3e} below degeneracy floor {floor:.3e}"
-        )
-    return np.linalg.solve(a, rhs)
 
 
 def inverse_norm_bound(m, column_bound: float) -> float:

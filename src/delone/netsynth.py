@@ -7,7 +7,9 @@ d2''-penumbras of the current net, excludes thin forbidden regions inside
 that ball (annular neighborhoods of circumscribed circles of local simplices
 and thickenings of local affine patches), and selects a point in the
 remainder.  The excluded widths guarantee empty-sphere clearance and
-properly-ordered robustness for every simplex of the final net.
+properly-ordered robustness for every simplex of the final net.  The
+circles come from ``circumsphere.circumcenter_batch``, the kernel the
+Delaunay build and the certifier use.
 ``forbidden_mask`` is the one membership test for the forbidden regions: the
 point selection and the sampled audit both call it.  ``synthesize_net``
 returns the net and a ``SynthesisReport``.
@@ -350,28 +352,6 @@ def _triple_pack(s: int):
     return tri[:m], iab[:m], iac[:m], ibc[:m]
 
 
-def _circumcircles_2d(a, b, c):
-    """Vectorized circumcircles of 2D triples; degenerate rows flagged.
-    Kept apart from ``cs.circumcenter_batch``, which gives the same nets but
-    costs more per call at the few dozen rows of a synthesis step."""
-    ax, ay = a[:, 0], a[:, 1]
-    bx, by = b[:, 0], b[:, 1]
-    cx, cy = c[:, 0], c[:, 1]
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    scale = np.maximum(
-        np.maximum(np.hypot(bx - ax, by - ay), np.hypot(cx - ax, cy - ay)),
-        1e-300)
-    valid = np.abs(d) > 2e-12 * scale**2
-    dsafe = np.where(valid, d, 1.0)
-    na = ax * ax + ay * ay
-    nb = bx * bx + by * by
-    nc = cx * cx + cy * cy
-    ux = (na * (by - cy) + nb * (cy - ay) + nc * (ay - by)) / dsafe
-    uy = (na * (cx - bx) + nb * (ax - cx) + nc * (bx - ax)) / dsafe
-    r = np.hypot(ux - ax, uy - ay)
-    return np.stack([ux, uy], axis=1), r, valid
-
-
 def forbidden_regions(net_points, xi_prime, bundle):
     """(annuli, slabs) for the selection ball B(xi_prime, rF/200).
 
@@ -452,8 +432,7 @@ def forbidden_regions(net_points, xi_prime, bundle):
         cand = nondeg & (np.abs(det) <= thr)
         if np.any(cand):
             t = tri[cand]
-            centers, radii, valid = _circumcircles_2d(
-                omega[t[:, 0]], omega[t[:, 1]], omega[t[:, 2]])
+            centers, radii, valid = cs.circumcenter_batch(omega[t])
             reach = np.abs(np.linalg.norm(centers - xi, axis=1) - radii) \
                 <= ball_r + w_ann
             sel = valid & reach & (radii <= cap_r)
@@ -745,15 +724,20 @@ def translate_net(net: tess.Net, param: str, family: ParamFamily) -> tess.Net:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
+    """The verdict for one family.  ``params_checked`` lists every parameter
+    the verdict covers; the JSON form names the family by ``depth`` and
+    ``seed`` instead, which determine that list."""
+
     ok: bool
     worst: dict
     per_simplex: tuple
     params_checked: tuple
+    family: dict  # {"depth", "seed"}
     budget: dict
 
     def to_dict(self) -> dict:
-        return {"v": 2, "pass": self.ok, "worst": self.worst,
-                "params": list(self.params_checked),
+        return {"v": 3, "pass": self.ok, "worst": self.worst,
+                "family": dict(self.family),
                 "per_simplex": [dict(d) for d in self.per_simplex],
                 "budget": dict(self.budget)}
 
@@ -789,10 +773,11 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     the most |det U| of rows <= 2 d2 changes when each vertex moves by t
     (Hadamard's inequality).  The float slack eta_f = 64 u (max |coordinate|
     + d2), u = 2^-53, is a vertex move that covers the rounding of an edge,
-    of a moved site and of a distance, and the backward error of the 2x2 LU
-    solve and determinant (rows moved by at most gamma_6 2 sqrt(2) d2).
-    Below, eta stands for family.eps + eta_f, so the certificate covers the
-    exact fields and their rounded translates alike.
+    of a moved site and of a distance; the computed |det U| is within
+    gamma_2 |a| |b| <= gamma_2 4 d2^2 < 512 u d2^2 <= spread(eta_f) of the
+    exact one (a, b the rows of U, gamma_k = k u / (1 - k u)).  Below, eta
+    stands for family.eps + eta_f, so the certificate covers the exact
+    fields and their rounded translates alike.
 
     1. Drift.  D(t, delta) = ``cs.displacement_bound`` bounds the move of
        c when each vertex moves by t and every moved |det U| is >= delta;
@@ -806,7 +791,14 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        computed determinant, delta_S = max(v2, |det U| - spread(eta_f))
        - spread(eta) bounds every moved |det|, Delta c = D(eta, delta_S),
        and each computed center, radius or distance of S is within
-       phi = D(eta_f, delta_S) + eta_f of its exact value.
+       phi = D(eta_f, delta_S) + eta_f of its exact value: the closed form
+       of ``circumcenter_batch`` puts the computed c - y_2 within
+         gamma_6 (|a|^2 |b| + |b|^2 |a| + 2 r |a| |b|) / (2 |det U|)
+           <= gamma_6 12 d2^3 / delta_S
+       of the exact one (edges <= 2 d2, r <= d2, and delta_S is below the
+       computed |det U|), while D(eta_f, delta_S) >= eta_f 16 sqrt(2) d2^2 /
+       delta_S >= 64 u 16 sqrt(2) d2^3 / delta_S, and eta_f covers the
+       rounding of c, of r and of a distance.
     2. Base in translate.  Every site moves by <= eta, so S keeps an empty
        circle of radius <= d2, with the bundle's translate margins, when
          clearance - 2 (Delta c + eta) >= eps1 rF   (translate_clearance)
@@ -827,7 +819,8 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        center than r' (1 - EMPTY_RTOL).  Its sides are >= e1 - 2 eta, so
        its moved |det| is >= ``v2_constant(e1 - 2 eta, d2)`` and its
        unmoved one >= delta' = that - spread(eta).  With Delta c' =
-       D(eta, delta') and phi' = D(eta_f, delta') + eta_f, its base circle
+       D(eta, delta') and phi' = D(eta_f, delta') + eta_f (step 1's float
+       argument with delta' for delta_S), its base circle
        has computed radius <= d2 + Delta c' + eta + phi' and no site
        deeper inside it than 2 (Delta c' + eta + phi') + EMPTY_RTOL d2 (the
        allowance).  Such triples, if not top triangles, are near misses;
@@ -1009,7 +1002,9 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     if worst["quantity"] is None:
         worst.update(quantity="empty_complex", margin=0.0)
     return StabilityCertificate(ok=ok, worst=worst, per_simplex=records,
-                                params_checked=family.params, budget=budget)
+                                params_checked=family.params,
+                                family={"depth": family.depth, "seed": family.seed},
+                                budget=budget)
 
 
 # ---------------------------------------------------------------------------

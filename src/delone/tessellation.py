@@ -15,8 +15,10 @@ to enumerating every (n+1)-subset of sites pairwise within 2*d2, which keeps
 all empty spheres of a cospherical configuration.  That enumeration
 (``small_spheres``, vectorized from one ``cKDTree.query_pairs``) is also the
 independent oracle of ``check_duality`` and of the certifier's near-miss
-search.  Lower-dimensional simplices
-are the faces of the kept top simplices, each inheriting a witness sphere.
+search.  Both branches take every center from
+``circumsphere.circumcenter_batch``, whose rows do not depend on the batch,
+so they give equal bits.  Lower-dimensional simplices are the faces of the
+kept top simplices, each inheriting a witness sphere.
 Geometric realization is the iterated geodesic-cone map in vertex-creation
 order.
 """
@@ -252,39 +254,18 @@ def _sphere_rows(pts: np.ndarray, rows: np.ndarray, radius: float):
     return rows[keep], centers[keep], radii[keep]
 
 
-def _maybe_small(pts: np.ndarray, rows: np.ndarray, radius: float) -> np.ndarray:
-    """The planar rows that may have a circumsphere of radius <= radius,
-    by the closed form R = |u||v||u - v| / 2|det[u; v]| (u, v the edges to
-    the last vertex).  A row is dropped only when R > radius (1 + 1e-9) and
-    |det| >= 1e-4 cb^2, cb the longer edge: such a row has condition number
-    at most 2e4, so its solved radius and R agree to far better than 1e-9
-    relative, and the solve would drop it too.  Flatter rows are kept."""
-    u = pts[rows[:, 0]] - pts[rows[:, 2]]
-    v = pts[rows[:, 1]] - pts[rows[:, 2]]
-    w = u - v
-    uu, vv = np.einsum("ij,ij->i", u, u), np.einsum("ij,ij->i", v, v)
-    det = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-    sides = np.sqrt(uu * vv * np.einsum("ij,ij->i", w, w))
-    return rows[(sides <= 2.0 * radius * (1.0 + 1e-9) * det)
-                | (det < 1e-4 * np.maximum(uu, vv))]
-
-
 def small_spheres(points, n: int, radius: float):
     """Every (n+1)-subset of sites whose circumsphere is valid and of
     radius <= ``radius``: (rows, centers, radii), the rows sorted and in
     lexicographic order, each center bitwise the one ``circumcenter_batch``
     gives the row on its own.  The candidates are the ``_local_subsets``
-    within 2*radius, solved in blocks of _BLOCK rows, and in the plane
-    thinned first by ``_maybe_small``.
+    within 2*radius, solved in blocks of _BLOCK rows.
     """
     pts = np.asarray(points, dtype=float)
     rows = _local_subsets(pts, n, 2.0 * radius)
-    parts = [_sphere_rows(pts, rows[:0], radius)]
-    for lo in range(0, len(rows), _BLOCK):
-        block = rows[lo:lo + _BLOCK]
-        parts.append(_sphere_rows(pts, _maybe_small(pts, block, radius) if n == 2
-                                  else block, radius))
-    rows = block = None  # the candidates go before the kept rows are joined
+    parts = [_sphere_rows(pts, rows[lo:lo + _BLOCK], radius)
+             for lo in range(0, max(len(rows), 1), _BLOCK)]
+    rows = None  # the candidates go before the kept rows are joined
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delone import circumsphere as cs
+from delone import linalg
 from delone.errors import DegenerateError, InvalidBudgetError
 
 
@@ -69,6 +71,94 @@ class TestCircumcenterBatch:
         centers, radii, valid = cs.circumcenter_batch(np.stack([good, bad]))
         assert valid[0] and not valid[1]
         assert np.isinf(radii[1])
+
+
+def _lapack_valid(pts):
+    """The validity flags of the body ``circumcenter_batch`` had for every
+    n, with LAPACK's batched ``det``: the reference for the planar branch."""
+    p = np.asarray(pts, dtype=float)
+    n = p.shape[2]
+    u = p[:, :-1, :] - p[:, -1:, :]
+    det = np.linalg.det(u)
+    cb = np.maximum(np.max(np.linalg.norm(u, axis=2), axis=1), 1e-300)
+    return np.abs(det) >= linalg.DEGENERACY_REL * cb**n
+
+
+def _gamma(k):
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
+def _planar_triangles(rng, kind):
+    """A stack of triangles: random at scales 1e-3 to 1e3, with |det U| from
+    a tenth to ten times the validity floor, or unit-sized and offset 1e6
+    from the origin."""
+    m = 16
+    if kind == "random":
+        return rng.uniform(-1.0, 1.0, (m, 3, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1, 1))
+    if kind == "offset":
+        shift = 1e6 * rng.choice([-1.0, 1.0], (m, 1, 2))
+        return rng.uniform(-1.0, 1.0, (m, 3, 2)) + shift
+    # near the floor: y_1 lies off line y_0 y_2 by a height giving |det U| =
+    # k DEGENERACY_REL |u|^2, |u| = |y_0 - y_2| the longest edge to y_2
+    y0, y2 = rng.uniform(-1.0, 1.0, (2, m, 2))
+    e = y0 - y2
+    normal = np.stack([-e[:, 1], e[:, 0]], axis=1)
+    k = 10.0 ** rng.uniform(-1.0, 1.0, (m, 1))
+    y1 = y2 + rng.uniform(0.1, 0.9, (m, 1)) * e + k * linalg.DEGENERACY_REL * normal
+    return np.stack([y0, y1, y2], axis=1)
+
+
+def _exact_planar(p):
+    """Exact c - y_2, |det U| and r^2 of a triangle's float edges, as
+    Fractions, the edges rounded as the kernel rounds them."""
+    u = p[:2] - p[2]
+    (u0, u1), (v0, v1) = [[Fraction(float(x)) for x in row] for row in u]
+    uu, vv = u0 * u0 + u1 * u1, v0 * v0 + v1 * v1
+    det = u0 * v1 - u1 * v0
+    xi = ((uu * v1 - vv * u1) / (2 * det), (vv * u0 - uu * v0) / (2 * det))
+    return xi, abs(det), xi[0] ** 2 + xi[1] ** 2
+
+
+class TestPlanarKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["random", "floor", "offset"]))
+    def test_forward_error_bound(self, seed, kind):
+        pts = _planar_triangles(np.random.default_rng(seed), kind)
+        centers, radii, valid = cs.circumcenter_batch(pts)
+        ref_valid = _lapack_valid(pts)
+        for i, p in enumerate(pts):
+            alone = cs.circumcenter_batch(p[None])
+            assert alone[2][0] == valid[i]
+            assert np.array_equal(alone[0][0], centers[i], equal_nan=True)
+            assert alone[1][0] == radii[i]
+            xi, det, r2 = _exact_planar(p)
+            u = p[:2] - p[2]
+            floor = linalg.DEGENERACY_REL * float(np.max(np.sum(u * u, axis=1)))
+            if not 0.99 * floor <= det <= 1.01 * floor:  # away from the floor
+                assert valid[i] == ref_valid[i]
+            if not valid[i]:
+                assert np.all(np.isnan(centers[i])) and radii[i] == np.inf
+                continue
+            # the written bound, with |det U| as the kernel computes it; its
+            # own float evaluation carries a relative 64 u
+            lu, lv = np.linalg.norm(u, axis=1)
+            r = math.sqrt(float(r2))
+            x = (lu * lu * lv + lv * lv * lu + 2.0 * r * lu * lv) \
+                / (2.0 * abs(linalg.determinant(u)))
+            slack = 1.0 + 64.0 * 2.0 ** -53
+            exact_c = [xi[k] + Fraction(float(p[2, k])) for k in range(2)]
+            err = math.hypot(*(float(Fraction(float(centers[i, k])) - exact_c[k])
+                               for k in range(2)))
+            # plus the rounding of c = (c - y_2) + y_2
+            assert err <= (_gamma(6) * x + 2.0 ** -53 * math.hypot(
+                *(float(c) for c in exact_c))) * slack
+            assert abs(radii[i] - r) <= (_gamma(6) * x + _gamma(5) * r) * slack
+
+    def test_empty_stack(self):
+        centers, radii, valid = cs.circumcenter_batch(np.zeros((0, 3, 2)))
+        assert centers.shape == (0, 2) and radii.shape == (0,) and valid.shape == (0,)
 
 
 class TestBounds:

@@ -156,12 +156,12 @@ class TestComplexIo:
             jsonio.complex_from_dict({**d, "dim": 3}, net)
 
 
-def _certificate(bundle, override=None) -> dict:
+def _certificate(bundle, override=None, depth=1) -> dict:
     """A certificate of the triangle net, as loaded back from its JSON."""
     s = 0.15 * bundle.rF
     net = tess.Net(dim=2, points=[[0.0, 0.0], [s, 0.0], [0.5 * s, 0.8 * s]],
                    d1=bundle.d1, d2=bundle.d2)
-    fam = nsy.make_family(bundle, depth=1)
+    fam = nsy.make_family(bundle, depth=depth)
     if override:
         fam = fam.with_override("1", 0, override)
     cert = nsy.certify_family_stability(net, tess.build_delaunay(net, None), fam, bundle)
@@ -175,8 +175,15 @@ class TestCertificateIo:
             assert cert["pass"] is (override is None)
             assert jsonio.certificate_from_dict(cert) == cert
 
+    def test_size_does_not_grow_with_depth(self, bundle2):
+        # the family is recorded by depth and seed, not by its 2^depth strings
+        shallow, deep = (_certificate(bundle2, depth=d) for d in (2, 16))
+        assert deep["family"] == {"depth": 16, "seed": 0}
+        assert len(jsonio.dumps(deep)) <= len(jsonio.dumps(shallow)) + 8
+
     @pytest.mark.parametrize("change,path", [
         (lambda c: {**c, "v": 1}, "certificate.v"),  # the schema before `budget`
+        (lambda c: {k: v for k, v in c.items() if k != "family"}, "certificate.family"),
         (lambda c: {**c, "pass": 1}, "certificate.pass"),
         (lambda c: {k: v for k, v in c.items() if k != "worst"}, "certificate.worst"),
         (lambda c: {**c, "worst": {**c["worst"], "simplex": [0.5]}},

@@ -72,27 +72,6 @@ class TestDeterminant:
             float(np.linalg.det(m)), rel=1e-9, abs=1e-12)
 
 
-class TestSolveLinear:
-    def test_identity(self):
-        assert np.allclose(linalg.solve_linear(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_diagonal(self):
-        x = linalg.solve_linear(np.diag([2.0, 4.0]), [2.0, 4.0])
-        assert np.allclose(x, [1.0, 1.0])
-
-    def test_residual_oracle(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            m = _random_matrix(rng, 4) + 4.0 * np.eye(4)
-            b = rng.standard_normal(4)
-            x = linalg.solve_linear(m, b)
-            assert np.linalg.norm(m @ x - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
-
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateError):
-            linalg.solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
-
-
 class TestInverseNormBound:
     def test_identity(self):
         assert linalg.inverse_norm_bound(np.eye(2), 1.0) == 2.0

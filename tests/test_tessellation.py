@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -296,9 +297,11 @@ class TestLocalSubsets:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]))
-    def test_small_spheres_prefilter_drops_nothing(self, seed, n):
+    def test_small_spheres_blocked_equals_unblocked(self, seed, n):
         # radius exactly some triple's, and near-collinear triples, so rows
-        # sit on both sides of the closed-form prefilter's cut
+        # sit on both sides of the radius cut and of the degeneracy floor;
+        # blocks of 5 rows, in the enumeration and in the solves, must give
+        # the bits of one solve over every enumerated row
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.0, 1.0, (int(rng.integers(3, 25)), n))
         line = pts[0] + np.outer(rng.uniform(0.0, 0.5, 4), rng.standard_normal(n))
@@ -306,7 +309,8 @@ class TestLocalSubsets:
         radius = float(cs.circumcenter_batch(pts[None, :n + 1])[1][0])
         if not 0.0 < radius < 1.0:
             radius = 0.4
-        got = tess.small_spheres(pts, n, radius)
+        with mock.patch.object(tess, "_BLOCK", 5):
+            got = tess.small_spheres(pts, n, radius)
         want = tess._sphere_rows(pts, tess._local_subsets(pts, n, 2.0 * radius), radius)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)  # bitwise
