@@ -1013,7 +1013,15 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
 
 @dataclass(frozen=True)
 class ProductStructure:
-    """Sampled product structure Phi over K x params."""
+    """Product structure Phi over K x params, tabulated at a grid of K.
+
+    ``injective`` (no two entries of the table are equal) and
+    ``class_sizes`` (distinct images of each sample) are sampled at the grid
+    points only; they say nothing about the points between the samples.
+    ``face_agreement_max`` realizes the midpoint of every edge shared by two
+    top simplices through both parents: both give it the coordinates
+    (1/2, 1/2, 0) up to rounding, so the figure measures rounding only.
+    """
 
     grid: np.ndarray  # (g, n) sample points of K
     params: tuple
@@ -1023,30 +1031,26 @@ class ProductStructure:
     face_agreement_max: float
 
 
-def _vertex_incidence(complex_: tess.DelaunayComplex, n: int) -> dict:
-    """site index -> list of top simplices containing it."""
-    inc: dict = {}
-    for s in complex_.top(n):
-        for v in s.vertices:
-            inc.setdefault(int(v), []).append(s)
-    return inc
-
-
-def _locate_simplex(points: np.ndarray, incidence: dict, q, candidates):
-    """Containing top simplex of q and q's barycentric coordinates, searched
-    through the simplicial cones of the candidate sites in order (the
-    containing simplex need not be incident to the nearest site, so nearby
-    sites' cones are scanned as well)."""
-    seen = set()
-    for j in candidates:
-        for s in incidence.get(int(j), ()):
-            if s.vertices in seen:
-                continue
-            seen.add(s.vertices)
-            bary = tess.barycentric_coordinates(points[list(s.vertices)], q)
-            if np.all(bary >= -1e-12):
-                return s, bary
-    raise CoverageGapError(f"sample {q} lies outside every cone simplex")
+def _face_agreement(points: np.ndarray, moved: np.ndarray, verts: np.ndarray) -> float:
+    """Largest distance between the two realizations of a shared face's
+    midpoint, one through each of its first two parents (in the order of
+    ``verts``), over every face shared by two top simplices and every
+    parameter's translate in ``moved`` (P, m, n)."""
+    n = points.shape[1]
+    faces = verts[:, list(itertools.combinations(range(n + 1), n))].reshape(-1, n)
+    rows = np.lexsort(faces.T[::-1])  # stable: parents of a face stay in order
+    faces = faces[rows]
+    first = np.ones(len(faces), dtype=bool)
+    first[1:] = np.any(faces[1:] != faces[:-1], axis=1)
+    pair = np.nonzero(first[:-1] & ~first[1:])[0]
+    mid = np.mean(points[faces[pair]], axis=1)
+    parents = [verts[rows[pair + i] // (n + 1)] for i in (0, 1)]
+    bary = [tess.barycentric_coordinates(points[v], mid)[:, None, :] for v in parents]
+    worst = 0.0
+    for m in moved:  # one parameter at a time keeps the gathers small
+        d = (bary[0] @ m[parents[0]] - bary[1] @ m[parents[1]])[:, 0]
+        worst = max(worst, float(np.max(np.linalg.norm(d, axis=1), initial=0.0)))
+    return worst
 
 
 def build_product_structure(K: Region, net: tess.Net,
@@ -1056,9 +1060,10 @@ def build_product_structure(K: Region, net: tess.Net,
     """Phi(y, t) = realization of the t-translated containing simplex of y at
     y's barycentric coordinates, tabulated over a regular grid of K.
 
-    Each sample's containing simplex is searched among the cones of its 12
-    nearest sites, ordered by (distance, index).  Raises CoverageGap when a
-    sample's nearest site is not interior, or the sample escapes those cones.
+    Each sample's containing simplex is ``tess.locate``d among the cones of
+    its 12 nearest sites, ordered by (distance, index).  Raises CoverageGap,
+    naming the first such sample, when a sample's nearest site is not
+    interior or the sample escapes those cones.
     """
     lo, hi = K.bounding_box()
     axes = [np.linspace(lo[k], hi[k], grid_shape[k]) for k in range(K.dim)]
@@ -1067,51 +1072,38 @@ def build_product_structure(K: Region, net: tess.Net,
     if K.kind == "disk":
         grid = grid[K.boundary_distance_many(grid) >= 0.0]
 
+    n = net.dim
     params = family.params
-    translated = {p: translate_net(net, p, family).points for p in params}
-    incidence = _vertex_incidence(complex_, net.dim)
+    moved = np.stack([translate_net(net, p, family).points for p in params])
+    verts = np.array([s.vertices for s in complex_.top(n)],
+                     dtype=np.int64).reshape(-1, n + 1)
     interior = net.interior_mask()
     k = min(12, len(net))
     dist, near = cKDTree(net.points).query(grid, k=k)
     dist, near = dist.reshape(len(grid), k), near.reshape(len(grid), k)
     order = np.lexsort((near, dist), axis=1)
     near = np.take_along_axis(near, order, axis=1)
-    table = {}
-    for gi, y in enumerate(grid):
+    simplex, bary = tess.locate(net.points, verts, grid, near)
+    gap = ~interior[near[:, 0]] | (simplex < 0)
+    if np.any(gap):
+        gi = int(np.argmax(gap))
         if not interior[near[gi, 0]]:
             raise CoverageGapError(
-                f"nearest site {int(near[gi, 0])} of sample {y} is not interior")
-        s, bary = _locate_simplex(net.points, incidence, y, near[gi])
-        vidx = list(s.vertices)
-        for p in params:
-            img = bary @ translated[p][vidx]
-            table[(gi, p)] = tuple(float(x) for x in img)
+                f"nearest site {int(near[gi, 0])} of sample {grid[gi]} is not interior")
+        raise CoverageGapError(f"sample {grid[gi]} lies outside every cone simplex")
 
-    values = list(table.values())
-    injective = len(set(values)) == len(values)
-    class_sizes = tuple(len({table[(gi, p)] for p in params})
-                        for gi in range(len(grid)))
-
-    # face agreement: realize shared-edge midpoints through both parents
-    n = net.dim
-    by_face: dict = {}
-    for s in complex_.top(n):
-        for face in itertools.combinations(s.vertices, n):
-            by_face.setdefault(face, []).append(s)
-    worst = 0.0
-    checked = 0
-    for face, parents in by_face.items():
-        if len(parents) < 2 or checked >= 200:
-            continue
-        checked += 1
-        mid = np.mean(net.points[list(face)], axis=0)
-        for p in params:
-            imgs = []
-            for s in parents[:2]:
-                bary = tess.barycentric_coordinates(
-                    net.points[list(s.vertices)], mid)
-                imgs.append(bary @ translated[p][list(s.vertices)])
-            worst = max(worst, float(np.linalg.norm(imgs[0] - imgs[1])))
+    worst = _face_agreement(net.points, moved, verts)
+    # (g, P, n): sample gi under parameter p, each one row-vector product
+    images = np.swapaxes((bary[None, :, None, :] @ moved[:, verts[simplex]])[:, :, 0], 0, 1)
+    # entries zipped from the coordinate columns: no list per entry is built
+    table = dict(zip(itertools.product(range(len(grid)), params),
+                     zip(*images.reshape(-1, n).T.tolist())))
+    injective = len(set(table.values())) == len(table)
+    # distinct images per sample: sort each sample's images, count the changes
+    srt = np.take_along_axis(
+        images, np.lexsort(np.moveaxis(images, -1, 0)[::-1], axis=-1)[..., None], axis=1)
+    class_sizes = tuple((1 + np.sum(np.any(srt[:, 1:] != srt[:, :-1], axis=-1),
+                                    axis=1)).tolist())
     return ProductStructure(grid=grid, params=params, table=table,
                             injective=injective, class_sizes=class_sizes,
                             face_agreement_max=worst)

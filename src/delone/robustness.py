@@ -14,7 +14,6 @@ simplices.  It is exact, in closed form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,17 +22,10 @@ from . import linalg
 from .errors import InvalidBudgetError
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
-    """Per-prefix distances d(pts[k+1], aff(pts[0..k])) and their minimum."""
-
-    per_prefix_distance: tuple
-    rho: float
-
-
 def prefix_distances(stacks) -> np.ndarray:
     """Distances d(p_j, aff(p_0..p_{j-1})), j = 1..k-1, for each ordered
     point list of a (m, k, n) stack, 2 <= k <= n+1, n <= 8: shape (m, k-1).
+    The paper's properly ordered robustness of a list is the least of them.
 
     With edge vectors e_i = p_i - p_0, the j-th distance is vol_j / vol_{j-1},
     where vol_j = sqrt(det Gram(e_1..e_j)) is the j-volume of the
@@ -58,13 +50,6 @@ def prefix_distances(stacks) -> np.ndarray:
         out[:, j - 1] = np.where(prev > 0, vol / np.maximum(prev, 1e-300), 0.0)
         prev = vol
     return out
-
-
-def robustness_of(pts) -> RobustnessReport:
-    """The paper's properly ordered robustness of one ordered point list: the
-    least of its ``prefix_distances``."""
-    d = prefix_distances(np.asarray(pts, dtype=float)[None])[0]
-    return RobustnessReport(per_prefix_distance=tuple(d.tolist()), rho=float(d.min()))
 
 
 def delta_m_sequence(rho0: float, eps: float, e1: float, e2: float, m: int):

@@ -19,6 +19,11 @@ search.  Both branches take every center from
 ``circumsphere.circumcenter_batch``, whose rows do not depend on the batch,
 so they give equal bits.  Lower-dimensional simplices are the faces of the
 kept top simplices, each inheriting a witness sphere.
+Point location has one kernel, ``locate``: it finds the top simplex that
+contains each of a batch of points, and the point's barycentric coordinates
+in it, scanning the simplicial cones of given candidate sites with batched
+``barycentric_coordinates`` solves.  The product structure and the filling
+check both use it.
 Geometric realization is the iterated geodesic-cone map in vertex-creation
 order.
 """
@@ -117,16 +122,6 @@ class VoronoiCell:
     neighbor_sites: tuple
     halfspaces: tuple | None  # ((a, b), ...) meaning a.x <= b; None if curved
     boundary: bool
-
-
-def nearest_site(q, net: Net, metric):
-    """(index, distance) of a nearest site; ties broken by lowest index."""
-    if metric is None or getattr(metric, "kind", "flat") == "flat":
-        d = np.linalg.norm(net.points - np.asarray(q, dtype=float), axis=1)
-    else:
-        d = np.array([metric.distance(q, p) for p in net.points])
-    i = int(np.argmin(d))  # argmin returns the first (lowest-index) minimizer
-    return i, float(d[i])
 
 
 def voronoi_cell(net: Net, i: int, metric) -> VoronoiCell:
@@ -437,49 +432,74 @@ def check_duality(net: Net, complex_: DelaunayComplex,
                          checked=len(fwd) + len(new))
 
 
-def simplicial_cone(complex_: DelaunayComplex, i: int):
-    """All top simplices containing site i."""
-    n = max(complex_.simplices_by_dim) if complex_.simplices_by_dim else 0
-    return [s for s in complex_.top(n) if i in s.vertices]
-
-
-def barycentric_coordinates(simplex_pts: np.ndarray, q) -> np.ndarray:
-    """Barycentric coordinates of q w.r.t. an n-simplex in R^n."""
+def barycentric_coordinates(simplex_pts, q) -> np.ndarray:
+    """Barycentric coordinates of each point of a (k, n) stack q with respect
+    to the matching n-simplex of a (k, n+1, n) stack: shape (k, n+1).  Each
+    row is one LAPACK solve of the simplex's edge system, so its bits do not
+    depend on the rest of the stack."""
     p = np.asarray(simplex_pts, dtype=float)
-    a = (p[:-1] - p[-1]).T
-    lam = np.linalg.solve(a, np.asarray(q, dtype=float) - p[-1])
-    return np.append(lam, 1.0 - float(np.sum(lam)))
+    a = np.swapaxes(p[:, :-1] - p[:, -1:], 1, 2)
+    rhs = np.asarray(q, dtype=float) - p[:, -1]
+    lam = np.linalg.solve(a, rhs[..., None])[..., 0]
+    return np.concatenate([lam, 1.0 - np.sum(lam, axis=1, keepdims=True)], axis=1)
+
+
+def locate(points: np.ndarray, verts: np.ndarray, samples: np.ndarray,
+           sites: np.ndarray):
+    """The top simplex containing each sample, and the sample's barycentric
+    coordinates in it: (simplex, bary) of shapes (g,) and (g, n+1).
+
+    ``verts`` are the (t, n+1) vertex rows of the top simplices, ``samples``
+    the (g, n) query points and ``sites`` a (g, k) array of candidate sites
+    per sample.  A sample's simplices are scanned through the simplicial
+    cones of its candidate sites in the given order, each cone in the order
+    of ``verts``; the first simplex whose coordinates are all >= -1e-12
+    contains it.  A sample that escapes every scanned cone gets simplex -1
+    and NaN coordinates.  The scan runs one candidate rank at a time over
+    the samples still unlocated, with one batched solve per rank.
+    """
+    # the cones as one incidence list: cone[start[j]:start[j+1]] holds the
+    # simplices containing site j, in the order of verts
+    cone = np.argsort(verts.ravel(), kind="stable") // verts.shape[1]
+    start = np.concatenate([[0], np.cumsum(np.bincount(verts.ravel(),
+                                                       minlength=len(points)))])
+    simplex = np.full(len(samples), -1, dtype=np.int64)
+    bary = np.full((len(samples), verts.shape[1]), np.nan)
+    todo = np.arange(len(samples))
+    for rank in range(sites.shape[1]):
+        j = sites[todo, rank]
+        deg = start[j + 1] - start[j]
+        parent = np.repeat(np.arange(len(todo)), deg)
+        tops = cone[np.arange(len(parent)) + np.repeat(start[j] - np.cumsum(deg) + deg, deg)]
+        b = barycentric_coordinates(points[verts[tops]], samples[todo[parent]])
+        hit = np.nonzero(np.all(b >= -1e-12, axis=1))[0]
+        hit = hit[np.unique(parent[hit], return_index=True)[1]]  # first per sample
+        simplex[todo[parent[hit]]] = tops[hit]
+        bary[todo[parent[hit]]] = b[hit]
+        todo = todo[simplex[todo] < 0]
+    return simplex, bary
 
 
 def check_filling(net: Net, complex_: DelaunayComplex, i: int,
-                  samples: int = 200, rng=None, rtol: float = 1e-9) -> bool:
+                  samples: int = 200, rng=None) -> bool:
     """The paper's filling property of a Delaunay triangulation, sampled: the
     Voronoi cell of site i is covered by the realized simplices of its
-    simplicial cone (the top simplices containing i)."""
+    simplicial cone (the top simplices containing i).
+
+    Up to 100*samples uniform draws from the box of half-side d2 around the
+    site are made; the first ``samples`` of them whose nearest site is i
+    must each be ``locate``d in i's cone.  False when the cone is empty."""
     rng = np.random.default_rng(0) if rng is None else rng
-    cone = simplicial_cone(complex_, i)
-    if not cone:
+    verts = np.array([s.vertices for s in complex_.top(net.dim)],
+                     dtype=np.int64).reshape(-1, net.dim + 1)
+    if not np.any(verts == i):
         return False
     pts = net.points
-    site = pts[i]
-    got = 0
-    tries = 0
-    while got < samples and tries < 100 * samples:
-        tries += 1
-        q = site + rng.uniform(-net.d2, net.d2, size=net.dim)
-        j, _ = nearest_site(q, net, None)
-        if j != i:
-            continue
-        got += 1
-        inside = False
-        for s in cone:
-            bary = barycentric_coordinates(pts[list(s.vertices)], q)
-            if np.all(bary >= -rtol):
-                inside = True
-                break
-        if not inside:
-            return False
-    return True
+    q = pts[i] + rng.uniform(-net.d2, net.d2, size=(100 * samples, net.dim))
+    _, nearest = cKDTree(pts).query(q)
+    q = q[nearest == i][:samples]
+    simplex, _ = locate(pts, verts, q, np.full((len(q), 1), i))
+    return bool(np.all(simplex >= 0))
 
 
 def realize_simplex(s: Simplex, metric, bary, vertex_points) -> np.ndarray:

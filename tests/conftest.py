@@ -58,3 +58,12 @@ def robustness_2d(stacks: np.ndarray) -> np.ndarray:
     cr = np.abs((c - a)[:, 0] * ab[:, 1] - (c - a)[:, 1] * ab[:, 0])
     h = np.where(lab > 0, cr / np.maximum(lab, 1e-300), 0.0)
     return np.minimum(lab, h)
+
+
+def scalar_barycentric(simplex_pts, q) -> np.ndarray:
+    """Reference barycentric coordinates of one point in one n-simplex: one
+    LAPACK solve of the edge system with a vector right-hand side."""
+    p = np.asarray(simplex_pts, dtype=float)
+    a = (p[:-1] - p[-1]).T
+    lam = np.linalg.solve(a, np.asarray(q, dtype=float) - p[-1])
+    return np.append(lam, 1.0 - float(np.sum(lam)))

@@ -18,6 +18,7 @@ from delone import metrics as mt
 from delone import netsynth as nsy
 from delone import robustness as rb
 from delone import tessellation as tess
+from delone.metrics import _row_dots
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -87,7 +88,7 @@ def test_criterion_03_perturbation_soundness():
         if min(dists) < 0.5 or delta < 0.1:
             continue
         configs += 1
-        rho = rb.robustness_of(pts).rho
+        rho = rb.prefix_distances(pts[None])[0].min()
         budget0 = cs.PerturbationBudget(e1=0.5 * min(dists), e2=max(dists),
                                         eps=0.0, rho=rho, delta=delta)
         eps = cs.stability_radius(budget0, n)
@@ -125,7 +126,7 @@ def test_criterion_04_rho_m_recursion():
         pts = rng.uniform(0.0, 3.0, size=(3, 2))
         d = [np.linalg.norm(pts[i] - pts[j])
              for i, j in itertools.combinations(range(3), 2)]
-        rho = rb.robustness_of(pts).rho
+        rho = rb.prefix_distances(pts[None])[0].min()
         if min(d) < 1.0 or max(d) > 3.9 or rho < 0.1:
             continue
         checked += 1
@@ -135,7 +136,7 @@ def test_criterion_04_rho_m_recursion():
         noise /= np.maximum(np.linalg.norm(noise, axis=2, keepdims=True), 1e-300)
         noise *= e * rng.uniform(0.0, 1.0, size=(20, 3, 1))
         for moved in pts[None] + noise:
-            if rb.robustness_of(moved).rho < rho_m - 1e-12:
+            if rb.prefix_distances(moved[None])[0].min() < rho_m - 1e-12:
                 violations += 1
     ok = exact and violations == 0
     _report(4, "rho_m recursion", ok,
@@ -159,14 +160,19 @@ def _brute_force_tops(pts, n, d2):
 
 
 def _poisson(rng, count, min_sep, dim, box=1.0):
-    pts = []
-    tries = 0
-    while len(pts) < count and tries < 500 * count:
+    """Rejection sampling of up to ``count`` points min_sep apart: one
+    uniform draw per try, tested against every point kept so far with the
+    per-pair ``np.dot`` bits of |p - q|."""
+    pts = np.empty((count, dim))
+    got = tries = 0
+    while got < count and tries < 500 * count:
         tries += 1
         p = rng.uniform(0.0, box, size=dim)
-        if all(np.linalg.norm(p - q) >= min_sep for q in pts):
-            pts.append(p)
-    return np.array(pts)
+        d = pts[:got] - p
+        if np.all(np.sqrt(_row_dots(d, d)) >= min_sep):
+            pts[got] = p
+            got += 1
+    return pts[:got]
 
 
 def test_criterion_05_duality():

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import json
@@ -5,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import robustness_2d
+from conftest import robustness_2d, scalar_barycentric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -14,7 +15,7 @@ from delone import circumsphere as cs
 from delone import jsonio
 from delone import netsynth as nsy
 from delone import tessellation as tess
-from delone.errors import (RegionExhaustedError, SelectionFailedError,
+from delone.errors import (CoverageGapError, RegionExhaustedError, SelectionFailedError,
                            UnsupportedDimError, ValidationError)
 
 
@@ -774,6 +775,67 @@ class TestCertification:
         assert cert.params_checked == fam.params
 
 
+def _vertex_incidence(complex_, n):
+    """site index -> list of top simplices containing it."""
+    inc = {}
+    for s in complex_.top(n):
+        for v in s.vertices:
+            inc.setdefault(int(v), []).append(s)
+    return inc
+
+
+def _locate_simplex(points, incidence, q, candidates):
+    """Containing top simplex of q and q's barycentric coordinates, searched
+    through the simplicial cones of the candidate sites in order, one
+    single-row solve per simplex."""
+    seen = set()
+    for j in candidates:
+        for s in incidence.get(int(j), ()):
+            if s.vertices in seen:
+                continue
+            seen.add(s.vertices)
+            bary = scalar_barycentric(points[list(s.vertices)], q)
+            if np.all(bary >= -1e-12):
+                return s, bary
+    raise CoverageGapError(f"sample {q} lies outside every cone simplex")
+
+
+def _reference_product(ps, net, complex_, family):
+    """(table, class_sizes, injective) of the per-sample location loop over
+    the grid of ``ps``: the reference for ``build_product_structure``."""
+    grid = ps.grid
+    params = family.params
+    translated = {p: nsy.translate_net(net, p, family).points for p in params}
+    incidence = _vertex_incidence(complex_, net.dim)
+    interior = net.interior_mask()
+    k = min(12, len(net))
+    dist, near = cKDTree(net.points).query(grid, k=k)
+    dist, near = dist.reshape(len(grid), k), near.reshape(len(grid), k)
+    order = np.lexsort((near, dist), axis=1)
+    near = np.take_along_axis(near, order, axis=1)
+    table = {}
+    for gi, y in enumerate(grid):
+        if not interior[near[gi, 0]]:
+            raise CoverageGapError(
+                f"nearest site {int(near[gi, 0])} of sample {y} is not interior")
+        s, bary = _locate_simplex(net.points, incidence, y, near[gi])
+        vidx = list(s.vertices)
+        for p in params:
+            img = bary @ translated[p][vidx]
+            table[(gi, p)] = tuple(float(x) for x in img)
+    values = list(table.values())
+    injective = len(set(values)) == len(values)
+    class_sizes = tuple(len({table[(gi, p)] for p in params})
+                        for gi in range(len(grid)))
+    return table, class_sizes, injective
+
+
+def _assert_bit_equal_tables(a, b):
+    assert list(a) == list(b)
+    for key, v in a.items():
+        assert np.array_equal(np.array(v).view(np.int64), np.array(b[key]).view(np.int64)), key
+
+
 class TestProductStructure:
     def test_small_grid(self, bundle2, small_net_pack, small_complex):
         # interior sub-box so every sample's nearest site is interior
@@ -788,3 +850,68 @@ class TestProductStructure:
         # identity parameter leaves every sample fixed
         for gi, y in enumerate(ps.grid):
             assert np.allclose(ps.table[(gi, "00")], y, atol=1e-9)
+
+    @pytest.mark.parametrize("which", ["small_net_pack", "synthesized_3rF"])
+    def test_bit_equal_to_the_location_loop(self, bundle2, small_net_pack,
+                                            small_complex, which):
+        if which == "small_net_pack":
+            net, cx = small_net_pack["net"], small_complex
+            K = nsy.Region.box([1.0, 1.0], [2.0, 2.0])
+        else:
+            side = 3.0 * bundle2.rF
+            K = nsy.Region.box([0.0, 0.0], [side, side])
+            net, _ = nsy.synthesize_net(K, bundle2, seed=1)
+            cx = tess.build_delaunay(net, None)
+        fam = nsy.make_family(bundle2, depth=3, seed=1)
+        ps = nsy.build_product_structure(K, net, cx, fam, grid_shape=(40, 40))
+        table, class_sizes, injective = _reference_product(ps, net, cx, fam)
+        _assert_bit_equal_tables(ps.table, table)
+        assert ps.class_sizes == class_sizes
+        assert ps.injective == injective
+
+    def test_class_sizes_count_distinct_images(self, bundle2, small_net_pack,
+                                               small_complex):
+        # a zero family with the same override on "01" and "11" at one site:
+        # samples near it have two distinct images, the others one
+        net = small_net_pack["net"]
+        K = nsy.Region.box([1.0, 1.0], [2.0, 2.0])
+        v = int(cKDTree(net.points).query([1.5, 1.5])[1])
+        vec = [0.01 * bundle2.rF, 0.0]
+        fam = dataclasses.replace(nsy.make_family(bundle2, depth=2), eps=0.0)
+        fam = fam.with_override("01", v, vec).with_override("11", v, vec)
+        ps = nsy.build_product_structure(K, net, small_complex, fam,
+                                         grid_shape=(12, 12))
+        table, class_sizes, injective = _reference_product(ps, net, small_complex, fam)
+        assert ps.class_sizes == class_sizes
+        assert set(class_sizes) == {1, 2}
+        assert not ps.injective and not injective
+
+    def test_nearest_site_not_interior(self, bundle2, small_net_pack, small_complex):
+        # the net's own region reaches past its interior sites
+        net = small_net_pack["net"]
+        fam = nsy.make_family(bundle2, depth=1)
+        with pytest.raises(CoverageGapError, match="is not interior") as err:
+            nsy.build_product_structure(net.region, net, small_complex, fam,
+                                        grid_shape=(8, 8))
+        assert "of sample [" in str(err.value)
+
+    def test_sample_escapes_every_cone(self, bundle2, small_net_pack, small_complex):
+        # drop the top triangle around one sample: it lies in no other one
+        net = small_net_pack["net"]
+        K = nsy.Region.box([1.0, 1.0], [2.0, 2.0])
+        fam = nsy.make_family(bundle2, depth=1)
+        full = nsy.build_product_structure(K, net, small_complex, fam,
+                                           grid_shape=(6, 6))
+        top = small_complex.top(2)
+        y = full.grid[14]
+        drop = next(s for s in top
+                    if np.all(tess.barycentric_coordinates(
+                        net.points[list(s.vertices)][None], y[None])[0] > 1e-6))
+        holed = tess.DelaunayComplex(
+            simplices_by_dim={2: [s for s in top if s is not drop]},
+            regular=small_complex.regular)
+        with pytest.raises(CoverageGapError, match="outside every cone simplex") as err:
+            nsy.build_product_structure(K, net, holed, fam, grid_shape=(6, 6))
+        with pytest.raises(CoverageGapError) as want:
+            _reference_product(full, net, holed, fam)
+        assert str(err.value) == str(want.value)

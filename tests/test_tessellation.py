@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import scalar_barycentric
 from scipy.spatial import cKDTree
 
 from delone import circumsphere as cs
@@ -94,26 +95,6 @@ class TestNet:
         assert 0 < want.sum() < len(want)  # both sides of the threshold occur
 
 
-class TestNearestSite:
-    def test_lattice(self):
-        net = _net(_lattice(2), 0.9, 0.8)
-        i, d = tess.nearest_site([0.1, 0.2], net, None)
-        assert np.allclose(net.points[i], [0.0, 0.0])
-        assert d == pytest.approx(math.sqrt(0.05))
-
-    def test_tie_lowest_index(self):
-        net = _net([[0.0, 0.0], [1.0, 0.0]], 0.9, 0.8)
-        i, d = tess.nearest_site([0.5, 0.0], net, None)
-        assert i == 0
-        assert d == pytest.approx(0.5)
-
-    def test_site_itself(self):
-        net = _net(_lattice(1), 0.9, 0.8)
-        i, d = tess.nearest_site([1.0, 1.0], net, None)
-        assert np.allclose(net.points[i], [1.0, 1.0])
-        assert d == 0.0
-
-
 class TestVoronoiCell:
     def test_lattice_origin_cell_is_unit_square(self):
         net = _net(_lattice(2), 0.9, 0.8)
@@ -139,7 +120,7 @@ class TestVoronoiCell:
         net = _net(_lattice(2), 0.9, 0.8)
         for _ in range(200):
             q = rng.uniform(-1.4, 1.4, size=2)
-            i, _ = tess.nearest_site(q, net, None)
+            i = int(np.argmin(np.linalg.norm(net.points - q, axis=1)))
             cell = tess.voronoi_cell(net, i, None)
             # halfspace test agrees with the distance test
             assert all(np.dot(a, q) <= b + 1e-9 for a, b in cell.halfspaces)
@@ -598,7 +579,7 @@ class TestConeAndFilling:
     def test_square_plus_center_cone(self):
         net = _net(SQUARE_CENTER, 0.3, 0.6)
         cx = tess.build_delaunay(net, None)
-        cone = tess.simplicial_cone(cx, 4)
+        cone = [s for s in cx.top(2) if 4 in s.vertices]
         assert len(cone) == 4
         assert tess.check_filling(net, cx, 4)
 
@@ -607,19 +588,85 @@ class TestConeAndFilling:
         pts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
         net = _net(pts, 0.9, 1.05)
         cx = tess.build_delaunay(net, None)
-        cone = tess.simplicial_cone(cx, 0)
+        cone = [s for s in cx.top(2) if 0 in s.vertices]
         assert len(cone) == 6
         assert tess.check_filling(net, cx, 0)
 
 
+    @pytest.mark.parametrize("case", ["center", "corner", "holed", "isolated"])
+    def test_filling_matches_the_sample_loop(self, case):
+        net = _net(np.vstack([SQUARE_CENTER, [[3.0, 3.0]]]), 0.3, 0.6)
+        cx = tess.build_delaunay(net, None)
+        i = {"center": 4, "corner": 0, "holed": 4, "isolated": 5}[case]
+        if case == "holed":
+            top = cx.top(2)[1:]
+            cx = tess.DelaunayComplex(simplices_by_dim={2: top}, regular=True)
+        want = {"center": True}.get(case, False)
+        assert _filling_loop(net, cx, i) == want
+        assert tess.check_filling(net, cx, i) == want
+
+
+def _filling_loop(net, cx, i, samples=200):
+    """The filling check one draw at a time: the reference for
+    ``check_filling``, with the same draws."""
+    rng = np.random.default_rng(0)
+    cone = [s for s in cx.top(net.dim) if i in s.vertices]
+    if not cone:
+        return False
+    got = tries = 0
+    while got < samples and tries < 100 * samples:
+        tries += 1
+        q = net.points[i] + rng.uniform(-net.d2, net.d2, size=net.dim)
+        if int(np.argmin(np.linalg.norm(net.points - q, axis=1))) != i:
+            continue
+        got += 1
+        if not any(np.all(scalar_barycentric(net.points[list(s.vertices)], q) >= -1e-9)
+                   for s in cone):
+            return False
+    return True
+
+
+def _triangles(rng, kind, count=32):
+    """(count, 3, 2) triangles whose least height is at least a fifth of
+    their longest edge: side about 1e-3 to 1e3, or 1e2 to 1e3 when offset
+    by 1e6 (the offset's rounding in q is then below 1e-11 of the side)."""
+    out = []
+    while len(out) < count:
+        p = rng.uniform(-1.0, 1.0, size=(3, 2))
+        e = p[:2] - p[2]
+        det = abs(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
+        if det >= 0.2 * np.max(np.sum((p - np.roll(p, 1, axis=0)) ** 2, axis=1)):
+            out.append(p)
+    p = np.array(out)
+    if kind == "offset":
+        return 1e6 + 10.0 ** rng.uniform(2.0, 3.0, size=(count, 1, 1)) * p
+    return 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1, 1)) * p
+
+
 class TestBarycentricRealize:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["plain", "offset"]))
+    def test_batched_kernel(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        pts = _triangles(rng, kind)
+        w = rng.dirichlet([1.0, 1.0, 1.0], size=len(pts))
+        q = np.einsum("ki,kij->kj", w, pts)
+        got = tess.barycentric_coordinates(pts, q)
+        assert got.shape == (len(pts), 3)
+        assert np.max(np.abs(got - w)) <= 1e-9  # the weights sum to 1
+        for i in range(len(pts)):
+            alone = tess.barycentric_coordinates(pts[i:i + 1], q[i:i + 1])[0]
+            assert np.array_equal(alone.view(np.int64), got[i].view(np.int64))
+            ref = scalar_barycentric(pts[i], q[i])
+            assert np.array_equal(ref.view(np.int64), got[i].view(np.int64))
+
     def test_barycentric_inverse(self):
         rng = np.random.default_rng(5)
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-        for _ in range(50):
-            b = rng.dirichlet([1.0, 1.0, 1.0])
-            q = b @ pts
-            assert np.allclose(tess.barycentric_coordinates(pts, q), b, atol=1e-12)
+        b = rng.dirichlet([1.0, 1.0, 1.0], size=50)
+        got = tess.barycentric_coordinates(np.broadcast_to(pts, (50, 3, 2)), b @ pts)
+        assert np.allclose(got, b, atol=1e-12)
 
     def test_realize_flat_mean(self):
         pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
