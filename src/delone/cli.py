@@ -253,28 +253,20 @@ def render_svg(net: tess.Net, cx: tess.DelaunayComplex | None,
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
     if cx is not None:
-        n = net.dim
-        for s in cx.simplices_by_dim.get(1, []):
-            a, b = pts[s.vertices[0]], pts[s.vertices[1]]
+        verts, centers, _ = cx.top_arrays(net.dim)
+        edges, count, parents = tess.facets(verts)
+        for a, b in pts[edges]:
             parts.append(
                 f'<line x1="{sx(a):.2f}" y1="{sy(a):.2f}" x2="{sx(b):.2f}" '
                 f'y2="{sy(b):.2f}" stroke="#7799cc" stroke-width="1"/>')
-        # Voronoi edges: segments between circumcenters of face-adjacent tops
-        by_face: dict = {}
-        for s in cx.top(n):
-            for i in range(n + 1):
-                face = s.vertices[:i] + s.vertices[i + 1:]
-                by_face.setdefault(face, []).append(s)
-        for face, parents in sorted(by_face.items()):
-            if len(parents) == 2:
-                c1, c2 = parents[0].sphere.center, parents[1].sphere.center
-                parts.append(
-                    f'<line x1="{sx(c1):.2f}" y1="{sy(c1):.2f}" x2="{sx(c2):.2f}" '
-                    f'y2="{sy(c2):.2f}" stroke="#cc9944" stroke-width="0.7"/>')
-        for s in cx.top(n):
-            if tuple(s.vertices) in bad:
-                poly = " ".join(f"{sx(pts[v]):.2f},{sy(pts[v]):.2f}"
-                                for v in s.vertices)
+        # Voronoi edges: segments between circumcenters of edge-adjacent tops
+        for c1, c2 in centers[parents[count == 2]]:
+            parts.append(
+                f'<line x1="{sx(c1):.2f}" y1="{sy(c1):.2f}" x2="{sx(c2):.2f}" '
+                f'y2="{sy(c2):.2f}" stroke="#cc9944" stroke-width="0.7"/>')
+        for row in verts.tolist():
+            if tuple(row) in bad:
+                poly = " ".join(f"{sx(pts[v]):.2f},{sy(pts[v]):.2f}" for v in row)
                 parts.append(f'<polygon points="{poly}" fill="rgba(220,40,40,0.45)" '
                              f'stroke="#cc2222" stroke-width="2"/>')
     for p in pts:

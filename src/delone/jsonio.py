@@ -1,7 +1,8 @@
 """Deterministic JSON serialization of nets, complexes, bundles and
 certificates, and the one writer of every artifact file.
 
-One object per file, schema version field "v": 1, numbers via the shortest
+One object per file, schema version field "v" (1; 2 for the complex, which
+holds its top simplices only; 3 for the certificate), numbers via the shortest
 round-trip float representation, keys sorted: identical inputs produce
 byte-identical files.  Loading re-validates every type invariant and reports
 violations with field paths.
@@ -24,17 +25,15 @@ read-only file are those of ``open(path, "w")``.
 from __future__ import annotations
 
 import json
-import math
+import operator
 import os
 import stat
-from operator import attrgetter
 
 import numpy as np
 
 from . import constants as consts
 from . import netsynth as nsy
 from . import tessellation as tess
-from .circumsphere import CircumSphere
 from .errors import ValidationError
 
 
@@ -184,116 +183,67 @@ def net_from_dict(d: dict) -> tess.Net:
 
 
 def complex_to_dict(cx: tess.DelaunayComplex, dim: int) -> dict:
-    simplices = []
-    for s in cx.all_simplices():
-        simplices.append({
-            "verts": [int(v) for v in s.vertices],
-            "center": [float(x) for x in s.sphere.center],
-            "radius": float(s.sphere.radius),
-        })
-    return {"v": 1, "dim": dim, "simplices": simplices, "regular": cx.regular}
+    """Schema 2: the top simplices only, in the complex's (lexicographic)
+    order; every face is derived from them (``tess.facets``)."""
+    verts, centers, radii = cx.top_arrays(dim)
+    simplices = [{"verts": v, "center": c, "radius": r} for v, c, r in
+                 zip(verts.tolist(), centers.tolist(), radii.tolist())]
+    return {"v": 2, "dim": dim, "simplices": simplices, "regular": cx.regular}
 
 
 def complex_from_dict(d: dict, net: tess.Net | None = None) -> tess.DelaunayComplex:
-    """Load a complex: its simplices must be exactly the top simplices of
-    dimension ``dim`` and their faces.  With ``net``, also require the net's
-    dimension and vertex indices that name its points."""
-    _check_version(d, "complex")
+    """Load a complex of schema 2: a bool ``regular`` and the top simplices,
+    each dim+1 strictly increasing vertex indices (below the net's size when
+    ``net`` is given) with a finite center and radius, no two equal, sorted
+    into lexicographic order.  With ``net``, also require the net's
+    dimension."""
+    _check_version(d, "complex", 2)
     dim = _require(d, "dim", int, "complex")
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, got {dim}", path="complex.dim")
     if net is not None and dim != net.dim:
         raise ValidationError(f"dim {dim} differs from the net's dim {net.dim}",
                               path="complex.dim")
+    regular = _require(d, "regular", bool, "complex")
     raw = _require(d, "simplices", list, "complex")
-    n_sites = None if net is None else len(net)
-    seen = set()
-    records = []
-    for i, sd in enumerate(raw):
-        verts, center, radius = _simplex_fields(sd, i)
-        verts = tuple(verts)
-        problem = None
-        if not all(type(v) is int and v >= 0 for v in verts):  # no bools
-            problem = "verts must be nonnegative integers"
-        elif len(set(verts)) != len(verts):
-            problem = "repeated vertex"
-        elif n_sites is not None and verts and max(verts) >= n_sites:
-            problem = f"vertex {max(verts)} is out of range for a {n_sites}-point net"
-        elif verts in seen:
-            problem = "duplicate simplex"
-        if problem:
-            raise ValidationError(problem, path=f"complex.simplices[{i}].verts")
-        seen.add(verts)
-        records.append((verts, center, radius))
-    by_dim: dict = {}
-    if records:
-        centers, radii = _sphere_arrays(records, dim)
-        for (verts, _, _), c, r in zip(records, centers, radii):
-            by_dim.setdefault(len(verts) - 1, []).append(
-                tess.Simplex(verts, CircumSphere(c, r)))
-        for k in by_dim:
-            by_dim[k].sort(key=attrgetter("vertices"))
-        if dim not in by_dim:
-            raise ValidationError("no top-dimensional simplices", path="complex.simplices")
-        _check_face_closure(by_dim, dim)
-    return tess.DelaunayComplex(simplices_by_dim=by_dim,
-                                regular=bool(d.get("regular", True)))
+    if net is None:
+        limit, within = 2 ** 63, "int64"
+    else:
+        limit, within = len(net), f"a {len(net)}-point net"
+    rows = [_top_row(sd, i, dim, limit, within) for i, sd in enumerate(raw)]
+    verts = np.array([v for v, _, _ in rows], dtype=np.int64).reshape(-1, dim + 1)
+    order = np.lexsort(verts.T[::-1])  # stable: an earlier copy comes first
+    same = np.all(verts[order[1:]] == verts[order[:-1]], axis=1)
+    if np.any(same):
+        raise ValidationError("duplicate simplex",
+                              path=f"complex.simplices[{int(order[1:][same].min())}].verts")
+    centers = np.array([c for _, c, _ in rows], dtype=float).reshape(-1, dim)
+    radii = np.array([r for _, _, r in rows], dtype=float)
+    return tess.DelaunayComplex.from_arrays(dim, verts[order], centers[order],
+                                            radii[order], regular)
 
 
-def _sphere_arrays(records: list, dim: int) -> tuple:
-    """The (m, dim) centers and the m radii of the (verts, center, radius)
-    records, converted at once; the first record that is not a finite
-    ``dim``-vector and a finite radius is named."""
-    try:
-        centers = np.array([c for _, c, _ in records], dtype=float)
-        radii = np.array([r for _, _, r in records], dtype=float)
-        ok = (centers.shape == (len(records), dim) and np.isfinite(centers).all()
-              and np.isfinite(radii).all())
-    except (ValueError, TypeError, OverflowError):
-        ok = False
-    if ok:
-        return centers, radii.tolist()
-    for i, (_, c, r) in enumerate(records):
-        try:
-            c = np.asarray(c, dtype=float)
-            good = c.shape == (dim,) and np.isfinite(c).all() and math.isfinite(r)
-        except (ValueError, TypeError, OverflowError):
-            good = False
-        if not good:
-            raise ValidationError(f"center must be a finite {dim}-vector and radius "
-                                  f"a finite number", path=f"complex.simplices[{i}]")
-    raise AssertionError("unreachable: every record converted")
-
-
-def _simplex_fields(sd, i: int) -> tuple:
-    """(verts, center, radius) of simplex record i, type-checked; the field
-    path is formatted only for an error."""
-    if isinstance(sd, dict):
-        verts, center, radius = sd.get("verts"), sd.get("center"), sd.get("radius")
-        if (isinstance(verts, list) and isinstance(center, list)
-                and isinstance(radius, (int, float))):
-            return verts, center, radius
+def _top_row(sd, i: int, dim: int, limit: int, within: str) -> tuple:
+    """(verts, center, radius) of top simplex record i, checked: dim+1
+    strictly increasing nonnegative integers below ``limit`` (the size of
+    ``within``), a ``dim``-vector of JSON numbers and a number, all at most
+    MAX_COORDINATE in magnitude, as a net's coordinates are."""
     path = f"complex.simplices[{i}]"
-    return (_require(sd, "verts", list, path), _require(sd, "center", list, path),
-            _require(sd, "radius", (int, float), path))
-
-
-def _check_face_closure(by_dim: dict, dim: int) -> None:
-    """Require the loaded simplices to be exactly the top simplices and
-    their faces, as ``tess._face_closure`` builds them."""
-    closure = tess._face_closure(by_dim[dim], dim)
-    for k in sorted((set(by_dim) | set(closure)) - {dim}, reverse=True):
-        want = [s.vertices for s in closure.get(k, [])]
-        have = [s.vertices for s in by_dim.get(k, [])]
-        if want == have:
-            continue
-        missing = sorted(set(want) - set(have))
-        if missing:
-            face = missing[0]
-            top = next(s.vertices for s in by_dim[dim] if set(face) <= set(s.vertices))
-            raise ValidationError(f"face {face} of {top} missing",
-                                  path="complex.simplices")
-        extra = sorted(set(have) - set(want))[0]
-        raise ValidationError(f"simplex {extra} is not a face of a top simplex",
-                              path="complex.simplices")
+    verts = _require(sd, "verts", list, path)
+    center = _require(sd, "center", list, path)
+    radius = _require(sd, "radius", (int, float), path)
+    if not (len(verts) == dim + 1 and set(map(type, verts)) == {int}  # no bools
+            and verts[0] >= 0 and all(map(operator.lt, verts, verts[1:]))):
+        raise ValidationError(f"verts must be {dim + 1} strictly increasing nonnegative "
+                              f"integers", path=f"{path}.verts")
+    if verts[-1] >= limit:
+        raise ValidationError(f"vertex {verts[-1]} is out of range for {within}",
+                              path=f"{path}.verts")
+    if not (len(center) == dim and set(map(type, center)) <= {int, float}
+            and all(abs(x) <= MAX_COORDINATE for x in (*center, radius))):  # NaN fails
+        raise ValidationError(f"center must be a finite {dim}-vector and radius a finite "
+                              f"number, at most {MAX_COORDINATE:g} in magnitude", path=path)
+    return verts, center, radius
 
 
 # -- bundle -----------------------------------------------------------------

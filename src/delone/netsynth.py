@@ -230,19 +230,10 @@ class ParamFamily:
         alpha = rng.uniform(0.0, 2.0 * math.pi)
         return m, alpha
 
-    def displacement(self, param: str, y) -> np.ndarray:
-        """Smooth displacement field of param at point y (sup-norm <= eps;
-        spatial Lipschitz constant ~ 0.05*eps/scale, so every transport map
-        is an eps-isometry on the working region)."""
-        y = np.asarray(y, dtype=float)
-        m, alpha = self._coeffs(param)
-        phase = alpha + 0.03 * float(np.sum(y)) / self.scale
-        d = np.zeros(self.dim)
-        d[0] = math.cos(phase)
-        d[1 % self.dim] = math.sin(phase) if self.dim > 1 else d[1 % self.dim]
-        return m * self.eps * d
-
     def displacement_batch(self, param: str, pts) -> np.ndarray:
+        """Smooth displacement field of param at each row of pts (sup-norm
+        <= eps; spatial Lipschitz constant ~ 0.05*eps/scale, so every
+        transport map is an eps-isometry on the working region)."""
         pts = np.asarray(pts, dtype=float)
         m, alpha = self._coeffs(param)
         phase = alpha + 0.03 * np.sum(pts, axis=1) / self.scale
@@ -253,7 +244,8 @@ class ParamFamily:
         return m * self.eps * out
 
     def transport(self, param: str, y) -> np.ndarray:
-        return np.asarray(y, dtype=float) + self.displacement(param, y)
+        y = np.asarray(y, dtype=float)
+        return y + self.displacement_batch(param, y[None])[0]
 
     def indexed_displacements(self, param: str, net_points) -> np.ndarray:
         """Per-transversal-index displacement table, overrides applied."""
@@ -865,8 +857,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     drift_c_max = bundle.eps3 * rF / 2.0
     drift_r_max = bundle.eps3 * rF
 
-    top = complex_.top(n)
-    verts = np.array([s.vertices for s in top], dtype=np.int64).reshape(-1, n + 1)
+    verts = complex_.top_arrays(n)[0]
     stacks = pts[verts]
     centers, radii, valid = cs.circumcenter_batch(stacks)
 
@@ -894,8 +885,8 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     eta_f = 64.0 * 2.0 ** -53 * (float(np.max(np.abs(pts), initial=0.0)) + d2)
     eta = family.eps + eta_f
     e1 = min(net.d1, net.check_separation())
-    rho = robustness.prefix_distances(stacks).min(axis=1) if len(top) else np.zeros(0)
-    clearance = np.full(len(top), -np.inf)
+    rho = robustness.prefix_distances(stacks).min(axis=1) if len(verts) else np.zeros(0)
+    clearance = np.full(len(verts), -np.inf)
     if np.any(valid):
         clearance[valid] = _clearances(pts, centers[valid], radii[valid])
 
@@ -909,7 +900,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
                                   delta=np.where(pos, delta, 1.0))
         return np.where(pos, cs.displacement_bound(b, n), np.inf)
 
-    dc = phi = np.full(len(top), np.inf)  # unbounded unless the budget's constants exist
+    dc = phi = np.full(len(verts), np.inf)  # unbounded unless the budget's constants exist
     rho_err = math.inf
     near = None
     try:
@@ -968,7 +959,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     radius_drift = dc + eta
     for param in over:
         tnet = translate_net(net, param, family)
-        if len(top):
+        if len(verts):
             tstacks = tnet.points[verts]
             tc, tr, tvalid = cs.circumcenter_batch(tstacks)
             if not np.all(tvalid):
@@ -1034,17 +1025,12 @@ class ProductStructure:
 def _face_agreement(points: np.ndarray, moved: np.ndarray, verts: np.ndarray) -> float:
     """Largest distance between the two realizations of a shared face's
     midpoint, one through each of its first two parents (in the order of
-    ``verts``), over every face shared by two top simplices and every
-    parameter's translate in ``moved`` (P, m, n)."""
-    n = points.shape[1]
-    faces = verts[:, list(itertools.combinations(range(n + 1), n))].reshape(-1, n)
-    rows = np.lexsort(faces.T[::-1])  # stable: parents of a face stay in order
-    faces = faces[rows]
-    first = np.ones(len(faces), dtype=bool)
-    first[1:] = np.any(faces[1:] != faces[:-1], axis=1)
-    pair = np.nonzero(first[:-1] & ~first[1:])[0]
-    mid = np.mean(points[faces[pair]], axis=1)
-    parents = [verts[rows[pair + i] // (n + 1)] for i in (0, 1)]
+    ``verts``), over every face shared by two or more top simplices and
+    every parameter's translate in ``moved`` (P, m, n)."""
+    faces, count, parents = tess.facets(verts)
+    shared = count >= 2
+    mid = np.mean(points[faces[shared]], axis=1)
+    parents = [verts[parents[shared, i]] for i in (0, 1)]
     bary = [tess.barycentric_coordinates(points[v], mid)[:, None, :] for v in parents]
     worst = 0.0
     for m in moved:  # one parameter at a time keeps the gathers small
@@ -1075,8 +1061,7 @@ def build_product_structure(K: Region, net: tess.Net,
     n = net.dim
     params = family.params
     moved = np.stack([translate_net(net, p, family).points for p in params])
-    verts = np.array([s.vertices for s in complex_.top(n)],
-                     dtype=np.int64).reshape(-1, n + 1)
+    verts = complex_.top_arrays(n)[0]
     interior = net.interior_mask()
     k = min(12, len(net))
     dist, near = cKDTree(net.points).query(grid, k=k)

@@ -17,8 +17,12 @@ all empty spheres of a cospherical configuration.  That enumeration
 independent oracle of ``check_duality`` and of the certifier's near-miss
 search.  Both branches take every center from
 ``circumsphere.circumcenter_batch``, whose rows do not depend on the batch,
-so they give equal bits.  Lower-dimensional simplices are the faces of the
-kept top simplices, each inheriting a witness sphere.
+so they give equal bits.
+The complex is pure and stored by its top simplices alone, which determine
+every face (Boissonnat, Karthik & Tavenas, "Building efficient and compact
+data structures for simplicial complexes", Algorithmica 2017).  Consumers
+read the tops as arrays through ``DelaunayComplex.top_arrays``, and
+codimension-1 faces with their parents come from one kernel, ``facets``.
 Point location has one kernel, ``locate``: it finds the top simplex that
 contains each of a batch of points, and the point's barycentric coordinates
 in it, scanning the simplicial cones of given candidate sites with batched
@@ -105,15 +109,52 @@ class Simplex:
 
 @dataclass(frozen=True)
 class DelaunayComplex:
-    simplices_by_dim: dict  # k -> list[Simplex], sorted by vertex tuple
+    """A pure complex, stored by its top simplices only."""
+
+    simplices_by_dim: dict  # n -> list[Simplex], sorted by vertex tuple
     regular: bool
+
+    @classmethod
+    def from_arrays(cls, n: int, verts, centers, radii, regular: bool):
+        """The complex of the top simplices given as arrays, in their order."""
+        top = [Simplex(vertices=tuple(row), sphere=CircumSphere(center=c, radius=r))
+               for row, c, r in zip(verts.tolist(), centers, radii.tolist())]
+        return cls(simplices_by_dim={n: top}, regular=regular)
 
     def top(self, n: int):
         return self.simplices_by_dim.get(n, [])
 
-    def all_simplices(self):
-        for k in sorted(self.simplices_by_dim):
-            yield from self.simplices_by_dim[k]
+    def top_arrays(self, n: int):
+        """The top simplices as arrays (verts, centers, radii): int64 vertex
+        rows (t, n+1), circumcenters (t, n) and radii (t,)."""
+        top = self.top(n)
+        verts = np.array([s.vertices for s in top], dtype=np.int64).reshape(-1, n + 1)
+        centers = np.array([s.sphere.center for s in top], dtype=float).reshape(-1, n)
+        radii = np.array([s.sphere.radius for s in top], dtype=float)
+        return verts, centers, radii
+
+
+def facets(verts: np.ndarray):
+    """The codimension-1 faces of top simplices given by sorted vertex rows
+    ``verts`` (t, n+1): (faces, count, parents).  ``faces`` (f, n) are the
+    distinct faces as sorted rows in lexicographic order, ``count`` (f,)
+    the number of rows of ``verts`` containing each, and ``parents`` (f, 2)
+    the first two of them in the order of ``verts``, -1 where a face has a
+    single parent."""
+    verts = np.asarray(verts, dtype=np.int64)
+    k = verts.shape[1]
+    faces = verts[:, list(itertools.combinations(range(k), k - 1))].reshape(-1, k - 1)
+    order = np.lexsort(faces.T[::-1])  # stable: a face's parents stay in order
+    faces = faces[order]
+    first = np.ones(len(faces), dtype=bool)
+    first[1:] = np.any(faces[1:] != faces[:-1], axis=1)
+    start = np.nonzero(first)[0]
+    count = np.diff(np.append(start, len(faces)))
+    parents = np.full((len(start), 2), -1, dtype=np.int64)
+    parents[:, 0] = order[start] // k
+    two = count >= 2
+    parents[two, 1] = order[start[two] + 1] // k
+    return faces[start], count, parents
 
 
 @dataclass(frozen=True)
@@ -346,33 +387,16 @@ def delaunay_top(points, d2: float, tol_cocirc: float = COSPHERICAL_RTOL):
     return _empty_spheres(pts, *small_spheres(pts, pts.shape[1], d2), tol_cocirc)
 
 
-def _face_closure(top: list, n: int) -> dict:
-    """{k: sorted simplices} for k = n..0: the top simplices and all their
-    faces, each face inheriting the witness sphere of its first parent."""
-    by_dim = {n: top}
-    for k in range(n - 1, -1, -1):
-        seen = {}
-        for s in by_dim[k + 1]:
-            for face in itertools.combinations(s.vertices, k + 1):
-                seen.setdefault(face, s.sphere)
-        by_dim[k] = [Simplex(f, sph) for f, sph in sorted(seen.items())]
-    return by_dim
-
-
 def build_delaunay(net: Net, metric, tol_cocirc: float | None = None) -> DelaunayComplex:
     """Flat Delaunay complex of a net: every (n+1)-subset of sites whose
     circumscribed sphere has radius <= d2 and is empty of other sites
-    (``delaunay_top``), closed under faces.  ``metric`` must be None or flat.
+    (``delaunay_top``).  ``metric`` must be None or flat.
     """
     if metric is not None and metric.kind != "flat":
         raise ValidationError(f"the Delaunay complex is built in the flat metric "
                               f"only, not {metric.selector()}")
     tol = COSPHERICAL_RTOL if tol_cocirc is None else tol_cocirc
-    verts, centers, radii, regular = delaunay_top(net.points, net.d2, tol)
-    top = [Simplex(vertices=tuple(row), sphere=CircumSphere(center=c, radius=float(r)))
-           for row, c, r in zip(verts.tolist(), centers, radii)]
-    return DelaunayComplex(simplices_by_dim=_face_closure(top, net.dim),
-                           regular=regular)
+    return DelaunayComplex.from_arrays(net.dim, *delaunay_top(net.points, net.d2, tol))
 
 
 @dataclass(frozen=True)
@@ -410,14 +434,11 @@ def check_duality(net: Net, complex_: DelaunayComplex,
         dv = np.linalg.norm(pts[verts] - centers[:, None, :], axis=2)
         return dmin, dv <= (dmin + rtol * np.maximum(1.0, dmin))[:, None]
 
-    top = complex_.top(n)
-    verts = np.array([s.vertices for s in top], dtype=np.int64).reshape(-1, n + 1)
-    centers = np.array([s.sphere.center for s in top], dtype=float).reshape(-1, n)
+    verts, centers, _ = complex_.top_arrays(n)
     fwd = np.nonzero(np.all(interior[verts], axis=1))[0]
     _, inside = in_cells(verts[fwd], centers[fwd])
     for j in np.nonzero(~np.all(inside, axis=1))[0]:
-        s = top[fwd[j]]
-        violations.append(("center_outside_cell", s.vertices,
+        violations.append(("center_outside_cell", tuple(verts[fwd[j]].tolist()),
                            int(verts[fwd[j], np.argmin(inside[j])])))
 
     rows, c, r = small_spheres(pts, n, net.d2)
@@ -490,8 +511,7 @@ def check_filling(net: Net, complex_: DelaunayComplex, i: int,
     site are made; the first ``samples`` of them whose nearest site is i
     must each be ``locate``d in i's cone.  False when the cone is empty."""
     rng = np.random.default_rng(0) if rng is None else rng
-    verts = np.array([s.vertices for s in complex_.top(net.dim)],
-                     dtype=np.int64).reshape(-1, net.dim + 1)
+    verts = complex_.top_arrays(net.dim)[0]
     if not np.any(verts == i):
         return False
     pts = net.points

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -310,19 +311,27 @@ class TestBadCertifyArguments:
 class TestNetComplexMismatch:
     @pytest.fixture
     def mismatched(self, tiny_files, tmp_path):
-        """A complex whose faces are complete but name vertex 99999, and one
-        whose dim differs from the net's."""
-        sphere = {"center": [0.0, 0.0], "radius": 1.0}
-        verts = [[0], [1], [99999], [0, 1], [0, 99999], [1, 99999], [0, 1, 99999]]
-        far = tmp_path / "far.json"
-        jsonio.write(far, {"v": 1, "dim": 2, "regular": True,
-                           "simplices": [{"verts": v, **sphere} for v in verts]})
+        """Complex files the net's loader must refuse: a top simplex naming
+        vertex 99999, a dim other than the net's, the schema before top
+        simplices only, a ``regular`` that is not a bool, and a center of
+        booleans."""
         cx = jsonio.read(tiny_files["cx"])
-        dim3 = tmp_path / "dim3.json"
-        jsonio.write(dim3, {**cx, "dim": 3})
-        return {"vertex": str(far), "dim": str(dim3)}
+        top = cx["simplices"]
+        files = {
+            "vertex": {**cx, "simplices": [{**top[0], "verts": [0, 1, 99999]}]},
+            "dim": {**cx, "dim": 3},
+            "v1": {**cx, "v": 1},
+            "regular": {**cx, "regular": "no"},
+            "center": {**cx, "simplices": [{**top[0], "center": [True, False]}] + top[1:]},
+        }
+        for kind, d in files.items():
+            jsonio.write(tmp_path / f"{kind}.json", d)
+        return {kind: str(tmp_path / f"{kind}.json") for kind in files}
 
-    @pytest.mark.parametrize("kind", ["vertex", "dim"])
+    NAMED = {"vertex": "99999", "dim": "complex.dim", "v1": "complex.v",
+             "regular": "complex.regular", "center": "complex.simplices[0]"}
+
+    @pytest.mark.parametrize("kind", sorted(NAMED))
     @pytest.mark.parametrize("command", ["certify", "duality-check", "render"])
     def test_exits_one_with_message(self, tiny_files, mismatched, tmp_path,
                                     capsys, kind, command):
@@ -334,11 +343,82 @@ class TestNetComplexMismatch:
             args += ["--out", str(tmp_path / "net.svg")]
         capsys.readouterr()
         assert cli.main(args) == 1
-        err = _one_line_error(capsys)
-        assert ("99999" in err) if kind == "vertex" else ("complex.dim" in err)
+        assert self.NAMED[kind] in _one_line_error(capsys)
+
+
+def _reference_svg(net, cx, certificate):
+    """``render_svg`` as it drew a complex that stored every face: Delaunay
+    edges from the face closure of the top simplices, Voronoi edges from a
+    dict of each codimension-1 face's parents."""
+    pts = net.points
+    lo = pts.min(axis=0) - net.d2
+    hi = pts.max(axis=0) + net.d2
+    size = 800.0
+    scale = size / float(np.max(hi - lo))
+
+    def sx(p):
+        return (p[0] - lo[0]) * scale
+
+    def sy(p):
+        return size - (p[1] - lo[1]) * scale
+
+    bad = {tuple(rec["simplex"]) for rec in certificate["per_simplex"]
+           if any(v < 0 for k, v in rec.items() if k.endswith("margin"))}
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
+        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
+        f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
+    ]
+    edges = sorted({e for s in cx.top(2) for e in itertools.combinations(s.vertices, 2)})
+    for e in edges:
+        a, b = pts[e[0]], pts[e[1]]
+        parts.append(
+            f'<line x1="{sx(a):.2f}" y1="{sy(a):.2f}" x2="{sx(b):.2f}" '
+            f'y2="{sy(b):.2f}" stroke="#7799cc" stroke-width="1"/>')
+    by_face: dict = {}
+    for s in cx.top(2):
+        for i in range(3):
+            face = s.vertices[:i] + s.vertices[i + 1:]
+            by_face.setdefault(face, []).append(s)
+    for face, parents in sorted(by_face.items()):
+        if len(parents) == 2:
+            c1, c2 = parents[0].sphere.center, parents[1].sphere.center
+            parts.append(
+                f'<line x1="{sx(c1):.2f}" y1="{sy(c1):.2f}" x2="{sx(c2):.2f}" '
+                f'y2="{sy(c2):.2f}" stroke="#cc9944" stroke-width="0.7"/>')
+    for s in cx.top(2):
+        if tuple(s.vertices) in bad:
+            poly = " ".join(f"{sx(pts[v]):.2f},{sy(pts[v]):.2f}" for v in s.vertices)
+            parts.append(f'<polygon points="{poly}" fill="rgba(220,40,40,0.45)" '
+                         f'stroke="#cc2222" stroke-width="2"/>')
+    for p in pts:
+        parts.append(f'<circle cx="{sx(p):.2f}" cy="{sy(p):.2f}" r="2.5" '
+                     f'fill="#223355"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 class TestRender:
+    def test_bytes_equal_to_the_face_dict_renderer(self, small_net_pack, small_complex,
+                                                   tmp_path):
+        net = small_net_pack["net"]
+        failing = list(small_complex.top(2)[100].vertices)
+        cert = {"per_simplex": [{"simplex": failing, "robustness_margin": -0.01}],
+                "worst": {}}
+        svg = cli.render_svg(net, small_complex, cert)
+        assert svg == _reference_svg(net, small_complex, cert)
+        assert svg.count("<polygon") == 1
+        # and through the files the render command reads
+        jsonio.write(tmp_path / "net.json", jsonio.net_to_dict(net))
+        jsonio.write(tmp_path / "cx.json", jsonio.complex_to_dict(small_complex, 2))
+        jsonio.write(tmp_path / "cert.json", {**cert, "v": 3, "pass": False,
+                                              "family": {}, "budget": {}})
+        assert cli.main(["render", "--net", str(tmp_path / "net.json"),
+                         "--complex", str(tmp_path / "cx.json"),
+                         "--certificate", str(tmp_path / "cert.json"),
+                         "--out", str(tmp_path / "net.svg")]) == 0
+        assert (tmp_path / "net.svg").read_text() == svg
+
     def test_three_point_svg(self, tmp_path):
         net = tess.Net(dim=2,
                        points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),

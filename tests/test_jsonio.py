@@ -84,6 +84,15 @@ class TestNetIo:
             jsonio.net_from_dict(d)
 
 
+def _grid_net():
+    """A jittered 3 x 3 grid, whose complex has 8 top triangles."""
+    axis = np.arange(3.0)
+    pts = np.array([[x, y] for x in axis for y in axis])
+    pts += np.random.default_rng(0).uniform(-0.03, 0.03, pts.shape)
+    return tess.Net(dim=2, points=pts, d1=0.5, d2=0.8,
+                    region=nsy.Region.box([-1.0, -1.0], [3.0, 3.0]))
+
+
 class TestComplexIo:
     def test_round_trip(self):
         net = _triangle_net()
@@ -94,14 +103,25 @@ class TestComplexIo:
             {s.vertices for s in cx.top(2)}
         assert again.regular == cx.regular
 
-    def test_face_closure_violation(self):
-        net = _triangle_net()
-        cx = tess.build_delaunay(net, None)
-        d = jsonio.complex_to_dict(cx, net.dim)
-        # drop one edge: its parent triangle loses a face
-        d["simplices"] = [s for s in d["simplices"] if s["verts"] != [0, 1]]
-        with pytest.raises(ValidationError):
-            jsonio.complex_from_dict(d)
+    def test_round_trip_keeps_sphere_bits(self, small_complex):
+        text = jsonio.dumps(jsonio.complex_to_dict(small_complex, 2))
+        again = jsonio.complex_from_dict(json.loads(text))
+        want, got = small_complex.top(2), again.top(2)
+        assert [s.vertices for s in got] == [s.vertices for s in want]
+        for a, b in zip(got, want):
+            assert a.sphere.center.tobytes() == np.asarray(b.sphere.center).tobytes()
+            assert np.float64(a.sphere.radius).tobytes() == \
+                np.float64(b.sphere.radius).tobytes()
+
+    def test_top_simplices_only_sorted(self):
+        net = _grid_net()
+        d = jsonio.complex_to_dict(tess.build_delaunay(net, None), net.dim)
+        assert d["v"] == 2
+        verts = [s["verts"] for s in d["simplices"]]
+        assert all(len(v) == 3 for v in verts) and verts == sorted(verts)
+        shuffled = {**d, "simplices": d["simplices"][::-1]}
+        again = jsonio.complex_to_dict(jsonio.complex_from_dict(shuffled, net), 2)
+        assert jsonio.dumps(again) == jsonio.dumps(d)
 
     def test_duplicate_simplex_rejected(self):
         net = _triangle_net()
@@ -110,44 +130,55 @@ class TestComplexIo:
         with pytest.raises(ValidationError):
             jsonio.complex_from_dict(d)
 
-    def test_missing_vertex_named(self):
-        net = _triangle_net()
-        d = jsonio.complex_to_dict(tess.build_delaunay(net, None), net.dim)
-        d["simplices"] = [s for s in d["simplices"] if s["verts"] != [1]]
-        with pytest.raises(ValidationError,
-                           match=re.escape("complex.simplices: face (1,) of (0, 1, 2) missing")):
-            jsonio.complex_from_dict(d)
-
     @pytest.mark.parametrize("change,message", [
-        (lambda ss: [s for s in ss if s["verts"] != [0, 2]],
-         "complex.simplices: face (0, 2) of (0, 1, 2) missing"),
-        (lambda ss: ss + [{**ss[0], "verts": [0, 0]}],
-         "complex.simplices[7].verts: repeated vertex"),
-        (lambda ss: ss + [dict(ss[3])], "complex.simplices[7].verts: duplicate simplex"),
-        (lambda ss: ss + [{**ss[0], "verts": [3]}],
-         "complex.simplices[7].verts: vertex 3 is out of range for a 3-point net"),
-        (lambda ss: ss + [{**ss[0], "verts": [0, -1]}],
-         "complex.simplices[7].verts: verts must be nonnegative integers"),
-        (lambda ss: ss[:6] + [{**ss[6], "verts": [False, 1, 2]}],
-         "complex.simplices[6].verts: verts must be nonnegative integers"),
-        (lambda ss: [s for s in ss if len(s["verts"]) < 3],
-         "complex.simplices: no top-dimensional simplices"),
-        (lambda ss: ss + [{**ss[0], "verts": [2, 1]}],
-         "complex.simplices: simplex (2, 1) is not a face of a top simplex"),
-        (lambda ss: ss + [5], "complex.simplices[7]: expected an object"),
-        (lambda ss: ss + [{**ss[0], "radius": "r"}], "complex.simplices[7].radius"),
+        (lambda ss: ss + [{**ss[0], "verts": [0, 0, 1]}],
+         "complex.simplices[8].verts: verts must be 3 strictly increasing"),
+        (lambda ss: ss[:1] + [dict(ss[3])] + ss[2:], "complex.simplices[3].verts: duplicate"),
+        (lambda ss: ss[:7] + [{**ss[7], "verts": [0, 1, 9]}],
+         "complex.simplices[7].verts: vertex 9 is out of range for a 9-point net"),
+        (lambda ss: ss[:7] + [{**ss[7], "verts": [-1, 0, 1]}],
+         "complex.simplices[7].verts: verts must be 3 strictly increasing nonnegative"),
+        (lambda ss: ss[:6] + [{**ss[6], "verts": [False, 1, 2]}] + ss[7:],
+         "complex.simplices[6].verts: verts must be 3 strictly increasing nonnegative"),
+        (lambda ss: ss[:1] + [{**ss[1], "verts": [1, 2]}] + ss[2:],
+         "complex.simplices[1].verts: verts must be 3 strictly increasing"),
+        (lambda ss: ss[:2] + [{**ss[2], "verts": [1, 4, 2]}] + ss[3:],
+         "complex.simplices[2].verts: verts must be 3 strictly increasing"),
+        (lambda ss: ss[:7] + [5], "complex.simplices[7]: expected an object"),
+        (lambda ss: ss[:7] + [{**ss[7], "radius": "r"}], "complex.simplices[7].radius"),
         (lambda ss: ss[:2] + [{**ss[2], "center": [0.5]}] + ss[3:],
          "complex.simplices[2]: center must be a finite 2-vector"),
         (lambda ss: ss[:5] + [{**ss[5], "radius": float("nan")}] + ss[6:],
          "complex.simplices[5]: center must be a finite 2-vector and radius a finite"),
+        (lambda ss: ss[:4] + [{**ss[4], "center": [True, False]}] + ss[5:],
+         "complex.simplices[4]: center must be a finite 2-vector"),
+        (lambda ss: ss[:6] + [{**ss[6], "radius": True}] + ss[7:],
+         "complex.simplices[6].radius"),
+        (lambda ss: ss[:3] + [{**ss[3], "center": [10 ** 400, 0]}] + ss[4:],
+         "complex.simplices[3]: center must be a finite 2-vector"),
+        (lambda ss: ss[:3] + [{**ss[3], "radius": 1e308}] + ss[4:],
+         "complex.simplices[3]: center must be a finite 2-vector and radius a finite "
+         "number, at most 1e+150 in magnitude"),
     ])
     def test_rejections_name_their_field(self, change, message):
-        net = _triangle_net()
+        net = _grid_net()
         d = jsonio.complex_to_dict(tess.build_delaunay(net, None), net.dim)
-        assert len(d["simplices"]) == 7
+        assert len(d["simplices"]) == 8
         d["simplices"] = change(d["simplices"])
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
             jsonio.complex_from_dict(d, net)
+
+    @pytest.mark.parametrize("change,path", [
+        (lambda c: {**c, "v": 1}, "complex.v"),  # the schema with every face
+        (lambda c: {**c, "regular": "no"}, "complex.regular"),
+        (lambda c: {k: v for k, v in c.items() if k != "regular"}, "complex.regular"),
+        (lambda c: {**c, "dim": 0}, "complex.dim"),
+    ], ids=["v1", "regular-not-bool", "regular-missing", "dim-zero"])
+    def test_header_rejections(self, change, path):
+        net = _triangle_net()
+        d = jsonio.complex_to_dict(tess.build_delaunay(net, None), net.dim)
+        with pytest.raises(ValidationError, match=rf"^{re.escape(path)}:"):
+            jsonio.complex_from_dict(change(d))
 
     def test_dim_mismatch_rejected(self):
         net = _triangle_net()

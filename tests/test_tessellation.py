@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -163,10 +165,13 @@ class TestBuildDelaunay:
     def test_single_triangle_with_faces(self):
         net = _net([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 0.5, 0.8)
         cx = tess.build_delaunay(net, None)
+        assert list(cx.simplices_by_dim) == [2]  # the top simplices only
         assert len(cx.top(2)) == 1
-        assert len(cx.simplices_by_dim[1]) == 3
-        assert len(cx.simplices_by_dim[0]) == 3
         assert cx.top(2)[0].sphere.radius == pytest.approx(math.sqrt(2) / 2)
+        faces, count, parents = tess.facets(cx.top_arrays(2)[0])
+        assert faces.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert count.tolist() == [1, 1, 1]
+        assert parents.tolist() == [[0, -1]] * 3
 
     def test_cocircular_square_irregular(self):
         net = _net([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 0.5, 0.75)
@@ -411,7 +416,7 @@ class TestDelaunayKernel:
 
 def _enumeration_complex(net):
     """The flat complex as built by enumerating every local subset, with
-    its own face closure and regularity test: the builder's reference."""
+    its own regularity test: the builder's reference."""
     n = net.dim
     pts = net.points
     subsets = tess._local_subsets(pts, n, 2.0 * net.d2)
@@ -426,21 +431,67 @@ def _enumeration_complex(net):
                     vertices=tuple(int(v) for v in subsets[j]),
                     sphere=cs.CircumSphere(center=centers[j], radius=float(radii[j]))))
     kept.sort(key=lambda s: s.vertices)
-    by_dim = {n: kept}
-    for k in range(n - 1, -1, -1):
-        seen = {}
-        for s in by_dim[k + 1]:
-            for face in itertools.combinations(s.vertices, k + 1):
-                seen.setdefault(face, s.sphere)
-        by_dim[k] = [tess.Simplex(vertices=f, sphere=sph)
-                     for f, sph in sorted(seen.items())]
     # regular: no site off a kept sphere within 1e-9 * radius of it
     regular = True
     if kept:
         d = tess.sphere_neighbours(pts, np.array([s.sphere.center for s in kept]), n)
         radii = np.array([s.sphere.radius for s in kept])
         regular = not bool(np.any(d[:, n + 1] <= radii * (1.0 + 1e-9)))
-    return tess.DelaunayComplex(simplices_by_dim=by_dim, regular=regular)
+    return tess.DelaunayComplex(simplices_by_dim={n: kept}, regular=regular)
+
+
+def _reference_facets(verts):
+    """{face: parent rows} of the codimension-1 faces, by the itertools face
+    loop over the top simplices, faces sorted and parents in row order."""
+    by_face = {}
+    for t, row in enumerate(verts.tolist()):
+        for face in itertools.combinations(row, len(row) - 1):
+            by_face.setdefault(face, []).append(t)
+    return dict(sorted(by_face.items()))
+
+
+class TestFacets:
+    def _complexes(self):
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            yield _net(_poisson(rng, 25, 0.15), 0.15, 0.35)
+        yield _net(_lattice(2), 0.9, 0.75)  # cospherical squares: 4 parents
+        yield _net(rng.uniform(0.0, 1.0, (14, 3)), 0.01, 0.6, dim=3)
+        angle = 2.0 * math.pi * np.arange(5) / 5  # cospherical pentagon: 3 parents
+        yield _net(np.column_stack([np.cos(angle), np.sin(angle)]), 0.5, 1.1)
+
+    def test_matches_the_face_loop(self):
+        seen = set()
+        for net in self._complexes():
+            verts = tess.build_delaunay(net, None).top_arrays(net.dim)[0]
+            want = _reference_facets(verts)
+            faces, count, parents = tess.facets(verts)
+            assert [tuple(f) for f in faces.tolist()] == list(want)
+            assert count.tolist() == [len(p) for p in want.values()]
+            assert parents.tolist() == [(p + [-1])[:2] for p in want.values()]
+            seen.update(count.tolist())
+        assert {1, 2, 3, 4} <= seen
+
+    def test_no_tops(self):
+        faces, count, parents = tess.facets(np.zeros((0, 3), dtype=np.int64))
+        assert faces.shape == (0, 2) and count.shape == (0,) and parents.shape == (0, 2)
+
+
+def test_only_tessellation_reads_simplex_fields():
+    """Outside ``tessellation``, no module of the package reads ``.vertices``
+    or ``.sphere`` off a Simplex: consumers take ``top_arrays``, so the
+    complex's storage is known in one module.  A called attribute of that
+    name (``MetricModel.sphere(R)``) is a constructor, not a field read."""
+    found = []
+    for path in sorted(Path(tess.__file__).resolve().parent.glob("*.py")):
+        if path.name == "tessellation.py":
+            continue
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("vertices", "sphere")
+                  and id(node) not in called]
+    assert not found
 
 
 def _complex_bytes(cx, dim):
