@@ -3,9 +3,10 @@
 The ladder starts from the combinatorial count C_n, derives the widths
 eps1..eps3 of the exclusion regions, then eps4 (frame-alignment accuracy) by
 binary search against the perturbed-robustness recursion over the rho-hat
-chain, then eps0 as the largest value clearing eight explicit constraints,
-and finally the working scale rF with its derived d-ladder and the
-parameter-ball radius r_star.
+chain, then the Gram-Schmidt threshold gs_delta = delta_n(eps4) in closed
+form (``metrics.gs_delta``), then eps0 as the largest value clearing eight
+explicit constraints, and finally the working scale rF with its derived
+d-ladder.
 
 Two modes share one inequality system: ``paper`` evaluates the worst-case
 formulas verbatim (astronomically small for n >= 2), ``practical`` accepts a
@@ -24,7 +25,8 @@ from . import metrics as mt
 from . import robustness
 from .errors import InvalidBudgetError, ValidationError
 
-#: r_star reported for families with no measurable distortion.
+#: r_star of every bundle; also compute_r_star's result when the whole
+#: family passes.
 R_STAR_CAP = 1.0
 
 #: Ratios of the d-ladder (d1, d1', d1'', d2'', d2', d2) to rF.
@@ -32,6 +34,9 @@ D_LADDER_RATIOS = (0.10, 0.11, 0.12, 0.18, 0.19, 0.20)
 
 #: Safety factor for the practical-mode default eps0 below its tightest bound.
 EPS0_PRACTICAL_SAFETY = 0.7
+
+#: How gs_delta is derived, as recorded in a bundle's provenance.
+GS_DELTA_PROVENANCE = "min(eps4/(2n), 1/(3n), GS_DELTA_MAX/2), rounded down"
 
 _EPS0_CONSTRAINT_IDS = (
     "lt_1_2000",
@@ -134,7 +139,8 @@ def eps0_bounds(n: int, eps1: float, eps2: float, eps3: float, eps4: float,
                 gs_delta: float) -> dict:
     """The eight upper bounds constraining eps0, keyed by constraint id.
 
-    gs_delta is the measured Gram-Schmidt threshold delta_n(eps4).
+    gs_delta is the Gram-Schmidt threshold delta_n(eps4) of
+    ``metrics.gs_delta``.
     """
     align = eps3 / (2.0 * (1.0 + 35.0 * n**1.5 * (4.0 / (15.0 * eps2)) ** (n - 1)))
     return dict(zip(_EPS0_CONSTRAINT_IDS, (
@@ -206,8 +212,9 @@ def d_ladder(rF: float):
 def compute_r_star(family, eps0: float, rF: float, samples=None,
                    metric: mt.MetricModel | None = None,
                    cap: float = R_STAR_CAP) -> float:
-    """Largest sampled parameter-ball radius with var <= eps0*rF and
-    div <= eps0*rF; the cap when even the full family passes."""
+    """The paper's r*, sampled: the largest parameter-ball radius at which
+    the sampled var and div stay <= eps0*rF; the cap when even the full
+    family passes.  No command runs it: bundles report R_STAR_CAP."""
     if samples is None:
         rng = np.random.default_rng(7)
         samples = rng.uniform(0.0, rF, size=(24, getattr(family, "dim", 2)))
@@ -307,6 +314,9 @@ def validate_bundle(b: ConstantBundle) -> None:
             raise ValidationError("rho_hat entry off-formula", path=f"rho_hat[{k}]")
     if not eps4_inequalities_hold(b.n, b.eps2, b.eps4):
         raise ValidationError("eps4 interleaving inequalities fail", path="eps4")
+    if b.gs_delta != mt.gs_delta(b.n, b.eps4):
+        raise ValidationError("gs_delta does not match its formula at (n, eps4)",
+                              path="gs_delta")
     bounds = eps0_bounds(b.n, b.eps1, b.eps2, b.eps3, b.eps4, b.gs_delta)
     if not eps0_constraints_hold(b.eps0, bounds):
         raise ValidationError("eps0 constraints fail", path="eps0")
@@ -319,18 +329,18 @@ def validate_bundle(b: ConstantBundle) -> None:
 
 
 def _finish_bundle(n, mode, eps0, eps1, eps2, eps3, eps4, gs_delta, binding,
-                   metric, dFU, lF, family, provenance) -> ConstantBundle:
+                   metric, provenance) -> ConstantBundle:
     if metric is None:
         metric = mt.MetricModel.flat(n)
-    rF = compute_rF(metric, eps0, dFU, lF)
+    # one leaf, no foliated-chart limits: dFU = 1 and lF = inf leave
+    # rF = min{lambda_eps0, 1}
+    rF = compute_rF(metric, eps0, 1.0, math.inf)
     d1, d1p, d1pp, d2pp, d2p, d2 = d_ladder(rF)
-    r_star = (compute_r_star(family, eps0, rF, metric=metric)
-              if family is not None else R_STAR_CAP)
     v2 = {"1,2": robustness.v2_constant(1.0, 2.0)}
     return ConstantBundle(
         n=n, mode=mode, Cn=compute_Cn(n),
         eps0=eps0, eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4,
-        rF=rF, r_star=r_star,
+        rF=rF, r_star=R_STAR_CAP,
         d1=d1, d1p=d1p, d1pp=d1pp, d2pp=d2pp, d2p=d2p, d2=d2,
         rho_hat=tuple(rho_hat_ladder(n, eps2)),
         gs_delta=gs_delta, binding_eps0=binding, v2=v2,
@@ -338,37 +348,34 @@ def _finish_bundle(n, mode, eps0, eps1, eps2, eps3, eps4, gs_delta, binding,
     )
 
 
-def paper_bundle(n: int, metric: mt.MetricModel | None = None,
-                 dFU: float = 1.0, lF: float = math.inf,
-                 family=None) -> ConstantBundle:
+def paper_bundle(n: int, metric: mt.MetricModel | None = None) -> ConstantBundle:
     """The worst-case ladder evaluated verbatim from its formulas."""
     eps1, eps2, eps3 = compute_eps_ladder(n)
     eps4 = compute_eps4(n, eps2)
-    gs_delta = mt.measured_gs_delta(n, eps4)
+    gs_delta = mt.gs_delta(n, eps4)
     eps0, binding = compute_eps0(n, eps1, eps2, eps3, eps4, gs_delta)
     prov = {
         "eps1": "1/(Cn*1000*n*100^n)",
         "eps2": "1/(Cn*2000*2^n)",
         "eps3": "eps1/10",
         "eps4": "binary search over the interleaving inequalities",
+        "gs_delta": GS_DELTA_PROVENANCE,
         "eps0": "halving grid under the eight constraints",
         "seed": 0,
     }
     return _finish_bundle(n, "paper", eps0, eps1, eps2, eps3, eps4, gs_delta,
-                          binding, metric, dFU, lF, family, prov)
+                          binding, metric, prov)
 
 
 def practical_bundle(n: int, eps1: float, eps2: float, eps3: float, eps4: float,
                      eps0: float | None = None,
-                     metric: mt.MetricModel | None = None,
-                     dFU: float = 1.0, lF: float = math.inf,
-                     family=None) -> ConstantBundle:
+                     metric: mt.MetricModel | None = None) -> ConstantBundle:
     """A user-supplied ladder validated against the identical inequality
     system; eps0 defaults to a safety factor below its tightest bound."""
     if not eps4_inequalities_hold(n, eps2, eps4):
         raise ValidationError("supplied eps4 fails the interleaving inequalities",
                               path="eps4")
-    gs_delta = mt.measured_gs_delta(n, eps4)
+    gs_delta = mt.gs_delta(n, eps4)
     if eps0 is None:
         eps0 = practical_eps0(n, eps1, eps2, eps3, eps4, gs_delta)
     bounds = eps0_bounds(n, eps1, eps2, eps3, eps4, gs_delta)
@@ -376,9 +383,10 @@ def practical_bundle(n: int, eps1: float, eps2: float, eps3: float, eps4: float,
         raise ValidationError("supplied eps0 fails its constraints", path="eps0")
     binding = min(bounds, key=bounds.get)
     prov = {"eps1": repr(eps1), "eps2": repr(eps2), "eps3": repr(eps3),
-            "eps4": repr(eps4), "eps0": "supplied or safety default", "seed": 0}
+            "eps4": repr(eps4), "gs_delta": GS_DELTA_PROVENANCE,
+            "eps0": "supplied or safety default", "seed": 0}
     return _finish_bundle(n, "practical", eps0, eps1, eps2, eps3, eps4, gs_delta,
-                          binding, metric, dFU, lF, family, prov)
+                          binding, metric, prov)
 
 
 def default_practical_bundle(n: int = 2, **kw) -> ConstantBundle:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -270,6 +271,50 @@ def gram_schmidt_correct(near_frame, inner_product=None):
     return out, deviation
 
 
+def gs_delta(n: int, eps: float) -> float:
+    """Threshold delta_n(eps) of the orthonormalization lemma:
+    min(eps/(2n), 1/(3n), GS_DELTA_MAX/2), and 0 for eps <= 0.
+
+    Claim: if n vectors f_j (the rows of F) have Gram matrix
+    G = F F^T = I + E with |E_ij| <= delta <= delta_n(eps), then
+    ``gram_schmidt_correct`` accepts them and returns q_j with
+    max_j ||q_j - f_j|| <= eps.
+
+    Proof.  ||E||_2 <= ||E||_F <= n delta <= 1/3, so G is positive definite.
+    Write G = L L^T with L = I + Delta lower triangular.  Then
+    Delta + Delta^T = E - Delta Delta^T; the left side has Frobenius norm
+    at least sqrt(2) ||Delta||_F (off-diagonal entries appear twice,
+    diagonal ones doubled), so x = ||Delta||_F satisfies
+    x^2 - sqrt(2) x + ||E||_F >= 0.  Along the path I + tE, t in [0, 1],
+    the Cholesky factor is continuous and x = 0 at t = 0; since
+    ||tE||_F <= 1/3 < 1/2 keeps the two roots apart, x stays on the small
+    root: x <= (sqrt(2) - sqrt(2 - 4 ||E||_F))/2 <= sqrt(2) ||E||_F
+    <= sqrt(2) n delta.  Gram-Schmidt returns Q = L^{-1} F, so
+    Q - F = -L^{-1} Delta F and
+    max_j ||q_j - f_j|| <= ||L^{-1}||_2 ||Delta||_2 ||F||_2
+    <= sqrt((1 + n delta)/(1 - n delta)) sqrt(2) n delta <= 2 n delta <= eps,
+    using n delta <= 1/3.  Finally delta <= GS_DELTA_MAX/2 puts the norms
+    sqrt(1 + E_jj) inside (1 - GS_DELTA_MAX, 1 + GS_DELTA_MAX) and the cross
+    terms below GS_DELTA_MAX, so the conditioning checks pass.  The
+    deviation bound uses only ||E||_F <= n delta, so it also covers
+    F = cholesky(I + delta S)^T with |S_ij| <= 1, whose F F^T - I is
+    orthogonally similar to delta S.  (Cholesky perturbation bounds in the
+    same spirit: Stewart, SIAM J. Numer. Anal. 1977; Sun, BIT 1991.)
+
+    The float is rounded down (``math.nextafter``) until it is at most the
+    exact rational value, so rounding cannot widen the threshold.
+    """
+    if not eps > 0:
+        return 0.0
+    exact = min(Fraction(1, 3 * n), Fraction(GS_DELTA_MAX) / 2)
+    if math.isfinite(eps):
+        exact = min(exact, Fraction(eps) / (2 * n))
+    delta = float(exact)
+    while Fraction(delta) > exact:
+        delta = math.nextafter(delta, 0.0)
+    return delta
+
+
 def align_frame(m: MetricModel, frame_at_x: Frame, y) -> Frame:
     """The paper's alignment of frames: the frame at y aligned with
     frame_at_x, by parallel transport of its axes along the geodesic
@@ -517,106 +562,6 @@ def estimate_var_div(family, r: float, samples, metric: MetricModel | None = Non
                 for b in range(a + 1, len(pts)):
                     var = max(var, abs(dist(ip[a], ip[b]) - dist(iq[a], iq[b])))
     return var, div
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (samples, n) stacks, each evaluated by the
-    same vector-vector kernel as ``np.dot`` on one pair of rows."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _gs_conditioned(f: np.ndarray) -> np.ndarray:
-    """Per frame of a (samples, k, n) stack: does it pass the norm and
-    cross-term checks of ``gram_schmidt_correct``?"""
-    ok = np.ones(f.shape[0], dtype=bool)
-    for i in range(f.shape[1]):
-        ni = np.sqrt(_row_dots(f[:, i], f[:, i]))
-        ok &= (1.0 - GS_DELTA_MAX < ni) & (ni < 1.0 + GS_DELTA_MAX)
-        for j in range(i + 1, f.shape[1]):
-            ok &= np.abs(_row_dots(f[:, i], f[:, j])) < GS_DELTA_MAX
-    return ok
-
-
-def _gs_deviation(f: np.ndarray) -> float:
-    """Largest ``gram_schmidt_correct`` deviation over a (samples, k, n)
-    stack of well-conditioned frames, with the same per-frame arithmetic."""
-    out = f.copy()
-    for i in range(f.shape[1]):
-        for j in range(i):
-            out[:, i] -= _row_dots(out[:, i], out[:, j])[:, None] * out[:, j]
-        out[:, i] /= np.sqrt(_row_dots(out[:, i], out[:, i]))[:, None]
-    return float(np.max(np.linalg.norm(out - f, axis=-1), initial=0.0))
-
-
-def _cholesky_fails(m: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return True
-    return False
-
-
-def measured_gs_delta(n: int, eps: float, samples: int = 48) -> float:
-    """Largest perturbation size delta (on a halving grid) for which the
-    Gram-Schmidt correction of delta-perturbed frames deviates by at most eps.
-
-    This is the measured stand-in for the unspecified threshold function of
-    the orthonormalization lemma: monotone in eps with value 0 at eps = 0.
-
-    Each halving step draws its ``samples`` perturbations as one block and
-    treats them as a stack.  The result, the generator stream and the
-    exceptions are those of a loop over the samples that draws n*n entries
-    and then n diagonal entries per sample and stops at the first sample
-    that is ill-conditioned.
-    """
-    if eps <= 0:
-        return 0.0
-    rng = np.random.default_rng(24601)
-    width = n * n + n
-    diag = np.arange(n)
-
-    def worst_dev(delta: float) -> float:
-        state = rng.bit_generator.state
-        draws = rng.uniform(-0.99, 0.99, size=(samples, width))
-        s = draws[:, :n * n].reshape(samples, n, n)
-        s = 0.5 * (s + s.transpose(0, 2, 1))
-        s[:, diag, diag] = draws[:, n * n:]
-        gram = np.eye(n) + delta * s
-        stop = samples
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            # the loop raises at the first matrix that is not positive
-            # definite, unless an earlier sample is ill-conditioned
-            stop = next(k for k in range(samples) if _cholesky_fails(gram[k]))
-            chol = np.linalg.cholesky(gram[:stop])
-        f = chol.transpose(0, 2, 1)  # rows have Gram close to gram
-        bad = np.flatnonzero(~_gs_conditioned(f))
-        if bad.size:
-            # leave the generator where the loop stops: after sample bad[0]
-            rng.bit_generator.state = state
-            rng.uniform(-0.99, 0.99, size=(bad[0] + 1, width))
-            return math.inf
-        if stop < samples:
-            np.linalg.cholesky(gram[stop])  # raises LinAlgError
-        worst = _gs_deviation(f)
-        # structured extreme: all cross terms at +delta
-        gram = np.full((n, n), 0.999 * delta) + (1.0 - 0.999 * delta) * np.eye(n)
-        try:
-            _, dev = gram_schmidt_correct(np.linalg.cholesky(gram).T)
-            worst = max(worst, dev)
-        except (IllConditionedError, np.linalg.LinAlgError):
-            return math.inf
-        return worst
-
-    delta = GS_DELTA_MAX / 2
-    for _ in range(200):
-        if worst_dev(delta) <= eps:
-            return delta
-        delta *= 0.5
-        if delta < 1e-300:
-            return 0.0
-    return 0.0
 
 
 def parse_metric(selector: str) -> MetricModel:

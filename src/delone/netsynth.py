@@ -54,7 +54,6 @@ from .errors import (
     UnsupportedDimError,
     ValidationError,
 )
-from .metrics import _row_dots
 
 #: Sampled forbidden-volume audit every this many synthesis steps (and at any
 #: step whose closed-form bound is not below 1/2).
@@ -76,6 +75,12 @@ MAX_REJECTIONS = 10_000
 #: the clearance order (2*eps1*rF), both slacks are below 1e-4 d2, so
 #: R = 1.25 d2 loses no annulus that matters; 1.25 is the value measured.
 CIRCLE_CAP_D2 = 1.25
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (samples, n) stacks, each evaluated by the
+    same vector-vector kernel as ``np.dot`` on one pair of rows."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ class Region:
     def boundary_distance(self, p):
         """Signed inward distance to the boundary (negative outside) of one
         point, as a float, or of each row of an (m, n) stack.  A disk's norm
-        is the ``np.dot`` kernel of ``metrics._row_dots``, so every row gets
+        is the ``np.dot`` kernel of ``_row_dots``, so every row gets
         the bits ``np.linalg.norm`` gives it alone; the elementwise squares
         of ``boundary_distance_many`` can round the last bit differently."""
         p = np.asarray(p, dtype=float)

@@ -331,7 +331,7 @@ def sphere_neighbours(points: np.ndarray, centers: np.ndarray, n: int) -> np.nda
 
 
 def _empty_spheres(pts: np.ndarray, rows: np.ndarray, centers: np.ndarray,
-                   radii: np.ndarray, tol_cocirc: float):
+                   radii: np.ndarray):
     """The rows whose sphere is empty of other sites, in lexicographic
     order: (verts, centers, radii, regular)."""
     n = pts.shape[1]
@@ -339,20 +339,20 @@ def _empty_spheres(pts: np.ndarray, rows: np.ndarray, centers: np.ndarray,
         return rows, np.zeros((0, n)), np.zeros(0), True
     d = sphere_neighbours(pts, centers, n)
     empty = d[:, 0] >= radii * (1.0 - EMPTY_RTOL)
-    # an extra site within tol*radius of a kept sphere's surface makes n+2
-    # cospherical sites; sites deeper inside fail the emptiness test
-    regular = not bool(np.any(d[empty, n + 1] <= radii[empty] * (1.0 + tol_cocirc)))
+    # an extra site within COSPHERICAL_RTOL*radius of a kept sphere's surface
+    # makes n+2 cospherical sites; sites deeper inside fail the emptiness test
+    regular = not bool(np.any(d[empty, n + 1] <= radii[empty] * (1.0 + COSPHERICAL_RTOL)))
     keep = np.nonzero(empty)[0]
     keep = keep[np.lexsort(rows[keep].T[::-1])]
     return rows[keep], centers[keep], radii[keep], regular
 
 
-def delaunay_top(points, d2: float, tol_cocirc: float = COSPHERICAL_RTOL):
+def delaunay_top(points, d2: float):
     """Top simplices of the flat Delaunay complex with circumradius <= d2.
 
     Returns (verts, centers, radii, regular): sorted int64 vertex rows in
     lexicographic order, their circumcenters and radii, and False iff some
-    kept sphere carries an extra site within tol_cocirc*radius of its
+    kept sphere carries an extra site within COSPHERICAL_RTOL*radius of its
     surface.  The result is that of enumerating every (n+1)-subset of sites
     pairwise within 2*d2 and keeping the valid spheres of radius <= d2 with
     no site nearer their center than radius*(1 - EMPTY_RTOL).
@@ -364,13 +364,14 @@ def delaunay_top(points, d2: float, tol_cocirc: float = COSPHERICAL_RTOL):
       within 2*radius <= 2*d2, and it passes the enumeration's tests,
       computed by the same row-wise batched solve: it is enumerated, with a
       bitwise-equal center.
-    * Let S be enumerated.  If no other site lies within tol_cocirc*radius
-      of S's sphere (EMPTY_RTOL < tol_cocirc, so this covers sites inside),
-      all other sites are strictly outside it, S is a cell of the unique
-      Delaunay subdivision, and Qhull returns S (its roundoff is far below
-      tol_cocirc).  Otherwise S's sphere carries n+2 sites; Qhull
-      triangulates their Delaunay cell with simplices sharing that small
-      empty sphere, which are kept and fail regularity.
+    * Let S be enumerated.  If no other site lies within
+      COSPHERICAL_RTOL*radius of S's sphere (EMPTY_RTOL < COSPHERICAL_RTOL,
+      so this covers sites inside), all other sites are strictly outside
+      it, S is a cell of the unique Delaunay subdivision, and Qhull returns
+      S (its roundoff is far below COSPHERICAL_RTOL).  Otherwise S's sphere
+      carries n+2 sites; Qhull triangulates their Delaunay cell with
+      simplices sharing that small empty sphere, which are kept and fail
+      regularity.
 
     Falls back to the enumeration of ``small_spheres`` when Qhull cannot
     triangulate the points (fewer than n+1 of them, all in a hyperplane, or
@@ -381,13 +382,13 @@ def delaunay_top(points, d2: float, tol_cocirc: float = COSPHERICAL_RTOL):
     pts = np.asarray(points, dtype=float)
     rows = _qhull_simplices(pts)
     if rows is not None:
-        top = _empty_spheres(pts, *_sphere_rows(pts, rows, d2), tol_cocirc)
+        top = _empty_spheres(pts, *_sphere_rows(pts, rows, d2))
         if top[3]:
             return top
-    return _empty_spheres(pts, *small_spheres(pts, pts.shape[1], d2), tol_cocirc)
+    return _empty_spheres(pts, *small_spheres(pts, pts.shape[1], d2))
 
 
-def build_delaunay(net: Net, metric, tol_cocirc: float | None = None) -> DelaunayComplex:
+def build_delaunay(net: Net, metric) -> DelaunayComplex:
     """Flat Delaunay complex of a net: every (n+1)-subset of sites whose
     circumscribed sphere has radius <= d2 and is empty of other sites
     (``delaunay_top``).  ``metric`` must be None or flat.
@@ -395,8 +396,7 @@ def build_delaunay(net: Net, metric, tol_cocirc: float | None = None) -> Delauna
     if metric is not None and metric.kind != "flat":
         raise ValidationError(f"the Delaunay complex is built in the flat metric "
                               f"only, not {metric.selector()}")
-    tol = COSPHERICAL_RTOL if tol_cocirc is None else tol_cocirc
-    return DelaunayComplex.from_arrays(net.dim, *delaunay_top(net.points, net.d2, tol))
+    return DelaunayComplex.from_arrays(net.dim, *delaunay_top(net.points, net.d2))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from delone import metrics as mt
 from delone import netsynth as nsy
 from delone import robustness as rb
 from delone import tessellation as tess
-from delone.metrics import _row_dots
+from delone.netsynth import _row_dots
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

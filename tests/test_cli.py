@@ -150,7 +150,7 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("args", [
         ["constants", "--dim", "3"],  # the default practical ladder is for dim 2
-        ["constants", "--dim", "4", "--mode", "paper"],  # eps0 underflows float64
+        ["constants", "--dim", "5", "--mode", "paper"],  # eps4 underflows float64
         ["constants", "--dim", "9", "--mode", "paper"],
         ["synthesize", "--box", "0,0,0.1,0.1", "--seed", "-1"],
         ["certify", "--family-seed", "-1"],
@@ -198,6 +198,30 @@ class TestConstantsCommand:
         assert rc == 0
         b = jsonio.bundle_from_dict(jsonio.read(out))
         assert b.mode == "paper" and b.Cn == 55
+
+    def test_paper_mode_n4_loads_back(self, tmp_path):
+        out = tmp_path / "paper.json"
+        rc = cli.main(["constants", "--dim", "4", "--mode", "paper",
+                       "--out", str(out)])
+        assert rc == 0
+        b = jsonio.bundle_from_dict(jsonio.read(out))
+        assert b.mode == "paper" and b.n == 4 and b.eps0 > 0
+
+    @pytest.mark.parametrize("command", ["synthesize", "certify"])
+    def test_off_formula_gs_delta_refused(self, tiny_files, tmp_path, capsys,
+                                          command):
+        d = jsonio.read(tiny_files["bundle"])
+        d["gs_delta"] = 2.0 * d["gs_delta"]  # would widen eps0's room
+        bad = tmp_path / "bundle.json"
+        jsonio.write(bad, d)
+        args = {"synthesize": ["synthesize", "--box", "0,0,0.1,0.1"],
+                "certify": ["certify", "--net", tiny_files["net"],
+                            "--complex", tiny_files["cx"]]}[command]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert cli.main(args + ["--bundle", str(bad), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "bundle: gs_delta: " in _one_line_error(capsys)
 
     def test_explicit_eps(self, tmp_path):
         out = tmp_path / "b.json"
@@ -538,6 +562,21 @@ def test_package_never_imports_scipy_optimize():
                 continue
             if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_package_imports_no_private_names():
+    """No module of the package imports an underscore name from another of
+    its modules: what one module shares with another is public."""
+    found = []
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("delone"):
+                continue
+            found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                      if a.name.startswith("_")]
     assert not found
 
 

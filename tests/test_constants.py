@@ -76,7 +76,7 @@ class TestEps0:
     def _parts(self, n):
         e1, e2, e3 = consts.compute_eps_ladder(n)
         e4 = consts.compute_eps4(n, e2)
-        gs = mt.measured_gs_delta(n, e4)
+        gs = mt.gs_delta(n, e4)
         return e1, e2, e3, e4, gs
 
     def test_substitution_and_doubling(self):
@@ -198,15 +198,35 @@ class TestBundles:
         (lambda d: {**d, "eps": d["eps"][:4] + ["2e-9"]}, "bundle.eps[4]: expected a number"),
         (lambda d: {**d, "rF": True}, "bundle.rF: expected"),
         (lambda d: {**d, "v2": []}, "bundle.v2: expected an object"),
+        (lambda d: {**d, "gs_delta": 1.4901161193847657e-09},  # the former sampled value
+         "bundle: gs_delta: gs_delta does not match its formula"),
     ])
     def test_malformed_bundle_named(self, bundle2, change, path):
         with pytest.raises(ValidationError, match=f"^{re.escape(path)}"):
             jsonio.bundle_from_dict(change(bundle2.to_dict()))
 
-    @pytest.mark.parametrize("n", [4, 5, 8])
+    @pytest.mark.parametrize("n", [5, 8])
     def test_paper_constants_that_underflow_are_named(self, n):
         with pytest.raises(ValidationError, match=rf"no positive float64 eps\d .* n = {n}"):
             consts.paper_bundle(n)
+
+    def test_paper_bundle_n4_valid(self):
+        b = consts.paper_bundle(4)
+        assert b.gs_delta == mt.gs_delta(4, b.eps4) > 0
+        assert 0 < b.eps0 < b.gs_delta / 100
+        consts.validate_bundle(b)
+
+    # eps0 of the default practical bundle and of paper n = 1..3, the same
+    # before and after gs_delta became a closed form: it does not bind
+    @pytest.mark.parametrize("n,eps0", [
+        (0, 1.3258247124928244e-12),
+        (1, 2.3283064365386963e-10),
+        (2, 4.1359030627651384e-25),
+        (3, 4.176194859519056e-53),
+    ])
+    def test_eps0_and_binding_kept(self, bundle2, n, eps0):
+        b = bundle2 if n == 0 else consts.paper_bundle(n)
+        assert (b.eps0, b.rF, b.binding_eps0) == (eps0, 1.0, "lt_eps3_alignment")
 
     def test_tampered_rho_hat_rejected(self, bundle2):
         d = bundle2.to_dict()

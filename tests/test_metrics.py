@@ -1,7 +1,11 @@
 import math
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delone import metrics as mt
 from delone.errors import IllConditionedError, OutOfChartError, ValidationError
@@ -135,29 +139,58 @@ class TestGramSchmidt:
         assert dev == 0.0
         assert ip(axes[0], axes[1]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_measured_gs_delta(self):
-        assert mt.measured_gs_delta(2, 0.0) == 0.0
-        d_small = mt.measured_gs_delta(2, 1e-3, samples=16)
-        d_big = mt.measured_gs_delta(2, 1e-2, samples=16)
-        assert 0.0 < d_small <= d_big <= mt.GS_DELTA_MAX
+    def test_gs_delta_zero_and_monotone(self):
+        assert mt.gs_delta(2, 0.0) == 0.0
+        assert mt.gs_delta(2, -1.0) == 0.0
+        d_small = mt.gs_delta(2, 1e-3)
+        d_big = mt.gs_delta(2, 1e-2)
+        assert 0.0 < d_small <= d_big <= mt.GS_DELTA_MAX / 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-61, 2e-9, 0.1, 0.3, 1.0, math.inf])
+    def test_gs_delta_is_the_formula_rounded_down(self, n, eps):
+        exact = min(Fraction(1, 3 * n), Fraction(mt.GS_DELTA_MAX) / 2)
+        if math.isfinite(eps):
+            exact = min(exact, Fraction(eps) / (2 * n))
+        got = mt.gs_delta(n, eps)
+        assert 0.0 < got and Fraction(got) <= exact
+        assert Fraction(math.nextafter(got, math.inf)) > exact
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=8),
+           st.floats(min_value=1e-12, max_value=0.3),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["uniform", "signs", "all_minus", "all_plus"]))
+    def test_gs_delta_bounds_the_correction(self, n, eps, seed, kind):
+        delta = mt.gs_delta(n, eps)
+        dev = _cholesky_frame_deviation(_symmetric_unit(n, seed, kind), delta)
+        assert dev <= eps
+
+    def test_gs_delta_at_6_01_bounds_the_worst_frame(self):
+        # cross terms all at -0.99: the sampled halving search returned
+        # delta = 0.05 here, where this frame moves by about 0.137
+        s = np.full((6, 6), -0.99)
+        np.fill_diagonal(s, 0.0)
+        assert _cholesky_frame_deviation(s, 0.05) > 0.1
+        assert _cholesky_frame_deviation(s, mt.gs_delta(6, 0.1)) <= 0.1
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5, 2e-9, 1e-12])
     @pytest.mark.parametrize("samples", [16, 48])
-    def test_measured_gs_delta_matches_loop(self, monkeypatch, n, eps, samples):
-        _assert_gs_delta_matches_loop(monkeypatch, n, eps, samples)
-
-    def test_measured_gs_delta_ill_conditioned_sample(self, monkeypatch):
-        # at n = 140 and delta = 0.1 the first sample fails the norm check, so
-        # the loop stops after it; the generator must stop there too
-        _assert_gs_delta_matches_loop(monkeypatch, 140, 1e-1, 2)
-
-    def test_measured_gs_delta_not_positive_definite(self):
-        # at n = 200 the first perturbed Gram matrix is not positive definite
-        with pytest.raises(np.linalg.LinAlgError):
-            _gs_delta_loop(200, 1e-3, 2)
-        with pytest.raises(np.linalg.LinAlgError):
-            mt.measured_gs_delta(200, 1e-3, 2)
+    def test_gs_delta_bounds_sampled_frames(self, n, eps, samples):
+        """The frames the former halving search sampled at each delta: a
+        seeded block of perturbations with entries in (-0.99, 0.99) and the
+        structured extreme with every cross term at +0.999."""
+        delta = mt.gs_delta(n, eps)
+        rng = np.random.default_rng(24601)
+        for _ in range(samples):
+            s = rng.uniform(-0.99, 0.99, size=(n, n))
+            s = 0.5 * (s + s.T)
+            np.fill_diagonal(s, rng.uniform(-0.99, 0.99, size=n))
+            assert _cholesky_frame_deviation(s, delta) <= eps
+        extreme = np.full((n, n), 0.999)
+        np.fill_diagonal(extreme, 0.0)
+        assert _cholesky_frame_deviation(extreme, delta) <= eps
 
 
 class TestAlignFrame:
@@ -311,50 +344,21 @@ class TestParseMetric:
                 mt.parse_metric(sel)
 
 
-def _assert_gs_delta_matches_loop(monkeypatch, n, eps, samples):
-    """Same delta as the loop, and the generator left in the same state."""
-    made = []
-    default_rng = np.random.default_rng
+def _symmetric_unit(n, seed, kind):
+    """A symmetric n x n matrix with entries in [-1, 1]: uniform entries,
+    random signs, or every off-diagonal entry at -1 or at +1."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        s = rng.uniform(-1.0, 1.0, size=(n, n))
+    elif kind == "signs":
+        s = rng.choice([-1.0, 1.0], size=(n, n))
+    else:
+        s = np.full((n, n), -1.0 if kind == "all_minus" else 1.0)
+        s[np.diag_indices(n)] = rng.uniform(-1.0, 1.0, size=n)
+    return np.triu(s) + np.triu(s, 1).T
 
-    def recording_rng(seed):
-        made.append(default_rng(seed))
-        return made[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", recording_rng)
-    assert mt.measured_gs_delta(n, eps, samples) == _gs_delta_loop(n, eps, samples)
-    assert made[0].bit_generator.state == made[1].bit_generator.state
-
-
-def _gs_delta_loop(n, eps, samples):
-    """Reference for measured_gs_delta: one sample at a time."""
-    if eps <= 0:
-        return 0.0
-    rng = np.random.default_rng(24601)
-
-    def worst_dev(delta):
-        worst = 0.0
-        for _ in range(samples):
-            s = rng.uniform(-0.99, 0.99, size=(n, n))
-            s = 0.5 * (s + s.T)
-            np.fill_diagonal(s, rng.uniform(-0.99, 0.99, size=n))
-            f = np.linalg.cholesky(np.eye(n) + delta * s).T
-            try:
-                _, dev = mt.gram_schmidt_correct(f)
-            except IllConditionedError:
-                return math.inf
-            worst = max(worst, dev)
-        gram = np.full((n, n), 0.999 * delta) + (1.0 - 0.999 * delta) * np.eye(n)
-        try:
-            _, dev = mt.gram_schmidt_correct(np.linalg.cholesky(gram).T)
-        except (IllConditionedError, np.linalg.LinAlgError):
-            return math.inf
-        return max(worst, dev)
-
-    delta = mt.GS_DELTA_MAX / 2
-    for _ in range(200):
-        if worst_dev(delta) <= eps:
-            return delta
-        delta *= 0.5
-        if delta < 1e-300:
-            return 0.0
-    return 0.0
+def _cholesky_frame_deviation(s, delta):
+    """Deviation of ``gram_schmidt_correct`` on the frame cholesky(I + delta S)^T."""
+    f = np.linalg.cholesky(np.eye(len(s)) + delta * s).T
+    return mt.gram_schmidt_correct(f)[1]

@@ -313,7 +313,7 @@ def _poisson(rng, count, min_sep):
     return np.array(pts)
 
 
-def _all_subsets_top(pts, d2, tol=tess.COSPHERICAL_RTOL):
+def _all_subsets_top(pts, d2):
     """Brute-force reference for ``delaunay_top``: every (n+1)-subset of all
     sites, no locality pruning and no Qhull, with each emptiness and
     regularity test made against every site."""
@@ -328,7 +328,7 @@ def _all_subsets_top(pts, d2, tol=tess.COSPHERICAL_RTOL):
         d = np.sort(np.linalg.norm(pts - centers[j], axis=1))
         if d[0] >= radii[j] * (1.0 - tess.EMPTY_RTOL):
             keep.append(j)
-            if len(d) > n + 1 and d[n + 1] <= radii[j] * (1.0 + tol):
+            if len(d) > n + 1 and d[n + 1] <= radii[j] * (1.0 + tess.COSPHERICAL_RTOL):
                 regular = False
     keep = np.array(keep, dtype=np.int64)
     return rows[keep], centers[keep], radii[keep], regular
@@ -338,8 +338,7 @@ def _enumeration_top(pts, d2):
     """The kernel's enumeration path on its own."""
     n = pts.shape[1]
     rows = tess._local_subsets(pts, n, 2.0 * d2)
-    return tess._empty_spheres(pts, *tess._sphere_rows(pts, rows, d2),
-                               tess.COSPHERICAL_RTOL)
+    return tess._empty_spheres(pts, *tess._sphere_rows(pts, rows, d2))
 
 
 def _kernel_case(kind, rng):
