@@ -276,7 +276,11 @@ class ConstantBundle:
 
 
 def validate_bundle(b: ConstantBundle) -> None:
-    """Assert every bundle invariant; raises ValidationError otherwise."""
+    """Assert every bundle invariant; raises ValidationError otherwise.  A
+    stored entry must match its formula to 1e-12 of its own size."""
+    def off(have, want):
+        return not math.isclose(have, want, rel_tol=1e-12)
+
     if b.mode not in ("paper", "practical"):
         raise ValidationError(f"unknown mode {b.mode!r}", path="mode")
     if not 1 <= b.n <= 8:
@@ -292,16 +296,15 @@ def validate_bundle(b: ConstantBundle) -> None:
     for lo, hi in zip(ladder, ladder[1:]):
         if not lo < hi:
             raise ValidationError("d-ladder not strictly increasing", path="d")
-    for val, ratio in zip(ladder, D_LADDER_RATIOS):
-        if abs(val - ratio * b.rF) > 1e-12 * max(1.0, b.rF):
-            raise ValidationError("d-ladder not proportional to rF", path="d")
-    if abs(b.d2 - 2.0 * b.d1) > 1e-12 * max(1.0, b.rF):
+    if any(off(val, ratio * b.rF) for val, ratio in zip(ladder, D_LADDER_RATIOS)):
+        raise ValidationError("d-ladder not proportional to rF", path="d")
+    if off(b.d2, 2.0 * b.d1):
         raise ValidationError("d2 != 2*d1", path="d")
     # rho-hat chain: 2(n+2) entries strictly decreasing in (15 eps2, 18 eps2]
     if len(b.rho_hat) != b.n + 2 or any(len(pair) != 2 for pair in b.rho_hat):
         raise ValidationError("rho_hat ladder has the wrong length", path="rho_hat")
     flat = [x for pair in b.rho_hat for x in pair]
-    if abs(flat[0] - 18.0 * b.eps2) > 1e-15:
+    if off(flat[0], 18.0 * b.eps2):
         raise ValidationError("rho_hat_0 != 18*eps2", path="rho_hat")
     for lo, hi in zip(flat[1:], flat):
         if not lo < hi:
@@ -309,8 +312,8 @@ def validate_bundle(b: ConstantBundle) -> None:
     if not flat[-1] > 15.0 * b.eps2:
         raise ValidationError("rho_hat chain leaves (15 eps2, 18 eps2]", path="rho_hat")
     for k in range(b.n + 2):
-        if abs(b.rho_hat[k][0] - rho_hat(b.n, b.eps2, k)) > 1e-15 or \
-           abs(b.rho_hat[k][1] - rho_hat_prime(b.n, b.eps2, k)) > 1e-15:
+        if off(b.rho_hat[k][0], rho_hat(b.n, b.eps2, k)) or \
+           off(b.rho_hat[k][1], rho_hat_prime(b.n, b.eps2, k)):
             raise ValidationError("rho_hat entry off-formula", path=f"rho_hat[{k}]")
     if not eps4_inequalities_hold(b.n, b.eps2, b.eps4):
         raise ValidationError("eps4 interleaving inequalities fail", path="eps4")
@@ -324,7 +327,7 @@ def validate_bundle(b: ConstantBundle) -> None:
         e1, e2, e3 = compute_eps_ladder(b.n)
         for name, have, want in (("eps1", b.eps1, e1), ("eps2", b.eps2, e2),
                                  ("eps3", b.eps3, e3)):
-            if not math.isclose(have, want, rel_tol=1e-12):
+            if off(have, want):
                 raise ValidationError(f"paper-mode {name} off-formula", path=name)
 
 

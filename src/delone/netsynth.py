@@ -27,10 +27,10 @@ candidate.
 Stability of the resulting Delaunay complex is then certified for every
 displacement field within the family's budget at once: margins on each top
 simplex (drift, clearance, radius, robustness from
-``robustness.prefix_distances``) show it survives, and an enumeration of the
-near-empty spheres shows no other simplex can appear.  Only parameters whose
-overrides exceed the budget are checked one by one, against a Qhull rebuild
-of their translate.
+``robustness.prefix_distances``) show it survives, and one pass over Qhull's
+triangulation of the net, through the lifting map, shows no other simplex can
+appear.  Only parameters whose overrides exceed the budget are checked one by
+one, against a Qhull rebuild of their translate.
 """
 
 from __future__ import annotations
@@ -744,7 +744,7 @@ def _clearances(points: np.ndarray, centers, radii) -> np.ndarray:
     the (n+2)-nd nearest site of each center, since the n+1 vertices sit at
     distance ~radius."""
     n = points.shape[1]
-    return tess.sphere_neighbours(points, centers, n)[:, n + 1] - radii
+    return tess.sphere_neighbours(points, centers, n)[0][:, n + 1] - radii
 
 
 def _over_budget(family: ParamFamily) -> list:
@@ -752,6 +752,36 @@ def _over_budget(family: ParamFamily) -> list:
     ``family.eps``, in the family's (lexicographic) order."""
     return sorted({p for p, _, vec in family.overrides
                    if float(np.linalg.norm(vec)) > family.eps})
+
+
+def _near_misses(pts, verts, reach, radius, least):
+    """Step 3's pass over Qhull's triangles (``certify_family_stability``):
+    (witnesses, flagged, margin, row), the sorted witness triples, the count
+    of flagged triangles, and the least clearance - ``least`` over the
+    triangles of radius <= ``radius`` with the row attaining it."""
+    m = len(pts)
+    rows = tess.qhull_simplices(pts)
+    if rows is None:  # fewer than three sites, all on a line, or coincident ones
+        return [], int(m > 2), math.inf, None
+    centers, radii, valid = cs.circumcenter_batch(pts[rows])
+    flat, rows, radii = rows[~valid], rows[valid], radii[valid]
+    d, idx = tess.sphere_neighbours(pts, centers[valid], 2)
+    margin = np.where(radii <= radius, d[:, 3] - radii - least, np.inf)
+    own = (d[:, 0] < radii * (1.0 - tess.EMPTY_RTOL)) | \
+        ((radii <= reach) & ~tess.rows_in(rows, verts, m))
+    close = (margin < 0) & ~own
+    near, idx = rows[close], idx[close, :4]
+    q = idx[np.arange(len(idx)),
+            np.argmax(np.all(idx[:, :, None] != near[:, None, :], axis=2), axis=1)]
+    swaps = np.sort(np.where(np.eye(3, dtype=bool), q[:, None, None], near[:, None, :]),
+                    axis=2)  # swaps[k, j]: near[k] with vertex j replaced by q[k]
+    fresh = ~tess.rows_in(swaps.reshape(-1, 3), verts, m).reshape(-1, 3)
+    named = [min(s[f].tolist(), default=row) for s, f, row in
+             zip(swaps, fresh, near.tolist())]
+    witnesses = sorted(set(map(tuple, named + flat.tolist() + rows[own].tolist())))
+    i = int(np.argmin(margin)) if len(rows) else None
+    return ([list(w) for w in witnesses], len(near) + len(flat) + int(np.sum(own)),
+            math.inf if i is None else float(margin[i]), None if i is None else rows[i])
 
 
 def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
@@ -817,21 +847,50 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        its moved |det| is >= ``v2_constant(e1 - 2 eta, d2)`` and its
        unmoved one >= delta' = that - spread(eta).  With Delta c' =
        D(eta, delta') and phi' = D(eta_f, delta') + eta_f (step 1's float
-       argument with delta' for delta_S), its base circle
-       has computed radius <= d2 + Delta c' + eta + phi' and no site
-       deeper inside it than 2 (Delta c' + eta + phi') + EMPTY_RTOL d2 (the
-       allowance).  Such triples, if not top triangles, are near misses;
-       they are sought among ``tess.small_spheres``, the enumeration of all
-       local triples that ``check_duality`` uses, not Qhull.  The near_miss
-       margin is the least (depth - allowance) over the small circles that
-       are not top triangles; when it is negative the certificate fails
-       with margin -inf and names the triple.  T's drift must meet the
-       center-drift bound as S's does, Delta c' <= eps3 rF / 2; otherwise
-       (a d1 far below the sites' spacing, or a d2 far above it, or no
-       positive delta') the near_miss margin is eps3 rF / 2 - Delta c'
-       and nothing is enumerated.  So the search radius stays below
-       d2 + 2 eps3 rF, and as Delta c' grows with d2 / e1 the cap also
-       bounds how many sites lie within the enumeration's reach of a site.
+       argument with delta' for delta_S), T's base circle has radius r in
+       [r0, rho'], r0 = e1 / 2, rho' = d2 + Delta c' + eta + phi', and no
+       site deeper in it than alpha = 2 (Delta c' + eta + phi') +
+       EMPTY_RTOL d2.  Unless Delta c' <= eps3 rF / 2, as for S (it fails
+       for a d1 far below the sites' spacing, a d2 far above it, or no
+       positive delta'), the near_miss margin is eps3 rF / 2 - Delta c'.
+       Lemma.  Lift x to (x, |x|^2) (Edelsbrunner & Seidel, "Voronoi
+       diagrams and arrangements", DCG 1986): circle (c, R) becomes the
+       plane pi(x) = 2 c.x + R^2 - |c|^2, and power(x) = |x|^2 - pi(x).
+       Let a triangle S of sites hold T's centroid g, with power_S >= -eps
+       at every site.  The affine h = pi_T - pi_S has h(g) <= 2 r alpha (g
+       is a convex combination of S's vertices, whose lifts lie on pi_S,
+       and no lifted site lies below pi_T - 2 r alpha) and h(v) =
+       power_S(v) >= -eps at T's vertices, whose mean is g; so each h(v) <=
+       6 r alpha + 2 eps, each h(v) - h(w) = 2 (c_T - c_S).(v - w) is <=
+       6 r alpha', alpha' = alpha + eps / e1, and as T's edge matrix has
+       rows <= 2 r and |det| >= v2_constant(e1, rho'), |c_S - c_T| <=
+       Delta = 12 rho'^2 alpha' / v2_constant(e1, rho'), and r_S^2 =
+       |v - c_S|^2 - h(v) <= (r + Delta)^2 + eps.  If S != T, a vertex v
+       of T off S has |v - c_S| - r_S <= h(v) / (2 r_S) with r_S^2 >=
+       (r - Delta)^2 - 6 r alpha - 2 eps, a bound falling in r: S is
+       protected by at most t_B = (3 r0 alpha + eps) / sqrt((r0 - Delta)^2
+       - 6 r0 alpha - 2 eps) (cf. Boissonnat, Dyer & Ghosh, "The stability
+       of Delaunay triangulations", IJCGA 2013).
+       The pass ``_near_misses`` flags each triangle S of Qhull's Delaunay
+       triangulation of the base net (``tess.qhull_simplices``, a tiling
+       of the sites' hull) that is degenerate, holds a site deeper than
+       EMPTY_RTOL r_S (``delaunay_top``'s test, one ``sphere_neighbours``
+       query over all centers, so Qhull's roundoff is tested), has radius
+       <= rho' and is not a top, or has radius <= rho' + Delta + eps / e1
+       and clearance <= t_B.  With none flagged, T is the S holding its
+       centroid, a Qhull triangle of radius <= rho' and so a top: no T
+       exists.  Floats: for R = 2 rho' and eta_c = 64 u (max |coordinate|
+       + R), radii up to R carry phi_c = eta_c + 84 u R^3 / (v2_constant(
+       e1, R) - spread_R(eta_c)) (step 1's closed form, 84 u > 12 gamma_6)
+       and clearances 2 phi_c; eps = 2 R (EMPTY_RTOL R + 2 phi_c) + 2^-40
+       (max |coordinate| + R)^2, the last term for larger S, whose
+       emptiness is left to Qhull's roundoff (a few u of that square).
+       If Delta >= r0, the root is not positive or Delta + eps / e1 + phi_c
+       > rho', every S in range is flagged.  The near_miss margin is the
+       least clearance - 2 phi_c - t_B in range, a bound.  A flagged S
+       fails with margin -inf and is counted in ``budget``, named by S or,
+       if flagged for its clearance with q the nearest site off its circle,
+       by the first sorted triple of (S - v) + {q} that is not a top.
     4. Over budget.  A parameter with an override longer than family.eps
        runs the per-parameter check: its translate's circumcenters, the
        margins robustness, translate_clearance, center_drift and
@@ -847,7 +906,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     ``radius_drift`` are the certified bounds, raised to the drift measured
     at an over-budget parameter where that is larger; ``budget`` records
     eta (family.eps), the largest bounds, the near-miss count (None when
-    nothing was enumerated) and the over-budget parameters.
+    Qhull was not run) and the over-budget parameters.
     """
     n = net.dim
     if n != 2:
@@ -895,8 +954,8 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     if np.any(valid):
         clearance[valid] = _clearances(pts, centers[valid], radii[valid])
 
-    def spread(t):
-        return (2.0 * d2 + 2.0 * t) ** 2 - (2.0 * d2) ** 2
+    def spread(t, e2=d2):
+        return (2.0 * e2 + 2.0 * t) ** 2 - (2.0 * e2) ** 2
 
     def drift(t, delta):
         """D(t, delta), and inf where delta is not positive."""
@@ -933,22 +992,35 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         dc_nm = float(drift(eta, delta_nm))
         phi_nm = float(drift(eta_f, delta_nm)) + eta_f
         bound_m = drift_c_max - dc_nm * (1.0 + 2.0 ** -48)
-        if not bound_m >= 0:  # inf or nan drift too: nothing is enumerated
+        if not bound_m >= 0:  # inf or nan drift too: Qhull is not run
             note("near_miss", bound_m if bound_m < 0 else -math.inf, None, None,
                  {"near_miss_drift": dc_nm})
         else:
-            allowance = 2.0 * (dc_nm + eta + phi_nm) + tess.EMPTY_RTOL * d2
-            rows, c, r = tess.small_spheres(pts, n, d2 + dc_nm + eta + phi_nm)
-            other = ~tess._rows_in(rows, verts, len(pts))
-            rows, c, r = rows[other], c[other], r[other]
-            depth = r - cKDTree(pts).query(c)[0] if len(rows) else np.zeros(0)
-            near = np.nonzero(depth <= allowance)[0]
-            if len(near):
-                note("near_miss", -math.inf, rows[near[0]], None,
-                     {"near_miss": rows[near[:8]].tolist()})
-            elif len(rows):
-                i = int(np.argmin(depth))
-                note("near_miss", depth[i] - allowance, rows[i], None)
+            reach = d2 + dc_nm + eta + phi_nm  # rho' of step 3
+            alpha = 2.0 * (dc_nm + eta + phi_nm) + tess.EMPTY_RTOL * d2
+            cap = 2.0 * reach
+            span = float(np.max(np.abs(pts), initial=0.0)) + cap
+            eta_c = 64.0 * 2.0 ** -53 * span
+            delta_c = robustness.v2_constant(e1, cap) - spread(eta_c, cap)
+            phi_c = eta_c + 84.0 * 2.0 ** -53 * cap ** 3 / delta_c \
+                if delta_c > 0 else math.inf
+            # the lemma's eps, Delta and range radius rho' + Delta + eps / e1 + phi_c
+            slack = 2.0 * cap * (tess.EMPTY_RTOL * cap + 2.0 * phi_c) \
+                + 2.0 ** -40 * span ** 2
+            lift = 12.0 * reach ** 2 * (alpha + slack / e1) \
+                / robustness.v2_constant(e1, reach)
+            r0, held = e1 / 2.0, reach + lift + slack / e1 + phi_c
+            root = (r0 - lift) ** 2 - 6.0 * r0 * alpha - 2.0 * slack
+            # t_B, and inf (flag every triangle in range) where it does not exist
+            t_b = (3.0 * r0 * alpha + slack) / math.sqrt(root) \
+                if lift < r0 and root > 0 and held <= cap else math.inf
+            witnesses, near, margin, row = _near_misses(
+                pts, verts, reach + phi_c, held, 2.0 * phi_c + t_b)
+            if near:
+                note("near_miss", -math.inf, witnesses[0] if witnesses else None,
+                     None, {"near_miss": witnesses[:8]})
+            else:
+                note("near_miss", margin, row, None)
     rho_m = rho - rho_floor - rho_err
     clear_m = clearance - clear_base - 2.0 * phi
     check("robustness", rho_m)
@@ -957,7 +1029,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     budget = {"eta": family.eps,
               "center_drift": float(dc.max(initial=0.0)),
               "radius_drift": float(dc.max(initial=0.0)) + eta,
-              "near_miss": None if near is None else len(near),
+              "near_miss": near,
               "over_budget": over}
 
     center_drift = dc.copy()

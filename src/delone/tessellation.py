@@ -14,10 +14,10 @@ When it is not, or Qhull cannot triangulate the input, the kernel falls back
 to enumerating every (n+1)-subset of sites pairwise within 2*d2, which keeps
 all empty spheres of a cospherical configuration.  That enumeration
 (``small_spheres``, vectorized from one ``cKDTree.query_pairs``) is also the
-independent oracle of ``check_duality`` and of the certifier's near-miss
-search.  Both branches take every center from
-``circumsphere.circumcenter_batch``, whose rows do not depend on the batch,
-so they give equal bits.
+independent oracle of ``check_duality``; the certifier's near-miss pass
+reads Qhull's whole triangulation through ``qhull_simplices``.  Both branches
+take every center from ``circumsphere.circumcenter_batch``, whose rows do not
+depend on the batch, so they give equal bits.
 The complex is pure and stored by its top simplices alone, which determine
 every face (Boissonnat, Karthik & Tavenas, "Building efficient and compact
 data structures for simplicial complexes", Algorithmica 2017).  Consumers
@@ -270,7 +270,7 @@ def _local_subsets(points: np.ndarray, n: int, reach: float) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _rows_in(rows: np.ndarray, kept: np.ndarray, m: int) -> np.ndarray:
+def rows_in(rows: np.ndarray, kept: np.ndarray, m: int) -> np.ndarray:
     """For each index row, whether it is a row of ``kept`` (indices < m),
     tested on one integer key per row; where m^k would overflow int64, on
     ``np.unique`` row ids instead (some 30 times slower)."""
@@ -305,7 +305,7 @@ def small_spheres(points, n: int, radius: float):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _qhull_simplices(pts: np.ndarray):
+def qhull_simplices(pts: np.ndarray):
     """Qhull's Delaunay simplices as sorted int64 rows, or None when Qhull
     cannot triangulate the points or sets coincident points aside."""
     n = pts.shape[1]
@@ -320,14 +320,13 @@ def _qhull_simplices(pts: np.ndarray):
     return np.sort(tri.simplices, axis=1).astype(np.int64)
 
 
-def sphere_neighbours(points: np.ndarray, centers: np.ndarray, n: int) -> np.ndarray:
-    """Distances from each center to its n+2 nearest sites, shape
-    (len(centers), n+2), inf where the net has fewer sites.  For the
-    circumsphere of n+1 sites, column 0 is the emptiness test and column n+1
-    is the nearest site off the sphere: its clearance, and the cospherical
-    test."""
-    d, _ = cKDTree(points).query(centers, k=n + 2)
-    return d
+def sphere_neighbours(points: np.ndarray, centers: np.ndarray, n: int):
+    """Distances from each center to its n+2 nearest sites and their
+    indices, both of shape (len(centers), n+2); inf distances where the net
+    has fewer sites.  For the circumsphere of n+1 sites, column 0 is the
+    emptiness test and column n+1 is the nearest site off the sphere: its
+    clearance, and the cospherical test."""
+    return cKDTree(points).query(centers, k=n + 2)
 
 
 def _empty_spheres(pts: np.ndarray, rows: np.ndarray, centers: np.ndarray,
@@ -337,7 +336,7 @@ def _empty_spheres(pts: np.ndarray, rows: np.ndarray, centers: np.ndarray,
     n = pts.shape[1]
     if not len(rows):
         return rows, np.zeros((0, n)), np.zeros(0), True
-    d = sphere_neighbours(pts, centers, n)
+    d = sphere_neighbours(pts, centers, n)[0]
     empty = d[:, 0] >= radii * (1.0 - EMPTY_RTOL)
     # an extra site within COSPHERICAL_RTOL*radius of a kept sphere's surface
     # makes n+2 cospherical sites; sites deeper inside fail the emptiness test
@@ -380,7 +379,7 @@ def delaunay_top(points, d2: float):
     cospherical configuration.
     """
     pts = np.asarray(points, dtype=float)
-    rows = _qhull_simplices(pts)
+    rows = qhull_simplices(pts)
     if rows is not None:
         top = _empty_spheres(pts, *_sphere_rows(pts, rows, d2))
         if top[3]:
@@ -443,7 +442,7 @@ def check_duality(net: Net, complex_: DelaunayComplex,
 
     rows, c, r = small_spheres(pts, n, net.d2)
     new = np.nonzero(np.all(interior[rows], axis=1)
-                     & ~_rows_in(rows, verts, len(pts)))[0]
+                     & ~rows_in(rows, verts, len(pts)))[0]
     dmin, inside = in_cells(rows[new], c[new])
     # in all n+1 cells and no site inside => the subset had an empty sphere
     missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - rtol))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from delone import cli, jsonio
+from delone import constants as consts
 from delone import netsynth as nsy
 from delone import tessellation as tess
 from delone.errors import UnsupportedDimError
@@ -222,6 +223,31 @@ class TestConstantsCommand:
         assert cli.main(args + ["--bundle", str(bad), "--out", str(out)]) == 1
         assert not out.exists()
         assert "bundle: gs_delta: " in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("case", ["paper3-rho-hat-up-1pct", "paper4-rho-hat-1e-16",
+                                      "small-rF-d-moved"])
+    def test_off_formula_ladder_refused_at_every_scale(self, tmp_path, capsys, case):
+        # each entry is compared to its formula relative to its own size: an
+        # absolute tolerance (1e-15 for rho_hat, 1e-12 max(1, rF) for the
+        # d-ladder) let all three bundles load
+        if case.startswith("paper"):
+            d = jsonio.bundle_to_dict(consts.paper_bundle(int(case[5])))
+            d["rho_hat"][0][0] = 1e-16 if case.endswith("1e-16") else d["rho_hat"][0][0] * 1.01
+            want = "bundle: rho_hat: rho_hat_0 != 18*eps2"
+        else:
+            d = jsonio.bundle_to_dict(consts.default_practical_bundle(2))
+            d["rF"], d["d"] = 1e-10, [r * 1e-10 for r in consts.D_LADDER_RATIOS]
+            jsonio.bundle_from_dict(d)  # the untouched small-rF ladder loads
+            d["d"] = [x * 1.01 for x in d["d"]]
+            want = "bundle: d: d-ladder not proportional to rF"
+        bad = tmp_path / "bundle.json"
+        jsonio.write(bad, d)
+        out = tmp_path / "net.json"
+        capsys.readouterr()
+        assert cli.main(["synthesize", "--bundle", str(bad), "--box", "0,0,0.1,0.1",
+                         "--out", str(out)]) == 1
+        assert not out.exists()
+        assert want in _one_line_error(capsys)
 
     def test_explicit_eps(self, tmp_path):
         out = tmp_path / "b.json"
@@ -534,6 +560,7 @@ def test_cli_does_not_import_scipy_optimize(tmp_path):
     code = """
 import sys
 from delone import cli, jsonio
+from delone import constants as consts
 bundle, net = sys.argv[1], sys.argv[2]
 assert cli.main(["constants", "--out", bundle]) == 0
 rF = jsonio.read(bundle)["rF"]
@@ -567,16 +594,26 @@ def test_package_never_imports_scipy_optimize():
 
 def test_package_imports_no_private_names():
     """No module of the package imports an underscore name from another of
-    its modules: what one module shares with another is public."""
+    its modules, or reads one as an attribute of another module it imported
+    (``tess._name``): what one module shares with another is public."""
+    paths = sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
+    modules = {p.stem for p in paths}
     found = []
-    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
             if node.level == 0 and not (node.module or "").startswith("delone"):
                 continue
             found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
                       if a.name.startswith("_")]
+            aliases.update(a.asname or a.name for a in node.names if a.name in modules)
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and node.attr.startswith("_")]
     assert not found
 
 

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 from conftest import robustness_2d, scalar_barycentric
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from delone import circumsphere as cs
-from delone import jsonio
+from delone import jsonio, robustness
 from delone import netsynth as nsy
 from delone import tessellation as tess
 from delone.errors import (CoverageGapError, RegionExhaustedError, SelectionFailedError,
@@ -619,6 +619,44 @@ def _lattice_patch(bundle, rng, kind, jitter_rF, side=5):
     return tess.Net(dim=2, points=pts, d1=bundle.d1, d2=bundle.d2)
 
 
+def _near_miss_reach(net, family, bundle):
+    """(rho, alpha) of step 3 of ``certify_family_stability``, from its
+    docstring: the largest base radius of a translate's new top triangle
+    and the depth of the deepest site its base circle may hold."""
+    d2 = net.d2
+    eta_f = 64.0 * 2.0 ** -53 * (float(np.max(np.abs(net.points))) + d2)
+    eta = family.eps + eta_f
+    e1 = min(net.d1, net.check_separation())
+
+    def drift(t, delta):
+        return float(cs.displacement_bound(cs.PerturbationBudget(
+            e1=e1, e2=d2, eps=t, rho=1.5 * bundle.eps2 * bundle.rF, delta=delta), 2))
+
+    delta = robustness.v2_constant(e1 - 2.0 * eta, d2) - ((2.0 * d2 + 2.0 * eta) ** 2
+                                                          - (2.0 * d2) ** 2)
+    dc, phi = drift(eta, delta), drift(eta_f, delta) + eta_f
+    return d2 + dc + eta + phi, 2.0 * (dc + eta + phi) + tess.EMPTY_RTOL * d2
+
+
+def _enumerated_near_misses(net, complex_, family, bundle):
+    """The near-miss search by enumeration, the reference for the Qhull
+    pass: every triple of circumradius <= rho that is not a top triangle and
+    holds no site deeper than alpha inside its circle, by the exact
+    nearest-site depth."""
+    rho, alpha = _near_miss_reach(net, family, bundle)
+    rows, c, r = tess.small_spheres(net.points, 2, rho)
+    other = ~tess.rows_in(rows, complex_.top_arrays(2)[0], len(net))
+    depth = r[other] - cKDTree(net.points).query(c[other])[0]
+    return rows[other][depth <= alpha]
+
+
+def _refuse_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the near-miss set was enumerated")
+
+    monkeypatch.setattr(tess, "small_spheres", refuse)
+
+
 class TestCertification:
     def test_pass(self, tiny, bundle2):
         net, cx = tiny
@@ -711,6 +749,19 @@ class TestCertification:
         assert cert.budget["near_miss"] >= 1
         assert list(cert.worst["simplex"]) in cert.worst["detail"]["near_miss"]
 
+    def test_missing_top_is_a_near_miss(self, tiny, bundle2):
+        # a complex without one of the net's Delaunay triangles: that
+        # triangle is a translate's top not in the complex
+        net, cx = tiny
+        verts, centers, radii = cx.top_arrays(2)
+        short = tess.DelaunayComplex.from_arrays(2, verts[1:], centers[1:], radii[1:],
+                                                 cx.regular)
+        cert = nsy.certify_family_stability(net, short, nsy.make_family(bundle2, depth=2),
+                                            bundle2)
+        assert not cert.ok and cert.worst["quantity"] == "near_miss"
+        assert cert.worst["simplex"] == tuple(verts[0].tolist())
+        assert cert.budget["near_miss"] == 1
+
     @pytest.mark.parametrize("d1_factor, d2_factor", [(1e-2, 1.0), (1e-6, 1.0),
                                                       (1.0, 1e6)])
     def test_unbounded_near_miss_drift_fails_before_enumerating(
@@ -723,9 +774,10 @@ class TestCertification:
                          d2=net.d2 * d2_factor, region=net.region)
 
         def refuse(*args):
-            raise AssertionError("the near-miss set was enumerated")
+            raise AssertionError("the near-miss set was searched")
 
         monkeypatch.setattr(tess, "small_spheres", refuse)
+        monkeypatch.setattr(tess, "qhull_simplices", refuse)
         cert = nsy.certify_family_stability(loose, cx, nsy.make_family(bundle2, depth=2),
                                             bundle2)
         assert not cert.ok
@@ -733,6 +785,86 @@ class TestCertification:
         assert cert.worst["margin"] < 0 and cert.worst["simplex"] is None
         assert cert.worst["detail"]["near_miss_drift"] > bundle2.eps3 * bundle2.rF / 2.0
         assert cert.budget["near_miss"] is None
+
+    def test_passing_certificate_enumerates_nothing(self, tiny, bundle2, small_net_pack,
+                                                    small_complex, monkeypatch):
+        _refuse_enumeration(monkeypatch)
+        for net, cx in (tiny, (small_net_pack["net"], small_complex)):
+            cert = nsy.certify_family_stability(net, cx, nsy.make_family(bundle2, depth=3),
+                                                bundle2)
+            assert cert.ok and cert.budget["near_miss"] == 0
+
+    @pytest.mark.parametrize("case", ["lattice", 1, 2, 3])
+    def test_qhull_pass_and_enumeration_pass_benchmark_nets(self, bundle2, monkeypatch,
+                                                            case):
+        # the 32 x 32 jittered lattice of the certify_deep benchmark at seed
+        # 1, and the 3 rF nets of the pipeline benchmark at seeds 1-3
+        if case == "lattice":
+            net = _lattice_patch(bundle2, np.random.default_rng(1), "triangular", 0.005,
+                                 side=32)
+            fam = nsy.make_family(bundle2, depth=5, seed=1)
+        else:
+            K = nsy.Region.box([0.0, 0.0], [3.0 * bundle2.rF, 3.0 * bundle2.rF])
+            net, _ = nsy.synthesize_net(K, bundle2, seed=case)
+            fam = nsy.make_family(bundle2, depth=2, seed=case)
+        cx = tess.build_delaunay(net, None)
+        with monkeypatch.context() as m:
+            _refuse_enumeration(m)
+            cert = nsy.certify_family_stability(net, cx, fam, bundle2)
+        assert cert.ok and cert.budget["near_miss"] == 0
+        assert cert.worst["quantity"] != "near_miss"
+        assert len(_enumerated_near_misses(net, cx, fam, bundle2)) == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["triangular", "square"]),
+           jitter=st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-8, 1e-6, 0.005, 0.02])
+           | st.floats(0.0, 0.02),
+           eta_rF=st.sampled_from([0.0, 1.3e-12, 1e-10, 1e-9, 1e-7]))
+    @example(seed=0, kind="square", jitter=1e-9, eta_rF=0.0)  # near misses 1e-10 deep
+    def test_qhull_pass_is_sound_against_enumeration(self, bundle2, seed, kind, jitter,
+                                                     eta_rF):
+        # whenever the Qhull pass flags nothing, the enumeration finds no
+        # near miss either
+        net = _lattice_patch(bundle2, np.random.default_rng(seed), kind, jitter)
+        cx = tess.build_delaunay(net, None)
+        fam = nsy.ParamFamily(depth=1, dim=2, eps=eta_rF * bundle2.rF, scale=bundle2.rF,
+                              seed=seed % 997)
+        cert = nsy.certify_family_stability(net, cx, fam, bundle2)
+        if cert.budget["near_miss"] == 0:
+            assert len(_enumerated_near_misses(net, cx, fam, bundle2)) == 0
+        elif cert.budget["near_miss"] is not None:
+            assert cert.worst["quantity"] == "near_miss" and cert.worst["margin"] == -math.inf
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(1, 5),
+           alpha=st.sampled_from([1e-10, 1e-7, 1e-4, 1e-2]))
+    def test_lifting_lemma(self, seed, extra, alpha):
+        # T on the unit circle and `extra` sites within alpha of its circle,
+        # inside or out: the Qhull triangle S holding T's centroid has its
+        # center within Delta of T's, and, unless S = T, a site within t_B
+        # of its circle (the lemma of step 3, exact case beta = 0)
+        rng = np.random.default_rng(seed)
+        ang = np.concatenate([rng.uniform(0.0, 2.0 * math.pi)
+                              + np.array([0.0, 2.0, 4.0]) + rng.uniform(-0.4, 0.4, 3),
+                              rng.uniform(0.0, 2.0 * math.pi, extra)])
+        depth = np.concatenate([np.zeros(3), rng.choice([-1.0, 1.0], extra)
+                                * np.where(rng.random(extra) < 0.5, 1.0,
+                                           rng.random(extra)) * alpha])
+        pts = (1.0 - depth)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+        rho = 1.0
+        e1 = min(float(np.min(np.linalg.norm(pts[:3] - np.roll(pts[:3], 1, axis=0),
+                                             axis=1))), 0.99 * rho)
+        lift = 12.0 * rho ** 2 * alpha / robustness.v2_constant(e1, rho)
+        r0 = e1 / 2.0
+        t_b = 3.0 * alpha * r0 / math.sqrt((r0 - lift) ** 2 - 6.0 * r0 * alpha)
+        tri = Delaunay(pts)
+        s = np.sort(tri.simplices[int(tri.find_simplex(np.mean(pts[:3], axis=0)))])
+        sphere = cs.circumcenter(pts[s])
+        assert np.linalg.norm(sphere.center) <= lift + 1e-12
+        if s.tolist() != [0, 1, 2]:
+            d = np.sort(np.linalg.norm(pts - sphere.center, axis=1))
+            assert d[3] - sphere.radius <= t_b + 1e-12
 
     def test_depth_independent(self, tiny, bundle2):
         net, cx = tiny

@@ -278,8 +278,8 @@ class TestLocalSubsets:
         kept = np.sort(rng.integers(0, 9, (12, 3)), axis=1)
         rows = np.vstack([kept[::3], np.sort(rng.integers(0, 9, (20, 3)), axis=1)])
         want = [tuple(r) in set(map(tuple, kept.tolist())) for r in rows.tolist()]
-        assert tess._rows_in(rows, kept, 9).tolist() == want
-        assert tess._rows_in(rows, kept, 2 ** 40).tolist() == want
+        assert tess.rows_in(rows, kept, 9).tolist() == want
+        assert tess.rows_in(rows, kept, 2 ** 40).tolist() == want
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]))
@@ -433,7 +433,7 @@ def _enumeration_complex(net):
     # regular: no site off a kept sphere within 1e-9 * radius of it
     regular = True
     if kept:
-        d = tess.sphere_neighbours(pts, np.array([s.sphere.center for s in kept]), n)
+        d = tess.sphere_neighbours(pts, np.array([s.sphere.center for s in kept]), n)[0]
         radii = np.array([s.sphere.radius for s in kept])
         regular = not bool(np.any(d[:, n + 1] <= radii * (1.0 + 1e-9)))
     return tess.DelaunayComplex(simplices_by_dim={n: kept}, regular=regular)
