@@ -20,9 +20,11 @@ CIRCLE_CAP_D2 gives the inequality that makes R enough.  Every step is
 certified by the closed-form bound ``excluded_volume_bound`` < 1/2 on the
 excluded fraction of the selection ball, and falls back to the sampled audit
 ``excluded_volume_fraction`` when the bound does not certify it.  The front
-of candidate centers is ``_BandFront``: a boolean grid of the nodes in the
-band with per-row counts, whose node of least flat index is the next
-candidate.
+of candidate centers is ``_BandFront``: one byte per grid node, coding
+whether the node is still beyond the band, in it, or below it (or too near
+the domain's edge), with per-row counts of the nodes in the band; the node
+in the band of least flat index is the next candidate.  The codes are all
+the front keeps, so the synthesizer's memory is about one byte per node.
 
 Stability of the resulting Delaunay complex is then certified for every
 displacement field within the family's budget at once: margins on each top
@@ -37,7 +39,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +66,9 @@ VOLUME_AUDIT_STRIDE = 64
 #: Rejection-sampling attempts before the fallback grid scan.
 MAX_REJECTIONS = 10_000
 
+#: Doubles drawn from the generator at a time by ``_Draws``.
+_DRAW_BLOCK = 256
+
 #: Annuli are kept only around circles of radius <= CIRCLE_CAP_D2 * d2 (R).
 #: An annulus protects the empty-sphere clearance of a simplex that can be a
 #: Delaunay simplex of the final net or of a translate, whose radius is at
@@ -75,6 +82,10 @@ MAX_REJECTIONS = 10_000
 #: the clearance order (2*eps1*rF), both slacks are below 1e-4 d2, so
 #: R = 1.25 d2 loses no annulus that matters; 1.25 is the value measured.
 CIRCLE_CAP_D2 = 1.25
+
+#: Nodes per block of rows when a disk's clearance mask is filled: bounds its
+#: float temporaries to a few MiB whatever the grid's size.
+_NODE_BLOCK = 1 << 16
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,15 +161,22 @@ class Region:
     def clear_nodes(self, xs, ys, margin: float) -> np.ndarray:
         """(len(xs), len(ys)) mask of the 2-D grid nodes at inward distance
         >= margin: ``boundary_distance_many`` of the stacked nodes >= margin,
-        with the same arithmetic, but built from the per-axis arrays."""
+        with the same arithmetic, but built from the per-axis arrays.  The
+        mask is the only array of the grid's size made: a box's is the
+        product of two per-axis masks, and a disk's is filled
+        ``_NODE_BLOCK`` nodes' worth of rows at a time."""
         if self.kind == "box":
             lo, hi = self.bounds
             return np.logical_and.outer(np.minimum(xs - lo[0], hi[0] - xs) >= margin,
                                         np.minimum(ys - lo[1], hi[1] - ys) >= margin)
         c, r = self.bounds
-        dx = (xs - c[0])[:, None]
+        out = np.empty((len(xs), len(ys)), dtype=bool)
         dy = (ys - c[1])[None, :]
-        return r - np.sqrt(dx * dx + dy * dy) >= margin
+        step = max(1, _NODE_BLOCK // max(1, len(ys)))
+        for i in range(0, len(xs), step):
+            dx = (xs[i:i + step] - c[0])[:, None]
+            np.greater_equal(r - np.sqrt(dx * dx + dy * dy), margin, out=out[i:i + step])
+        return out
 
     def expand(self, margin: float) -> "Region":
         if self.kind == "box":
@@ -337,7 +355,7 @@ def _triple_pack(s: int):
     C(j, 2) + i, which is independent of s, so prefix slices stay valid."""
     if s > _TRIPLE_CACHE["cap"]:
         cap = s + 32
-        tri = _combo_indices(cap, 3)
+        tri = _combo_blocks(3, cap)  # the pack is the cache: no k = 3 entry
         t0, t1, t2 = tri[:, 0], tri[:, 1], tri[:, 2]
         _TRIPLE_CACHE["cap"] = cap
         _TRIPLE_CACHE["pack"] = (tri,
@@ -508,7 +526,8 @@ def excluded_volume_bound(ball_r: float, annuli: Annuli, slabs: Slabs) -> float:
 def select_point(xi_prime, forbidden, rng, ball_r: float):
     """Uniform rejection sample in the selection ball avoiding every
     forbidden region; after MAX_REJECTIONS draws, the first allowed node in
-    row-major order of a 101 x 101 grid over the ball."""
+    row-major order of a 101 x 101 grid over the ball.  ``rng`` is a
+    ``Generator`` or a ``_Draws`` over one: only its ``uniform`` is read."""
     annuli, slabs = forbidden
     xi = np.asarray(xi_prime, dtype=float)
     for _ in range(MAX_REJECTIONS):
@@ -568,40 +587,57 @@ class _Buckets:
 
 
 class _BandFront:
-    """Selection front of the synthesizer: the grid nodes whose stored squared
-    distance to the net lies in the band [lo2, hi2] and whose selection ball
-    fits the domain (``clear``), with per-row counts of them.
-
-    Stored distances only decrease, so a node enters the band at most once
-    and leaves it at most once; ``next`` is the in-band node of least flat
-    index, which is the pop order of a min-heap that takes each node as it
-    enters the band and drops it, when popped, if it has left."""
+    """Selection front of the synthesizer: one uint8 ``code`` per grid node
+    and per-row counts of code 1.  Code 0: no net point within band_hi yet;
+    1: one is; 2: one is inside band_lo, or the node's selection ball does
+    not fit the domain (not ``clear``, a bool mask whose buffer becomes the
+    codes).  Squared distances dd fold in by code <- max(code, f(dd)), f(x) =
+    [x <= hi2] + [x < lo2], lo2 <= hi2; f does not increase, so the max is f
+    of the least squared distance D: code 1 iff D is in [lo2, hi2].  Codes
+    only rise, so ``next``, the node of code 1 of least flat index, is the
+    pop order of a min-heap that takes each node as it enters the band (at
+    most once) and drops it, when popped, if it has left."""
 
     def __init__(self, clear: np.ndarray, lo2: float, hi2: float):
-        self.clear = clear
         self.lo2, self.hi2 = lo2, hi2
-        self.dist2 = np.full(clear.shape, np.inf)
-        self.inband = np.zeros(clear.shape, dtype=bool)
+        self.code = np.logical_not(clear, out=clear).view(np.uint8)
+        self.code <<= 1
         self.rows = np.zeros(clear.shape[0], dtype=np.int64)
 
     def lower(self, i0: int, j0: int, dd: np.ndarray) -> None:
-        """dist2 <- min(dist2, dd) on the window starting at node (i0, j0)."""
-        i1, j1 = i0 + dd.shape[0], j0 + dd.shape[1]
-        sub = self.dist2[i0:i1, j0:j1]
-        np.minimum(sub, dd, out=sub)
-        band = self.inband[i0:i1, j0:j1]
-        self.rows[i0:i1] -= np.count_nonzero(band, axis=1)
-        np.logical_and(sub >= self.lo2, sub <= self.hi2, out=band)
-        band &= self.clear[i0:i1, j0:j1]
-        self.rows[i0:i1] += np.count_nonzero(band, axis=1)
+        """Fold squared distances dd into the codes of the window at (i0, j0)."""
+        i1 = i0 + dd.shape[0]
+        sub = self.code[i0:i1, j0:j0 + dd.shape[1]]
+        self.rows[i0:i1] -= np.count_nonzero(sub == 1, axis=1)
+        np.maximum(sub, (dd <= self.hi2).view(np.uint8) + (dd < self.lo2), out=sub)
+        self.rows[i0:i1] += np.count_nonzero(sub == 1, axis=1)
 
     def next(self):
-        """(row, column) of the in-band node of least flat index, or None."""
+        """(row, column) of the node of code 1 of least flat index, or None."""
         nz = np.flatnonzero(self.rows)
         if not len(nz):
             return None
         i = int(nz[0])
-        return i, int(np.argmax(self.inband[i]))
+        return i, int(np.argmax(self.code[i] == 1))
+
+
+class _Draws:
+    """The doubles of ``rng.random``, drawn in blocks of ``_DRAW_BLOCK`` and
+    handed out in order.  ``uniform(lo, hi)`` is lo + (hi - lo) u, the double
+    ``Generator.uniform`` returns from the same u one call at a time, so a
+    ``select_point`` that reads this source selects the same points as one
+    that reads the generator itself."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.block = iter(())
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        u = next(self.block, None)
+        if u is None:
+            self.block = iter(self.rng.random(_DRAW_BLOCK).tolist())
+            u = next(self.block)
+        return lo + (hi - lo) * u
 
 
 @dataclass
@@ -635,8 +671,8 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
     lo, hi = domain.bounding_box()
     h = rF / 200.0
     nx, ny = (int(math.floor((hi[k] - lo[k]) / h)) + 1 for k in range(2))
-    # the front holds a float64 distance and two bool masks per node
-    front_bytes = nx * ny * (8 + 1 + 1)
+    # the front holds one byte per node
+    front_bytes = nx * ny
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if front_bytes > memory:
         raise ValidationError(
@@ -645,18 +681,16 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
             f"memory", path="region.bounds")
     xs = lo[0] + np.arange(nx) * h
     ys = lo[1] + np.arange(ny) * h
-    # node clearance: the selection ball must fit inside the domain
-    clear = domain.clear_nodes(xs, ys, ball_r)
-    # squared nearest-net-point distances; band tests compare against the
+    # node clearance (the selection ball must fit inside the domain) becomes
+    # the front's codes; band tests compare squared distances against the
     # squared band bounds, which is order-equivalent
-    front = _BandFront(clear, band_lo * band_lo, band_hi * band_hi)
-    rng = np.random.default_rng(seed)
+    front = _BandFront(domain.clear_nodes(xs, ys, ball_r),
+                       band_lo * band_lo, band_hi * band_hi)
+    draws = _Draws(np.random.default_rng(seed))
     buckets = _Buckets(cell=4.0 * bundle.d2)
-    points: list = []
     report = SynthesisReport()
 
     def add_point(z):
-        points.append(z)
         buckets.add(z)
         i0 = max(0, int(math.ceil((z[0] - band_hi - lo[0]) / h)))
         i1 = min(nx - 1, int(math.floor((z[0] + band_hi - lo[0]) / h)))
@@ -685,25 +719,25 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
                 raise SelectionFailedError(
                     f"sampled excluded volume fraction {frac:.3f} >= 1/2 "
                     f"(bound {bound:.3f})")
-        z = select_point(xi, forb, rng, ball_r)
+        z = select_point(xi, forb, draws, ball_r)
         add_point(z)
 
     # seed point: grid node nearest the domain center (deterministic)
     center = 0.5 * (lo + hi)
     ci = int(np.clip(round((center[0] - lo[0]) / h), 0, nx - 1))
     cj = int(np.clip(round((center[1] - lo[1]) / h), 0, ny - 1))
-    if not clear[ci, cj]:
+    if front.code[ci, cj]:
         raise RegionExhaustedError("domain has no interior at this scale")
     step(np.array([xs[ci], ys[cj]]))
 
-    # A node's stored distance is exact whenever it is <= band_hi: every net
-    # point within band_hi of the node has run an update window covering it.
+    # A node's code is exact: every net point within band_hi of the node has
+    # run an update window covering it, and a farther one would fold in 0.
     # Stepping at a node puts a point within ball_r < band_lo of it, so the
     # node leaves the band and the loop ends when no node is left in it.
     while (node := front.next()) is not None:
         step(np.array([xs[node[0]], ys[node[1]]]))
 
-    pts = np.array(points)
+    pts = buckets.arr[:buckets.count].copy()
     net = tess.Net(dim=2, points=pts, d1=bundle.d1, d2=bundle.d2, region=domain)
     return net, report
 
@@ -1093,10 +1127,36 @@ class ProductStructure:
 
     grid: np.ndarray  # (g, n) sample points of K
     params: tuple
-    table: dict  # (grid_index, param) -> point tuple
+    table: Mapping  # (grid_index, param) -> point tuple
     injective: bool
     class_sizes: tuple
     face_agreement_max: float
+
+
+class _ImageTable(Mapping):
+    """The read-only table (grid index, param) -> point tuple over a (g, P, n)
+    array of images, in the order of ``itertools.product(range(g), params)``;
+    each entry is made when it is read, so the table costs the array alone."""
+
+    def __init__(self, images: np.ndarray, params: tuple):
+        self._images = images
+        self._column = {p: k for k, p in enumerate(params)}
+
+    def __getitem__(self, key):
+        try:
+            gi, param = key
+            gi, col = operator.index(gi), self._column[param]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if not 0 <= gi < len(self._images):
+            raise KeyError(key)
+        return tuple(self._images[gi, col].tolist())
+
+    def __iter__(self):
+        return itertools.product(range(len(self._images)), self._column)
+
+    def __len__(self):
+        return len(self._images) * len(self._column)
 
 
 def _face_agreement(points: np.ndarray, moved: np.ndarray, verts: np.ndarray) -> float:
@@ -1157,15 +1217,15 @@ def build_product_structure(K: Region, net: tess.Net,
     worst = _face_agreement(net.points, moved, verts)
     # (g, P, n): sample gi under parameter p, each one row-vector product
     images = np.swapaxes((bary[None, :, None, :] @ moved[:, verts[simplex]])[:, :, 0], 0, 1)
-    # entries zipped from the coordinate columns: no list per entry is built
-    table = dict(zip(itertools.product(range(len(grid)), params),
-                     zip(*images.reshape(-1, n).T.tolist())))
-    injective = len(set(table.values())) == len(table)
+    # no two entries equal: sorted rows, equal neighbours compared
+    rows = images.reshape(-1, n)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    injective = not np.any(np.all(rows[1:] == rows[:-1], axis=1))
     # distinct images per sample: sort each sample's images, count the changes
     srt = np.take_along_axis(
         images, np.lexsort(np.moveaxis(images, -1, 0)[::-1], axis=-1)[..., None], axis=1)
     class_sizes = tuple((1 + np.sum(np.any(srt[:, 1:] != srt[:, :-1], axis=-1),
                                     axis=1)).tolist())
-    return ProductStructure(grid=grid, params=params, table=table,
+    return ProductStructure(grid=grid, params=params, table=_ImageTable(images, params),
                             injective=injective, class_sizes=class_sizes,
                             face_agreement_max=worst)

@@ -14,8 +14,9 @@ When it is not, or Qhull cannot triangulate the input, the kernel falls back
 to enumerating every (n+1)-subset of sites pairwise within 2*d2, which keeps
 all empty spheres of a cospherical configuration.  That enumeration
 (``small_spheres``, vectorized from one ``cKDTree.query_pairs``) is also the
-independent oracle of ``check_duality``; the certifier's near-miss pass
-reads Qhull's whole triangulation through ``qhull_simplices``.  Both branches
+independent oracle of ``check_duality``, which takes it one block at a
+time; the certifier's near-miss pass reads Qhull's whole triangulation
+through ``qhull_simplices``.  Both branches
 take every center from ``circumsphere.circumcenter_batch``, whose rows do not
 depend on the batch, so they give equal bits.
 The complex is pure and stored by its top simplices alone, which determine
@@ -225,34 +226,42 @@ def star_neighborhood(net: Net, i: int) -> set:
     return out
 
 
-#: Rows per block of the enumeration and of ``small_spheres``: bounds the
-#: temporary arrays to a few MiB whatever the net's size.
+#: Rows per block of the enumeration ``_local_subsets``: bounds the
+#: temporary arrays of its consumers to a few MiB whatever the net's size.
 _BLOCK = 4096
 
 
-def _local_subsets(points: np.ndarray, n: int, reach: float) -> np.ndarray:
-    """Sorted (n+1)-tuples of indices pairwise within ``reach``, as an
-    integer array of shape (M, n+1) in lexicographic order.
+def _local_subsets(points: np.ndarray, n: int, reach: float):
+    """Sorted (n+1)-tuples of indices pairwise within ``reach``, yielded as
+    int64 blocks of shape (<= _BLOCK, n+1) whose rows, joined, are every
+    such tuple once, in lexicographic order.
 
     The pairs i < j within reach come from one ``cKDTree.query_pairs``
     call.  They form each site's list of higher neighbours, and a tuple is
     grown one vertex at a time from its least vertex i: the next vertex is
     a later member of i's list, and its squared distance to every other
     vertex of the tuple, summed by ``einsum``, must be at most reach^2.
-    Blocks of _BLOCK consecutive pairs are grown one after another.
+    Blocks of consecutive pairs are grown one after another, each with
+    about _BLOCK pairs and first-step candidates in all (a pair's
+    candidates are the later members of its least vertex's list), and each
+    grown block is yielded in slices of _BLOCK rows: a consumer that
+    handles one block at a time holds only the pairs and one block.
     """
     m = len(points)
     if m < n + 1:
-        return np.zeros((0, n + 1), dtype=np.int64)
+        return
     pairs = cKDTree(points).query_pairs(reach, output_type="ndarray").astype(np.int64)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     nbr = pairs[:, 1]
     end = np.searchsorted(pairs[:, 0], np.arange(m), side="right")
     r2 = reach * reach
-    out = [np.zeros((0, n + 1), dtype=np.int64)]
-    for lo in range(0, len(pairs), _BLOCK):
-        rows = pairs[lo:lo + _BLOCK]
-        pos = np.arange(lo, lo + len(rows))  # the last vertex's place in nbr
+    load = np.cumsum(end[pairs[:, 0]] - np.arange(len(pairs)))  # 1 + candidates
+    cuts = np.searchsorted(load, np.arange(_BLOCK, load[-1] if len(load) else 0, _BLOCK),
+                           side="right")
+    bounds = np.unique(np.concatenate([[0], cuts, [len(pairs)]]))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        rows = pairs[lo:hi]
+        pos = np.arange(lo, hi)  # the last vertex's place in nbr
         for _ in range(n - 1):
             counts = end[rows[:, 0]] - pos - 1
             parent = np.repeat(np.arange(len(rows)), counts)
@@ -266,18 +275,24 @@ def _local_subsets(points: np.ndarray, n: int, reach: float) -> np.ndarray:
                 close &= np.einsum("ak,ak->a", diff, diff) <= r2
             rows = np.column_stack([rows[parent[close]], k[close]])
             pos = kpos[close]
-        out.append(rows)
-    return np.concatenate(out)
+        for at in range(0, len(rows), _BLOCK):
+            yield rows[at:at + _BLOCK]
 
 
 def rows_in(rows: np.ndarray, kept: np.ndarray, m: int) -> np.ndarray:
     """For each index row, whether it is a row of ``kept`` (indices < m),
-    tested on one integer key per row; where m^k would overflow int64, on
-    ``np.unique`` row ids instead (some 30 times slower)."""
+    tested on one integer key per row by a binary search in the sorted keys
+    of ``kept``, which is cheap for the lexicographic blocks of
+    ``check_duality``; where m^k would overflow int64, on ``np.unique`` row
+    ids instead (much slower)."""
     k = rows.shape[1]
     if m ** k < 2 ** 63:
         w = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        return np.isin(rows @ w, kept @ w)
+        keys, q = np.sort(kept @ w), rows @ w
+        at = np.searchsorted(keys, q)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == q[hit]
+        return hit
     ids = np.unique(np.vstack([kept, rows]), axis=0, return_inverse=True)[1].ravel()
     return np.isin(ids[len(kept):], ids[:len(kept)])
 
@@ -295,13 +310,13 @@ def small_spheres(points, n: int, radius: float):
     radius <= ``radius``: (rows, centers, radii), the rows sorted and in
     lexicographic order, each center bitwise the one ``circumcenter_batch``
     gives the row on its own.  The candidates are the ``_local_subsets``
-    within 2*radius, solved in blocks of _BLOCK rows.
+    within 2*radius, solved one block at a time.
     """
     pts = np.asarray(points, dtype=float)
-    rows = _local_subsets(pts, n, 2.0 * radius)
-    parts = [_sphere_rows(pts, rows[lo:lo + _BLOCK], radius)
-             for lo in range(0, max(len(rows), 1), _BLOCK)]
-    rows = None  # the candidates go before the kept rows are joined
+    # a leading empty block gives the joined columns their shapes
+    blocks = itertools.chain([np.zeros((0, n + 1), dtype=np.int64)],
+                             _local_subsets(pts, n, 2.0 * radius))
+    parts = [_sphere_rows(pts, rows, radius) for rows in blocks]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -416,10 +431,12 @@ def check_duality(net: Net, complex_: DelaunayComplex,
     interior) lies in each incident Voronoi cell.  Backward: every local
     (n+1)-subset of interior sites whose circumsphere has radius <= d2 and
     whose circumcenter lies in all its cells, with no site inside the
-    sphere, appears as a kept simplex.  The backward candidates come from
-    the ``small_spheres`` enumeration, not from Qhull, so the check is
-    independent of the builder.  "In a cell" means no farther from the
-    site than from the nearest site, up to rtol*max(1, distance).
+    sphere, appears as a kept simplex.  The backward candidates are those
+    of the ``small_spheres`` enumeration, not Qhull's, so the check is
+    independent of the builder; each block of ``_local_subsets`` is solved
+    and tested as it comes, so the small spheres are never held at once.
+    "In a cell" means no farther from the site than from the nearest site,
+    up to rtol*max(1, distance).
     """
     n = net.dim
     pts = net.points
@@ -440,16 +457,18 @@ def check_duality(net: Net, complex_: DelaunayComplex,
         violations.append(("center_outside_cell", tuple(verts[fwd[j]].tolist()),
                            int(verts[fwd[j], np.argmin(inside[j])])))
 
-    rows, c, r = small_spheres(pts, n, net.d2)
-    new = np.nonzero(np.all(interior[rows], axis=1)
-                     & ~rows_in(rows, verts, len(pts)))[0]
-    dmin, inside = in_cells(rows[new], c[new])
-    # in all n+1 cells and no site inside => the subset had an empty sphere
-    missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - rtol))
-    violations.extend(("missing_simplex", tuple(row), None)
-                      for row in rows[new[missing]].tolist())
-    return DualityReport(violations=tuple(violations),
-                         checked=len(fwd) + len(new))
+    checked = len(fwd)
+    for block in _local_subsets(pts, n, 2.0 * net.d2):
+        rows, c, r = _sphere_rows(pts, block, net.d2)
+        new = np.nonzero(np.all(interior[rows], axis=1)
+                         & ~rows_in(rows, verts, len(pts)))[0]
+        dmin, inside = in_cells(rows[new], c[new])
+        # in all n+1 cells and no site inside => the subset had an empty sphere
+        missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - rtol))
+        violations.extend(("missing_simplex", tuple(row), None)
+                          for row in rows[new[missing]].tolist())
+        checked += len(new)
+    return DualityReport(violations=tuple(violations), checked=checked)
 
 
 def barycentric_coordinates(simplex_pts, q) -> np.ndarray:

@@ -3,6 +3,8 @@ import heapq
 import itertools
 import json
 import math
+import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -69,7 +71,7 @@ class TestRegion:
         nsy.Region.box([-0.3, 0.1], [0.7, 0.55]),
         nsy.Region.disk([0.2, -0.1], 0.45),
     ])
-    def test_clear_nodes_matches_stacked_distance(self, region):
+    def test_clear_nodes_matches_stacked_distance(self, region, monkeypatch):
         # the node grid of synthesize_net: spacing h from the bounding-box corner
         lo, hi = region.bounding_box()
         h = 0.0037
@@ -80,7 +82,10 @@ class TestRegion:
         # margins that equal some node's distance exercise the >= tie
         for margin in (0.0, h, 0.1, float(dist[len(dist) // 3]), float(dist.max())):
             want = (dist >= margin).reshape(len(xs), len(ys))
-            assert np.array_equal(region.clear_nodes(xs, ys, margin), want)
+            # a disk's mask in blocks of one row, of a few rows and whole
+            for block in (1, 500, 1 << 16):
+                monkeypatch.setattr(nsy, "_NODE_BLOCK", block)
+                assert np.array_equal(region.clear_nodes(xs, ys, margin), want)
 
     def test_bad_kind(self):
         with pytest.raises(ValidationError):
@@ -319,6 +324,21 @@ class TestSelectPoint:
         dp = np.linalg.norm(TRIANGLE - p1, axis=1)
         assert np.all(dp > slabs.width)
 
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_block_draws_select_what_the_generator_selects(self, block, monkeypatch):
+        # wide regions reject most draws, so calls read many doubles each and
+        # cross the block boundaries at every phase
+        monkeypatch.setattr(nsy, "_DRAW_BLOCK", block)
+        rng = np.random.default_rng(21)
+        gen, draws = np.random.default_rng(5), nsy._Draws(np.random.default_rng(5))
+        forb = TestForbiddenMaskAndFallback()._wide_regions(rng)
+        xi, rho = TestForbiddenMaskAndFallback.XI, TestForbiddenMaskAndFallback.RHO
+        for _ in range(40):
+            want = nsy.select_point(xi, forb, gen, rho)
+            got = nsy.select_point(xi, forb, draws, rho)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert draws.uniform(1.5, 2.5) == gen.uniform(1.5, 2.5)
+
 
 def _propose_candidate(K, net_points, bundle, resolution):
     """Completeness oracle: the first node (row-major) of a fresh grid over K
@@ -478,7 +498,7 @@ class TestBandFront:
         rng = np.random.default_rng(seed)
         shape = (23, 31)
         clear = rng.random(shape) > 0.1
-        fronts = (nsy._BandFront(clear, 0.3, 0.6), _HeapFront(clear, 0.3, 0.6))
+        fronts = (nsy._BandFront(clear.copy(), 0.3, 0.6), _HeapFront(clear, 0.3, 0.6))
         assert fronts[0].next() is None
 
         def lower(i, j, consume):
@@ -505,7 +525,72 @@ class TestBandFront:
             if rng.random() < 0.3:
                 lower(int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1])), False)
         assert len(seq) > 20
-        assert not fronts[0].inband.any() and not fronts[0].rows.any()
+        assert not np.any(fronts[0].code == 1) and not fronts[0].rows.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.01, 10.0), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_codes_on_the_band_edges(self, lo2, gap, seed):
+        # every dd on lo2 or hi2 or one of their float neighbours: the codes
+        # must be those of the least squared distance, compared as floats
+        hi2 = lo2 + gap
+        rng = np.random.default_rng(seed)
+        edges = np.array([np.nextafter(lo2, 0.0), lo2, np.nextafter(lo2, np.inf),
+                          np.nextafter(hi2, 0.0), hi2, np.nextafter(hi2, np.inf)])
+        shape = (5, 7)
+        clear = rng.random(shape) > 0.2
+        front = nsy._BandFront(clear.copy(), lo2, hi2)
+        dist2 = np.full(shape, np.inf)
+        for _ in range(8):
+            i0, j0 = int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1]))
+            i1 = int(rng.integers(i0 + 1, shape[0] + 1))
+            j1 = int(rng.integers(j0 + 1, shape[1] + 1))
+            dd = rng.choice(edges, size=(i1 - i0, j1 - j0))
+            front.lower(i0, j0, dd)
+            np.minimum(dist2[i0:i1, j0:j1], dd, out=dist2[i0:i1, j0:j1])
+            band = clear & (dist2 >= lo2) & (dist2 <= hi2)
+            want = np.where(clear, (dist2 <= hi2).astype(int) + (dist2 < lo2), 2)
+            assert np.array_equal(front.code, want)
+            assert np.array_equal(front.rows, band.sum(axis=1))
+            flat = np.flatnonzero(band)
+            assert front.next() == (divmod(int(flat[0]), shape[1]) if len(flat) else None)
+
+
+def _grid_nodes(K, bundle) -> int:
+    """Node count of synthesize_net's grid over K plus its 2*d2 collar."""
+    lo, hi = K.expand(2.0 * bundle.d2).bounding_box()
+    h = bundle.rF / 200.0
+    return math.prod(int(math.floor((hi[k] - lo[k]) / h)) + 1 for k in range(2))
+
+
+class TestSynthesisMemory:
+    def test_peak_below_two_bytes_per_node(self, bundle2, monkeypatch):
+        # fresh caches, so their growth during the run is counted too
+        monkeypatch.setattr(nsy, "_COMBO_CACHE", {})
+        monkeypatch.setattr(nsy, "_TRIPLE_CACHE", {"cap": 0, "pack": None})
+        side = 5.0 * bundle2.rF
+        K = nsy.Region.box([0.0, 0.0], [side, side])
+        tracemalloc.start()
+        try:
+            net, _ = nsy.synthesize_net(K, bundle2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nodes = _grid_nodes(K, bundle2)
+        assert len(net) > 1000
+        assert peak < 2 * nodes, (peak, nodes)
+
+    def test_triple_pack_leaves_no_triple_combinations(self, monkeypatch):
+        monkeypatch.setattr(nsy, "_COMBO_CACHE", {})
+        monkeypatch.setattr(nsy, "_TRIPLE_CACHE", {"cap": 0, "pack": None})
+        for s in (3, 9, 40, 12):
+            tri, iab, iac, ibc = nsy._triple_pack(s)
+            assert sorted(map(tuple, tri.tolist())) == \
+                list(itertools.combinations(range(s), 3))
+            pairs = nsy._combo_indices(s, 2)
+            for idx, cols in ((iab, [0, 1]), (iac, [0, 2]), (ibc, [1, 2])):
+                assert np.array_equal(pairs[idx], tri[:, cols])
+        assert 3 not in nsy._COMBO_CACHE
+        assert len(nsy._TRIPLE_CACHE["pack"][0]) == math.comb(40 + 32, 3)
 
 
 @pytest.fixture(scope="module")
@@ -1009,6 +1094,17 @@ class TestProductStructure:
         assert ps.class_sizes == class_sizes
         assert set(class_sizes) == {1, 2}
         assert not ps.injective and not injective
+        # the table is a read-only Mapping equal to the reference dict
+        assert isinstance(ps.table, Mapping) and len(ps.table) == len(table)
+        _assert_bit_equal_tables(ps.table, table)
+        assert ps.table == table and list(ps.table.values()) == list(table.values())
+        assert (np.int64(3), "11") in ps.table and ps.table[(np.int64(3), "11")] == table[(3, "11")]
+        for key in [(len(ps.grid), "00"), (-1, "00"), (0, "0"), (0.5, "00"), 0, "00"]:
+            assert key not in ps.table
+            with pytest.raises(KeyError):
+                ps.table[key]
+        with pytest.raises(TypeError):
+            ps.table[(0, "00")] = (0.0, 0.0)
 
     def test_nearest_site_not_interior(self, bundle2, small_net_pack, small_complex):
         # the net's own region reaches past its interior sites

@@ -250,6 +250,12 @@ def _local_subsets_loop(points, n, reach):
     return np.vstack(chunks)
 
 
+def _joined_subsets(points, n, reach):
+    """The blocks of ``_local_subsets`` joined into one (M, n+1) array."""
+    return np.concatenate([np.zeros((0, n + 1), dtype=np.int64),
+                           *tess._local_subsets(points, n, reach)])
+
+
 class TestLocalSubsets:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]),
@@ -266,11 +272,16 @@ class TestLocalSubsets:
             reach = float(rng.uniform(0.2, 0.7))
             if kind == "pair" and count >= 2:  # one pair exactly reach apart
                 reach = float(np.linalg.norm(pts[0] - pts[1]))
-        got = tess._local_subsets(pts, n, reach)
         want = _local_subsets_loop(pts, n, reach)
-        assert got.dtype == want.dtype == np.int64
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        # blocks of at most _BLOCK rows, joined in order
+        for block in (7, tess._BLOCK):
+            with mock.patch.object(tess, "_BLOCK", block):
+                blocks = list(tess._local_subsets(pts, n, reach))
+            assert all(0 < len(b) <= block for b in blocks)
+            got = np.concatenate([np.zeros((0, n + 1), dtype=np.int64), *blocks])
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_row_membership_keys(self):
         # int64 keys, and the np.unique ids used when m^k would overflow them
@@ -297,7 +308,7 @@ class TestLocalSubsets:
             radius = 0.4
         with mock.patch.object(tess, "_BLOCK", 5):
             got = tess.small_spheres(pts, n, radius)
-        want = tess._sphere_rows(pts, tess._local_subsets(pts, n, 2.0 * radius), radius)
+        want = tess._sphere_rows(pts, _joined_subsets(pts, n, 2.0 * radius), radius)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)  # bitwise
 
@@ -337,7 +348,7 @@ def _all_subsets_top(pts, d2):
 def _enumeration_top(pts, d2):
     """The kernel's enumeration path on its own."""
     n = pts.shape[1]
-    rows = tess._local_subsets(pts, n, 2.0 * d2)
+    rows = _joined_subsets(pts, n, 2.0 * d2)
     return tess._empty_spheres(pts, *tess._sphere_rows(pts, rows, d2))
 
 
@@ -418,7 +429,7 @@ def _enumeration_complex(net):
     its own regularity test: the builder's reference."""
     n = net.dim
     pts = net.points
-    subsets = tess._local_subsets(pts, n, 2.0 * net.d2)
+    subsets = _joined_subsets(pts, n, 2.0 * net.d2)
     kept = []
     if len(subsets):
         centers, radii, valid = cs.circumcenter_batch(pts[subsets])
@@ -563,7 +574,7 @@ def _scalar_duality(net, complex_, rtol=tess.MEMBERSHIP_RTOL):
             if d[v] > dmin + rtol * max(1.0, dmin):
                 violations.append(("center_outside_cell", s.vertices, int(v)))
                 break
-    for row in tess._local_subsets(pts, n, 2.0 * net.d2):
+    for row in _joined_subsets(pts, n, 2.0 * net.d2):
         combo = tuple(int(v) for v in row)
         if not all(interior[v] for v in combo) or combo in kept:
             continue
@@ -580,6 +591,38 @@ def _scalar_duality(net, complex_, rtol=tess.MEMBERSHIP_RTOL):
                 dmin >= sph.radius * (1.0 - rtol):
             violations.append(("missing_simplex", combo, None))
     return tess.DualityReport(violations=tuple(violations), checked=checked)
+
+
+def _one_piece_duality(net, complex_, rtol=tess.MEMBERSHIP_RTOL):
+    """``check_duality`` with its backward half over the whole
+    ``small_spheres`` enumeration at once: the reference of the streamed
+    check."""
+    n = net.dim
+    pts = net.points
+    interior = net.interior_mask()
+    tree = cKDTree(pts)
+    violations = []
+
+    def in_cells(verts, centers):
+        dmin, _ = tree.query(centers)
+        dv = np.linalg.norm(pts[verts] - centers[:, None, :], axis=2)
+        return dmin, dv <= (dmin + rtol * np.maximum(1.0, dmin))[:, None]
+
+    verts, centers, _ = complex_.top_arrays(n)
+    fwd = np.nonzero(np.all(interior[verts], axis=1))[0]
+    _, inside = in_cells(verts[fwd], centers[fwd])
+    for j in np.nonzero(~np.all(inside, axis=1))[0]:
+        violations.append(("center_outside_cell", tuple(verts[fwd[j]].tolist()),
+                           int(verts[fwd[j], np.argmin(inside[j])])))
+    rows, c, r = tess.small_spheres(pts, n, net.d2)
+    new = np.nonzero(np.all(interior[rows], axis=1)
+                     & ~tess.rows_in(rows, verts, len(pts)))[0]
+    dmin, inside = in_cells(rows[new], c[new])
+    missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - rtol))
+    violations.extend(("missing_simplex", tuple(row), None)
+                      for row in rows[new[missing]].tolist())
+    return tess.DualityReport(violations=tuple(violations),
+                              checked=len(fwd) + len(new))
 
 
 def _with_top(cx, tops):
@@ -623,6 +666,17 @@ class TestBatchedDuality:
         want = _scalar_duality(net, small_complex)
         assert got.ok and got.violations == want.violations
         assert got.checked == want.checked > 0
+
+    @pytest.mark.parametrize("block", [5, 64, tess._BLOCK])
+    def test_streamed_matches_one_piece(self, block, small_net_pack, small_complex):
+        # blocks of a few rows split the backward half into many pieces
+        cases = list(self._cases()) + [(small_net_pack["net"], small_complex)]
+        for net, cx in cases:
+            want = _one_piece_duality(net, cx)
+            with mock.patch.object(tess, "_BLOCK", block):
+                got = tess.check_duality(net, cx)
+            assert got.violations == want.violations
+            assert got.checked == want.checked
 
 
 class TestConeAndFilling:
