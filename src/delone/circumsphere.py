@@ -1,12 +1,12 @@
-"""Circumscribed-sphere solves and explicit perturbation/displacement bounds.
+"""Circumscribed-sphere solves and the circumcenter displacement bound.
 
 The circumcenter of n+1 affinely independent points in R^n is found from the
 linear system U xi = lambda(U)/2 where the rows of U are the edge vectors
 u_k = y_{k-1} - y_n against the last point as base, and lambda(U) collects
 their squared norms.  ``circumcenter_batch`` is the one kernel: Cramer's rule
-in the plane, LAPACK's batched solve above.  The closed-form stability
-estimates bound how far the center can move when every vertex moves by at
-most eps.
+in the plane, LAPACK's batched solve above; ``circumcenter`` is its row 0.
+The closed form ``displacement_bound`` bounds how far the center can move
+when every vertex moves by at most eps.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ class PerturbationBudget:
         if self.rho <= 0 or np.any(np.asarray(self.delta) <= 0):
             raise InvalidBudgetError("require rho > 0 and delta > 0")
         object.__setattr__(self, "e3", self.e2 + self.eps)
-
-
-def edge_matrix(pts: np.ndarray) -> np.ndarray:
-    """Rows u_k = y_{k-1} - y_n, base vertex = last point in the given order."""
-    p = np.asarray(pts, dtype=float)
-    return p[:-1] - p[-1]
 
 
 def circumcenter(pts) -> CircumSphere:
@@ -136,53 +130,3 @@ def displacement_bound(budget: PerturbationBudget, n: int):
         + n**1.5 * 2.0 ** (n + 1) * e3**n / d
         + 2.0 * n**3 * 2.0 ** (2 * n) * e3 ** (2 * n) / d**2
     )
-
-
-def stability_radius(budget: PerturbationBudget, n: int) -> float:
-    """The per-vertex displacement the paper's perturbation lemma for
-    circumcenters licenses: delta / (2^{n+1} n^{3/2} e2^{n-1})."""
-    return budget.delta / (2.0 ** (n + 1) * n**1.5 * budget.e2 ** (n - 1))
-
-
-def refine_center(pts, guess, c1: float):
-    """The paper's estimate for an approximate circumcenter: the exact
-    circumcenter plus a certified bound on the approximate center's drift.
-
-    Requires every |dist(guess, pt_i) - r| < c1 for some radius r > c1.
-    The bound is 2 sqrt(n) r c1 c2 with c2 the Hadamard inverse-norm bound of
-    the edge matrix; the exact solve is returned alongside.
-    """
-    p = np.asarray(pts, dtype=float)
-    g = np.asarray(guess, dtype=float)
-    n = p.shape[1]
-    d = np.linalg.norm(p - g, axis=1)
-    r = 0.5 * (float(np.min(d)) + float(np.max(d)))
-    if r <= c1:
-        raise ValueError("approximate radius must exceed the error band c1")
-    if np.any(np.abs(d - r) >= c1):
-        raise ValueError("guess is not within c1 of a common radius")
-    u = edge_matrix(p)
-    c2 = linalg.inverse_norm_bound(u, linalg.column_norm_bound(u.T))
-    bound = 2.0 * np.sqrt(n) * r * c1 * c2
-    return circumcenter(p), float(bound)
-
-
-def empty_sphere_test(sphere: CircumSphere, net_points, exclude, margin: float = 0.0) -> bool:
-    """The empty-sphere condition of a Delaunay simplex, with a margin: True
-    iff no net point outside ``exclude`` lies at distance < radius - margin
-    from the center.
-
-    margin >= 0 relaxes the test; margin < 0 demands clearance |margin|
-    beyond the sphere surface.
-    """
-    pts = np.asarray(net_points, dtype=float)
-    if pts.size == 0:
-        return True
-    mask = np.ones(len(pts), dtype=bool)
-    if exclude:
-        idx = np.fromiter(exclude, dtype=int)
-        mask[idx] = False
-    if not np.any(mask):
-        return True
-    d = np.linalg.norm(pts[mask] - np.asarray(sphere.center, dtype=float), axis=1)
-    return bool(np.all(d >= sphere.radius - margin))

@@ -19,14 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import metrics as mt
 from . import robustness
 from .errors import InvalidBudgetError, ValidationError
 
-#: r_star of every bundle; also compute_r_star's result when the whole
-#: family passes.
+#: r_star of every bundle, and the cap of ``paper.compute_r_star``.
 R_STAR_CAP = 1.0
 
 #: Ratios of the d-ladder (d1, d1', d1'', d2'', d2', d2) to rF.
@@ -207,25 +204,6 @@ def compute_rF(metric: mt.MetricModel, eps0: float, dFU: float, lF: float) -> fl
 def d_ladder(rF: float):
     """(d1, d1', d1'', d2'', d2', d2) = (.10,.11,.12,.18,.19,.20) * rF."""
     return tuple(r * rF for r in D_LADDER_RATIOS)
-
-
-def compute_r_star(family, eps0: float, rF: float, samples=None,
-                   metric: mt.MetricModel | None = None,
-                   cap: float = R_STAR_CAP) -> float:
-    """The paper's r*, sampled: the largest parameter-ball radius at which
-    the sampled var and div stay <= eps0*rF; the cap when even the full
-    family passes.  No command runs it: bundles report R_STAR_CAP."""
-    if samples is None:
-        rng = np.random.default_rng(7)
-        samples = rng.uniform(0.0, rF, size=(24, getattr(family, "dim", 2)))
-    tol = eps0 * rF
-    depth = getattr(family, "depth", 8)
-    radii = [cap] + [2.0 ** (-j) for j in range(0, depth + 1)]
-    for r in radii:
-        var, div = mt.estimate_var_div(family, r, samples, metric)
-        if var <= tol and div <= tol:
-            return float(r)
-    return 0.0
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateError
-
 MAX_DIM = 8
 
 #: Scale-relative degeneracy floor: a system with |det| below
@@ -55,23 +53,3 @@ def determinant(m):
         raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
     det = _det_cofactor(a) if n <= 4 else np.linalg.det(a)
     return float(det) if a.ndim == 2 else det
-
-
-def column_norm_bound(m) -> float:
-    """Largest Euclidean column norm of a matrix."""
-    a = np.asarray(m, dtype=float)
-    return float(np.max(np.linalg.norm(a, axis=0)))
-
-
-def inverse_norm_bound(m, column_bound: float) -> float:
-    """Hadamard-style certified bound n * C**(n-1) / |det M| >= ||M^-1||.
-
-    Every entry of M^-1 is a cofactor over the determinant, and each
-    cofactor is bounded by the product of the remaining column norms.
-    """
-    a = np.asarray(m, dtype=float)
-    n = a.shape[0]
-    det = determinant(a)
-    if det == 0.0:
-        raise DegenerateError("singular matrix has no inverse-norm bound")
-    return n * float(column_bound) ** (n - 1) / abs(det)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IllConditionedError, OutOfChartError, ValidationError
+from .errors import OutOfChartError, ValidationError
 
 #: Frames this far from orthonormal (norm defect or cross term) are rejected.
 GS_DELTA_MAX = 0.2
@@ -242,42 +242,13 @@ def chart_point(m: MetricModel, i: int, a) -> np.ndarray:
     return exp_frame(m, _chart_frame(m, i), a)
 
 
-def gram_schmidt_correct(near_frame, inner_product=None):
-    """Orthonormalize an almost-orthonormal family; returns (frame, deviation).
-
-    Inputs must have norms in (1 - GS_DELTA_MAX, 1 + GS_DELTA_MAX) and
-    pairwise inner products below GS_DELTA_MAX in magnitude, else
-    IllConditionedError.  The returned deviation is the achieved
-    max_j ||f_j - f'_j||.
-    """
-    f = np.asarray(near_frame, dtype=float)
-    if inner_product is None:
-        def inner_product(a, b):
-            return float(np.dot(a, b))
-    k = f.shape[0]
-    for i in range(k):
-        ni = math.sqrt(inner_product(f[i], f[i]))
-        if not (1.0 - GS_DELTA_MAX < ni < 1.0 + GS_DELTA_MAX):
-            raise IllConditionedError(f"vector {i} norm {ni:.4f} outside tolerance")
-        for j in range(i + 1, k):
-            if abs(inner_product(f[i], f[j])) >= GS_DELTA_MAX:
-                raise IllConditionedError(f"cross term ({i},{j}) too large")
-    out = f.copy()
-    for i in range(k):
-        for j in range(i):
-            out[i] = out[i] - inner_product(out[i], out[j]) * out[j]
-        out[i] = out[i] / math.sqrt(inner_product(out[i], out[i]))
-    deviation = float(np.max(np.linalg.norm(out - f, axis=1)))
-    return out, deviation
-
-
 def gs_delta(n: int, eps: float) -> float:
     """Threshold delta_n(eps) of the orthonormalization lemma:
     min(eps/(2n), 1/(3n), GS_DELTA_MAX/2), and 0 for eps <= 0.
 
     Claim: if n vectors f_j (the rows of F) have Gram matrix
     G = F F^T = I + E with |E_ij| <= delta <= delta_n(eps), then
-    ``gram_schmidt_correct`` accepts them and returns q_j with
+    ``paper.gram_schmidt_correct`` accepts them and returns q_j with
     max_j ||q_j - f_j|| <= eps.
 
     Proof.  ||E||_2 <= ||E||_F <= n delta <= 1/3, so G is positive definite.
@@ -313,22 +284,6 @@ def gs_delta(n: int, eps: float) -> float:
     while Fraction(delta) > exact:
         delta = math.nextafter(delta, 0.0)
     return delta
-
-
-def align_frame(m: MetricModel, frame_at_x: Frame, y) -> Frame:
-    """The paper's alignment of frames: the frame at y aligned with
-    frame_at_x, by parallel transport of its axes along the geodesic
-    followed by Gram-Schmidt correction."""
-    y = np.asarray(y, dtype=float)
-    if m.kind in ("flat", "torus"):
-        return Frame(base=y, axes=frame_at_x.axes.copy())
-    if m.distance(frame_at_x.base, y) >= m.injectivity_radius():
-        raise OutOfChartError("cannot align across an antipodal pair")
-    moved = np.vstack([
-        m.parallel_transport(frame_at_x.base, y, ax) for ax in frame_at_x.axes
-    ])
-    axes, _ = gram_schmidt_correct(moved)
-    return Frame(base=y, axes=axes)
 
 
 @dataclass(frozen=True)
@@ -516,52 +471,6 @@ def find_lambda_eps(m: MetricModel, eps: float, cap: float | None = None,
     if cap is not None:
         lam = min(lam, cap)
     return float(lam)
-
-
-def check_eps_isometry(map_fn, domain_samples, eps: float, metric: MetricModel | None = None) -> bool:
-    """The paper's eps-isometry condition on a map phi, sampled: True iff
-    |d(phi x, phi x') - d(x, x')| <= eps over all sampled pairs."""
-    pts = list(domain_samples)
-    imgs = [map_fn(p) for p in pts]
-    if metric is None:
-        def dist(a, b):
-            return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-    else:
-        dist = metric.distance
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(dist(imgs[i], imgs[j]) - dist(pts[i], pts[j])) > eps:
-                return False
-    return True
-
-
-def estimate_var_div(family, r: float, samples, metric: MetricModel | None = None):
-    """Sampled suprema of leafwise metric distortion (var) and transversal
-    spread (div) over parameter balls of ultrametric radius r.
-
-    ``family`` needs .params, .param_distance(p, q) and .transport(param, point).
-    Both outputs are 0 at r = 0 and monotone nondecreasing in r.
-    """
-    if metric is None:
-        def dist(a, b):
-            return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-    else:
-        dist = metric.distance
-    pts = [np.asarray(p, dtype=float) for p in samples]
-    params = list(family.params)
-    images = {p: [family.transport(p, y) for y in pts] for p in params}
-    var = 0.0
-    div = 0.0
-    for i, p in enumerate(params):
-        for q in params[i + 1:]:
-            if family.param_distance(p, q) > r:
-                continue
-            ip, iq = images[p], images[q]
-            for a in range(len(pts)):
-                div = max(div, dist(ip[a], iq[a]))
-                for b in range(a + 1, len(pts)):
-                    var = max(var, abs(dist(ip[a], ip[b]) - dist(iq[a], iq[b])))
-    return var, div
 
 
 def parse_metric(selector: str) -> MetricModel:

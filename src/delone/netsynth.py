@@ -788,33 +788,35 @@ def _over_budget(family: ParamFamily) -> list:
                    if float(np.linalg.norm(vec)) > family.eps})
 
 
-def _near_misses(pts, verts, reach, radius, least):
+def _near_misses(pts, verts, reach, deep, radius, least):
     """Step 3's pass over Qhull's triangles (``certify_family_stability``):
     (witnesses, flagged, margin, row), the sorted witness triples, the count
     of flagged triangles, and the least clearance - ``least`` over the
-    triangles of radius <= ``radius`` with the row attaining it."""
+    unflagged triangles of radius <= ``radius`` with the row attaining it."""
     m = len(pts)
     rows = tess.qhull_simplices(pts)
     if rows is None:  # fewer than three sites, all on a line, or coincident ones
         return [], int(m > 2), math.inf, None
     centers, radii, valid = cs.circumcenter_batch(pts[rows])
-    flat, rows, radii = rows[~valid], rows[valid], radii[valid]
-    d, idx = tess.sphere_neighbours(pts, centers[valid], 2)
+    flat, rows, centers, radii = rows[~valid], rows[valid], centers[valid], radii[valid]
+    d = tess.sphere_neighbours(pts, centers, 2)[0]
     margin = np.where(radii <= radius, d[:, 3] - radii - least, np.inf)
     own = (d[:, 0] < radii * (1.0 - tess.EMPTY_RTOL)) | \
-        ((radii <= reach) & ~tess.rows_in(rows, verts, m))
-    close = (margin < 0) & ~own
-    near, idx = rows[close], idx[close, :4]
-    q = idx[np.arange(len(idx)),
-            np.argmax(np.all(idx[:, :, None] != near[:, None, :], axis=2), axis=1)]
-    swaps = np.sort(np.where(np.eye(3, dtype=bool), q[:, None, None], near[:, None, :]),
-                    axis=2)  # swaps[k, j]: near[k] with vertex j replaced by q[k]
-    fresh = ~tess.rows_in(swaps.reshape(-1, 3), verts, m).reshape(-1, 3)
-    named = [min(s[f].tolist(), default=row) for s, f, row in
-             zip(swaps, fresh, near.tolist())]
+        ((radii <= reach) & ~tess.rows_in(rows, verts, m)) | \
+        ((margin < 0) & (not math.isfinite(least)))  # no t_B: nothing is settled
+    close = np.nonzero((margin < 0) & ~own)[0]
+    named, tree = [], cKDTree(pts) if len(close) else None
+    for k in close:  # the settle: S's vertices and the sites within least of its circle
+        ball = set(tree.query_ball_point(centers[k], radii[k] + least)) | set(rows[k])
+        cand = np.array(list(itertools.combinations(sorted(ball), 3)), dtype=np.int64)
+        c, r, ok = cs.circumcenter_batch(pts[cand])
+        depth = r - tree.query(np.nan_to_num(c))[0]  # inf where degenerate
+        hit = (~ok | ((r <= reach) & (depth <= deep))) & ~tess.rows_in(cand, verts, m)
+        named += cand[hit][:1].tolist()  # none kept: S is settled
+        margin[k] = np.inf  # flagged or settled, S leaves the margin
     witnesses = sorted(set(map(tuple, named + flat.tolist() + rows[own].tolist())))
     i = int(np.argmin(margin)) if len(rows) else None
-    return ([list(w) for w in witnesses], len(near) + len(flat) + int(np.sum(own)),
+    return ([list(w) for w in witnesses], len(named) + len(flat) + int(np.sum(own)),
             math.inf if i is None else float(margin[i]), None if i is None else rows[i])
 
 
@@ -911,20 +913,28 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        EMPTY_RTOL r_S (``delaunay_top``'s test, one ``sphere_neighbours``
        query over all centers, so Qhull's roundoff is tested), has radius
        <= rho' and is not a top, or has radius <= rho' + Delta + eps / e1
-       and clearance <= t_B.  With none flagged, T is the S holding its
-       centroid, a Qhull triangle of radius <= rho' and so a top: no T
-       exists.  Floats: for R = 2 rho' and eta_c = 64 u (max |coordinate|
-       + R), radii up to R carry phi_c = eta_c + 84 u R^3 / (v2_constant(
-       e1, R) - spread_R(eta_c)) (step 1's closed form, 84 u > 12 gamma_6)
-       and clearances 2 phi_c; eps = 2 R (EMPTY_RTOL R + 2 phi_c) + 2^-40
+       and clearance <= t_B.  By the lemma, T's vertices are S's and sites
+       within t_B of S's circle: an S flagged for its clearance alone is
+       unflagged (settled) when no triple of those sites has T's
+       conditions (radius <= rho', no site deeper than alpha, not a top).
+       If none stays flagged, the S holding T's centroid would, if settled,
+       have T among its triples; so S was never flagged and is T by the
+       lemma, a Qhull triangle of radius <= rho' and so a top: no T exists.
+       Floats: for R = 2 rho' and eta_c = 64 u (max |coordinate| + R),
+       radii up to R carry phi_c = eta_c + 84 u R^3 / (v2_constant(e1, R)
+       - spread_R(eta_c)) (step 1's closed form, 84 u > 12 gamma_6) and
+       clearances 2 phi_c; eps = 2 R (EMPTY_RTOL R + 2 phi_c) + 2^-40
        (max |coordinate| + R)^2, the last term for larger S, whose
        emptiness is left to Qhull's roundoff (a few u of that square).
-       If Delta >= r0, the root is not positive or Delta + eps / e1 + phi_c
-       > rho', every S in range is flagged.  The near_miss margin is the
-       least clearance - 2 phi_c - t_B in range, a bound.  A flagged S
-       fails with margin -inf and is counted in ``budget``, named by S or,
-       if flagged for its clearance with q the nearest site off its circle,
-       by the first sorted triple of (S - v) + {q} that is not a top.
+       The settle takes the sites within r_S + 2 phi_c + t_B of c_S, and
+       T's radius is <= rho' <= R: it keeps a triple degenerate in floats
+       or of radius <= rho' + phi_c and depth <= alpha + 2 phi_c.  If Delta
+       >= r0, the root is not positive or Delta + eps / e1 + phi_c > rho',
+       every S in range is flagged and none is settled.  The near_miss
+       margin is the least clearance - 2 phi_c - t_B over the unflagged S
+       in range, a bound.  A flagged S fails with margin -inf and is
+       counted in ``budget``, named by S or, if flagged for its clearance
+       alone, by its first triple that the settle keeps.
     4. Over budget.  A parameter with an override longer than family.eps
        runs the per-parameter check: its translate's circumcenters, the
        margins robustness, translate_clearance, center_drift and
@@ -1049,7 +1059,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             t_b = (3.0 * r0 * alpha + slack) / math.sqrt(root) \
                 if lift < r0 and root > 0 and held <= cap else math.inf
             witnesses, near, margin, row = _near_misses(
-                pts, verts, reach + phi_c, held, 2.0 * phi_c + t_b)
+                pts, verts, reach + phi_c, alpha + 2.0 * phi_c, held, 2.0 * phi_c + t_b)
             if near:
                 note("near_miss", -math.inf, witnesses[0] if witnesses else None,
                      None, {"near_miss": witnesses[:8]})

@@ -1,0 +1,305 @@
+"""Statements of the paper that no command runs, each named in its
+docstring, with the helpers they use (``edge_matrix``, the column and
+inverse-norm bounds).  This module imports the pipeline modules; none
+imports it."""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from . import circumsphere as cs
+from . import constants as consts
+from . import linalg
+from . import metrics as mt
+from . import tessellation as tess
+from .errors import (DegenerateError, IllConditionedError, OutOfChartError,
+                     UnsupportedDimError)
+
+
+def edge_matrix(pts: np.ndarray) -> np.ndarray:
+    """Rows u_k = y_{k-1} - y_n, base vertex = last point in the given order."""
+    p = np.asarray(pts, dtype=float)
+    return p[:-1] - p[-1]
+
+
+def stability_radius(budget: cs.PerturbationBudget, n: int) -> float:
+    """The per-vertex displacement the paper's perturbation lemma for
+    circumcenters licenses: delta / (2^{n+1} n^{3/2} e2^{n-1})."""
+    return budget.delta / (2.0 ** (n + 1) * n**1.5 * budget.e2 ** (n - 1))
+
+
+def refine_center(pts, guess, c1: float):
+    """The paper's estimate for an approximate circumcenter: the exact
+    circumcenter plus a certified bound on the approximate center's drift.
+
+    Requires every |dist(guess, pt_i) - r| < c1 for some radius r > c1.
+    The bound is 2 sqrt(n) r c1 c2 with c2 the Hadamard inverse-norm bound of
+    the edge matrix; the exact solve is returned alongside.
+    """
+    p = np.asarray(pts, dtype=float)
+    g = np.asarray(guess, dtype=float)
+    n = p.shape[1]
+    d = np.linalg.norm(p - g, axis=1)
+    r = 0.5 * (float(np.min(d)) + float(np.max(d)))
+    if r <= c1:
+        raise ValueError("approximate radius must exceed the error band c1")
+    if np.any(np.abs(d - r) >= c1):
+        raise ValueError("guess is not within c1 of a common radius")
+    u = edge_matrix(p)
+    c2 = inverse_norm_bound(u, column_norm_bound(u.T))
+    bound = 2.0 * np.sqrt(n) * r * c1 * c2
+    return cs.circumcenter(p), float(bound)
+
+
+def column_norm_bound(m) -> float:
+    """Largest Euclidean column norm of a matrix."""
+    a = np.asarray(m, dtype=float)
+    return float(np.max(np.linalg.norm(a, axis=0)))
+
+
+def inverse_norm_bound(m, column_bound: float) -> float:
+    """Hadamard-style certified bound n * C**(n-1) / |det M| >= ||M^-1||.
+
+    Every entry of M^-1 is a cofactor over the determinant, and each
+    cofactor is bounded by the product of the remaining column norms.
+    """
+    a = np.asarray(m, dtype=float)
+    n = a.shape[0]
+    det = linalg.determinant(a)
+    if det == 0.0:
+        raise DegenerateError("singular matrix has no inverse-norm bound")
+    return n * float(column_bound) ** (n - 1) / abs(det)
+
+
+def gram_schmidt_correct(near_frame, inner_product=None):
+    """Orthonormalize an almost-orthonormal family; returns (frame, deviation).
+
+    Inputs must have norms in (1 - GS_DELTA_MAX, 1 + GS_DELTA_MAX) and
+    pairwise inner products below GS_DELTA_MAX in magnitude, else
+    IllConditionedError.  The returned deviation is the achieved
+    max_j ||f_j - f'_j||.
+    """
+    f = np.asarray(near_frame, dtype=float)
+    if inner_product is None:
+        def inner_product(a, b):
+            return float(np.dot(a, b))
+    k = f.shape[0]
+    for i in range(k):
+        ni = math.sqrt(inner_product(f[i], f[i]))
+        if not (1.0 - mt.GS_DELTA_MAX < ni < 1.0 + mt.GS_DELTA_MAX):
+            raise IllConditionedError(f"vector {i} norm {ni:.4f} outside tolerance")
+        for j in range(i + 1, k):
+            if abs(inner_product(f[i], f[j])) >= mt.GS_DELTA_MAX:
+                raise IllConditionedError(f"cross term ({i},{j}) too large")
+    out = f.copy()
+    for i in range(k):
+        for j in range(i):
+            out[i] = out[i] - inner_product(out[i], out[j]) * out[j]
+        out[i] = out[i] / math.sqrt(inner_product(out[i], out[i]))
+    deviation = float(np.max(np.linalg.norm(out - f, axis=1)))
+    return out, deviation
+
+
+def align_frame(m: mt.MetricModel, frame_at_x: mt.Frame, y) -> mt.Frame:
+    """The paper's alignment of frames: the frame at y aligned with
+    frame_at_x, by parallel transport of its axes along the geodesic
+    followed by Gram-Schmidt correction."""
+    y = np.asarray(y, dtype=float)
+    if m.kind in ("flat", "torus"):
+        return mt.Frame(base=y, axes=frame_at_x.axes.copy())
+    if m.distance(frame_at_x.base, y) >= m.injectivity_radius():
+        raise OutOfChartError("cannot align across an antipodal pair")
+    moved = np.vstack([
+        m.parallel_transport(frame_at_x.base, y, ax) for ax in frame_at_x.axes
+    ])
+    axes, _ = gram_schmidt_correct(moved)
+    return mt.Frame(base=y, axes=axes)
+
+
+def check_eps_isometry(map_fn, domain_samples, eps: float, metric: mt.MetricModel | None = None) -> bool:
+    """The paper's eps-isometry condition on a map phi, sampled: True iff
+    |d(phi x, phi x') - d(x, x')| <= eps over all sampled pairs."""
+    pts = list(domain_samples)
+    imgs = [map_fn(p) for p in pts]
+    if metric is None:
+        def dist(a, b):
+            return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
+    else:
+        dist = metric.distance
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if abs(dist(imgs[i], imgs[j]) - dist(pts[i], pts[j])) > eps:
+                return False
+    return True
+
+
+def estimate_var_div(family, r: float, samples, metric: mt.MetricModel | None = None):
+    """Sampled suprema of leafwise metric distortion (var) and transversal
+    spread (div) over parameter balls of ultrametric radius r.
+
+    ``family`` needs .params, .param_distance(p, q) and .transport(param, point).
+    Both outputs are 0 at r = 0 and monotone nondecreasing in r.
+    """
+    if metric is None:
+        def dist(a, b):
+            return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
+    else:
+        dist = metric.distance
+    pts = [np.asarray(p, dtype=float) for p in samples]
+    params = list(family.params)
+    images = {p: [family.transport(p, y) for y in pts] for p in params}
+    var = 0.0
+    div = 0.0
+    for i, p in enumerate(params):
+        for q in params[i + 1:]:
+            if family.param_distance(p, q) > r:
+                continue
+            ip, iq = images[p], images[q]
+            for a in range(len(pts)):
+                div = max(div, dist(ip[a], iq[a]))
+                for b in range(a + 1, len(pts)):
+                    var = max(var, abs(dist(ip[a], ip[b]) - dist(iq[a], iq[b])))
+    return var, div
+
+
+def compute_r_star(family, eps0: float, rF: float, samples=None,
+                   metric: mt.MetricModel | None = None,
+                   cap: float = consts.R_STAR_CAP) -> float:
+    """The paper's r*, sampled: the largest parameter-ball radius at which
+    the sampled var and div stay <= eps0*rF; the cap when even the full
+    family passes.  No command runs it: bundles report R_STAR_CAP."""
+    if samples is None:
+        rng = np.random.default_rng(7)
+        samples = rng.uniform(0.0, rF, size=(24, getattr(family, "dim", 2)))
+    tol = eps0 * rF
+    depth = getattr(family, "depth", 8)
+    radii = [cap] + [2.0 ** (-j) for j in range(0, depth + 1)]
+    for r in radii:
+        var, div = estimate_var_div(family, r, samples, metric)
+        if var <= tol and div <= tol:
+            return float(r)
+    return 0.0
+
+
+@dataclass(frozen=True)
+class VoronoiCell:
+    site: int
+    neighbor_sites: tuple
+    halfspaces: tuple | None  # ((a, b), ...) meaning a.x <= b; None if curved
+    boundary: bool
+
+
+def voronoi_cell(net: tess.Net, i: int, metric) -> VoronoiCell:
+    """The paper's Voronoi cell of net point i: the points no farther from
+    it than from any other net point.  Neighbor list from the 4*d2 locality
+    bound, plus a halfspace list in the flat metric (None otherwise)."""
+    p = net.points
+    site = p[i]
+    flat = metric is None or metric.kind == "flat"
+    if flat:
+        d = np.linalg.norm(p - site, axis=1)
+    else:
+        d = np.array([metric.distance(site, q) for q in p])
+    nbrs = tuple(j for j in np.nonzero(d <= 4.0 * net.d2)[0] if j != i)
+    halfspaces = None
+    if flat:
+        hs = []
+        for j in nbrs:
+            a = p[j] - site
+            b = 0.5 * (float(np.dot(p[j], p[j])) - float(np.dot(site, site)))
+            hs.append((a, b))
+        halfspaces = tuple(hs)
+    boundary = not bool(net.interior_mask()[i])
+    return VoronoiCell(site=i, neighbor_sites=nbrs, halfspaces=halfspaces,
+                       boundary=boundary)
+
+
+def _cell_vertices_flat(net: tess.Net, i: int, rtol: float = tess.MEMBERSHIP_RTOL):
+    """Voronoi vertices of cell i of a planar net: circumcenters of the site
+    with pairs of neighbors, kept when no site is nearer."""
+    p = net.points
+    site = p[i]
+    d = np.linalg.norm(p - site, axis=1)
+    nbrs = [j for j in np.nonzero(d <= 4.0 * net.d2)[0] if j != i]
+    verts = []
+    for j, k in itertools.combinations(nbrs, 2):
+        try:
+            v = cs.circumcenter(np.vstack([site, p[j], p[k]])).center
+        except DegenerateError:
+            continue
+        dv = np.linalg.norm(p - v, axis=1)
+        if np.linalg.norm(v - site) <= np.min(dv) + rtol * max(1.0, np.min(dv)):
+            verts.append(v)
+    return verts
+
+
+def star_neighborhood(net: tess.Net, i: int) -> set:
+    """The paper's star of a Voronoi cell, for a planar net: the sites whose
+    cells share a Voronoi vertex with cell i, including i itself; every
+    member lies within 3*d2 of the site."""
+    if net.dim != 2:
+        raise UnsupportedDimError("star_neighborhood requires dim = 2")
+    p = net.points
+    out = {int(i)}
+    for v in _cell_vertices_flat(net, i):
+        dv = np.linalg.norm(p - v, axis=1)
+        dmin = float(np.min(dv))
+        out.update(int(j) for j in
+                   np.nonzero(dv <= dmin + tess.MEMBERSHIP_RTOL * max(1.0, dmin))[0])
+    return out
+
+
+def check_filling(net: tess.Net, complex_: tess.DelaunayComplex, i: int,
+                  samples: int = 200, rng=None) -> bool:
+    """The paper's filling property of a Delaunay triangulation, sampled: the
+    Voronoi cell of site i is covered by the realized simplices of its
+    simplicial cone (the top simplices containing i).
+
+    Up to 100*samples uniform draws from the box of half-side d2 around the
+    site are made; the first ``samples`` of them whose nearest site is i
+    must each be ``locate``d in i's cone.  False when the cone is empty."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    verts = complex_.top_arrays(net.dim)[0]
+    if not np.any(verts == i):
+        return False
+    pts = net.points
+    q = pts[i] + rng.uniform(-net.d2, net.d2, size=(100 * samples, net.dim))
+    _, nearest = cKDTree(pts).query(q)
+    q = q[nearest == i][:samples]
+    simplex, _ = tess.locate(pts, verts, q, np.full((len(q), 1), i))
+    return bool(np.all(simplex >= 0))
+
+
+def realize_simplex(metric, bary, vertex_points) -> np.ndarray:
+    """The paper's geometric realization of a Delaunay simplex, as the
+    iterated geodesic cone, evaluated at barycentric coordinates.
+
+    vertex_points are the simplex's vertex positions in creation order.
+    In the flat metric this is the affine combination; in
+    curved metrics the cone is built by successive geodesics, so the
+    restriction to a boundary face is the face's own realization.
+    """
+    b = np.asarray(bary, dtype=float)
+    v = [np.asarray(p, dtype=float) for p in vertex_points]
+    if len(b) != len(v):
+        raise ValueError("barycentric length must match the vertex count")
+    if np.any(b < -1e-12) or abs(float(np.sum(b)) - 1.0) > 1e-9:
+        raise ValueError("barycentric coordinates must be a convex combination")
+
+    def cone(weights, verts):
+        if len(verts) == 1:
+            return verts[0]
+        wk = float(weights[-1])
+        if wk >= 1.0 - 1e-15:
+            return verts[-1]
+        prefix = weights[:-1] / (1.0 - wk)
+        base = cone(prefix, verts[:-1])
+        if metric is None or metric.kind == "flat":
+            return (1.0 - wk) * base + wk * verts[-1]
+        return metric.exp(base, wk * metric.log(base, verts[-1]))
+    return cone(b, v)

@@ -1,10 +1,8 @@
-"""Voronoi cells, Delaunay complexes, duality, and geometric realization.
+"""Delaunay complexes, Voronoi/Delaunay duality, and point location.
 
 Nets are separated/dense point sets in a compact region.  The Delaunay
-complex is built in the flat metric only; a curved metric enters through
-the Voronoi cells' distance oracle and the geodesic-cone realization.  The
-top simplices of the Delaunay complex come from one kernel,
-``delaunay_top``: Qhull's Delaunay triangulation (Barber, Dobkin &
+complex is built in the flat metric only.  Its top simplices come from one
+kernel, ``delaunay_top``: Qhull's Delaunay triangulation (Barber, Dobkin &
 Huhdanpaa, "The Quickhull algorithm for convex hulls", ACM TOMS 1996,
 through ``scipy.spatial.Delaunay``), restricted to the simplices whose
 circumscribed sphere has radius at most d2 and is empty of other sites.
@@ -16,9 +14,9 @@ all empty spheres of a cospherical configuration.  That enumeration
 (``small_spheres``, vectorized from one ``cKDTree.query_pairs``) is also the
 independent oracle of ``check_duality``, which takes it one block at a
 time; the certifier's near-miss pass reads Qhull's whole triangulation
-through ``qhull_simplices``.  Both branches
-take every center from ``circumsphere.circumcenter_batch``, whose rows do not
-depend on the batch, so they give equal bits.
+through ``qhull_simplices``.  Both branches take every center from
+``circumsphere.circumcenter_batch``, whose rows do not depend on the batch,
+so they give equal bits.
 The complex is pure and stored by its top simplices alone, which determine
 every face (Boissonnat, Karthik & Tavenas, "Building efficient and compact
 data structures for simplicial complexes", Algorithmica 2017).  Consumers
@@ -27,10 +25,7 @@ codimension-1 faces with their parents come from one kernel, ``facets``.
 Point location has one kernel, ``locate``: it finds the top simplex that
 contains each of a batch of points, and the point's barycentric coordinates
 in it, scanning the simplicial cones of given candidate sites with batched
-``barycentric_coordinates`` solves.  The product structure and the filling
-check both use it.
-Geometric realization is the iterated geodesic-cone map in vertex-creation
-order.
+``barycentric_coordinates`` solves.  The product structure uses it.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from . import circumsphere as cs
 from .circumsphere import CircumSphere
-from .errors import DegenerateError, UnsupportedDimError, ValidationError
+from .errors import ValidationError
 
 #: Relative tolerance for cell-membership and duality point location.
 MEMBERSHIP_RTOL = 1e-9
@@ -156,74 +151,6 @@ def facets(verts: np.ndarray):
     two = count >= 2
     parents[two, 1] = order[start[two] + 1] // k
     return faces[start], count, parents
-
-
-@dataclass(frozen=True)
-class VoronoiCell:
-    site: int
-    neighbor_sites: tuple
-    halfspaces: tuple | None  # ((a, b), ...) meaning a.x <= b; None if curved
-    boundary: bool
-
-
-def voronoi_cell(net: Net, i: int, metric) -> VoronoiCell:
-    """The paper's Voronoi cell of net point i: the points no farther from
-    it than from any other net point.  Neighbor list from the 4*d2 locality
-    bound, plus a halfspace list in the flat metric (None otherwise)."""
-    p = net.points
-    site = p[i]
-    flat = metric is None or metric.kind == "flat"
-    if flat:
-        d = np.linalg.norm(p - site, axis=1)
-    else:
-        d = np.array([metric.distance(site, q) for q in p])
-    nbrs = tuple(j for j in np.nonzero(d <= 4.0 * net.d2)[0] if j != i)
-    halfspaces = None
-    if flat:
-        hs = []
-        for j in nbrs:
-            a = p[j] - site
-            b = 0.5 * (float(np.dot(p[j], p[j])) - float(np.dot(site, site)))
-            hs.append((a, b))
-        halfspaces = tuple(hs)
-    boundary = not bool(net.interior_mask()[i])
-    return VoronoiCell(site=i, neighbor_sites=nbrs, halfspaces=halfspaces,
-                       boundary=boundary)
-
-
-def _cell_vertices_flat(net: Net, i: int, rtol: float = MEMBERSHIP_RTOL):
-    """Voronoi vertices of cell i of a planar net: circumcenters of the site
-    with pairs of neighbors, kept when no site is nearer."""
-    p = net.points
-    site = p[i]
-    d = np.linalg.norm(p - site, axis=1)
-    nbrs = [j for j in np.nonzero(d <= 4.0 * net.d2)[0] if j != i]
-    verts = []
-    for j, k in itertools.combinations(nbrs, 2):
-        try:
-            v = cs.circumcenter(np.vstack([site, p[j], p[k]])).center
-        except DegenerateError:
-            continue
-        dv = np.linalg.norm(p - v, axis=1)
-        if np.linalg.norm(v - site) <= np.min(dv) + rtol * max(1.0, np.min(dv)):
-            verts.append(v)
-    return verts
-
-
-def star_neighborhood(net: Net, i: int) -> set:
-    """The paper's star of a Voronoi cell, for a planar net: the sites whose
-    cells share a Voronoi vertex with cell i, including i itself; every
-    member lies within 3*d2 of the site."""
-    if net.dim != 2:
-        raise UnsupportedDimError("star_neighborhood requires dim = 2")
-    p = net.points
-    out = {int(i)}
-    for v in _cell_vertices_flat(net, i):
-        dv = np.linalg.norm(p - v, axis=1)
-        dmin = float(np.min(dv))
-        out.update(int(j) for j in
-                   np.nonzero(dv <= dmin + MEMBERSHIP_RTOL * max(1.0, dmin))[0])
-    return out
 
 
 #: Rows per block of the enumeration ``_local_subsets``: bounds the
@@ -517,54 +444,3 @@ def locate(points: np.ndarray, verts: np.ndarray, samples: np.ndarray,
         bary[todo[parent[hit]]] = b[hit]
         todo = todo[simplex[todo] < 0]
     return simplex, bary
-
-
-def check_filling(net: Net, complex_: DelaunayComplex, i: int,
-                  samples: int = 200, rng=None) -> bool:
-    """The paper's filling property of a Delaunay triangulation, sampled: the
-    Voronoi cell of site i is covered by the realized simplices of its
-    simplicial cone (the top simplices containing i).
-
-    Up to 100*samples uniform draws from the box of half-side d2 around the
-    site are made; the first ``samples`` of them whose nearest site is i
-    must each be ``locate``d in i's cone.  False when the cone is empty."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    verts = complex_.top_arrays(net.dim)[0]
-    if not np.any(verts == i):
-        return False
-    pts = net.points
-    q = pts[i] + rng.uniform(-net.d2, net.d2, size=(100 * samples, net.dim))
-    _, nearest = cKDTree(pts).query(q)
-    q = q[nearest == i][:samples]
-    simplex, _ = locate(pts, verts, q, np.full((len(q), 1), i))
-    return bool(np.all(simplex >= 0))
-
-
-def realize_simplex(s: Simplex, metric, bary, vertex_points) -> np.ndarray:
-    """The paper's geometric realization of a Delaunay simplex, as the
-    iterated geodesic cone, evaluated at barycentric coordinates.
-
-    vertex_points are the vertex positions in creation order (matching
-    s.vertices).  In the flat metric this is the affine combination; in
-    curved metrics the cone is built by successive geodesics, so the
-    restriction to a boundary face is the face's own realization.
-    """
-    b = np.asarray(bary, dtype=float)
-    v = [np.asarray(p, dtype=float) for p in vertex_points]
-    if len(b) != len(v):
-        raise ValueError("barycentric length must match the vertex count")
-    if np.any(b < -1e-12) or abs(float(np.sum(b)) - 1.0) > 1e-9:
-        raise ValueError("barycentric coordinates must be a convex combination")
-
-    def cone(weights, verts):
-        if len(verts) == 1:
-            return verts[0]
-        wk = float(weights[-1])
-        if wk >= 1.0 - 1e-15:
-            return verts[-1]
-        prefix = weights[:-1] / (1.0 - wk)
-        base = cone(prefix, verts[:-1])
-        if metric is None or metric.kind == "flat":
-            return (1.0 - wk) * base + wk * verts[-1]
-        return metric.exp(base, wk * metric.log(base, verts[-1]))
-    return cone(b, v)

@@ -16,6 +16,7 @@ from delone import circumsphere as cs
 from delone import cli, jsonio, linalg
 from delone import metrics as mt
 from delone import netsynth as nsy
+from delone import paper
 from delone import robustness as rb
 from delone import tessellation as tess
 from delone.netsynth import _row_dots
@@ -63,7 +64,7 @@ def test_criterion_02_inverse_norm_bound():
         n = int(rng.integers(1, 6))
         m = rng.standard_normal((n, n))
         try:
-            bound = linalg.inverse_norm_bound(m, linalg.column_norm_bound(m))
+            bound = paper.inverse_norm_bound(m, paper.column_norm_bound(m))
         except Exception:
             continue
         trials += 1
@@ -84,14 +85,14 @@ def test_criterion_03_perturbation_soundness():
         pts = rng.uniform(0.0, 3.0, size=(n + 1, n))
         dists = [np.linalg.norm(pts[i] - pts[j])
                  for i, j in itertools.combinations(range(n + 1), 2)]
-        delta = abs(linalg.determinant(cs.edge_matrix(pts)))
+        delta = abs(linalg.determinant(paper.edge_matrix(pts)))
         if min(dists) < 0.5 or delta < 0.1:
             continue
         configs += 1
         rho = rb.prefix_distances(pts[None])[0].min()
         budget0 = cs.PerturbationBudget(e1=0.5 * min(dists), e2=max(dists),
                                         eps=0.0, rho=rho, delta=delta)
-        eps = cs.stability_radius(budget0, n)
+        eps = paper.stability_radius(budget0, n)
         budget = cs.PerturbationBudget(e1=budget0.e1, e2=budget0.e2,
                                        eps=eps, rho=rho, delta=delta)
         bound = cs.displacement_bound(budget, n)

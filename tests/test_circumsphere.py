@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delone import circumsphere as cs
-from delone import linalg
+from delone import linalg, paper
 from delone.errors import DegenerateError, InvalidBudgetError
 
 
@@ -15,7 +15,7 @@ def _random_simplex(rng, n, spread=1.0):
     """Random affinely independent n-simplex (resampled until well formed)."""
     while True:
         pts = spread * rng.standard_normal((n + 1, n))
-        u = cs.edge_matrix(pts)
+        u = paper.edge_matrix(pts)
         if abs(np.linalg.det(u)) > 1e-3 * spread**n:
             return pts
 
@@ -189,27 +189,27 @@ class TestBounds:
                                        delta=0.3 * 2**n)
             assert cs.displacement_bound(b2, n) == pytest.approx(
                 2.0 * cs.displacement_bound(b1, n), rel=1e-12)
-            assert cs.stability_radius(b2, n) == pytest.approx(
-                2.0 * cs.stability_radius(b1, n), rel=1e-12)
+            assert paper.stability_radius(b2, n) == pytest.approx(
+                2.0 * paper.stability_radius(b1, n), rel=1e-12)
 
     def test_stability_radius_formula(self):
         b = cs.PerturbationBudget(e1=1.0, e2=2.0, eps=0.0, rho=0.5, delta=0.7)
         for n in (2, 3):
-            assert cs.stability_radius(b, n) == pytest.approx(
+            assert paper.stability_radius(b, n) == pytest.approx(
                 0.7 / (2**(n + 1) * n**1.5 * 2.0**(n - 1)))
 
 
 class TestRefineCenter:
     def test_exact_guess(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        sph, bound = cs.refine_center(pts, [0.5, 0.5], 1e-9)
+        sph, bound = paper.refine_center(pts, [0.5, 0.5], 1e-9)
         assert np.allclose(sph.center, [0.5, 0.5])
         assert bound <= 1e-7
 
     def test_bound_dominates_drift(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         guess = np.array([0.5, 0.6])
-        sph, bound = cs.refine_center(pts, guess, 0.12)
+        sph, bound = paper.refine_center(pts, guess, 0.12)
         drift = np.linalg.norm(guess - sph.center)
         assert bound >= drift
 
@@ -225,42 +225,10 @@ class TestRefineCenter:
             if 0.5 * (d.min() + d.max()) <= c1:
                 continue
             count += 1
-            got, bound = cs.refine_center(pts, guess, c1)
+            got, bound = paper.refine_center(pts, guess, c1)
             assert np.linalg.norm(guess - got.center) <= bound
 
     def test_bad_guess_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            cs.refine_center(pts, [5.0, 5.0], 1e-3)
-
-
-class TestEmptySphereTest:
-    def test_cocircular_corners(self):
-        corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-        sph = cs.CircumSphere(center=np.array([0.5, 0.5]),
-                              radius=math.sqrt(2) / 2)
-        assert cs.empty_sphere_test(sph, corners, {0, 1, 2, 3})
-
-    def test_interior_point_fails(self):
-        pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], dtype=float)
-        sph = cs.CircumSphere(center=np.array([0.5, 0.5]),
-                              radius=math.sqrt(2) / 2)
-        assert not cs.empty_sphere_test(sph, pts, {0, 1, 2, 3})
-
-    def test_negative_margin_demands_clearance(self):
-        pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        sph = cs.CircumSphere(center=np.array([0.0, 0.0]), radius=1.0)
-        assert cs.empty_sphere_test(sph, pts, {0}, margin=-0.5)
-        assert not cs.empty_sphere_test(sph, pts, {0}, margin=-1.5)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            pts = rng.uniform(0, 1, size=(20, 2))
-            sph = cs.CircumSphere(center=rng.uniform(0, 1, size=2),
-                                  radius=rng.uniform(0.05, 0.5))
-            excl = set(rng.integers(0, 20, size=3).tolist())
-            margin = rng.uniform(-0.05, 0.05)
-            ref = all(np.linalg.norm(pts[i] - sph.center) >= sph.radius - margin
-                      for i in range(20) if i not in excl)
-            assert cs.empty_sphere_test(sph, pts, excl, margin) == ref
+            paper.refine_center(pts, [5.0, 5.0], 1e-3)

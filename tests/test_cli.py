@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import delone
 from delone import cli, jsonio
 from delone import constants as consts
 from delone import netsynth as nsy
@@ -615,6 +616,101 @@ def test_package_imports_no_private_names():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases and node.attr.startswith("_")]
     assert not found
+
+
+#: Pipeline definitions no command reaches, kept as further roots of
+#: ``test_pipeline_modules_hold_only_reachable_definitions``: (module, name, reason).
+REACHABILITY_ROOTS = (
+    ("circumsphere", "circumcenter",
+     "perfbench/tracing.py wraps it (circumsphere.circumcenter_s)"),
+    ("netsynth", "build_product_structure",
+     "perfbench's synth_5rF workload runs it; ROADMAP item 3 moves it into certify"),
+)
+
+
+def _pipeline_graph():
+    """(modules, defs, edges) of the pipeline modules, every module of the
+    package but ``paper``: ``modules`` maps each module's name to its syntax
+    tree, ``defs`` maps (module, name) of each top-level function and class
+    to its line, and ``edges`` maps each of them, and (module, None) for a
+    module's other top-level statements, to the definitions they name,
+    through same-module names, ``from .m import name`` and module aliases
+    (``tess.name``)."""
+    paths = sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
+    modules = {p.stem: ast.parse(p.read_text()) for p in paths if p.stem != "paper"}
+    defs = {(mod, node.name): node.lineno
+            for mod, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    edges = {}
+    for mod, tree in modules.items():
+        names, aliases = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        names[a.asname or a.name] = (node.module, a.name)
+
+        def refs(node):
+            out = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    out.add(names.get(sub.id, (mod, sub.id)))
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
+                        and sub.value.id in aliases:
+                    out.add((aliases[sub.value.id], sub.attr))
+            return out & defs.keys()
+
+        edges[(mod, None)] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                edges[(mod, node.name)] = refs(node)
+            else:
+                edges[(mod, None)] |= refs(node)
+    return modules, defs, edges
+
+
+def _reach(edges, roots):
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            todo.extend(edges.get(key, ()))
+    return seen
+
+
+def test_pipeline_modules_hold_only_reachable_definitions():
+    """Every top-level function and class of the pipeline modules is reached,
+    by name, from ``cli.main``, a ``cmd_*`` command, ``delone.__all__`` or a
+    module's own top-level statements, or from an entry of
+    REACHABILITY_ROOTS; every entry exists and is needed; and no pipeline
+    module imports ``delone.paper``, where the paper's other statements live."""
+    modules, defs, edges = _pipeline_graph()
+    roots = {("cli", name) for (mod, name) in defs
+             if mod == "cli" and (name == "main" or name.startswith("cmd_"))}
+    roots |= {key for key in edges if key[1] is None}
+    init_names = {a.asname or a.name: node.module for node in modules["__init__"].body
+                  if isinstance(node, ast.ImportFrom) for a in node.names}
+    roots |= {(init_names[name], name) for name in delone.__all__ if name in init_names}
+    allowed = {(mod, name) for mod, name, _ in REACHABILITY_ROOTS}
+    stale = [f"{mod}.{name}: " + ("no such definition" if (mod, name) not in defs
+                                   else "reachable without it")
+             for mod, name in sorted(allowed)
+             if (mod, name) not in defs
+             or (mod, name) in _reach(edges, roots | (allowed - {(mod, name)}))]
+    assert not stale
+    reached = _reach(edges, roots | allowed)
+    unreached = [f"{mod}.py:{line} {name}" for (mod, name), line in sorted(defs.items())
+                 if (mod, name) not in reached]
+    assert not unreached
+    imports_paper = [f"{mod}.py:{node.lineno}" for mod, tree in modules.items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     and any("paper" in (getattr(node, "module", None) or "").split(".")
+                             + a.name.split(".") for a in node.names)]
+    assert not imports_paper
 
 
 def test_package_writes_only_through_write_text():

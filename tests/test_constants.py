@@ -7,6 +7,7 @@ import pytest
 from delone import constants as consts
 from delone import jsonio
 from delone import metrics as mt
+from delone import paper
 from delone.errors import ValidationError
 
 
@@ -140,7 +141,7 @@ class TestRStar:
             def transport(self, param, point):
                 return np.asarray(point, dtype=float)
 
-        assert consts.compute_r_star(Still(), 1e-6, 1.0) == consts.R_STAR_CAP
+        assert paper.compute_r_star(Still(), 1e-6, 1.0) == consts.R_STAR_CAP
 
     def test_large_displacement_family_gets_zero(self):
         class Jumpy:
@@ -155,7 +156,7 @@ class TestRStar:
                 off = 0.0 if param == "0" else 10.0
                 return np.asarray(point, dtype=float) + off
 
-        assert consts.compute_r_star(Jumpy(), 1e-6, 1.0) == 0.0
+        assert paper.compute_r_star(Jumpy(), 1e-6, 1.0) == 0.0
 
 
 class TestBundles:

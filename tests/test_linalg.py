@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delone import linalg
+from delone import linalg, paper
 from delone import robustness as rb
 from delone.errors import DegenerateError
 
@@ -74,11 +74,11 @@ class TestDeterminant:
 
 class TestInverseNormBound:
     def test_identity(self):
-        assert linalg.inverse_norm_bound(np.eye(2), 1.0) == 2.0
+        assert paper.inverse_norm_bound(np.eye(2), 1.0) == 2.0
 
     def test_diagonal(self):
         m = np.diag([1.0, 0.1])
-        bound = linalg.inverse_norm_bound(m, 1.0)
+        bound = paper.inverse_norm_bound(m, 1.0)
         assert bound == pytest.approx(20.0)
         assert bound >= np.linalg.norm(np.linalg.inv(m), 2)
 
@@ -88,13 +88,13 @@ class TestInverseNormBound:
             m = _random_matrix(rng, 4)
             if abs(np.linalg.det(m)) < 1e-8:
                 continue
-            c = linalg.column_norm_bound(m)
-            assert linalg.inverse_norm_bound(m, c) >= \
+            c = paper.column_norm_bound(m)
+            assert paper.inverse_norm_bound(m, c) >= \
                 np.linalg.norm(np.linalg.inv(m), 2) * (1 - 1e-12)
 
     def test_singular_raises(self):
         with pytest.raises(DegenerateError):
-            linalg.inverse_norm_bound([[1.0, 2.0], [2.0, 4.0]], 3.0)
+            paper.inverse_norm_bound([[1.0, 2.0], [2.0, 4.0]], 3.0)
 
 
 class TestDistanceToAffineSpan:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delone import metrics as mt
+from delone import paper
 from delone.errors import IllConditionedError, OutOfChartError, ValidationError
 
 
@@ -104,13 +105,13 @@ class TestExpLog:
 
 class TestGramSchmidt:
     def test_orthonormal_untouched(self):
-        axes, dev = mt.gram_schmidt_correct(np.eye(3))
+        axes, dev = paper.gram_schmidt_correct(np.eye(3))
         assert np.allclose(axes, np.eye(3))
         assert dev == 0.0
 
     def test_small_cross_term(self):
         f = np.array([[1.0, 0.0], [0.01, 1.0]])
-        axes, dev = mt.gram_schmidt_correct(f)
+        axes, dev = paper.gram_schmidt_correct(f)
         assert dev <= 0.03
         assert np.allclose(axes @ axes.T, np.eye(2), atol=1e-12)
 
@@ -118,15 +119,15 @@ class TestGramSchmidt:
         rng = np.random.default_rng(3)
         for _ in range(100):
             f = np.eye(3) + rng.uniform(-0.05, 0.05, size=(3, 3))
-            axes, dev = mt.gram_schmidt_correct(f)
+            axes, dev = paper.gram_schmidt_correct(f)
             assert np.allclose(axes @ axes.T, np.eye(3), atol=1e-12)
             assert dev < 0.5
 
     def test_too_far_rejected(self):
         with pytest.raises(IllConditionedError):
-            mt.gram_schmidt_correct(np.array([[1.3, 0.0], [0.0, 1.0]]))
+            paper.gram_schmidt_correct(np.array([[1.3, 0.0], [0.0, 1.0]]))
         with pytest.raises(IllConditionedError):
-            mt.gram_schmidt_correct(np.array([[1.0, 0.25], [0.25, 1.0]]))
+            paper.gram_schmidt_correct(np.array([[1.0, 0.25], [0.25, 1.0]]))
 
     def test_custom_inner_product(self):
         g = np.diag([4.0, 1.0])
@@ -135,7 +136,7 @@ class TestGramSchmidt:
             return float(a @ g @ b)
 
         f = np.array([[0.5, 0.0], [0.0, 1.0]])
-        axes, dev = mt.gram_schmidt_correct(f, ip)
+        axes, dev = paper.gram_schmidt_correct(f, ip)
         assert dev == 0.0
         assert ip(axes[0], axes[1]) == pytest.approx(0.0, abs=1e-12)
 
@@ -197,7 +198,7 @@ class TestAlignFrame:
     def test_flat_identity(self):
         m = mt.MetricModel.flat(2)
         fr = mt.standard_frame(m, [0.0, 0.0])
-        moved = mt.align_frame(m, fr, [5.0, 5.0])
+        moved = paper.align_frame(m, fr, [5.0, 5.0])
         assert np.allclose(moved.axes, fr.axes)
         assert np.allclose(moved.base, [5.0, 5.0])
 
@@ -205,7 +206,7 @@ class TestAlignFrame:
         m = mt.MetricModel.sphere(1.0)
         fr = mt.standard_frame(m, [0.0, 0.0, 1.0])
         y = np.array([0.0, math.sin(0.4), math.cos(0.4)])
-        moved = mt.align_frame(m, fr, y)
+        moved = paper.align_frame(m, fr, y)
         assert np.allclose(moved.axes @ moved.axes.T, np.eye(2), atol=1e-12)
         assert np.allclose(moved.axes @ y, 0.0, atol=1e-9)
 
@@ -213,7 +214,7 @@ class TestAlignFrame:
         m = mt.MetricModel.sphere(1.0)
         fr = mt.standard_frame(m, [0.0, 0.0, 1.0])
         y = m.exp(fr.base, 1e-3 * fr.axes[0])
-        moved = mt.align_frame(m, fr, y)
+        moved = paper.align_frame(m, fr, y)
         assert np.max(np.abs(moved.axes - fr.axes)) < 1e-2
 
 
@@ -263,7 +264,7 @@ class TestFindLambdaEps:
 class TestEpsIsometry:
     def test_identity_passes(self):
         pts = np.random.default_rng(4).uniform(0, 1, size=(20, 2))
-        assert mt.check_eps_isometry(lambda p: p, pts, 1e-12)
+        assert paper.check_eps_isometry(lambda p: p, pts, 1e-12)
 
     def test_rigid_motion_passes(self):
         rng = np.random.default_rng(5)
@@ -271,12 +272,12 @@ class TestEpsIsometry:
         rot = np.array([[math.cos(th), -math.sin(th)],
                         [math.sin(th), math.cos(th)]])
         pts = rng.uniform(0, 1, size=(20, 2))
-        assert mt.check_eps_isometry(lambda p: rot @ p + 3.0, pts, 1e-9)
+        assert paper.check_eps_isometry(lambda p: rot @ p + 3.0, pts, 1e-9)
 
     def test_stretch_fails(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert not mt.check_eps_isometry(lambda p: 1.1 * np.asarray(p), pts, 0.05)
-        assert mt.check_eps_isometry(lambda p: 1.1 * np.asarray(p), pts, 0.2)
+        assert not paper.check_eps_isometry(lambda p: 1.1 * np.asarray(p), pts, 0.05)
+        assert paper.check_eps_isometry(lambda p: 1.1 * np.asarray(p), pts, 0.2)
 
 
 class _StubFamily:
@@ -302,13 +303,13 @@ class TestVarDiv:
     def test_zero_radius(self):
         fam = _StubFamily({"0": np.zeros(2), "1": np.array([0.3, 0.0])})
         pts = np.random.default_rng(6).uniform(0, 1, size=(10, 2))
-        var, div = mt.estimate_var_div(fam, 0.0, pts)
+        var, div = paper.estimate_var_div(fam, 0.0, pts)
         assert var == 0.0 and div == 0.0
 
     def test_uniform_translations_no_var(self):
         fam = _StubFamily({"0": np.zeros(2), "1": np.array([0.3, 0.4])})
         pts = np.random.default_rng(7).uniform(0, 1, size=(10, 2))
-        var, div = mt.estimate_var_div(fam, 1.0, pts)
+        var, div = paper.estimate_var_div(fam, 1.0, pts)
         assert var == pytest.approx(0.0, abs=1e-12)
         assert div == pytest.approx(0.5)
 
@@ -318,7 +319,7 @@ class TestVarDiv:
         fam = nsy.make_family(bundle2, depth=2, dim=2, seed=3)
         pts = np.random.default_rng(8).uniform(0, 1, size=(8, 2))
         eps = bundle2.eps0 * bundle2.rF
-        var, div = mt.estimate_var_div(fam, 1.0, pts)
+        var, div = paper.estimate_var_div(fam, 1.0, pts)
         assert div <= 2 * fam.depth * eps + 1e-15
         assert var <= 2 * div + 1e-15
 
@@ -326,8 +327,8 @@ class TestVarDiv:
         fam = _StubFamily({"00": np.zeros(2), "01": np.array([0.1, 0.0]),
                            "10": np.array([0.0, 0.2]), "11": np.array([0.2, 0.2])})
         pts = np.random.default_rng(9).uniform(0, 1, size=(8, 2))
-        v1, d1 = mt.estimate_var_div(fam, 0.5, pts)
-        v2, d2 = mt.estimate_var_div(fam, 1.0, pts)
+        v1, d1 = paper.estimate_var_div(fam, 0.5, pts)
+        v2, d2 = paper.estimate_var_div(fam, 1.0, pts)
         assert v1 <= v2 + 1e-15 and d1 <= d2 + 1e-15
 
 
@@ -361,4 +362,4 @@ def _symmetric_unit(n, seed, kind):
 def _cholesky_frame_deviation(s, delta):
     """Deviation of ``gram_schmidt_correct`` on the frame cholesky(I + delta S)^T."""
     f = np.linalg.cholesky(np.eye(len(s)) + delta * s).T
-    return mt.gram_schmidt_correct(f)[1]
+    return paper.gram_schmidt_correct(f)[1]

@@ -900,6 +900,25 @@ class TestCertification:
         assert cert.worst["quantity"] != "near_miss"
         assert len(_enumerated_near_misses(net, cx, fam, bundle2)) == 0
 
+    @pytest.mark.parametrize("seed, real", [(0, False), (1, True), (3, True), (4, False),
+                                            (5, False), (6, True), (7, False), (8, False)])
+    def test_flagged_near_misses_are_settled_exactly(self, bundle2, seed, real):
+        # square patches jittered by 1e-6 rF: every patch has triangles
+        # whose clearance is below t_B, but only seeds 1, 3 and 6 have a
+        # triple within alpha of empty; the others must pass
+        net = _lattice_patch(bundle2, np.random.default_rng(seed), "square", 1e-6)
+        cx = tess.build_delaunay(net, None)
+        fam = nsy.make_family(bundle2, depth=2, seed=0)
+        cert = nsy.certify_family_stability(net, cx, fam, bundle2)
+        enumerated = set(map(tuple, _enumerated_near_misses(net, cx, fam, bundle2).tolist()))
+        assert bool(enumerated) == real
+        if real:
+            assert not cert.ok and cert.worst["quantity"] == "near_miss"
+            assert cert.budget["near_miss"] >= 1
+            assert set(map(tuple, cert.worst["detail"]["near_miss"])) <= enumerated
+        else:
+            assert cert.ok and cert.budget["near_miss"] == 0
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["triangular", "square"]),
