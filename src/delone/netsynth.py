@@ -14,9 +14,11 @@ Delaunay build and the certifier use.
 point selection and the sampled audit both call it.  ``synthesize_net``
 returns the net and a ``SynthesisReport``.
 
-Annuli are kept only around circles of radius at most R = CIRCLE_CAP_D2 * d2,
-the circles that can become (translated) Delaunay simplices; the comment on
-CIRCLE_CAP_D2 gives the inequality that makes R enough.  Every step is
+Each step reads only the net within L of the candidate center, and annuli
+are kept only around circles of radius at most R, the circles that can become
+(translated) Delaunay simplices: R is d2 plus the certified radius drift
+eps3 rF plus a first-order slack, and L = 2 R + ball_r + the wider region
+width; ``_local_radii`` gives both inequalities.  Every step is
 certified by the closed-form bound ``excluded_volume_bound`` < 1/2 on the
 excluded fraction of the selection ball, and falls back to the sampled audit
 ``excluded_volume_fraction`` when the bound does not certify it.  The front
@@ -45,7 +47,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import circumsphere as cs
 from . import linalg, robustness
@@ -68,20 +69,6 @@ MAX_REJECTIONS = 10_000
 
 #: Doubles drawn from the generator at a time by ``_Draws``.
 _DRAW_BLOCK = 256
-
-#: Annuli are kept only around circles of radius <= CIRCLE_CAP_D2 * d2 (R).
-#: An annulus protects the empty-sphere clearance of a simplex that can be a
-#: Delaunay simplex of the final net or of a translate, whose radius is at
-#: most d2 plus the certified radius drift eps3*rF.  When the last vertex v
-#: of such a simplex {a, b, v} is chosen, an earlier point y is kept off its
-#: circle by the annulus of circle(a, b, y) instead; y within delta of
-#: circle(a, b, v) puts radius(a, b, y) within 2 r^2 delta / d1^2 of it to
-#: first order (the circumcenter moves along the bisector of ab at rate
-#: r / dist(y, line ab), and dist(y, line ab) = |ya| |yb| / 2r >= d1^2 / 2r by
-#: d1-separation).  With the practical bundle's eps3*rF = 5e-5 d2 and delta of
-#: the clearance order (2*eps1*rF), both slacks are below 1e-4 d2, so
-#: R = 1.25 d2 loses no annulus that matters; 1.25 is the value measured.
-CIRCLE_CAP_D2 = 1.25
 
 #: Nodes per block of rows when a disk's clearance mask is filled: bounds its
 #: float temporaries to a few MiB whatever the grid's size.
@@ -339,7 +326,7 @@ def _combo_blocks(k: int, cap: int) -> np.ndarray:
 
 def _combo_indices(s: int, k: int) -> np.ndarray:
     cap, arr = _COMBO_CACHE.get(k, (0, None))
-    if s > cap:
+    if arr is None or s > cap:
         cap = s + 32
         arr = _combo_blocks(k, cap)
         _COMBO_CACHE[k] = (cap, arr)
@@ -367,14 +354,56 @@ def _triple_pack(s: int):
     return tri[:m], iab[:m], iac[:m], ibc[:m]
 
 
+def _local_radii(bundle):
+    """(R, L): the largest circle radius that keeps an annulus, and the radius
+    of the local set D(xi', L) a step reads.
+
+    R.  An annulus protects the empty-sphere clearance of a triangle {a, b,
+    v} that can be a Delaunay simplex of the final net or of a translate,
+    whose radius r is at most d2 plus the certified radius drift eps3 rF.
+    When its last vertex v is chosen, an earlier point y is kept off its
+    circle by the annulus of circle(a, b, y) instead.  Let y be within delta
+    = w_ann, the clearance the annulus serves, of circle(a, b, v), say of
+    its point y0.  Both circles pass through a and b, and sin(angle a y b) =
+    |ab| / 2 r' by the law of sines.  Moving y0 to y turns the ray to a by
+    the angle at a of the triangle y a y0: its sine is at most delta / |ya|,
+    and it is acute, facing the shortest side yy0 (delta < d1 / 8 below, and
+    |ya| >= d1).  So the ray turns by at most asin(delta / d1), and the ray
+    to b alike.  sin is 1-Lipschitz and |ab| >= d1, so
+      1 / r' >= 1 / r - 4 asin(delta / d1) / d1,
+      r' <= r / (1 - 4 r asin(delta / d1) / d1) =: R  at r = d2 + eps3 rF.
+    The bound needs 4 r asin(delta / d1) < d1, which, as r > d2 = 2 d1,
+    asks delta < d1 / 8; at the practical bundle 1 / (1 - ...) is 1 + 1.6e-6
+    and R = 1.00005 d2.
+
+    L.  An annulus of radius <= R reaches the selection ball B(xi', ball_r)
+    within its width only if its three points lie within 2 R + ball_r +
+    w_ann of xi'.  The certificate reads robustness in creation order
+    (``robustness.prefix_distances``), so the slab of line(a, b) serves a
+    triangle {a, b, v} of radius <= R whose last vertex v lands in this
+    ball, which puts a and b within 2 R + ball_r of xi'; a point patch
+    reaches the ball from within ball_r + w_slab.  So
+      L = 2 R + ball_r + max(w_ann, w_slab)
+    holds every point that an annulus, a slab or a patch needs."""
+    rF, d1 = bundle.rF, bundle.d1
+    ball_r = rF / 200.0
+    w_ann = 2.0 * bundle.eps1 * rF
+    w_slab = 2.0 * bundle.eps2 * rF
+    r = bundle.d2 + bundle.eps3 * rF
+    shrink = 1.0 - 4.0 * r * math.asin(min(1.0, w_ann / d1)) / d1
+    if not shrink > 0.0:
+        raise ValidationError(f"annulus width {w_ann} is too wide for d1 = {d1}: "
+                              f"no circle radius bounds the annuli", path="bundle.eps1")
+    cap_r = r / shrink
+    return cap_r, 2.0 * cap_r + ball_r + max(w_ann, w_slab)
+
+
 def forbidden_regions(net_points, xi_prime, bundle):
     """(annuli, slabs) for the selection ball B(xi_prime, rF/200).
 
-    Slabs and point patches come from the local set Omega = net cap
-    D(xi_prime, 4*d2).  Annuli come only from circles of radius at most
-    R = CIRCLE_CAP_D2 * d2 (see there); such a circle reaches the ball only
-    if its three points lie within 2R + rF/200 + 2*eps1*rF of xi_prime, so
-    the triples are drawn from that smaller part of Omega."""
+    Annuli, slabs and point patches all come from the local set Omega = net
+    cap D(xi_prime, L), and annuli only from circles of radius at most R;
+    ``_local_radii`` derives both radii and proves them enough."""
     xi = np.asarray(xi_prime, dtype=float)
     pts = np.asarray(net_points, dtype=float)
     n = len(xi)
@@ -382,10 +411,9 @@ def forbidden_regions(net_points, xi_prime, bundle):
     ball_r = rF / 200.0
     w_ann = 2.0 * bundle.eps1 * rF
     w_slab = 2.0 * bundle.eps2 * rF
-    cap_r = CIRCLE_CAP_D2 * bundle.d2
-    tri_reach = 2.0 * cap_r + ball_r + w_ann
+    cap_r, local_r = _local_radii(bundle)
     if len(pts):
-        omega = pts[np.linalg.norm(pts - xi, axis=1) <= 4.0 * bundle.d2]
+        omega = pts[np.linalg.norm(pts - xi, axis=1) <= local_r]
     else:
         omega = pts.reshape(0, n)
     s = len(omega)
@@ -398,12 +426,6 @@ def forbidden_regions(net_points, xi_prime, bundle):
 
     q = omega - xi
     sq = np.einsum("ij,ij->i", q, q)
-    # the triple points first: pairs of range(s_t) are then the first
-    # C(s_t, 2) rows of the max-sorted pair array of range(s)
-    near_t = sq <= tri_reach * tri_reach
-    s_t = int(np.count_nonzero(near_t))
-    order = np.argsort(~near_t, kind="stable")
-    omega, q, sq = omega[order], q[order], sq[order]
 
     # annuli: circumscribed circles of the triples.  The exact solve is only
     # run on triples whose circle can reach the selection ball; those are
@@ -421,13 +443,13 @@ def forbidden_regions(net_points, xi_prime, bundle):
     # cross(a - xi, b - xi) doubles as 2 * signed_area(xi, a, b), i.e. the
     # perpendicular distance from xi to line(a, b) times |b - a|
     crossp = qa[:, 0] * qb[:, 1] - qa[:, 1] * qb[:, 0]
-    if s_t >= 3:
-        tri, iab, iac, ibc = _triple_pack(s_t)
+    if s >= 3:
+        tri, iab, iac, ibc = _triple_pack(s)
         # the prefilter runs in float32; the threshold carries an additive
         # slack far above float32 roundoff for these magnitudes (edges
-        # <= 2 tri_reach, squared norms <= tri_reach^2), so no true candidate
-        # is lost and the exact second stage makes the result identical to a
-        # full float64 scan
+        # <= 2 L, squared norms <= L^2), so no true candidate is lost and
+        # the exact second stage makes the result identical to a full
+        # float64 scan
         sq32 = sq.astype(np.float32)
         x32 = crossp.astype(np.float32)
         l32 = l2p.astype(np.float32)
@@ -443,7 +465,7 @@ def forbidden_regions(net_points, xi_prime, bundle):
         # |det| = 2|S|(d + r)|d - r| and 4|S| r = |ab||ac||bc|, so every
         # triple with |d - r| <= rho satisfies the kept inequality
         thr = rho * np.sqrt(l2ab * l2ac * l2bc) + rho * rho * two_s \
-            + np.float32(1e-5 * tri_reach ** 4)
+            + np.float32(1e-5 * local_r ** 4)
         cand = nondeg & (np.abs(det) <= thr)
         if np.any(cand):
             t = tri[cand]
@@ -665,6 +687,7 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
         raise ValidationError("synthesis is implemented for dim 2")
     rF = bundle.rF
     ball_r = rF / 200.0
+    local_r = _local_radii(bundle)[1]
     band_lo = bundle.d1pp + ball_r
     band_hi = bundle.d2pp - ball_r
     domain = K.expand(2.0 * bundle.d2)
@@ -687,7 +710,7 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
     front = _BandFront(domain.clear_nodes(xs, ys, ball_r),
                        band_lo * band_lo, band_hi * band_hi)
     draws = _Draws(np.random.default_rng(seed))
-    buckets = _Buckets(cell=4.0 * bundle.d2)
+    buckets = _Buckets(cell=local_r)
     report = SynthesisReport()
 
     def add_point(z):
@@ -703,8 +726,7 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
         front.lower(i0, j0, gx * gx + gy * gy)
 
     def step(xi):
-        forb = forbidden_regions(
-            buckets.near(xi, 4.0 * bundle.d2), xi, bundle)
+        forb = forbidden_regions(buckets.near(xi, local_r), xi, bundle)
         report.steps += 1
         # a bound below 1/2 certifies the step; the sampled audit runs on the
         # stride as a diagnostic, and on any step the bound does not certify
@@ -793,6 +815,8 @@ def _near_misses(pts, verts, reach, deep, radius, least):
     (witnesses, flagged, margin, row), the sorted witness triples, the count
     of flagged triangles, and the least clearance - ``least`` over the
     unflagged triangles of radius <= ``radius`` with the row attaining it."""
+    from scipy.spatial import cKDTree
+
     m = len(pts)
     rows = tess.qhull_simplices(pts)
     if rows is None:  # fewer than three sites, all on a line, or coincident ones
@@ -1198,6 +1222,8 @@ def build_product_structure(K: Region, net: tess.Net,
     naming the first such sample, when a sample's nearest site is not
     interior or the sample escapes those cones.
     """
+    from scipy.spatial import cKDTree
+
     lo, hi = K.bounding_box()
     axes = [np.linspace(lo[k], hi[k], grid_shape[k]) for k in range(K.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -34,7 +34,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from . import circumsphere as cs
 from .circumsphere import CircumSphere
@@ -69,6 +68,8 @@ class Net:
 
     def check_separation(self) -> float:
         """Exact minimum pairwise distance (metric of the ambient chart)."""
+        from scipy.spatial import cKDTree
+
         p = self.points
         if len(p) < 2:
             return np.inf
@@ -78,6 +79,8 @@ class Net:
     def check_density(self, resolution: float) -> float:
         """Max distance from a region grid sample to the net: the d2-density
         of the paper's (d1, d2)-net, sampled at ``resolution``."""
+        from scipy.spatial import cKDTree
+
         if self.region is None:
             return 0.0
         grid = np.asarray(self.region.grid(resolution), dtype=float)
@@ -174,6 +177,8 @@ def _local_subsets(points: np.ndarray, n: int, reach: float):
     grown block is yielded in slices of _BLOCK rows: a consumer that
     handles one block at a time holds only the pairs and one block.
     """
+    from scipy.spatial import cKDTree
+
     m = len(points)
     if m < n + 1:
         return
@@ -250,6 +255,8 @@ def small_spheres(points, n: int, radius: float):
 def qhull_simplices(pts: np.ndarray):
     """Qhull's Delaunay simplices as sorted int64 rows, or None when Qhull
     cannot triangulate the points or sets coincident points aside."""
+    from scipy.spatial import Delaunay, QhullError
+
     n = pts.shape[1]
     if n < 2 or len(pts) < n + 1:  # Qhull triangulates in dimension >= 2
         return None
@@ -268,6 +275,8 @@ def sphere_neighbours(points: np.ndarray, centers: np.ndarray, n: int):
     has fewer sites.  For the circumsphere of n+1 sites, column 0 is the
     emptiness test and column n+1 is the nearest site off the sphere: its
     clearance, and the cospherical test."""
+    from scipy.spatial import cKDTree
+
     return cKDTree(points).query(centers, k=n + 2)
 
 
@@ -365,6 +374,8 @@ def check_duality(net: Net, complex_: DelaunayComplex,
     "In a cell" means no farther from the site than from the nearest site,
     up to rtol*max(1, distance).
     """
+    from scipy.spatial import cKDTree
+
     n = net.dim
     pts = net.points
     interior = net.interior_mask()

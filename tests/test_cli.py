@@ -557,7 +557,8 @@ class TestStdout:
 
 
 def test_cli_does_not_import_scipy_optimize(tmp_path):
-    """The constants and synthesize commands run without scipy.optimize."""
+    """The constants and synthesize commands run without scipy.optimize or
+    scipy.spatial."""
     code = """
 import sys
 from delone import cli, jsonio
@@ -568,6 +569,7 @@ rF = jsonio.read(bundle)["rF"]
 assert cli.main(["synthesize", "--bundle", bundle, "--box", f"0,0,{rF!r},{rF!r}",
                  "--seed", "1", "--out", net]) == 0
 assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+assert "scipy.spatial" not in sys.modules, "scipy.spatial was imported"
 """
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "b.json"),

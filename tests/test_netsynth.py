@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import types
 from collections.abc import Mapping
 
 import numpy as np
@@ -218,7 +219,7 @@ class TestForbiddenRegions:
         annulus can reach the selection ball."""
         ball_r = bundle.rF / 200.0
         w_ann = 2.0 * bundle.eps1 * bundle.rF
-        cap_r = nsy.CIRCLE_CAP_D2 * bundle.d2
+        cap_r = nsy._local_radii(bundle)[0]
         ref = []
         for combo in itertools.combinations(range(len(omega)), 3):
             try:
@@ -245,7 +246,7 @@ class TestForbiddenRegions:
     @pytest.mark.parametrize("scale,kept", [(1.0 - 1e-9, 1), (1.0 + 1e-9, 0)])
     def test_radius_cap(self, bundle2, scale, kept):
         # three points on a circle through xi of radius just below / above R
-        r = nsy.CIRCLE_CAP_D2 * bundle2.d2 * scale
+        r = nsy._local_radii(bundle2)[0] * scale
         c = np.array([0.3, 0.3])
         theta = np.array([0.5, 2.0, 4.0])
         omega = c + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -254,6 +255,104 @@ class TestForbiddenRegions:
         assert annuli.count_total == 1
         assert len(annuli.radii) == kept
         assert len(self._brute_force_annuli(omega, xi, bundle2)) == kept
+
+    def test_radii_from_the_bundle(self, bundle2):
+        # R lies just above r = d2 + eps3 rF, by the first-order slack
+        # 4 r^2 w_ann / d1^2, and L spans two such circles and the ball
+        cap_r, local_r = nsy._local_radii(bundle2)
+        r = bundle2.d2 + bundle2.eps3 * bundle2.rF
+        slack = 4.0 * r * r * 2.0 * bundle2.eps1 * bundle2.rF / bundle2.d1 ** 2
+        assert r < cap_r <= r + 1.001 * slack
+        width = 2.0 * max(bundle2.eps1, bundle2.eps2) * bundle2.rF
+        assert local_r == 2.0 * cap_r + bundle2.rF / 200.0 + width
+        assert local_r < 2.1 * bundle2.d2
+
+    def test_too_wide_annuli_rejected(self):
+        # w_ann = 0.02 rF turns a ray by asin(0.2) > d1 / 4 r: no R exists
+        wide = types.SimpleNamespace(rF=1.0, d1=0.1, d2=0.2, eps1=0.01, eps2=1e-5,
+                                     eps3=1e-5)
+        with pytest.raises(ValidationError, match="bundle.eps1"):
+            nsy.forbidden_regions(TRIANGLE, [0.1, 0.05], wide)
+
+    @staticmethod
+    def _separated_disk(rng, xi, radius, d1, fixed, count=120):
+        """The fixed points, then uniform draws in D(xi, radius) kept when
+        at least d1 from every point kept so far, up to count points."""
+        pts = list(fixed)
+        for _ in range(40 * count):
+            if len(pts) == count:
+                break
+            p = xi + radius * math.sqrt(rng.uniform()) * np.array(
+                [math.cos(t := rng.uniform(0.0, 2.0 * math.pi)), math.sin(t)])
+            if all(np.linalg.norm(p - q) >= d1 for q in pts):
+                pts.append(p)
+        return np.array(pts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complete_against_the_full_local_set(self, bundle2, seed):
+        # a d1-separated local set over all of D(xi, 4 d2); the kept regions
+        # must include every annulus and slab that the certificate can need:
+        # circles of radius <= d2 + eps3 rF reaching the ball, and lines
+        # through pairs <= 2 d2 apart, both within 2 d2 + ball_r of xi
+        rF, d1, d2 = bundle2.rF, bundle2.d1, bundle2.d2
+        ball_r = rF / 200.0
+        w_ann, w_slab = 2.0 * bundle2.eps1 * rF, 2.0 * bundle2.eps2 * rF
+        r_max = d2 + bundle2.eps3 * rF
+        rng = np.random.default_rng(seed)
+        xi = rng.uniform(-1.0, 1.0, size=2)
+        u = np.array([math.cos(t := rng.uniform(0.0, 2.0 * math.pi)), math.sin(t)])
+
+        def turn(a):
+            return np.array([u[0] * math.cos(a) - u[1] * math.sin(a),
+                             u[0] * math.sin(a) + u[1] * math.cos(a)])
+        # the farthest cases: a circle of radius about r_max whose far point
+        # lies 2 r + ball_r + w_ann / 2 from xi, and a pair 2 d2 apart on a
+        # line through xi, the farther point 2 d2 + 0.99 ball_r from xi
+        r = r_max * (1.0 - 1e-9)
+        c = xi + (r + ball_r + 0.5 * w_ann) * u
+        far = xi + (2.0 * d2 + 0.99 * ball_r) * turn(math.pi)
+        fixed = [c + r * u, c + r * turn(2.2), c + r * turn(-2.2),
+                 far, far + 2.0 * d2 * u]
+        omega = self._separated_disk(rng, xi, 4.0 * d2, d1, fixed)
+        annuli, slabs = nsy.forbidden_regions(omega, xi, bundle2)
+
+        tri = np.array(list(itertools.combinations(range(len(omega)), 3)))
+        a, b, cc = (omega[tri[:, k]] - xi for k in range(3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = 2.0 * (a[:, 0] * (b[:, 1] - cc[:, 1]) + b[:, 0] * (cc[:, 1] - a[:, 1])
+                         + cc[:, 0] * (a[:, 1] - b[:, 1]))
+            sa, sb, sc = (np.einsum("ij,ij->i", v, v) for v in (a, b, cc))
+            cen = np.stack([sa * (b[:, 1] - cc[:, 1]) + sb * (cc[:, 1] - a[:, 1])
+                            + sc * (a[:, 1] - b[:, 1]),
+                            sa * (cc[:, 0] - b[:, 0]) + sb * (a[:, 0] - cc[:, 0])
+                            + sc * (b[:, 0] - a[:, 0])], axis=1) / den[:, None]
+            rad = np.linalg.norm(a - cen, axis=1)
+            need = (rad <= r_max) & \
+                (np.abs(np.linalg.norm(cen, axis=1) - rad) <= (ball_r + w_ann) * (1 - 1e-9))
+        assert need[0]  # the far circle, the first triple
+        for cn, rn in zip(cen[need] + xi, rad[need]):
+            hit = (np.linalg.norm(annuli.centers - cn, axis=1) <= 1e-9) \
+                & (np.abs(annuli.radii - rn) <= 1e-9)
+            assert np.any(hit), (cn, rn)
+
+        near = np.linalg.norm(omega - xi, axis=1) <= 2.0 * d2 + ball_r
+        pairs = [(i, j) for i, j in itertools.combinations(range(len(omega)), 2)
+                 if near[i] and near[j] and np.linalg.norm(omega[j] - omega[i]) <= 2.0 * d2]
+        lines = 0
+        for i, j in pairs:
+            e = omega[j] - omega[i]
+            qa, qb = omega[i] - xi, omega[j] - xi
+            reach = (ball_r + w_slab) * (1 - 1e-9) * np.linalg.norm(e)
+            if abs(qa[0] * qb[1] - qa[1] * qb[0]) > reach:
+                continue
+            lines += 1
+            off = [np.abs((p - slabs.anchors)[:, 0] * slabs.directions[:, 1]
+                          - (p - slabs.anchors)[:, 1] * slabs.directions[:, 0])
+                   for p in (omega[i], omega[j])]
+            assert np.any((off[0] <= 1e-12) & (off[1] <= 1e-12)), (i, j)
+        assert lines >= 1  # the far pair at least
+        patch = omega[np.linalg.norm(omega - xi, axis=1) <= ball_r + w_slab]
+        assert {tuple(p) for p in patch} <= {tuple(p) for p in slabs.point_patches}
 
     def test_excluded_fraction_small(self, bundle2):
         sph = cs.circumcenter(TRIANGLE)
@@ -579,6 +678,15 @@ class TestSynthesisMemory:
         assert len(net) > 1000
         assert peak < 2 * nodes, (peak, nodes)
 
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_combo_indices_on_a_cold_cache(self, s, monkeypatch):
+        for k in (1, 2, 3):
+            monkeypatch.setattr(nsy, "_COMBO_CACHE", {})
+            got = nsy._combo_indices(s, k)
+            assert got.shape == (math.comb(s, k), k)
+            assert sorted(map(tuple, got.tolist())) == \
+                list(itertools.combinations(range(s), k))
+
     def test_triple_pack_leaves_no_triple_combinations(self, monkeypatch):
         monkeypatch.setattr(nsy, "_COMBO_CACHE", {})
         monkeypatch.setattr(nsy, "_TRIPLE_CACHE", {"cap": 0, "pack": None})
@@ -591,6 +699,20 @@ class TestSynthesisMemory:
                 assert np.array_equal(pairs[idx], tri[:, cols])
         assert 3 not in nsy._COMBO_CACHE
         assert len(nsy._TRIPLE_CACHE["pack"][0]) == math.comb(40 + 32, 3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_synthesized_nets_certify(bundle2, seed):
+    # 3 rF nets at depth 2 with family seed = seed: the certificate passes
+    # and duality holds, with the local sets of _local_radii
+    K = nsy.Region.box([0.0, 0.0], [3.0 * bundle2.rF, 3.0 * bundle2.rF])
+    net, _ = nsy.synthesize_net(K, bundle2, seed=seed)
+    cx = tess.build_delaunay(net, None)
+    cert = nsy.certify_family_stability(net, cx, nsy.make_family(bundle2, depth=2, seed=seed),
+                                        bundle2)
+    assert cert.ok, cert.worst
+    assert cx.regular
+    assert tess.check_duality(net, cx).ok
 
 
 @pytest.fixture(scope="module")
