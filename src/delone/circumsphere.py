@@ -87,8 +87,12 @@ def circumcenter_batch(pts: np.ndarray):
       gamma_6 (|a|^2 |b| + |b|^2 |a| + 2 r |a| |b|) / (2 |det U|)
     of the exact one, with det U as computed, gamma_k = k u / (1 - k u) and
     u = 2^-53 (the numerators carry gamma_4 (|a|^2 |b| + |b|^2 |a|), the
-    determinant gamma_2 |a| |b|, the quotient one more rounding).  Above
-    the plane the center is LAPACK's batched solve.
+    determinant gamma_2 |a| |b|, the quotient one more rounding).  The planar
+    branch evaluates these operations in this order (a_0 a_0 + a_1 a_1,
+    a_0 b_1 - a_1 b_0, ...), the determinant as ``linalg.determinant``'s
+    cofactor expansion but without the call, so the bound, and the
+    certifier's use of it, hold for its bits.  Above the plane the center
+    is LAPACK's batched solve.
     """
     p = np.asarray(pts, dtype=float)
     m, k, n = p.shape
@@ -97,9 +101,10 @@ def circumcenter_batch(pts: np.ndarray):
     # coordinates first, so every elementwise step runs along the stack
     q = np.ascontiguousarray(p.transpose(1, 2, 0))  # (n+1, n, m)
     u = q[:-1] - q[-1]  # u[i, j] = (y_i - y_n)_j
-    lam = np.sum(u * u, axis=1)  # (n, m)
-    det = linalg.determinant(u.transpose(2, 0, 1))
-    cb = np.maximum(np.sqrt(np.max(lam, axis=0)), 1e-300)
+    lam = np.add.reduce(u * u, axis=1)  # (n, m)
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] if n == 2 \
+        else linalg.determinant(u.transpose(2, 0, 1))
+    cb = np.maximum(np.sqrt(lam.max(axis=0)), 1e-300)
     valid = np.abs(det) >= linalg.DEGENERACY_REL * cb**n
     if n == 2:
         den = 2.0 * np.where(valid, det, np.nan)
@@ -110,7 +115,7 @@ def circumcenter_batch(pts: np.ndarray):
         if np.any(valid):
             xi[:, valid] = np.linalg.solve(u.transpose(2, 0, 1)[valid],
                                            0.5 * lam[:, valid].T[..., None])[..., 0].T
-    radii = np.where(valid, np.sqrt(np.sum(xi * xi, axis=0)), np.inf)
+    radii = np.where(valid, np.sqrt(np.add.reduce(xi * xi, axis=0)), np.inf)
     return np.ascontiguousarray((xi + q[-1]).T), radii, valid
 
 

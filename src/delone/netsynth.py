@@ -337,21 +337,19 @@ _TRIPLE_CACHE: dict = {"cap": 0, "pack": None}
 
 
 def _triple_pack(s: int):
-    """Triple indices plus indices of their three pairs (ab, ac, bc) into the
-    max-sorted pair array of _combo_indices(s, 2): pair (i, j) sits at
-    C(j, 2) + i, which is independent of s, so prefix slices stay valid."""
+    """(3, C(s, 3)) triple indices, one row per vertex, and (3, C(s, 3))
+    indices of their pairs ab, ac, bc into the max-sorted pair array of
+    _combo_indices(s, 2): pair (i, j) sits at C(j, 2) + i, which is
+    independent of s, so prefix slices stay valid."""
     if s > _TRIPLE_CACHE["cap"]:
         cap = s + 32
-        tri = _combo_blocks(3, cap)  # the pack is the cache: no k = 3 entry
-        t0, t1, t2 = tri[:, 0], tri[:, 1], tri[:, 2]
+        tri = _combo_blocks(3, cap).T.copy()  # the pack is the cache: no k = 3 entry
+        hi = tri[[1, 2, 2]]
         _TRIPLE_CACHE["cap"] = cap
-        _TRIPLE_CACHE["pack"] = (tri,
-                                 t1 * (t1 - 1) // 2 + t0,
-                                 t2 * (t2 - 1) // 2 + t0,
-                                 t2 * (t2 - 1) // 2 + t1)
-    tri, iab, iac, ibc = _TRIPLE_CACHE["pack"]
+        _TRIPLE_CACHE["pack"] = (tri, hi * (hi - 1) // 2 + tri[[0, 0, 1]])
+    tri, pairs = _TRIPLE_CACHE["pack"]
     m = math.comb(s, 3)
-    return tri[:m], iab[:m], iac[:m], ibc[:m]
+    return tri[:, :m], pairs[:, :m]
 
 
 def _local_radii(bundle):
@@ -403,19 +401,51 @@ def forbidden_regions(net_points, xi_prime, bundle):
 
     Annuli, slabs and point patches all come from the local set Omega = net
     cap D(xi_prime, L), and annuli only from circles of radius at most R;
-    ``_local_radii`` derives both radii and proves them enough."""
+    ``_local_radii`` derives both radii and proves them enough.
+
+    Circles are solved only for the triples that pass a prefilter on the
+    point-power identity: with P_i = p_i - xi', X_ij = P_i x P_j and 2 S =
+    X_bc - X_ac + X_ab twice the signed area,
+      D = |P_a|^2 X_bc - |P_b|^2 X_ac + |P_c|^2 X_ab = -2 S (d^2 - r^2),
+    d the distance from xi' to the circle's center and r its radius.  A kept
+    circle has r <= R and |d - r| <= rho = ball_r + w_ann, so
+      |D| = 2 |S| (d + r) |d - r| <= 2 |S| (2 R + rho) rho,
+    and the prefilter keeps the triples whose computed D and 2 S satisfy
+      |D| <= 2 |S| (2 R + rho) rho + slack,  slack = 2^-44 L^3 (L + M),
+    M = max_k |xi'_k| + L.  Proof that the slack covers rounding, with u =
+    2^-53, |P_i| <= L and 2 R + rho <= L.  (i) Inputs: each computed
+    |P_i|^2 and X_ij is within 5 u L^2 of the exact one, so the computed D
+    is within 48 u L^4 of D and the computed 2 S within 22 u L^2 of 2 |S|,
+    which the factor (2 R + rho) rho <= L^2 makes 22 u L^4; the threshold's
+    products and sum round by at most 18 u L^4 more.  (ii) Exact stage: it
+    keeps a triple on its computed r and d; let both be within delta of the
+    exact ones.  Then |d - r| <= rho + 2 delta and d + r <= 2 R + rho + 3
+    delta, so |D| exceeds 2 |S| (2 R + rho) rho by at most 2 |S| delta (4 R
+    + 5 rho + 6 delta) <= 2 |S| delta 5 L.  ``circumcenter_batch`` puts the
+    center within gamma_6 |a| |b| (|a| + |b| + 2 r) / (2 |det U|) of that of
+    its rounded edges a, b, which move it by a third as much again; a valid
+    row has |det U| >= 1e-12 |a| |b|, so 2 |S| is at most 1.001 |det U|, and
+    |a|, |b| <= 2 r <= L, so 2 |S| times these errors is <= 16.1 u L^3.
+    Rounding the center's coordinates, the radius and the distance adds 6 u
+    M to delta, and 2 |S| <= |a| |b| <= L^2, so 2 |S| delta <= 23 u L^2 M
+    and the excess is <= 115 u L^3 M.  In all, 203 u L^3 M is below half of
+    the slack 512 u L^3 (L + M): the prefilter drops no circle the exact
+    stage keeps, so the annuli are those of the exact stage over all
+    triples, in triple order.  ``count_total`` counts the nondegenerate
+    triples, whose computed 2 |S| exceeds 1e-12 times their longest squared
+    edge."""
     xi = np.asarray(xi_prime, dtype=float)
-    pts = np.asarray(net_points, dtype=float)
     n = len(xi)
+    pts = np.asarray(net_points, dtype=float).reshape(-1, n)
     rF = bundle.rF
     ball_r = rF / 200.0
     w_ann = 2.0 * bundle.eps1 * rF
     w_slab = 2.0 * bundle.eps2 * rF
     cap_r, local_r = _local_radii(bundle)
-    if len(pts):
-        omega = pts[np.linalg.norm(pts - xi, axis=1) <= local_r]
-    else:
-        omega = pts.reshape(0, n)
+    q = pts - xi
+    sq = np.einsum("ij,ij->i", q, q)
+    local = (sq <= local_r * local_r).nonzero()[0]
+    omega, q, sq = pts.take(local, axis=0), q.take(local, axis=0), sq.take(local)
     s = len(omega)
     if s == 0:
         return (Annuli(np.zeros((0, n)), np.zeros(0), w_ann, 0),
@@ -424,54 +454,36 @@ def forbidden_regions(net_points, xi_prime, bundle):
     if n != 2:
         raise ValidationError("synthesis is implemented for dim 2")
 
-    q = omega - xi
-    sq = np.einsum("ij,ij->i", q, q)
-
-    # annuli: circumscribed circles of the triples.  The exact solve is only
-    # run on triples whose circle can reach the selection ball; those are
-    # prefiltered via the point-power identity
-    #   det[(p_i - xi | |p_i - xi|^2)] = -2 S (d^2 - r^2),
-    # which bounds the distance from xi to the circle using nothing but
-    # pairwise cross products and squared edge lengths.
     count_ann = 0
     keep_c = np.zeros((0, n))
     keep_r = np.zeros(0)
     pr = _combo_indices(s, 2)
-    qa, qb = q[pr[:, 0]], q[pr[:, 1]]
+    qa, qb = q.take(pr[:, 0], axis=0), q.take(pr[:, 1], axis=0)
     dvec = qb - qa
     l2p = np.einsum("ij,ij->i", dvec, dvec)
     # cross(a - xi, b - xi) doubles as 2 * signed_area(xi, a, b), i.e. the
     # perpendicular distance from xi to line(a, b) times |b - a|
     crossp = qa[:, 0] * qb[:, 1] - qa[:, 1] * qb[:, 0]
     if s >= 3:
-        tri, iab, iac, ibc = _triple_pack(s)
-        # the prefilter runs in float32; the threshold carries an additive
-        # slack far above float32 roundoff for these magnitudes (edges
-        # <= 2 L, squared norms <= L^2), so no true candidate is lost and
-        # the exact second stage makes the result identical to a full
-        # float64 scan
-        sq32 = sq.astype(np.float32)
-        x32 = crossp.astype(np.float32)
-        l32 = l2p.astype(np.float32)
-        xab, xac, xbc = x32[iab], x32[iac], x32[ibc]
-        l2ab, l2ac, l2bc = l32[iab], l32[iac], l32[ibc]
-        det = sq32[tri[:, 0]] * xbc - sq32[tri[:, 1]] * xac \
-            + sq32[tri[:, 2]] * xab
-        two_s = np.abs(xbc - xac + xab)
-        maxl2 = np.maximum(np.maximum(l2ab, l2ac), l2bc)
-        nondeg = two_s > 1e-12 * maxl2
-        count_ann = int(np.sum(nondeg))
-        rho = np.float32(ball_r + w_ann)
-        # |det| = 2|S|(d + r)|d - r| and 4|S| r = |ab||ac||bc|, so every
-        # triple with |d - r| <= rho satisfies the kept inequality
-        thr = rho * np.sqrt(l2ab * l2ac * l2bc) + rho * rho * two_s \
-            + np.float32(1e-5 * local_r ** 4)
-        cand = nondeg & (np.abs(det) <= thr)
-        if np.any(cand):
-            t = tri[cand]
-            centers, radii, valid = cs.circumcenter_batch(omega[t])
-            reach = np.abs(np.linalg.norm(centers - xi, axis=1) - radii) \
-                <= ball_r + w_ann
+        tri, pairs = _triple_pack(s)
+        x, sqt = crossp.take(pairs), sq.take(tri)  # X_ab, X_ac, X_bc; |P_a|^2, ...
+        two_s = np.abs(x[2] - x[1] + x[0])
+        # nondegenerate: 2 |S| > 1e-12 times the longest squared edge, which
+        # is at most (2 L)^2, so only triples below 4e-12 L^2 need their edges
+        low = (two_s <= 4.000001e-12 * local_r * local_r).nonzero()[0]
+        count_ann = len(two_s) - len(low)
+        if len(low):
+            count_ann += int(np.count_nonzero(
+                two_s.take(low) > 1e-12 * l2p.take(pairs[:, low]).max(axis=0)))
+        det = sqt[0] * x[2] - sqt[1] * x[1] + sqt[2] * x[0]
+        rho = ball_r + w_ann
+        slack = 2.0 ** -44 * local_r ** 3 * (2.0 * local_r + max(abs(xi[0]), abs(xi[1])))
+        k = (np.abs(det) <= two_s * ((2.0 * cap_r + rho) * rho) + slack).nonzero()[0]
+        if len(k):
+            centers, radii, valid = cs.circumcenter_batch(
+                omega.take(tri.take(k, axis=1).T, axis=0))
+            e = centers - xi
+            reach = np.abs(np.sqrt(np.add.reduce(e * e, axis=1)) - radii) <= rho
             sel = valid & reach & (radii <= cap_r)
             keep_c, keep_r = centers[sel], radii[sel]
     annuli = Annuli(centers=keep_c, radii=keep_r, width=w_ann,
@@ -484,10 +496,10 @@ def forbidden_regions(net_points, xi_prime, bundle):
     if s >= 2:
         dlen = np.sqrt(l2p)
         ok = dlen > 0
-        count_slab += int(np.sum(ok))
-        sel = ok & (np.abs(crossp) <= (ball_r + w_slab) * dlen)
-        anchors = omega[pr[sel, 0]]
-        dirs = dvec[sel] / dlen[sel][:, None]
+        count_slab += int(np.count_nonzero(ok))
+        j = (ok & (np.abs(crossp) <= (ball_r + w_slab) * dlen)).nonzero()[0]
+        anchors = omega.take(pr[:, 0].take(j), axis=0)
+        dirs = dvec.take(j, axis=0) / dlen.take(j)[:, None]
     near_pts = omega[sq <= (ball_r + w_slab) ** 2]
     slabs = Slabs(anchors=anchors, directions=dirs, point_patches=near_pts,
                   width=w_slab, count_total=count_slab)
@@ -499,17 +511,17 @@ def forbidden_mask(pts, annuli: Annuli, slabs: Slabs) -> np.ndarray:
     width of an annulus's circle, of a slab's line or of a point patch."""
     hit = np.zeros(len(pts), dtype=bool)
     if len(annuli.radii):
-        d = np.linalg.norm(pts[:, None, :] - annuli.centers[None, :, :], axis=2)
-        hit |= np.any(np.abs(d - annuli.radii) <= annuli.width, axis=1)
+        e = pts[:, None, :] - annuli.centers[None, :, :]
+        d = np.sqrt(np.add.reduce(e * e, axis=2))  # np.linalg.norm(e, axis=2)
+        hit |= (np.abs(d - annuli.radii) <= annuli.width).any(axis=1)
     if len(slabs.directions):
         rel = pts[:, None, :] - slabs.anchors[None, :, :]
         perp = np.abs(rel[:, :, 0] * slabs.directions[None, :, 1]
                       - rel[:, :, 1] * slabs.directions[None, :, 0])
-        hit |= np.any(perp <= slabs.width, axis=1)
+        hit |= (perp <= slabs.width).any(axis=1)
     if len(slabs.point_patches):
-        d = np.linalg.norm(pts[:, None, :] - slabs.point_patches[None, :, :],
-                           axis=2)
-        hit |= np.any(d <= slabs.width, axis=1)
+        e = pts[:, None, :] - slabs.point_patches[None, :, :]
+        hit |= (np.sqrt(np.add.reduce(e * e, axis=2)) <= slabs.width).any(axis=1)
     return hit
 
 
@@ -593,7 +605,8 @@ class _Buckets:
         self.count += 1
 
     def near(self, q, radius: float) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
+        """The points of the cells within ``radius`` of q's cell, a superset
+        of the points within ``radius`` of q: the caller filters them."""
         reach = int(math.ceil(radius / self.cell))
         bi = int(math.floor(q[0] / self.cell))
         bj = int(math.floor(q[1] / self.cell))
@@ -601,11 +614,7 @@ class _Buckets:
         for di in range(-reach, reach + 1):
             for dj in range(-reach, reach + 1):
                 idx.extend(self.map.get((bi + di, bj + dj), ()))
-        if not idx:
-            return np.zeros((0, len(q)))
-        cand = self.arr[idx]
-        d = cand - q
-        return cand[np.einsum("ij,ij->i", d, d) <= radius * radius]
+        return self.arr[idx]
 
 
 class _BandFront:
@@ -630,13 +639,13 @@ class _BandFront:
         """Fold squared distances dd into the codes of the window at (i0, j0)."""
         i1 = i0 + dd.shape[0]
         sub = self.code[i0:i1, j0:j0 + dd.shape[1]]
-        self.rows[i0:i1] -= np.count_nonzero(sub == 1, axis=1)
+        self.rows[i0:i1] -= (sub == 1).sum(axis=1)
         np.maximum(sub, (dd <= self.hi2).view(np.uint8) + (dd < self.lo2), out=sub)
-        self.rows[i0:i1] += np.count_nonzero(sub == 1, axis=1)
+        self.rows[i0:i1] += (sub == 1).sum(axis=1)
 
     def next(self):
         """(row, column) of the node of code 1 of least flat index, or None."""
-        nz = np.flatnonzero(self.rows)
+        nz = self.rows.nonzero()[0]
         if not len(nz):
             return None
         i = int(nz[0])

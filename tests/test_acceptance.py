@@ -4,6 +4,7 @@ Each test prints exactly one PASS/FAIL line for its criterion; the assertion
 carries the same condition so the suite stays honest.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -317,3 +318,18 @@ def test_criterion_11_determinism(tmp_path):
     _report(11, "pipeline determinism", ok,
             "byte-identical artifacts" if ok else "artifacts differ")
     assert ok
+
+
+#: sha256 of ``synthesize``'s net.json for a 3 rF box, seed 1, default bundle.
+NET_3RF_SEED1_SHA256 = "08a27eb565883308a20b52d30096ca5350387792c1480a3ba8e763dd599c91dd"
+
+
+def test_criterion_11_net_baseline(tmp_path, bundle2):
+    # two runs of one tree agree even when both change; this pins the bytes
+    b, n = str(tmp_path / "bundle.json"), str(tmp_path / "net.json")
+    side = 3.0 * bundle2.rF
+    assert cli.main(["constants", "--dim", "2", "--out", b]) == 0
+    assert cli.main(["synthesize", "--bundle", b, "--box", f"0,0,{side!r},{side!r}",
+                     "--seed", "1", "--out", n]) == 0
+    digest = hashlib.sha256((tmp_path / "net.json").read_bytes()).hexdigest()
+    assert digest == NET_3RF_SEED1_SHA256

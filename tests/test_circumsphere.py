@@ -161,6 +161,61 @@ class TestPlanarKernel:
         assert centers.shape == (0, 2) and radii.shape == (0,) and valid.shape == (0,)
 
 
+def _transposed_reference(pts):
+    """The planar body ``circumcenter_batch`` had before its planar branch:
+    a transposed contiguous copy, ``np.sum`` and ``linalg.determinant``."""
+    p = np.asarray(pts, dtype=float)
+    q = np.ascontiguousarray(p.transpose(1, 2, 0))
+    u = q[:-1] - q[-1]
+    lam = np.sum(u * u, axis=1)
+    det = linalg.determinant(u.transpose(2, 0, 1))
+    cb = np.maximum(np.sqrt(np.max(lam, axis=0)), 1e-300)
+    valid = np.abs(det) >= linalg.DEGENERACY_REL * cb**2
+    den = 2.0 * np.where(valid, det, np.nan)
+    xi = np.stack([(lam[0] * u[1, 1] - lam[1] * u[0, 1]) / den,
+                   (lam[1] * u[0, 0] - lam[0] * u[1, 0]) / den])
+    radii = np.where(valid, np.sqrt(np.sum(xi * xi, axis=0)), np.inf)
+    return np.ascontiguousarray((xi + q[-1]).T), radii, valid
+
+
+def _bits_equal(got, ref):
+    return all(a.shape == b.shape and a.dtype == b.dtype
+               and np.array_equal(a, b, equal_nan=True) for a, b in zip(got, ref))
+
+
+class TestPlanarBranch:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=0, max_value=500),
+           st.floats(min_value=-6.0, max_value=6.0))
+    def test_bit_equal_to_the_transposed_formula(self, seed, rows, log_scale):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        pts = rng.uniform(-1.0, 1.0, (rows, 3, 2)) * scale \
+            + rng.choice([0.0, 1.0], (rows, 1, 2)) * rng.uniform(-1e3, 1e3) * scale
+        for k in rng.choice(rows, size=min(rows, 6), replace=False):
+            kind = rng.integers(4)
+            if kind == 0:  # collinear: y_1 between y_0 and y_2
+                pts[k, 1] = pts[k, 0] + rng.uniform() * (pts[k, 2] - pts[k, 0])
+            elif kind == 1:  # all three coincident
+                pts[k, 1:] = pts[k, 0]
+            elif kind == 2:  # two coincident
+                pts[k, rng.integers(2)] = pts[k, 2]
+            else:  # near the degeneracy floor
+                e = pts[k, 0] - pts[k, 2]
+                pts[k, 1] = pts[k, 2] + 0.5 * e + 1e-12 * np.array([-e[1], e[0]])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = cs.circumcenter_batch(pts)
+            assert _bits_equal(got, _transposed_reference(pts))
+            # a row's bits do not depend on the stack it comes in
+            order = rng.permutation(rows)
+            assert _bits_equal(cs.circumcenter_batch(pts[order]),
+                               [a[order] for a in got])
+            for k in rng.choice(rows, size=min(rows, 4), replace=False):
+                assert _bits_equal(cs.circumcenter_batch(pts[k:k + 1]),
+                                   [a[k:k + 1] for a in got])
+
+
 class TestBounds:
     def test_budget_validation(self):
         with pytest.raises(InvalidBudgetError):

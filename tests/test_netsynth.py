@@ -379,6 +379,158 @@ class TestForbiddenRegions:
         assert frac == pytest.approx(hits / 256)
 
 
+def _float32_forbidden_regions(net_points, xi_prime, bundle):
+    """The reference: ``forbidden_regions`` with its float32 prefilter over
+    nine gathers and an additive slack of 1e-5 L^4, sized for local sets of
+    57 points, as it was before the float64 prefilter bounded by R."""
+    xi = np.asarray(xi_prime, dtype=float)
+    pts = np.asarray(net_points, dtype=float)
+    n = len(xi)
+    rF = bundle.rF
+    ball_r, w_ann, w_slab = rF / 200.0, 2.0 * bundle.eps1 * rF, 2.0 * bundle.eps2 * rF
+    cap_r, local_r = nsy._local_radii(bundle)
+    omega = pts[np.linalg.norm(pts - xi, axis=1) <= local_r] if len(pts) else pts.reshape(0, n)
+    s = len(omega)
+    q = omega - xi
+    sq = np.einsum("ij,ij->i", q, q)
+    keep_c, keep_r, count_ann = np.zeros((0, n)), np.zeros(0), 0
+    pr = np.array(list(itertools.combinations(range(s), 2)), dtype=np.int64).reshape(-1, 2)
+    pr = pr[np.lexsort((pr[:, 0], pr[:, 1]))]  # max-sorted, as _combo_indices
+    qa, qb = q[pr[:, 0]], q[pr[:, 1]]
+    dvec = qb - qa
+    l2p = np.einsum("ij,ij->i", dvec, dvec)
+    crossp = qa[:, 0] * qb[:, 1] - qa[:, 1] * qb[:, 0]
+    if s >= 3:
+        tri = np.array(list(itertools.combinations(range(s), 3)), dtype=np.int64)
+        tri = tri[np.lexsort((tri[:, 0], tri[:, 1], tri[:, 2]))]
+        t0, t1, t2 = tri[:, 0], tri[:, 1], tri[:, 2]
+        iab, iac, ibc = t1 * (t1 - 1) // 2 + t0, t2 * (t2 - 1) // 2 + t0, t2 * (t2 - 1) // 2 + t1
+        sq32, x32, l32 = sq.astype(np.float32), crossp.astype(np.float32), l2p.astype(np.float32)
+        xab, xac, xbc = x32[iab], x32[iac], x32[ibc]
+        l2ab, l2ac, l2bc = l32[iab], l32[iac], l32[ibc]
+        det = sq32[t0] * xbc - sq32[t1] * xac + sq32[t2] * xab
+        two_s = np.abs(xbc - xac + xab)
+        nondeg = two_s > 1e-12 * np.maximum(np.maximum(l2ab, l2ac), l2bc)
+        count_ann = int(np.sum(nondeg))
+        rho = np.float32(ball_r + w_ann)
+        thr = rho * np.sqrt(l2ab * l2ac * l2bc) + rho * rho * two_s \
+            + np.float32(1e-5 * local_r ** 4)
+        cand = nondeg & (np.abs(det) <= thr)
+        if np.any(cand):
+            centers, radii, valid = cs.circumcenter_batch(omega[tri[cand]])
+            reach = np.abs(np.linalg.norm(centers - xi, axis=1) - radii) <= ball_r + w_ann
+            sel = valid & reach & (radii <= cap_r)
+            keep_c, keep_r = centers[sel], radii[sel]
+    annuli = nsy.Annuli(centers=keep_c, radii=keep_r, width=w_ann, count_total=count_ann)
+    anchors, dirs, count_slab = np.zeros((0, n)), np.zeros((0, n)), s
+    if s >= 2:
+        dlen = np.sqrt(l2p)
+        ok = dlen > 0
+        count_slab += int(np.sum(ok))
+        sel = ok & (np.abs(crossp) <= (ball_r + w_slab) * dlen)
+        anchors, dirs = omega[pr[sel, 0]], dvec[sel] / dlen[sel][:, None]
+    slabs = nsy.Slabs(anchors=anchors, directions=dirs,
+                      point_patches=omega[sq <= (ball_r + w_slab) ** 2],
+                      width=w_slab, count_total=count_slab)
+    return annuli, slabs
+
+
+def _same_regions(got, ref) -> bool:
+    (a, s), (ra, rs) = got, ref
+    return all(x.shape == y.shape and np.array_equal(x, y) for x, y in (
+        (a.centers, ra.centers), (a.radii, ra.radii), (s.anchors, rs.anchors),
+        (s.directions, rs.directions), (s.point_patches, rs.point_patches))) \
+        and s.count_total == rs.count_total
+
+
+def _nondegenerate_triples(omega, xi) -> int:
+    """The definition of ``Annuli.count_total``, triple by triple: twice the
+    area, from the crosses around xi, above 1e-12 times the longest squared
+    edge, over the local set D(xi, L)."""
+    q = omega - xi
+    count = 0
+    for a, b, c in itertools.combinations(range(len(q)), 3):
+        cross = [q[i, 0] * q[j, 1] - q[i, 1] * q[j, 0] for i, j in ((a, b), (a, c), (b, c))]
+        d = [q[j] - q[i] for i, j in ((a, b), (a, c), (b, c))]
+        l2 = [e[0] * e[0] + e[1] * e[1] for e in d]
+        count += abs(cross[2] - cross[1] + cross[0]) > 1e-12 * max(l2)
+    return count
+
+
+class TestPrefilter:
+    """The float64 prefilter bounded by R drops nothing the exact stage keeps:
+    annuli and slabs are bit-equal to the float32 reference's, in order."""
+
+    @staticmethod
+    def _band_set(rng, bundle, count):
+        """A d1-separated set in D(xi, 1.2 L) whose nearest point to xi lies
+        at band distance, between d1'' + ball_r and d2'' - ball_r, with xi
+        anywhere in a 10 rF box."""
+        rF, d1 = bundle.rF, bundle.d1
+        ball_r = rF / 200.0
+        lo, hi = bundle.d1pp + ball_r, bundle.d2pp - ball_r
+        local_r = nsy._local_radii(bundle)[1]
+        xi = rng.uniform(-5.0, 5.0, 2) * rF
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        pts = [xi + rng.uniform(lo, hi) * np.array([math.cos(t), math.sin(t)])]
+        for _ in range(60 * count):
+            if len(pts) == count:
+                break
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            p = xi + 1.2 * local_r * math.sqrt(rng.uniform()) * np.array([math.cos(t), math.sin(t)])
+            if np.linalg.norm(p - xi) >= lo and \
+                    min(np.linalg.norm(p - q) for q in pts) >= d1:
+                pts.append(p)
+        return xi, np.array(pts)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=40))
+    def test_bit_equal_to_the_float32_reference(self, bundle2, seed, count):
+        xi, omega = self._band_set(np.random.default_rng(seed), bundle2, count)
+        got = nsy.forbidden_regions(omega, xi, bundle2)
+        assert _same_regions(got, _float32_forbidden_regions(omega, xi, bundle2))
+        local_r = nsy._local_radii(bundle2)[1]
+        local = omega[np.linalg.norm(omega - xi, axis=1) <= local_r]
+        assert got[0].count_total == _nondegenerate_triples(local, xi)
+
+    def test_reference_keeps_annuli(self, bundle2):
+        # the property above compares non-trivial regions
+        kept = 0
+        for seed in range(20):
+            xi, omega = self._band_set(np.random.default_rng(seed), bundle2, 20)
+            kept += len(_float32_forbidden_regions(omega, xi, bundle2)[0].radii)
+        assert kept >= 20
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])  # xi outside or inside the circle
+    @pytest.mark.parametrize("reach,kept", [(1.0 - 1e-9, 1), (1.0 + 1e-9, 0)])
+    def test_circle_of_radius_just_below_r(self, bundle2, side, reach, kept):
+        # a circle of radius R (1 - 1e-9) passing rho (1 -+ 1e-9) from xi
+        cap_r = nsy._local_radii(bundle2)[0]
+        rho = bundle2.rF / 200.0 + 2.0 * bundle2.eps1 * bundle2.rF
+        r = cap_r * (1.0 - 1e-9)
+        xi = np.array([2.3, -1.7])
+        c = xi + (r + side * rho * reach) * np.array([0.6, 0.8])
+        theta = np.array([1.0, 2.5, 4.2])
+        omega = c + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        got = nsy.forbidden_regions(omega, xi, bundle2)
+        assert len(got[0].radii) == kept
+        assert _same_regions(got, _float32_forbidden_regions(omega, xi, bundle2))
+
+    @pytest.mark.parametrize("line", [((0.0, 0.0), (0.1, 0.0)), ((0.3, 0.1), (0.1, 0.07))])
+    def test_collinear_triple_is_not_counted(self, bundle2, line):
+        # three points on one line (exactly, or up to rounding) and a fourth
+        # off it: three of the four triples are nondegenerate
+        p, v = (np.array(x) for x in line)
+        omega = np.array([p, p + v, p + 2.0 * v, p + v + np.array([-v[1], v[0]])])
+        local_r = nsy._local_radii(bundle2)[1]
+        for xi in p + np.array([[0.05, 0.02], [0.2, -0.1], [0.1, 0.3]]):
+            assert np.all(np.linalg.norm(omega - xi, axis=1) <= local_r)
+            annuli, _ = nsy.forbidden_regions(omega, xi, bundle2)
+            assert annuli.count_total == 3
+            assert _nondegenerate_triples(omega, xi) == 3
+
+
 class TestExcludedVolumeBound:
     def test_formula(self):
         rho, wa, ws = 1.0, 0.01, 0.02
@@ -691,14 +843,15 @@ class TestSynthesisMemory:
         monkeypatch.setattr(nsy, "_COMBO_CACHE", {})
         monkeypatch.setattr(nsy, "_TRIPLE_CACHE", {"cap": 0, "pack": None})
         for s in (3, 9, 40, 12):
-            tri, iab, iac, ibc = nsy._triple_pack(s)
-            assert sorted(map(tuple, tri.tolist())) == \
+            tri, pairs = nsy._triple_pack(s)
+            assert tri.shape == pairs.shape == (3, math.comb(s, 3))
+            assert sorted(map(tuple, tri.T.tolist())) == \
                 list(itertools.combinations(range(s), 3))
-            pairs = nsy._combo_indices(s, 2)
-            for idx, cols in ((iab, [0, 1]), (iac, [0, 2]), (ibc, [1, 2])):
-                assert np.array_equal(pairs[idx], tri[:, cols])
+            pr = nsy._combo_indices(s, 2)
+            for row, cols in zip(pairs, ([0, 1], [0, 2], [1, 2])):  # ab, ac, bc
+                assert np.array_equal(pr[row], tri.T[:, cols])
         assert 3 not in nsy._COMBO_CACHE
-        assert len(nsy._TRIPLE_CACHE["pack"][0]) == math.comb(40 + 32, 3)
+        assert nsy._TRIPLE_CACHE["pack"][0].shape == (3, math.comb(40 + 32, 3))
 
 
 @pytest.mark.parametrize("seed", range(8))
