@@ -76,9 +76,10 @@ def circumcenter_batch(pts: np.ndarray):
 
     pts has shape (m, n+1, n).  Returns (centers, radii, valid) where valid
     flags the simplices with |det U| >= DEGENERACY_REL cb^n, cb the longest
-    edge to the last vertex.  Degenerate rows carry NaN centers and infinite
-    radii.  Each row is computed on its own, so its bits do not depend on
-    the stack it comes in.
+    edge to the last vertex, and det U != 0 (the floor underflows to 0 for
+    cb below about 1e-154, coincident points included).  Degenerate rows
+    carry NaN centers and infinite radii.  Each row is computed on its own,
+    so its bits do not depend on the stack it comes in.
 
     In the plane, with a, b the rows of U, Cramer's rule gives
       c - y_2 = (|a|^2 b_1 - |b|^2 a_1, |b|^2 a_0 - |a|^2 b_0) / (2 det U)
@@ -105,7 +106,7 @@ def circumcenter_batch(pts: np.ndarray):
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] if n == 2 \
         else linalg.determinant(u.transpose(2, 0, 1))
     cb = np.maximum(np.sqrt(lam.max(axis=0)), 1e-300)
-    valid = np.abs(det) >= linalg.DEGENERACY_REL * cb**n
+    valid = (np.abs(det) >= linalg.DEGENERACY_REL * cb**n) & (det != 0.0)
     if n == 2:
         den = 2.0 * np.where(valid, det, np.nan)
         xi = np.stack([(lam[0] * u[1, 1] - lam[1] * u[0, 1]) / den,

@@ -235,23 +235,6 @@ class ConstantBundle:
     def __post_init__(self):
         validate_bundle(self)
 
-    def to_dict(self) -> dict:
-        return {
-            "v": 1,
-            "n": self.n,
-            "mode": self.mode,
-            "Cn": self.Cn,
-            "eps": [self.eps0, self.eps1, self.eps2, self.eps3, self.eps4],
-            "rF": self.rF,
-            "r_star": self.r_star,
-            "d": [self.d1, self.d1p, self.d1pp, self.d2pp, self.d2p, self.d2],
-            "rho_hat": [list(p) for p in self.rho_hat],
-            "gs_delta": self.gs_delta,
-            "binding_eps0": self.binding_eps0,
-            "v2": {k: v for k, v in sorted(self.v2.items())},
-            "provenance": self.provenance,
-        }
-
 
 def validate_bundle(b: ConstantBundle) -> None:
     """Assert every bundle invariant; raises ValidationError otherwise.  A

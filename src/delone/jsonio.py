@@ -1,11 +1,12 @@
 """Deterministic JSON serialization of nets, complexes, bundles and
 certificates, and the one writer of every artifact file.
 
-One object per file, schema version field "v" (1; 2 for the complex, which
+One object per file, schema version field "v" (``SCHEMA_VERSIONS``, which
+each artifact's writer and loader both read: 1; 2 for the complex, which
 holds its top simplices only; 3 for the certificate), numbers via the shortest
 round-trip float representation, keys sorted: identical inputs produce
-byte-identical files.  Loading re-validates every type invariant and reports
-violations with field paths.
+byte-identical files.  Each schema is written and read here alone.  Loading
+re-validates every type invariant and reports violations with field paths.
 
 ``write_text`` is the one writer of artifact files (the CLI's JSON and its
 SVG).  It overwrites a file in place: it writes the new bytes over the old
@@ -40,6 +41,9 @@ from .errors import ValidationError
 #: Largest coordinate, d1 or d2 magnitude a loaded net may have: squared
 #: distances of larger values overflow float64.
 MAX_COORDINATE = 1e150
+
+#: The schema version "v" of each artifact, written and required on load.
+SCHEMA_VERSIONS = {"net": 1, "complex": 2, "bundle": 1, "certificate": 3}
 
 
 def dumps(obj: dict) -> str:
@@ -108,8 +112,8 @@ def _numbers(v, path: str, length: int | None = None) -> list:
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
 
-def _check_version(d: dict, path: str, version: int = 1):
-    if d.get("v") != version:
+def _check_version(d: dict, path: str):
+    if d.get("v") != SCHEMA_VERSIONS[path]:
         raise ValidationError(f"unsupported schema version {d.get('v')!r}",
                               path=f"{path}.v")
 
@@ -119,15 +123,22 @@ def _check_version(d: dict, path: str, version: int = 1):
 
 def net_to_dict(net: tess.Net) -> dict:
     d = {
-        "v": 1,
+        "v": SCHEMA_VERSIONS["net"],
         "dim": net.dim,
         "d1": net.d1,
         "d2": net.d2,
         "points": [[float(x) for x in p] for p in net.points],
     }
-    if net.region is not None and hasattr(net.region, "to_dict"):
-        d["region"] = net.region.to_dict()
+    if net.region is not None:
+        d["region"] = region_to_dict(net.region)
     return d
+
+
+def region_to_dict(region: nsy.Region) -> dict:
+    a, b = region.bounds
+    if region.kind == "box":
+        return {"kind": "box", "bounds": [list(a), list(b)]}
+    return {"kind": "disk", "bounds": [list(a), b]}
 
 
 def region_from_dict(d: dict, path: str = "region") -> nsy.Region:
@@ -167,15 +178,10 @@ def net_from_dict(d: dict) -> tess.Net:
         raise ValidationError(f"a {region.dim}-dimensional region for a {dim}-dimensional "
                               f"net", path="net.region.bounds")
     net = tess.Net(dim=dim, points=pts, d1=d1, d2=d2, region=region)
-    if len(pts) >= 2:
-        sep = net.check_separation()
-        if sep < d1:
-            from scipy.spatial import cKDTree
-            dd, jj = cKDTree(pts).query(pts, k=2)
-            i = int(np.argmin(dd[:, 1]))
-            raise ValidationError(
-                f"points {i} and {int(jj[i, 1])} are {sep:.6g} < d1 apart",
-                path="net.points")
+    sep, i, j = net.closest_pair()
+    if sep < d1:
+        raise ValidationError(f"points {i} and {j} are {sep:.6g} < d1 apart",
+                              path="net.points")
     return net
 
 
@@ -188,7 +194,8 @@ def complex_to_dict(cx: tess.DelaunayComplex, dim: int) -> dict:
     verts, centers, radii = cx.top_arrays(dim)
     simplices = [{"verts": v, "center": c, "radius": r} for v, c, r in
                  zip(verts.tolist(), centers.tolist(), radii.tolist())]
-    return {"v": 2, "dim": dim, "simplices": simplices, "regular": cx.regular}
+    return {"v": SCHEMA_VERSIONS["complex"], "dim": dim, "simplices": simplices,
+            "regular": cx.regular}
 
 
 def complex_from_dict(d: dict, net: tess.Net | None = None) -> tess.DelaunayComplex:
@@ -197,7 +204,7 @@ def complex_from_dict(d: dict, net: tess.Net | None = None) -> tess.DelaunayComp
     ``net`` is given) with a finite center and radius, no two equal, sorted
     into lexicographic order.  With ``net``, also require the net's
     dimension."""
-    _check_version(d, "complex", 2)
+    _check_version(d, "complex")
     dim = _require(d, "dim", int, "complex")
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}", path="complex.dim")
@@ -250,7 +257,21 @@ def _top_row(sd, i: int, dim: int, limit: int, within: str) -> tuple:
 
 
 def bundle_to_dict(b: consts.ConstantBundle) -> dict:
-    return b.to_dict()
+    return {
+        "v": SCHEMA_VERSIONS["bundle"],
+        "n": b.n,
+        "mode": b.mode,
+        "Cn": b.Cn,
+        "eps": [b.eps0, b.eps1, b.eps2, b.eps3, b.eps4],
+        "rF": b.rF,
+        "r_star": b.r_star,
+        "d": [b.d1, b.d1p, b.d1pp, b.d2pp, b.d2p, b.d2],
+        "rho_hat": [list(p) for p in b.rho_hat],
+        "gs_delta": b.gs_delta,
+        "binding_eps0": b.binding_eps0,
+        "v2": {k: v for k, v in sorted(b.v2.items())},
+        "provenance": b.provenance,
+    }
 
 
 def bundle_from_dict(d: dict) -> consts.ConstantBundle:
@@ -287,7 +308,10 @@ def bundle_from_dict(d: dict) -> consts.ConstantBundle:
 
 
 def certificate_to_dict(cert: nsy.StabilityCertificate) -> dict:
-    return cert.to_dict()
+    return {"v": SCHEMA_VERSIONS["certificate"], "pass": cert.ok, "worst": cert.worst,
+            "family": dict(cert.family),
+            "per_simplex": [dict(d) for d in cert.per_simplex],
+            "budget": dict(cert.budget)}
 
 
 def _check_simplex(v, path: str) -> None:
@@ -302,7 +326,7 @@ def certificate_from_dict(d: dict) -> dict:
     ``pass``, a ``worst`` object, ``family`` and ``budget`` objects, and
     ``per_simplex`` records that each name a ``simplex`` of integers and
     carry numeric ``*_margin`` values."""
-    _check_version(d, "certificate", 3)
+    _check_version(d, "certificate")
     _require(d, "pass", bool, "certificate")
     _require(d, "family", dict, "certificate")
     _require(d, "budget", dict, "certificate")

@@ -2,9 +2,9 @@
 
 Three closed-form metric models are provided: flat Euclidean space, the round
 sphere of radius R (points are ambient 3-vectors), and a flat 2-torus given by
-its periods.  No ODE integration: exp, log, distance, geodesic interpolation
-and parallel transport are all closed-form, which keeps the certified
-tolerances honest.
+its periods.  No ODE integration: exp, log, distance and geodesic
+interpolation are all closed-form (as is parallel transport, in
+``delone.paper``), which keeps the certified tolerances honest.
 
 The sphere carries a fixed atlas of six normal-coordinate charts centered at
 the octahedral points.  The approximate-Euclidean conditions are measured
@@ -162,23 +162,6 @@ class MetricModel:
     def geodesic(self, x, y, t: float) -> np.ndarray:
         """Point at parameter t on the unique shortest geodesic x -> y."""
         return self.exp(x, t * self.log(x, y))
-
-    def parallel_transport(self, x, y, v) -> np.ndarray:
-        """Transport tangent vector v along the shortest geodesic x -> y."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.kind in ("flat", "torus"):
-            return v.copy()
-        lx = self.log(x, y)
-        d = float(np.linalg.norm(lx))
-        if d == 0.0:
-            return v.copy()
-        u1 = lx / d
-        ly = self.log(y, x)
-        u2 = -ly / float(np.linalg.norm(ly))
-        along = float(np.dot(v, u1))
-        return v - along * u1 + along * u2
 
     # -- sphere chart atlas -------------------------------------------
 
@@ -427,21 +410,21 @@ def _lambda_probe_frames(m: MetricModel, lam: float):
     return out
 
 
-def find_lambda_eps(m: MetricModel, eps: float, cap: float | None = None,
-                    sample_count: int = 48) -> float:
+def find_lambda_eps(m: MetricModel, eps: float) -> float:
     """Largest working radius at which geodesic coordinates are
     eps-approximately Euclidean, with a safety margin on the sampled
-    deviations so a fresh audit at the result passes cleanly.
+    deviations (48 samples per probe frame) so a fresh audit at the result
+    passes cleanly.
 
-    Exactly-Euclidean models return the configured cap.
+    The flat model returns LAMBDA_CAP, the flat torus half its convexity
+    radius.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if m.kind == "flat":
-        return cap if cap is not None else LAMBDA_CAP
+        return LAMBDA_CAP
     if m.kind == "torus":
-        lim = m.convexity_radius() / 2
-        return min(cap, lim) if cap is not None else lim
+        return m.convexity_radius() / 2
 
     n = m.n
     target = SEARCH_SAFETY * eps
@@ -449,7 +432,7 @@ def find_lambda_eps(m: MetricModel, eps: float, cap: float | None = None,
     def ok(lam: float) -> bool:
         rng = np.random.default_rng(987654321)
         for fr in _lambda_probe_frames(m, lam):
-            rep = check_approx_euclidean(m, fr, lam, eps, sample_count, rng)
+            rep = check_approx_euclidean(m, fr, lam, eps, 48, rng)
             if not (rep.metric_deviation <= target / n**2
                     and rep.geodesic_deviation <= target
                     and rep.chord_deviation <= target
@@ -467,10 +450,7 @@ def find_lambda_eps(m: MetricModel, eps: float, cap: float | None = None,
                 lo = mid
             else:
                 hi = mid
-    lam = lo
-    if cap is not None:
-        lam = min(lam, cap)
-    return float(lam)
+    return float(lo)
 
 
 def parse_metric(selector: str) -> MetricModel:

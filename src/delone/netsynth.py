@@ -178,23 +178,6 @@ class Region:
         c, r = self.bounds
         return c - r, c + r
 
-    def grid(self, h: float) -> np.ndarray:
-        """Regular sample grid of the region at spacing h (anchored at the
-        bounding-box corner)."""
-        lo, hi = self.bounding_box()
-        axes = [np.arange(l, u + h / 2, h) for l, u in zip(lo, hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([a.ravel() for a in mesh], axis=-1)
-        if self.kind == "disk":
-            pts = pts[self.boundary_distance_many(pts) >= 0.0]
-        return pts
-
-    def to_dict(self) -> dict:
-        a, b = self.bounds
-        if self.kind == "box":
-            return {"kind": "box", "bounds": [list(a), list(b)]}
-        return {"kind": "disk", "bounds": [list(a), b]}
-
 
 # ---------------------------------------------------------------------------
 # parameter families
@@ -225,14 +208,6 @@ class ParamFamily:
         return tuple("".join(bits) for bits in
                      itertools.product("01", repeat=self.depth))
 
-    def param_distance(self, p: str, q: str) -> float:
-        if p == q:
-            return 0.0
-        k = 0
-        while k < self.depth and p[k] == q[k]:
-            k += 1
-        return 2.0 ** (-k)
-
     def _coeffs(self, param: str):
         m = int(param, 2) / max(1, 2**self.depth - 1)
         # deterministic per-param field rotation
@@ -252,10 +227,6 @@ class ParamFamily:
         if self.dim > 1:
             out[:, 1] = np.sin(phase)
         return m * self.eps * out
-
-    def transport(self, param: str, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return y + self.displacement_batch(param, y[None])[0]
 
     def indexed_displacements(self, param: str, net_points) -> np.ndarray:
         """Per-transversal-index displacement table, overrides applied."""
@@ -306,55 +277,39 @@ class Slabs:
     count_total: int  # all <= n-subsets of the local set
 
 
-_COMBO_CACHE: dict = {}
+_LOCAL_PACK: dict = {"cap": -1, "pack": None}
 
 
-def _combo_blocks(k: int, cap: int) -> np.ndarray:
-    """Combinations of range(cap) choose k, sorted by largest element: the
-    first C(s, k) rows are exactly the combinations of range(s) for s <= cap."""
-    if k == 1:
-        return np.arange(cap, dtype=np.int64).reshape(-1, 1)
-    blocks = []
-    for m in range(k - 1, cap):
-        lower = _combo_indices(m, k - 1)
-        blocks.append(np.column_stack(
-            [lower, np.full(len(lower), m, dtype=np.int64)]))
-    if not blocks:
-        return np.zeros((0, k), dtype=np.int64)
-    return np.concatenate(blocks, axis=0)
-
-
-def _combo_indices(s: int, k: int) -> np.ndarray:
-    cap, arr = _COMBO_CACHE.get(k, (0, None))
-    if arr is None or s > cap:
+def _local_pack(s: int):
+    """(pairs, triples, triple_pairs) of range(s), in colex order: pairs (2,
+    C(s, 2)) and triples (3, C(s, 3)) as index rows, sorted by largest
+    element, then the next; and, for each triple a < b < c, the places of
+    its pairs ab, ac and bc among the pairs, (3, C(s, 3)).  Pair (i, j)
+    sits at C(j, 2) + i and triple (a, b, c) at C(c, 3) + C(b, 2) + a,
+    which do not depend on s, so one pack, built for the largest s seen
+    plus 32, serves every smaller s by prefix slices."""
+    if s > _LOCAL_PACK["cap"]:
         cap = s + 32
-        arr = _combo_blocks(k, cap)
-        _COMBO_CACHE[k] = (cap, arr)
-    return arr[:math.comb(s, k)]
-
-
-_TRIPLE_CACHE: dict = {"cap": 0, "pack": None}
-
-
-def _triple_pack(s: int):
-    """(3, C(s, 3)) triple indices, one row per vertex, and (3, C(s, 3))
-    indices of their pairs ab, ac, bc into the max-sorted pair array of
-    _combo_indices(s, 2): pair (i, j) sits at C(j, 2) + i, which is
-    independent of s, so prefix slices stay valid."""
-    if s > _TRIPLE_CACHE["cap"]:
-        cap = s + 32
-        tri = _combo_blocks(3, cap).T.copy()  # the pack is the cache: no k = 3 entry
-        hi = tri[[1, 2, 2]]
-        _TRIPLE_CACHE["cap"] = cap
-        _TRIPLE_CACHE["pack"] = (tri, hi * (hi - 1) // 2 + tri[[0, 0, 1]])
-    tri, pairs = _TRIPLE_CACHE["pack"]
+        ks = np.arange(cap)
+        c2 = ks * (ks - 1) // 2  # C(k, 2): the pairs below k, and k's first pair
+        j = np.repeat(ks, ks)
+        pairs = np.stack([np.arange(len(j)) - c2[j], j])
+        c = np.repeat(ks, c2)
+        ab = np.arange(len(c)) - np.repeat(np.cumsum(c2) - c2, c2)
+        a, b = pairs[:, ab]
+        _LOCAL_PACK["cap"] = cap
+        _LOCAL_PACK["pack"] = (pairs, np.stack([a, b, c]),
+                               np.stack([ab, c2[c] + a, c2[c] + b]))
+    pairs, triples, triple_pairs = _LOCAL_PACK["pack"]
     m = math.comb(s, 3)
-    return tri[:, :m], pairs[:, :m]
+    return pairs[:, :math.comb(s, 2)], triples[:, :m], triple_pairs[:, :m]
 
 
 def _local_radii(bundle):
-    """(R, L): the largest circle radius that keeps an annulus, and the radius
-    of the local set D(xi', L) a step reads.
+    """(ball_r, w_ann, w_slab, R, L): the radius of the selection ball, the
+    widths of the annuli (2 eps1 rF) and of the slabs (2 eps2 rF), the
+    largest circle radius that keeps an annulus, and the radius of the local
+    set D(xi', L) a step reads.
 
     R.  An annulus protects the empty-sphere clearance of a triangle {a, b,
     v} that can be a Delaunay simplex of the final net or of a translate,
@@ -393,7 +348,7 @@ def _local_radii(bundle):
         raise ValidationError(f"annulus width {w_ann} is too wide for d1 = {d1}: "
                               f"no circle radius bounds the annuli", path="bundle.eps1")
     cap_r = r / shrink
-    return cap_r, 2.0 * cap_r + ball_r + max(w_ann, w_slab)
+    return ball_r, w_ann, w_slab, cap_r, 2.0 * cap_r + ball_r + max(w_ann, w_slab)
 
 
 def forbidden_regions(net_points, xi_prime, bundle):
@@ -437,11 +392,7 @@ def forbidden_regions(net_points, xi_prime, bundle):
     xi = np.asarray(xi_prime, dtype=float)
     n = len(xi)
     pts = np.asarray(net_points, dtype=float).reshape(-1, n)
-    rF = bundle.rF
-    ball_r = rF / 200.0
-    w_ann = 2.0 * bundle.eps1 * rF
-    w_slab = 2.0 * bundle.eps2 * rF
-    cap_r, local_r = _local_radii(bundle)
+    ball_r, w_ann, w_slab, cap_r, local_r = _local_radii(bundle)
     q = pts - xi
     sq = np.einsum("ij,ij->i", q, q)
     local = (sq <= local_r * local_r).nonzero()[0]
@@ -457,15 +408,14 @@ def forbidden_regions(net_points, xi_prime, bundle):
     count_ann = 0
     keep_c = np.zeros((0, n))
     keep_r = np.zeros(0)
-    pr = _combo_indices(s, 2)
-    qa, qb = q.take(pr[:, 0], axis=0), q.take(pr[:, 1], axis=0)
+    pr, tri, pairs = _local_pack(s)
+    qa, qb = q.take(pr[0], axis=0), q.take(pr[1], axis=0)
     dvec = qb - qa
     l2p = np.einsum("ij,ij->i", dvec, dvec)
     # cross(a - xi, b - xi) doubles as 2 * signed_area(xi, a, b), i.e. the
     # perpendicular distance from xi to line(a, b) times |b - a|
     crossp = qa[:, 0] * qb[:, 1] - qa[:, 1] * qb[:, 0]
     if s >= 3:
-        tri, pairs = _triple_pack(s)
         x, sqt = crossp.take(pairs), sq.take(tri)  # X_ab, X_ac, X_bc; |P_a|^2, ...
         two_s = np.abs(x[2] - x[1] + x[0])
         # nondegenerate: 2 |S| > 1e-12 times the longest squared edge, which
@@ -498,7 +448,7 @@ def forbidden_regions(net_points, xi_prime, bundle):
         ok = dlen > 0
         count_slab += int(np.count_nonzero(ok))
         j = (ok & (np.abs(crossp) <= (ball_r + w_slab) * dlen)).nonzero()[0]
-        anchors = omega.take(pr[:, 0].take(j), axis=0)
+        anchors = omega.take(pr[0].take(j), axis=0)
         dirs = dvec.take(j, axis=0) / dlen.take(j)[:, None]
     near_pts = omega[sq <= (ball_r + w_slab) ** 2]
     slabs = Slabs(anchors=anchors, directions=dirs, point_patches=near_pts,
@@ -695,8 +645,7 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
     if K.dim != 2:
         raise ValidationError("synthesis is implemented for dim 2")
     rF = bundle.rF
-    ball_r = rF / 200.0
-    local_r = _local_radii(bundle)[1]
+    ball_r, *_, local_r = _local_radii(bundle)
     band_lo = bundle.d1pp + ball_r
     band_hi = bundle.d2pp - ball_r
     domain = K.expand(2.0 * bundle.d2)
@@ -796,12 +745,6 @@ class StabilityCertificate:
     params_checked: tuple
     family: dict  # {"depth", "seed"}
     budget: dict
-
-    def to_dict(self) -> dict:
-        return {"v": 3, "pass": self.ok, "worst": self.worst,
-                "family": dict(self.family),
-                "per_simplex": [dict(d) for d in self.per_simplex],
-                "budget": dict(self.budget)}
 
 
 def _clearances(points: np.ndarray, centers, radii) -> np.ndarray:
@@ -1025,7 +968,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         note("circumcenter_exists", -math.inf, verts[np.argmin(valid)], None)
     eta_f = 64.0 * 2.0 ** -53 * (float(np.max(np.abs(pts), initial=0.0)) + d2)
     eta = family.eps + eta_f
-    e1 = min(net.d1, net.check_separation())
+    e1 = min(net.d1, net.closest_pair()[0])
     rho = robustness.prefix_distances(stacks).min(axis=1) if len(verts) else np.zeros(0)
     clearance = np.full(len(verts), -np.inf)
     if np.any(valid):

@@ -1,7 +1,8 @@
 """Statements of the paper that no command runs, each named in its
 docstring, with the helpers they use (``edge_matrix``, the column and
-inverse-norm bounds).  This module imports the pipeline modules; none
-imports it."""
+inverse-norm bounds, ``region_grid``).  They take the pipeline's objects
+(a ``MetricModel``, a ``ParamFamily``, a ``Net``) as arguments.  This
+module imports the pipeline modules; none imports it."""
 
 from __future__ import annotations
 
@@ -105,6 +106,27 @@ def gram_schmidt_correct(near_frame, inner_product=None):
     return out, deviation
 
 
+def parallel_transport(m: mt.MetricModel, x, y, v) -> np.ndarray:
+    """The paper's parallel transport of a tangent vector v at x along the
+    shortest geodesic x -> y, in closed form: the identity in the flat
+    models; on the sphere, the component along the geodesic turns with it
+    and the normal component is kept."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if m.kind in ("flat", "torus"):
+        return v.copy()
+    lx = m.log(x, y)
+    d = float(np.linalg.norm(lx))
+    if d == 0.0:
+        return v.copy()
+    u1 = lx / d
+    ly = m.log(y, x)
+    u2 = -ly / float(np.linalg.norm(ly))
+    along = float(np.dot(v, u1))
+    return v - along * u1 + along * u2
+
+
 def align_frame(m: mt.MetricModel, frame_at_x: mt.Frame, y) -> mt.Frame:
     """The paper's alignment of frames: the frame at y aligned with
     frame_at_x, by parallel transport of its axes along the geodesic
@@ -115,7 +137,7 @@ def align_frame(m: mt.MetricModel, frame_at_x: mt.Frame, y) -> mt.Frame:
     if m.distance(frame_at_x.base, y) >= m.injectivity_radius():
         raise OutOfChartError("cannot align across an antipodal pair")
     moved = np.vstack([
-        m.parallel_transport(frame_at_x.base, y, ax) for ax in frame_at_x.axes
+        parallel_transport(m, frame_at_x.base, y, ax) for ax in frame_at_x.axes
     ])
     axes, _ = gram_schmidt_correct(moved)
     return mt.Frame(base=y, axes=axes)
@@ -138,11 +160,32 @@ def check_eps_isometry(map_fn, domain_samples, eps: float, metric: mt.MetricMode
     return True
 
 
+def param_distance(p: str, q: str) -> float:
+    """The paper's ultrametric on the Cantor transversal, on its finite
+    stand-in of binary strings: 2^-k, k the length of the common prefix of
+    p and q; 0 when p = q."""
+    if p == q:
+        return 0.0
+    k = 0
+    while k < min(len(p), len(q)) and p[k] == q[k]:
+        k += 1
+    return 2.0 ** (-k)
+
+
+def transport(family, param: str, y) -> np.ndarray:
+    """The paper's transport of a leaf point y to the leaf of parameter
+    ``param``: y plus the family's displacement field of ``param`` at y
+    (``ParamFamily.displacement_batch``)."""
+    y = np.asarray(y, dtype=float)
+    return y + family.displacement_batch(param, y[None])[0]
+
+
 def estimate_var_div(family, r: float, samples, metric: mt.MetricModel | None = None):
     """Sampled suprema of leafwise metric distortion (var) and transversal
-    spread (div) over parameter balls of ultrametric radius r.
+    spread (div) over parameter balls of ultrametric radius r
+    (``param_distance``), the points moved by ``transport``.
 
-    ``family`` needs .params, .param_distance(p, q) and .transport(param, point).
+    ``family`` needs .params and .displacement_batch(param, points).
     Both outputs are 0 at r = 0 and monotone nondecreasing in r.
     """
     if metric is None:
@@ -152,12 +195,12 @@ def estimate_var_div(family, r: float, samples, metric: mt.MetricModel | None = 
         dist = metric.distance
     pts = [np.asarray(p, dtype=float) for p in samples]
     params = list(family.params)
-    images = {p: [family.transport(p, y) for y in pts] for p in params}
+    images = {p: [transport(family, p, y) for y in pts] for p in params}
     var = 0.0
     div = 0.0
     for i, p in enumerate(params):
         for q in params[i + 1:]:
-            if family.param_distance(p, q) > r:
+            if param_distance(p, q) > r:
                 continue
             ip, iq = images[p], images[q]
             for a in range(len(pts)):
@@ -184,6 +227,31 @@ def compute_r_star(family, eps0: float, rF: float, samples=None,
         if var <= tol and div <= tol:
             return float(r)
     return 0.0
+
+
+def region_grid(region, h: float) -> np.ndarray:
+    """Regular sample grid of a ``netsynth.Region`` at spacing h, anchored
+    at its bounding box's corner; a disk keeps the nodes inside it."""
+    lo, hi = region.bounding_box()
+    axes = [np.arange(l, u + h / 2, h) for l, u in zip(lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([a.ravel() for a in mesh], axis=-1)
+    if region.kind == "disk":
+        pts = pts[region.boundary_distance_many(pts) >= 0.0]
+    return pts
+
+
+def check_density(net: tess.Net, resolution: float) -> float:
+    """The d2-density of the paper's (d1, d2)-net, sampled: the largest
+    distance from a ``region_grid`` sample of the net's region, at
+    ``resolution``, to the net; 0 without a region or samples."""
+    if net.region is None:
+        return 0.0
+    grid = region_grid(net.region, resolution)
+    if grid.size == 0:
+        return 0.0
+    d, _ = cKDTree(net.points).query(grid)
+    return float(np.max(d))
 
 
 @dataclass(frozen=True)

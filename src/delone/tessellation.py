@@ -58,7 +58,7 @@ class Net:
     points: np.ndarray  # (m, dim)
     d1: float
     d2: float
-    region: object = None  # duck-typed: boundary_distance(points), grid(h)
+    region: object = None  # a netsynth.Region, or None
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -66,28 +66,18 @@ class Net:
     def __len__(self):
         return len(self.points)
 
-    def check_separation(self) -> float:
-        """Exact minimum pairwise distance (metric of the ambient chart)."""
+    def closest_pair(self):
+        """(distance, i, j): the exact least distance between two sites
+        (metric of the ambient chart), with i the first site attaining it
+        and j its nearest; (inf, None, None) below two sites."""
         from scipy.spatial import cKDTree
 
         p = self.points
         if len(p) < 2:
-            return np.inf
-        d, _ = cKDTree(p).query(p, k=2)
-        return float(np.min(d[:, 1]))
-
-    def check_density(self, resolution: float) -> float:
-        """Max distance from a region grid sample to the net: the d2-density
-        of the paper's (d1, d2)-net, sampled at ``resolution``."""
-        from scipy.spatial import cKDTree
-
-        if self.region is None:
-            return 0.0
-        grid = np.asarray(self.region.grid(resolution), dtype=float)
-        if grid.size == 0:
-            return 0.0
-        d, _ = cKDTree(self.points).query(grid)
-        return float(np.max(d))
+            return np.inf, None, None
+        d, j = cKDTree(p).query(p, k=2)
+        i = int(np.argmin(d[:, 1]))
+        return float(d[i, 1]), i, int(j[i, 1])
 
     def interior_mask(self) -> np.ndarray:
         """Sites whose cell provably stays inside the region: inward
@@ -359,8 +349,7 @@ class DualityReport:
         return not self.violations
 
 
-def check_duality(net: Net, complex_: DelaunayComplex,
-                  rtol: float = MEMBERSHIP_RTOL) -> DualityReport:
+def check_duality(net: Net, complex_: DelaunayComplex) -> DualityReport:
     """Both directions of flat Voronoi/Delaunay duality on interior sites.
 
     Forward: the circumcenter of every kept top simplex (all vertices
@@ -372,7 +361,7 @@ def check_duality(net: Net, complex_: DelaunayComplex,
     independent of the builder; each block of ``_local_subsets`` is solved
     and tested as it comes, so the small spheres are never held at once.
     "In a cell" means no farther from the site than from the nearest site,
-    up to rtol*max(1, distance).
+    up to MEMBERSHIP_RTOL*max(1, distance).
     """
     from scipy.spatial import cKDTree
 
@@ -386,7 +375,7 @@ def check_duality(net: Net, complex_: DelaunayComplex,
         """(nearest-site distance, per-vertex in-cell mask) of each center."""
         dmin, _ = tree.query(centers)
         dv = np.linalg.norm(pts[verts] - centers[:, None, :], axis=2)
-        return dmin, dv <= (dmin + rtol * np.maximum(1.0, dmin))[:, None]
+        return dmin, dv <= (dmin + MEMBERSHIP_RTOL * np.maximum(1.0, dmin))[:, None]
 
     verts, centers, _ = complex_.top_arrays(n)
     fwd = np.nonzero(np.all(interior[verts], axis=1))[0]
@@ -402,7 +391,7 @@ def check_duality(net: Net, complex_: DelaunayComplex,
                          & ~rows_in(rows, verts, len(pts)))[0]
         dmin, inside = in_cells(rows[new], c[new])
         # in all n+1 cells and no site inside => the subset had an empty sphere
-        missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - rtol))
+        missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - MEMBERSHIP_RTOL))
         violations.extend(("missing_simplex", tuple(row), None)
                           for row in rows[new[missing]].tolist())
         checked += len(new)

@@ -210,8 +210,8 @@ def test_criterion_06_net_synthesis_quality(bundle2, big_net_pack):
     K = big_net_pack["K"]
     elapsed = big_net_pack["elapsed"]
     rF = bundle2.rF
-    sep = net.check_separation()
-    grid = K.grid(rF / 100.0)
+    sep = net.closest_pair()[0]
+    grid = paper.region_grid(K, rF / 100.0)
     dens, _ = cKDTree(net.points).query(grid)
     dens = float(np.max(dens))
     ok = sep >= 0.114 * rF and dens <= 0.181 * rF and elapsed < 120.0
@@ -323,13 +323,31 @@ def test_criterion_11_determinism(tmp_path):
 #: sha256 of ``synthesize``'s net.json for a 3 rF box, seed 1, default bundle.
 NET_3RF_SEED1_SHA256 = "08a27eb565883308a20b52d30096ca5350387792c1480a3ba8e763dd599c91dd"
 
+#: sha256 of the other artifacts of the same run: the default bundle, then
+#: ``triangulate``, ``certify --family-depth 2`` and ``render`` of that net.
+ARTIFACTS_3RF_SEED1_SHA256 = {
+    "bundle.json": "fcdde416aa1ffc16c213c399f10c871c57a3795f6b850604f0a5a5f8d21474cc",
+    "cx.json": "dfa3c9c4c595d60e64630d1a04e5f0702a38106cd04eabeaa88bd998d4a11036",
+    "cert.json": "354a4652be28b95e87a12dadaeefc563425e242b50e833a59339a2bc607a26a6",
+    "net.svg": "07876c055e6e8e325fee7a122bda341f709ad061486e5c7d98dcb601996cae89",
+}
+
 
 def test_criterion_11_net_baseline(tmp_path, bundle2):
     # two runs of one tree agree even when both change; this pins the bytes
-    b, n = str(tmp_path / "bundle.json"), str(tmp_path / "net.json")
+    b, n, c, ce, sv = (str(tmp_path / x) for x in
+                       ("bundle.json", "net.json", "cx.json", "cert.json", "net.svg"))
     side = 3.0 * bundle2.rF
     assert cli.main(["constants", "--dim", "2", "--out", b]) == 0
     assert cli.main(["synthesize", "--bundle", b, "--box", f"0,0,{side!r},{side!r}",
                      "--seed", "1", "--out", n]) == 0
     digest = hashlib.sha256((tmp_path / "net.json").read_bytes()).hexdigest()
     assert digest == NET_3RF_SEED1_SHA256
+    assert cli.main(["triangulate", "--net", n, "--out", c]) == 0
+    assert cli.main(["certify", "--net", n, "--complex", c, "--bundle", b,
+                     "--family-depth", "2", "--out", ce]) == 0
+    assert cli.main(["render", "--net", n, "--complex", c, "--certificate", ce,
+                     "--out", sv]) == 0
+    digests = {x: hashlib.sha256((tmp_path / x).read_bytes()).hexdigest()
+               for x in ARTIFACTS_3RF_SEED1_SHA256}
+    assert digests == ARTIFACTS_3RF_SEED1_SHA256

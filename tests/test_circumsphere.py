@@ -72,6 +72,22 @@ class TestCircumcenterBatch:
         assert valid[0] and not valid[1]
         assert np.isinf(radii[1])
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coincident_rows_flagged(self, n):
+        # the floor DEGENERACY_REL cb^n underflows to 0 for coincident points
+        # (cb is clamped to 1e-300), so det U = 0 must flag them on its own
+        good = _random_simplex(np.random.default_rng(n), n)
+        bad = np.full((n + 1, n), 0.25)
+        alone = cs.circumcenter_batch(good[None])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            centers, radii, valid = cs.circumcenter_batch(np.stack([good, bad, good]))
+        assert valid.tolist() == [True, False, True]
+        assert np.all(np.isnan(centers[1])) and radii[1] == np.inf
+        for k in (0, 2):  # the good row's bits do not move
+            assert np.array_equal(centers[k], alone[0][0]) and radii[k] == alone[1][0]
+        with pytest.raises(DegenerateError):
+            cs.circumcenter(bad)
+
 
 def _lapack_valid(pts):
     """The validity flags of the body ``circumcenter_batch`` had for every
@@ -170,7 +186,8 @@ def _transposed_reference(pts):
     lam = np.sum(u * u, axis=1)
     det = linalg.determinant(u.transpose(2, 0, 1))
     cb = np.maximum(np.sqrt(np.max(lam, axis=0)), 1e-300)
-    valid = np.abs(det) >= linalg.DEGENERACY_REL * cb**2
+    # det U = 0 is degenerate also where the floor underflows to 0
+    valid = (np.abs(det) >= linalg.DEGENERACY_REL * cb**2) & (det != 0.0)
     den = 2.0 * np.where(valid, det, np.nan)
     xi = np.stack([(lam[0] * u[1, 1] - lam[1] * u[0, 1]) / den,
                    (lam[1] * u[0, 0] - lam[0] * u[1, 0]) / den])

@@ -621,29 +621,43 @@ def test_package_imports_no_private_names():
 
 
 #: Pipeline definitions no command reaches, kept as further roots of
-#: ``test_pipeline_modules_hold_only_reachable_definitions``: (module, name, reason).
+#: ``test_pipeline_modules_hold_only_reachable_definitions``: (module, name,
+#: reason), a method named "Class.method".
 REACHABILITY_ROOTS = (
     ("circumsphere", "circumcenter",
      "perfbench/tracing.py wraps it (circumsphere.circumcenter_s)"),
     ("netsynth", "build_product_structure",
      "perfbench's synth_5rF workload runs it; ROADMAP item 3 moves it into certify"),
+    ("cli", "_Path.convert", "click calls it on every path option's value"),
 )
 
 
 def _pipeline_graph():
-    """(modules, defs, edges) of the pipeline modules, every module of the
-    package but ``paper``: ``modules`` maps each module's name to its syntax
-    tree, ``defs`` maps (module, name) of each top-level function and class
-    to its line, and ``edges`` maps each of them, and (module, None) for a
-    module's other top-level statements, to the definitions they name,
-    through same-module names, ``from .m import name`` and module aliases
-    (``tess.name``)."""
+    """(modules, defs, edges, attrs) of the pipeline modules, every module of
+    the package but ``paper``.  ``modules`` maps each module's name to its
+    syntax tree; ``defs`` maps (module, name) of each top-level function and
+    class, and (module, "Class.method") of each non-dunder method, to its
+    line.  ``edges`` maps each of them, and (module, None) for a module's
+    other top-level statements, to the definitions they name, through
+    same-module names, ``from .m import name`` and module aliases
+    (``tess.name``); ``attrs`` maps each to the attribute names its code
+    reads.  A class's code is its body without its non-dunder methods,
+    which are nodes of their own."""
     paths = sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
     modules = {p.stem: ast.parse(p.read_text()) for p in paths if p.stem != "paper"}
-    defs = {(mod, node.name): node.lineno
-            for mod, tree in modules.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    edges = {}
+    nodes = {}  # key -> (syntax nodes of its code, nodes left out of it)
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                           and not (m.name.startswith("__") and m.name.endswith("__"))]
+                nodes[(mod, node.name)] = ([node], methods)
+                for m in methods:
+                    nodes[(mod, f"{node.name}.{m.name}")] = ([m], [])
+            elif isinstance(node, ast.FunctionDef):
+                nodes[(mod, node.name)] = ([node], [])
+    defs = {key: code[0].lineno for key, (code, _) in nodes.items()}
+    edges, attrs = {}, {}
     for mod, tree in modules.items():
         names, aliases = {}, {}
         for node in ast.walk(tree):
@@ -654,32 +668,53 @@ def _pipeline_graph():
                     else:
                         names[a.asname or a.name] = (node.module, a.name)
 
-        def refs(node):
-            out = set()
-            for sub in ast.walk(node):
+        def walk(code, skip):
+            todo = list(code)
+            while todo:
+                node = todo.pop()
+                yield node
+                todo.extend(c for c in ast.iter_child_nodes(node) if c not in skip)
+
+        def scan(key, code, skip=()):
+            refs, read = set(), set()
+            for sub in walk(code, skip):
                 if isinstance(sub, ast.Name):
-                    out.add(names.get(sub.id, (mod, sub.id)))
-                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
-                        and sub.value.id in aliases:
-                    out.add((aliases[sub.value.id], sub.attr))
-            return out & defs.keys()
+                    refs.add(names.get(sub.id, (mod, sub.id)))
+                elif isinstance(sub, ast.Attribute):
+                    if isinstance(sub.value, ast.Name) and sub.value.id in aliases:
+                        refs.add((aliases[sub.value.id], sub.attr))
+                    if isinstance(sub.ctx, ast.Load):
+                        read.add(sub.attr)
+            edges[key] = edges.get(key, set()) | (refs & defs.keys())
+            attrs[key] = attrs.get(key, set()) | read
 
-        edges[(mod, None)] = set()
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                edges[(mod, node.name)] = refs(node)
-            else:
-                edges[(mod, None)] |= refs(node)
-    return modules, defs, edges
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scan((mod, None), [node])
+        edges.setdefault((mod, None), set())
+        attrs.setdefault((mod, None), set())
+        for key, (code, skip) in nodes.items():
+            if key[0] == mod:
+                scan(key, code, skip)
+    return modules, defs, edges, attrs
 
 
-def _reach(edges, roots):
-    seen, todo = set(), list(roots)
+def _reach(edges, attrs, roots):
+    """The definitions reached from ``roots``: by name along ``edges``, and a
+    method when its class is reached and reached code reads its name as an
+    attribute."""
+    seen, read, todo = set(), set(), list(roots)
+    methods = {key: ((key[0], key[1].split(".")[0]), key[1].split(".")[1])
+               for key in edges if key[1] is not None and "." in key[1]}
     while todo:
         key = todo.pop()
         if key not in seen:
             seen.add(key)
             todo.extend(edges.get(key, ()))
+            read |= attrs.get(key, set())
+        if not todo:
+            todo = [key for key, (cls, name) in methods.items()
+                    if key not in seen and cls in seen and name in read]
     return seen
 
 
@@ -687,9 +722,11 @@ def test_pipeline_modules_hold_only_reachable_definitions():
     """Every top-level function and class of the pipeline modules is reached,
     by name, from ``cli.main``, a ``cmd_*`` command, ``delone.__all__`` or a
     module's own top-level statements, or from an entry of
-    REACHABILITY_ROOTS; every entry exists and is needed; and no pipeline
-    module imports ``delone.paper``, where the paper's other statements live."""
-    modules, defs, edges = _pipeline_graph()
+    REACHABILITY_ROOTS; every non-dunder method is reached when reached code
+    reads its name as an attribute, or from an entry; every entry exists and
+    is needed; and no pipeline module imports ``delone.paper``, where the
+    paper's other statements live."""
+    modules, defs, edges, attrs = _pipeline_graph()
     roots = {("cli", name) for (mod, name) in defs
              if mod == "cli" and (name == "main" or name.startswith("cmd_"))}
     roots |= {key for key in edges if key[1] is None}
@@ -701,9 +738,9 @@ def test_pipeline_modules_hold_only_reachable_definitions():
                                    else "reachable without it")
              for mod, name in sorted(allowed)
              if (mod, name) not in defs
-             or (mod, name) in _reach(edges, roots | (allowed - {(mod, name)}))]
+             or (mod, name) in _reach(edges, attrs, roots | (allowed - {(mod, name)}))]
     assert not stale
-    reached = _reach(edges, roots | allowed)
+    reached = _reach(edges, attrs, roots | allowed)
     unreached = [f"{mod}.py:{line} {name}" for (mod, name), line in sorted(defs.items())
                  if (mod, name) not in reached]
     assert not unreached

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay, cKDTree
 
 from delone import circumsphere as cs
-from delone import jsonio, robustness
+from delone import jsonio, paper, robustness
 from delone import netsynth as nsy
 from delone import tessellation as tess
 from delone.errors import (CoverageGapError, RegionExhaustedError, SelectionFailedError,
@@ -64,7 +64,7 @@ class TestRegion:
 
     def test_grid_covers_region(self):
         r = nsy.Region.disk([0.0, 0.0], 1.0)
-        g = r.grid(0.1)
+        g = paper.region_grid(r, 0.1)
         assert len(g) > 0
         assert np.all(r.boundary_distance_many(g) >= 0.0)
 
@@ -124,9 +124,9 @@ class TestParamFamily:
         fam = self._family()
         ps = fam.params
         for p in ps:
-            assert fam.param_distance(p, p) == 0.0
+            assert paper.param_distance(p, p) == 0.0
         for p, q, r in itertools.combinations(ps, 3):
-            d = fam.param_distance
+            d = paper.param_distance
             assert d(p, q) == d(q, p)
             assert d(p, r) <= max(d(p, q), d(q, r)) + 1e-15
 
@@ -135,7 +135,7 @@ class TestParamFamily:
         ys = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
         assert np.allclose(fam.displacement_batch("000", ys), 0.0)
         for y in ys:
-            assert np.allclose(fam.transport("000", y), y)
+            assert np.allclose(paper.transport(fam, "000", y), y)
 
     def test_sup_norm_bound(self):
         fam = self._family(eps=2.5e-4)
@@ -219,7 +219,7 @@ class TestForbiddenRegions:
         annulus can reach the selection ball."""
         ball_r = bundle.rF / 200.0
         w_ann = 2.0 * bundle.eps1 * bundle.rF
-        cap_r = nsy._local_radii(bundle)[0]
+        cap_r = nsy._local_radii(bundle)[3]
         ref = []
         for combo in itertools.combinations(range(len(omega)), 3):
             try:
@@ -246,7 +246,7 @@ class TestForbiddenRegions:
     @pytest.mark.parametrize("scale,kept", [(1.0 - 1e-9, 1), (1.0 + 1e-9, 0)])
     def test_radius_cap(self, bundle2, scale, kept):
         # three points on a circle through xi of radius just below / above R
-        r = nsy._local_radii(bundle2)[0] * scale
+        r = nsy._local_radii(bundle2)[3] * scale
         c = np.array([0.3, 0.3])
         theta = np.array([0.5, 2.0, 4.0])
         omega = c + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -259,7 +259,10 @@ class TestForbiddenRegions:
     def test_radii_from_the_bundle(self, bundle2):
         # R lies just above r = d2 + eps3 rF, by the first-order slack
         # 4 r^2 w_ann / d1^2, and L spans two such circles and the ball
-        cap_r, local_r = nsy._local_radii(bundle2)
+        ball_r, w_ann, w_slab, cap_r, local_r = nsy._local_radii(bundle2)
+        rF = bundle2.rF
+        assert (ball_r, w_ann, w_slab) == (rF / 200.0, 2.0 * bundle2.eps1 * rF,
+                                           2.0 * bundle2.eps2 * rF)
         r = bundle2.d2 + bundle2.eps3 * bundle2.rF
         slack = 4.0 * r * r * 2.0 * bundle2.eps1 * bundle2.rF / bundle2.d1 ** 2
         assert r < cap_r <= r + 1.001 * slack
@@ -388,14 +391,14 @@ def _float32_forbidden_regions(net_points, xi_prime, bundle):
     n = len(xi)
     rF = bundle.rF
     ball_r, w_ann, w_slab = rF / 200.0, 2.0 * bundle.eps1 * rF, 2.0 * bundle.eps2 * rF
-    cap_r, local_r = nsy._local_radii(bundle)
+    *_, cap_r, local_r = nsy._local_radii(bundle)
     omega = pts[np.linalg.norm(pts - xi, axis=1) <= local_r] if len(pts) else pts.reshape(0, n)
     s = len(omega)
     q = omega - xi
     sq = np.einsum("ij,ij->i", q, q)
     keep_c, keep_r, count_ann = np.zeros((0, n)), np.zeros(0), 0
     pr = np.array(list(itertools.combinations(range(s), 2)), dtype=np.int64).reshape(-1, 2)
-    pr = pr[np.lexsort((pr[:, 0], pr[:, 1]))]  # max-sorted, as _combo_indices
+    pr = pr[np.lexsort((pr[:, 0], pr[:, 1]))]  # colex, as _local_pack
     qa, qb = q[pr[:, 0]], q[pr[:, 1]]
     dvec = qb - qa
     l2p = np.einsum("ij,ij->i", dvec, dvec)
@@ -469,7 +472,7 @@ class TestPrefilter:
         rF, d1 = bundle.rF, bundle.d1
         ball_r = rF / 200.0
         lo, hi = bundle.d1pp + ball_r, bundle.d2pp - ball_r
-        local_r = nsy._local_radii(bundle)[1]
+        local_r = nsy._local_radii(bundle)[4]
         xi = rng.uniform(-5.0, 5.0, 2) * rF
         t = rng.uniform(0.0, 2.0 * math.pi)
         pts = [xi + rng.uniform(lo, hi) * np.array([math.cos(t), math.sin(t)])]
@@ -490,7 +493,7 @@ class TestPrefilter:
         xi, omega = self._band_set(np.random.default_rng(seed), bundle2, count)
         got = nsy.forbidden_regions(omega, xi, bundle2)
         assert _same_regions(got, _float32_forbidden_regions(omega, xi, bundle2))
-        local_r = nsy._local_radii(bundle2)[1]
+        local_r = nsy._local_radii(bundle2)[4]
         local = omega[np.linalg.norm(omega - xi, axis=1) <= local_r]
         assert got[0].count_total == _nondegenerate_triples(local, xi)
 
@@ -506,7 +509,7 @@ class TestPrefilter:
     @pytest.mark.parametrize("reach,kept", [(1.0 - 1e-9, 1), (1.0 + 1e-9, 0)])
     def test_circle_of_radius_just_below_r(self, bundle2, side, reach, kept):
         # a circle of radius R (1 - 1e-9) passing rho (1 -+ 1e-9) from xi
-        cap_r = nsy._local_radii(bundle2)[0]
+        cap_r = nsy._local_radii(bundle2)[3]
         rho = bundle2.rF / 200.0 + 2.0 * bundle2.eps1 * bundle2.rF
         r = cap_r * (1.0 - 1e-9)
         xi = np.array([2.3, -1.7])
@@ -523,7 +526,7 @@ class TestPrefilter:
         # off it: three of the four triples are nondegenerate
         p, v = (np.array(x) for x in line)
         omega = np.array([p, p + v, p + 2.0 * v, p + v + np.array([-v[1], v[0]])])
-        local_r = nsy._local_radii(bundle2)[1]
+        local_r = nsy._local_radii(bundle2)[4]
         for xi in p + np.array([[0.05, 0.02], [0.2, -0.1], [0.1, 0.3]]):
             assert np.all(np.linalg.norm(omega - xi, axis=1) <= local_r)
             annuli, _ = nsy.forbidden_regions(omega, xi, bundle2)
@@ -596,7 +599,7 @@ def _propose_candidate(K, net_points, bundle, resolution):
     whose selection ball fits K and lies in the band between the d1''- and
     d2''-penumbras of the net; RegionExhaustedError when there is none."""
     ball_r = bundle.rF / 200.0
-    grid = K.grid(resolution)
+    grid = paper.region_grid(K, resolution)
     grid = grid[K.boundary_distance_many(grid) >= ball_r]
     d, _ = cKDTree(np.asarray(net_points, dtype=float)).query(grid)
     band = (d >= bundle.d1pp + ball_r) & (d <= bundle.d2pp - ball_r)
@@ -679,9 +682,9 @@ class TestSynthesizeNet:
         K = nsy.Region.disk([0.0, 0.0], 0.2)
         net, report = nsy.synthesize_net(K, bundle2, seed=5)
         assert len(net) > 3
-        assert net.check_separation() >= bundle2.d1
+        assert net.closest_pair()[0] >= bundle2.d1
         # the synthesis domain (K plus the 2*d2 collar) is d2-dense
-        assert net.check_density(bundle2.rF / 100.0) <= bundle2.d2
+        assert paper.check_density(net, bundle2.rF / 100.0) <= bundle2.d2
         assert report.max_excluded_fraction < 0.5
         assert 0.0 < report.max_excluded_bound < 0.5
         assert report.audits >= 1
@@ -815,9 +818,8 @@ def _grid_nodes(K, bundle) -> int:
 
 class TestSynthesisMemory:
     def test_peak_below_two_bytes_per_node(self, bundle2, monkeypatch):
-        # fresh caches, so their growth during the run is counted too
-        monkeypatch.setattr(nsy, "_COMBO_CACHE", {})
-        monkeypatch.setattr(nsy, "_TRIPLE_CACHE", {"cap": 0, "pack": None})
+        # a fresh pack, so its growth during the run is counted too
+        monkeypatch.setattr(nsy, "_LOCAL_PACK", {"cap": -1, "pack": None})
         side = 5.0 * bundle2.rF
         K = nsy.Region.box([0.0, 0.0], [side, side])
         tracemalloc.start()
@@ -830,28 +832,53 @@ class TestSynthesisMemory:
         assert len(net) > 1000
         assert peak < 2 * nodes, (peak, nodes)
 
+    def test_local_pack_against_colex_reference(self, monkeypatch):
+        # one cache, grown cold from s = 0, then read back at every s up to 80
+        monkeypatch.setattr(nsy, "_LOCAL_PACK", {"cap": -1, "pack": None})
+        for s in (*range(81), *range(80, -1, -7)):
+            pairs, triples, triple_pairs = nsy._local_pack(s)
+            want_pairs, want_triples = _colex(s, 2), _colex(s, 3)
+            assert pairs.dtype == triples.dtype == triple_pairs.dtype == np.int64
+            assert np.array_equal(pairs, want_pairs.reshape(-1, 2).T)
+            assert np.array_equal(triples, want_triples.reshape(-1, 3).T)
+            for row, cols in zip(triple_pairs, ([0, 1], [0, 2], [1, 2])):  # ab, ac, bc
+                assert np.array_equal(pairs[:, row], triples[cols])
+            # prefix: every slice reads the one pack
+            pack = nsy._LOCAL_PACK["pack"]
+            for got, whole in zip((pairs, triples, triple_pairs), pack):
+                assert np.shares_memory(got, whole) or got.size == 0
+                assert np.array_equal(got, whole[:, :got.shape[1]])
+        assert 80 <= nsy._LOCAL_PACK["cap"] <= 80 + 32
+
     @pytest.mark.parametrize("s", [0, 1, 2])
     def test_combo_indices_on_a_cold_cache(self, s, monkeypatch):
-        for k in (1, 2, 3):
-            monkeypatch.setattr(nsy, "_COMBO_CACHE", {})
-            got = nsy._combo_indices(s, k)
-            assert got.shape == (math.comb(s, k), k)
-            assert sorted(map(tuple, got.tolist())) == \
+        monkeypatch.setattr(nsy, "_LOCAL_PACK", {"cap": -1, "pack": None})
+        pairs, triples, triple_pairs = nsy._local_pack(s)
+        for got, k in ((pairs, 2), (triples, 3)):
+            assert got.shape == (k, math.comb(s, k))
+            assert sorted(map(tuple, got.T.tolist())) == \
                 list(itertools.combinations(range(s), k))
+        assert triple_pairs.shape == (3, 0)
 
     def test_triple_pack_leaves_no_triple_combinations(self, monkeypatch):
-        monkeypatch.setattr(nsy, "_COMBO_CACHE", {})
-        monkeypatch.setattr(nsy, "_TRIPLE_CACHE", {"cap": 0, "pack": None})
+        monkeypatch.setattr(nsy, "_LOCAL_PACK", {"cap": -1, "pack": None})
         for s in (3, 9, 40, 12):
-            tri, pairs = nsy._triple_pack(s)
-            assert tri.shape == pairs.shape == (3, math.comb(s, 3))
+            pairs, tri, tpairs = nsy._local_pack(s)
+            assert tri.shape == tpairs.shape == (3, math.comb(s, 3))
             assert sorted(map(tuple, tri.T.tolist())) == \
                 list(itertools.combinations(range(s), 3))
-            pr = nsy._combo_indices(s, 2)
-            for row, cols in zip(pairs, ([0, 1], [0, 2], [1, 2])):  # ab, ac, bc
-                assert np.array_equal(pr[row], tri.T[:, cols])
-        assert 3 not in nsy._COMBO_CACHE
-        assert nsy._TRIPLE_CACHE["pack"][0].shape == (3, math.comb(40 + 32, 3))
+            for row, cols in zip(tpairs, ([0, 1], [0, 2], [1, 2])):  # ab, ac, bc
+                assert np.array_equal(pairs[:, row], tri[cols])
+        # one pack, grown once to 40 + 32, and no per-s cache beside it
+        assert set(nsy._LOCAL_PACK) == {"cap", "pack"}
+        assert nsy._LOCAL_PACK["pack"][1].shape == (3, math.comb(40 + 32, 3))
+
+
+def _colex(s: int, k: int) -> np.ndarray:
+    """The k-subsets of range(s) as rows, in colex order: sorted by their
+    largest element, then the next, and so on."""
+    rows = [c[::-1] for c in itertools.combinations(range(s), k)]
+    return np.array([r[::-1] for r in sorted(rows)], dtype=np.int64)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -986,7 +1013,7 @@ def _near_miss_reach(net, family, bundle):
     d2 = net.d2
     eta_f = 64.0 * 2.0 ** -53 * (float(np.max(np.abs(net.points))) + d2)
     eta = family.eps + eta_f
-    e1 = min(net.d1, net.check_separation())
+    e1 = min(net.d1, net.closest_pair()[0])
 
     def drift(t, delta):
         return float(cs.displacement_bound(cs.PerturbationBudget(

@@ -36,11 +36,13 @@ SQUARE_CENTER = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
 class TestNet:
     def test_separation(self):
         net = _net(SQUARE_CENTER, 0.3, 0.6)
-        assert net.check_separation() == pytest.approx(math.sqrt(0.5))
+        sep, i, j = net.closest_pair()
+        assert sep == pytest.approx(math.sqrt(0.5))
+        assert i == 0 and j == 4  # the first site at the least distance, and its nearest
 
     def test_density_without_region(self):
         net = _net(SQUARE_CENTER, 0.3, 0.6)
-        assert net.check_density(0.1) == 0.0
+        assert paper.check_density(net, 0.1) == 0.0
 
     def test_density_with_region(self):
         from delone import netsynth as nsy
@@ -48,7 +50,7 @@ class TestNet:
         region = nsy.Region.box([0.0, 0.0], [1.0, 1.0])
         net = _net(SQUARE_CENTER, 0.3, 0.6, region=region)
         # farthest grid point from the five sites: midpoints of the edges
-        assert net.check_density(0.05) <= 0.5 + 1e-9
+        assert paper.check_density(net, 0.05) <= 0.5 + 1e-9
 
     def test_interior_mask(self):
         from delone import netsynth as nsy
