@@ -1,27 +1,22 @@
-"""Model leaf geometries, geodesic coordinates, and distortion certification.
+"""Model leaf geometries and their working radius.
 
-Three closed-form metric models are provided: flat Euclidean space, the round
-sphere of radius R (points are ambient 3-vectors), and a flat 2-torus given by
-its periods.  No ODE integration: exp, log, distance and geodesic
-interpolation are all closed-form (as is parallel transport, in
-``delone.paper``), which keeps the certified tolerances honest.
-
-The sphere carries a fixed atlas of six normal-coordinate charts centered at
-the octahedral points.  The approximate-Euclidean conditions are measured
-against every chart containing the working disk; the metric-tensor condition
-is measured in the Gauss normal form of the frame itself (the geodesic
-coordinates at the base point), which is the form in which it is used.
+Three closed-form metric models: flat Euclidean space, the round sphere of
+radius R (points are ambient 3-vectors) with six normal-coordinate charts of
+radius ``chart_radius`` at the octahedral points, and a flat 2-torus given by
+its periods.  The pipeline needs two closed forms of them, each rounded down:
+the working radius ``find_lambda_eps`` and the orthonormalization threshold
+``gs_delta``.  Distance, exp, log, frames, chart maps and the sampled audit of
+the approximate-Euclidean conditions live in ``delone.paper``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfChartError, ValidationError
+from .errors import ValidationError
 
 #: Frames this far from orthonormal (norm defect or cross term) are rejected.
 GS_DELTA_MAX = 0.2
@@ -29,34 +24,19 @@ GS_DELTA_MAX = 0.2
 #: Fallback "infinite" lambda for exactly-Euclidean models.
 LAMBDA_CAP = 1.0e6
 
-#: Safety factor applied to the pass thresholds inside the lambda search so
-#: the fresh-sample audit at the returned lambda passes with headroom while
-#: doubling lambda breaks the linearly-growing geodesic conditions.
-SEARCH_SAFETY = 0.7
-
-
-def unit_ball_volume(n: int) -> float:
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
 
 class MetricModel:
-    """Distance / exp / log oracle for one of the model leaf geometries."""
+    """One of the model leaf geometries."""
 
     def __init__(self, kind: str, *, n: int = 2, radius: float = 1.0, periods=None):
         self.kind = kind
         if kind == "flat":
             self.n = n
-            self.ambient = n
         elif kind == "sphere":
             self.n = 2
-            self.ambient = 3
             if radius <= 0:
                 raise ValidationError("sphere radius must be positive")
             self.radius = float(radius)
-            self._chart_centers = [
-                self.radius * np.array(v, dtype=float)
-                for v in [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-            ]
             self.chart_radius = 1.45 * self.radius
         elif kind == "torus":
             if periods is None or len(periods) != 2:
@@ -65,11 +45,8 @@ class MetricModel:
             if np.any(self.periods <= 0):
                 raise ValidationError("torus periods must be positive")
             self.n = 2
-            self.ambient = 2
         else:
             raise ValidationError(f"unknown metric kind {kind!r}")
-
-    # -- factories -----------------------------------------------------
 
     @staticmethod
     def flat(n: int) -> "MetricModel":
@@ -90,15 +67,6 @@ class MetricModel:
             return f"sphere:{self.radius!r}"
         return "torus:" + ",".join(repr(float(p)) for p in self.periods)
 
-    # -- basic radii ---------------------------------------------------
-
-    def injectivity_radius(self) -> float:
-        if self.kind == "flat":
-            return math.inf
-        if self.kind == "sphere":
-            return math.pi * self.radius
-        return 0.5 * float(np.min(self.periods))
-
     def convexity_radius(self) -> float:
         """Radius below which closed disks are strongly convex."""
         if self.kind == "flat":
@@ -106,123 +74,6 @@ class MetricModel:
         if self.kind == "sphere":
             return 0.25 * math.pi * self.radius
         return 0.25 * float(np.min(self.periods))
-
-    # -- core operations ----------------------------------------------
-
-    def _wrap(self, x: np.ndarray) -> np.ndarray:
-        return np.mod(x, self.periods)
-
-    def _torus_delta(self, x, y):
-        d = np.mod(np.asarray(y, dtype=float) - np.asarray(x, dtype=float), self.periods)
-        return np.where(d > 0.5 * self.periods, d - self.periods, d)
-
-    def distance(self, x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.kind == "flat":
-            return float(np.linalg.norm(y - x))
-        if self.kind == "sphere":
-            cross = np.linalg.norm(np.cross(x, y))
-            dot = float(np.dot(x, y))
-            return self.radius * math.atan2(cross / self.radius**2, dot / self.radius**2)
-        return float(np.linalg.norm(self._torus_delta(x, y)))
-
-    def exp(self, x, v) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.kind == "flat":
-            return x + v
-        if self.kind == "torus":
-            return self._wrap(x + v)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return x.copy()
-        if nv >= self.injectivity_radius():
-            raise OutOfChartError("exp beyond the injectivity radius")
-        theta = nv / self.radius
-        return x * math.cos(theta) + (v / nv) * self.radius * math.sin(theta)
-
-    def log(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.kind == "flat":
-            return y - x
-        if self.kind == "torus":
-            return self._torus_delta(x, y)
-        d = self.distance(x, y)
-        if d == 0.0:
-            return np.zeros(3)
-        if d >= self.injectivity_radius() - 1e-12 * self.radius:
-            raise OutOfChartError("log at (near-)antipodal point")
-        xhat = x / self.radius
-        w = y - float(np.dot(y, xhat)) * xhat
-        nw = float(np.linalg.norm(w))
-        return (d / nw) * w
-
-    def geodesic(self, x, y, t: float) -> np.ndarray:
-        """Point at parameter t on the unique shortest geodesic x -> y."""
-        return self.exp(x, t * self.log(x, y))
-
-    # -- sphere chart atlas -------------------------------------------
-
-    def chart_center(self, i: int):
-        return self._chart_centers[i]
-
-    def charts_containing(self, x, lam: float):
-        """All chart indices whose domain contains the disk D(x, lam)."""
-        if self.kind != "sphere":
-            return [0]
-        return [
-            i
-            for i, c in enumerate(self._chart_centers)
-            if self.distance(x, c) + lam <= self.chart_radius
-        ]
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A base point with an orthonormal tangent frame (rows of ``axes``)."""
-
-    base: np.ndarray
-    axes: np.ndarray  # (n, ambient)
-
-
-def standard_frame(m: MetricModel, base) -> Frame:
-    """Deterministic orthonormal frame at a point."""
-    base = np.asarray(base, dtype=float)
-    if m.kind in ("flat", "torus"):
-        return Frame(base=base, axes=np.eye(m.n))
-    xhat = base / m.radius
-    k = int(np.argmin(np.abs(xhat)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    a1 = e - float(np.dot(e, xhat)) * xhat
-    a1 /= np.linalg.norm(a1)
-    a2 = np.cross(xhat, a1)
-    return Frame(base=base, axes=np.vstack([a1, a2]))
-
-
-def exp_frame(m: MetricModel, frame: Frame, a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    return m.exp(frame.base, a @ frame.axes)
-
-
-def log_frame(m: MetricModel, frame: Frame, y) -> np.ndarray:
-    return frame.axes @ m.log(frame.base, y)
-
-
-def _chart_frame(m: MetricModel, i: int) -> Frame:
-    return standard_frame(m, m.chart_center(i))
-
-
-def chart_coords(m: MetricModel, i: int, p) -> np.ndarray:
-    """Normal coordinates of p in chart i."""
-    return log_frame(m, _chart_frame(m, i), p)
-
-
-def chart_point(m: MetricModel, i: int, a) -> np.ndarray:
-    """Inverse of chart_coords."""
-    return exp_frame(m, _chart_frame(m, i), a)
 
 
 def gs_delta(n: int, eps: float) -> float:
@@ -269,155 +120,48 @@ def gs_delta(n: int, eps: float) -> float:
     return delta
 
 
-@dataclass(frozen=True)
-class DistortionReport:
-    """Measured deviations for the four approximate-Euclidean conditions.
-
-    metric_deviation    -- max |g_jk(a) - delta_jk|       (threshold eps/n^2)
-    geodesic_deviation  -- max d(exp(a), affine(a))/|a|   (threshold eps)
-    chord_deviation     -- max d(sigma(t), tau(t))/d(y0,y1)  (threshold eps)
-    volume_deviation    -- max |Vol D(s) - Vol_g D_g(s)|/s^n (threshold eps)
-    """
-
-    metric_deviation: float
-    geodesic_deviation: float
-    chord_deviation: float
-    volume_deviation: float
-    passed: bool
-
-
-def _sample_disk(rng, n: int, lam: float, count: int) -> np.ndarray:
-    """Deterministic samples in D(lam) biased to include the boundary."""
-    dirs = rng.normal(size=(count, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = lam * np.maximum(rng.uniform(size=count) ** (1.0 / n), 1e-3)
-    radii[: max(4, count // 4)] = lam  # boundary samples stress the bounds
-    return dirs * radii[:, None]
-
-
-def _metric_tensor_deviation(m, frame, samples):
-    """Max entrywise deviation of the Gauss-normal-form metric from identity."""
-    h = 1e-5 * max(1.0, float(np.max(np.linalg.norm(samples, axis=1))))
-    worst = 0.0
-    n = m.n
-    for a in samples:
-        cols = []
-        for j in range(n):
-            da = np.zeros(n)
-            da[j] = h
-            cols.append((exp_frame(m, frame, a + da) - exp_frame(m, frame, a - da)) / (2 * h))
-        jac = np.column_stack(cols)
-        g = jac.T @ jac
-        worst = max(worst, float(np.max(np.abs(g - np.eye(n)))))
-    return worst
-
-
-def _chart_differential(m, i, frame):
-    """Columns: pushforward of the frame axes into chart-i coordinates."""
-    h = 1e-6 * (m.radius if m.kind == "sphere" else 1.0)
-    cols = []
-    for ax in frame.axes:
-        p_plus = m.exp(frame.base, h * ax)
-        p_minus = m.exp(frame.base, -h * ax)
-        cols.append((chart_coords(m, i, p_plus) - chart_coords(m, i, p_minus)) / (2 * h))
-    return np.column_stack(cols)
-
-
-def check_approx_euclidean(m: MetricModel, frame: Frame, lam: float, eps: float,
-                           sample_count: int = 128, rng=None) -> DistortionReport:
-    """Measure the four approximate-Euclidean conditions for geodesic
-    coordinates at frame.base, working radius lam, target accuracy eps.
-
-    The geodesic and chord conditions are measured in every ambient chart
-    whose domain contains D(base, lam); the metric-tensor condition in the
-    Gauss normal form of the frame itself.
-    """
-    if lam > m.convexity_radius() / 2 and m.kind != "flat":
-        raise OutOfChartError("lambda exceeds half the convexity radius")
-    n = m.n
-    if m.kind in ("flat", "torus"):
-        # exp is affine and charts are translations: all deviations vanish.
-        return DistortionReport(0.0, 0.0, 0.0, 0.0, True)
-
-    rng = np.random.default_rng(12345) if rng is None else rng
-    quarter = max(8, sample_count // 4)
-
-    dev1 = _metric_tensor_deviation(m, frame, _sample_disk(rng, n, lam, quarter))
-
-    charts = m.charts_containing(frame.base, lam)
-    if not charts:
-        raise OutOfChartError("no chart contains the working disk")
-
-    dev2 = 0.0
-    dev3 = 0.0
-    pair_a = _sample_disk(rng, n, lam, quarter)
-    pair_b = _sample_disk(rng, n, lam, quarter)
-    ts = np.array([0.25, 0.5, 0.75])
-    for i in charts:
-        f_push = _chart_differential(m, i, frame)
-        x_t = chart_coords(m, i, frame.base)
-        for a in _sample_disk(rng, n, lam, quarter):
-            na = float(np.linalg.norm(a))
-            if na == 0.0:
-                continue
-            p = exp_frame(m, frame, a)
-            q = chart_point(m, i, x_t + f_push @ a)
-            dev2 = max(dev2, m.distance(p, q) / na)
-        for a0, a1 in zip(pair_a, pair_b):
-            y0 = exp_frame(m, frame, a0)
-            y1 = exp_frame(m, frame, a1)
-            d01 = m.distance(y0, y1)
-            if d01 < 1e-9 * lam:
-                continue
-            c0 = chart_coords(m, i, y0)
-            c1 = chart_coords(m, i, y1)
-            for t in ts:
-                sigma = m.geodesic(y0, y1, float(t))
-                tau = chart_point(m, i, (1 - t) * c0 + t * c1)
-                dev3 = max(dev3, m.distance(sigma, tau) / d01)
-
-    dev4 = 0.0
-    for s in np.linspace(lam / 4, lam, 8):
-        vol_g = 2.0 * math.pi * m.radius**2 * (1.0 - math.cos(s / m.radius))
-        vol_e = unit_ball_volume(n) * s**n
-        dev4 = max(dev4, abs(vol_e - vol_g) / s**n)
-
-    passed = (
-        dev1 <= eps / n**2 and dev2 <= eps and dev3 <= eps and dev4 <= eps
-    )
-    return DistortionReport(dev1, dev2, dev3, dev4, passed)
-
-
-def _lambda_probe_frames(m: MetricModel, lam: float):
-    """Base points and frames spanning the chart offsets used by the search."""
-    out = []
-    center = m.chart_center(0)
-    cf = standard_frame(m, center)
-    max_off = m.chart_radius - lam
-    for off in (0.0, 0.35, 0.7, 1.0, 1.15):
-        off_len = min(off * m.radius, max_off * 0.999)
-        for direction in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
-            base = exp_frame(m, cf, off_len * direction)
-            fr = standard_frame(m, base)
-            out.append(fr)
-            # one rotated frame to vary the axes
-            c, s = math.cos(0.63), math.sin(0.63)
-            rot = np.vstack([c * fr.axes[0] + s * fr.axes[1],
-                             -s * fr.axes[0] + c * fr.axes[1]])
-            out.append(Frame(base=base, axes=rot))
-            if off == 0.0:
-                break
-    return out
-
-
 def find_lambda_eps(m: MetricModel, eps: float) -> float:
-    """Largest working radius at which geodesic coordinates are
-    eps-approximately Euclidean, with a safety margin on the sampled
-    deviations (48 samples per probe frame) so a fresh audit at the result
-    passes cleanly.
+    """Largest working radius lambda at which geodesic coordinates are
+    eps-approximately Euclidean: LAMBDA_CAP for the flat model, half the
+    convexity radius for the flat torus, and for the round sphere of radius
+    R, with rho = chart_radius/R and n = 2,
 
-    The flat model returns LAMBDA_CAP, the flat torus half its convexity
-    radius.
+        lambda = R min(2 eps/M(rho), sqrt(3 eps/4), sqrt(12 eps/pi), pi/8),
+        M(r) = (r - sin r cos r)/sin^2 r.
+
+    Claim: for every frame whose disk D(base, lambda) lies in a chart, the
+    four conditions that ``paper.check_approx_euclidean`` samples hold: the
+    metric-tensor deviation is at most eps/n^2, and the geodesic, chord and
+    volume deviations are at most eps.
+
+    Proof, for R = 1 (each deviation is scale-free).  lambda <= pi/8 is the
+    audit's domain, half the convexity radius, so D(base, lambda) is convex.
+    Metric: in the Gauss normal form g = I + ((sin r/r)^2 - 1)(I - u u^T),
+    and 1 - (sin r/r)^2 <= r^2/3 <= eps/4.  Volume: the deviation is
+    pi (1 - 2(1 - cos s)/s^2) <= pi s^2/12 <= eps.  Geodesic: a unit-speed
+    geodesic in a chart's normal coordinates, r(cos theta, sin theta),
+    solves r'' = sin r cos r theta'^2 and theta'' = -2 cot r r' theta' (do
+    Carmo, *Riemannian Geometry*, ch. 3 and 5).  With r' = cos phi and
+    sin r theta' = sin phi its coordinate acceleration has radial part
+    -sin^2 phi M(r) and tangential part sin phi cos phi B(r),
+    B = 2(1 - r cot r)/sin r, so its squared norm M^2 t^2 + B^2 t(1 - t),
+    t = sin^2 phi, is at most M^2 when B^2 <= 2 M^2.  That holds on
+    [0, rho]: B/M = 2 int_0^r s sin s ds / int_0^r 2 sin^2 s ds is a mean of
+    s/sin s, below 1.35 < sqrt 2 when split at s = 1.2.  As
+    M' = 2(sin r - r cos r)/sin^3 r >= 0, the acceleration is at most M(rho)
+    inside the chart.  The chart's exp_c is 1-Lipschitz from its coordinates,
+    since sin r <= r makes its pulled-back metric at most the Euclidean one.
+    A geodesic of length s <= lambda from the base stays in D(base, lambda),
+    so by Taylor's remainder it ends within s^2 M(rho)/2 of the chart's line
+    along its initial velocity: the geodesic deviation is at most
+    lambda M(rho)/2 <= eps.  Chord: a geodesic of length L <= 2 lambda
+    inside the convex disk lies within t(1 - t) L^2 M(rho)/2 <= L^2 M(rho)/8
+    of the chart's chord, so the chord deviation is at most lambda M(rho)/4.
+
+    The float min comes from a dozen correctly rounded operations and libm's
+    sin and cos (within an ulp): its relative error is below 32 u, u = 2^-53.
+    The factor 1 - 2^-44 covers it, so the result is at most the exact bound
+    and within 1e-13 of it, relative.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -426,32 +170,11 @@ def find_lambda_eps(m: MetricModel, eps: float) -> float:
     if m.kind == "torus":
         return m.convexity_radius() / 2
 
-    n = m.n
-    target = SEARCH_SAFETY * eps
-
-    def ok(lam: float) -> bool:
-        rng = np.random.default_rng(987654321)
-        for fr in _lambda_probe_frames(m, lam):
-            rep = check_approx_euclidean(m, fr, lam, eps, 48, rng)
-            if not (rep.metric_deviation <= target / n**2
-                    and rep.geodesic_deviation <= target
-                    and rep.chord_deviation <= target
-                    and rep.volume_deviation <= target):
-                return False
-        return True
-
-    lo, hi = 0.0, 0.3 * m.radius
-    if ok(hi):
-        lo = hi
-    else:
-        for _ in range(28):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-    return float(lo)
-
+    rho = m.chart_radius / m.radius
+    s, c = math.sin(rho), math.cos(rho)
+    lam = min(2.0 * eps * s * s / (rho - s * c), math.sqrt(0.75 * eps),
+              math.sqrt(12.0 * eps / math.pi), math.pi / 8)
+    return m.radius * lam * (1.0 - 2.0**-44)
 
 def parse_metric(selector: str) -> MetricModel:
     """Parse ``flat:<n>``, ``sphere:<R>`` or ``torus:<p1>,<p2>``."""

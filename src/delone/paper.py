@@ -1,11 +1,14 @@
 """Statements of the paper that no command runs, each named in its
 docstring, with the helpers they use (``edge_matrix``, the column and
-inverse-norm bounds, ``region_grid``).  They take the pipeline's objects
-(a ``MetricModel``, a ``ParamFamily``, a ``Net``) as arguments.  This
-module imports the pipeline modules; none imports it."""
+inverse-norm bounds, ``region_grid``, the model leaves' distance, exp, log,
+frames and chart maps, and the sampled audit ``check_approx_euclidean`` of
+``metrics.find_lambda_eps``).  They take the pipeline's objects (a
+``MetricModel``, a ``ParamFamily``, a ``Net``) as arguments.  This module
+imports the pipeline modules; none imports it."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -106,6 +109,134 @@ def gram_schmidt_correct(near_frame, inner_product=None):
     return out, deviation
 
 
+def unit_ball_volume(n: int) -> float:
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def injectivity_radius(m: mt.MetricModel) -> float:
+    if m.kind == "flat":
+        return math.inf
+    if m.kind == "sphere":
+        return math.pi * m.radius
+    return 0.5 * float(np.min(m.periods))
+
+
+def _torus_delta(m: mt.MetricModel, x, y):
+    d = np.mod(np.asarray(y, dtype=float) - np.asarray(x, dtype=float), m.periods)
+    return np.where(d > 0.5 * m.periods, d - m.periods, d)
+
+
+def distance(m: mt.MetricModel, x, y) -> float:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if m.kind == "flat":
+        return float(np.linalg.norm(y - x))
+    if m.kind == "sphere":
+        cross = np.linalg.norm(np.cross(x, y))
+        dot = float(np.dot(x, y))
+        return m.radius * math.atan2(cross / m.radius**2, dot / m.radius**2)
+    return float(np.linalg.norm(_torus_delta(m, x, y)))
+
+
+def exp(m: mt.MetricModel, x, v) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if m.kind == "flat":
+        return x + v
+    if m.kind == "torus":
+        return np.mod(x + v, m.periods)
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0:
+        return x.copy()
+    if nv >= injectivity_radius(m):
+        raise OutOfChartError("exp beyond the injectivity radius")
+    theta = nv / m.radius
+    return x * math.cos(theta) + (v / nv) * m.radius * math.sin(theta)
+
+
+def log(m: mt.MetricModel, x, y) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if m.kind == "flat":
+        return y - x
+    if m.kind == "torus":
+        return _torus_delta(m, x, y)
+    d = distance(m, x, y)
+    if d == 0.0:
+        return np.zeros(3)
+    if d >= injectivity_radius(m) - 1e-12 * m.radius:
+        raise OutOfChartError("log at (near-)antipodal point")
+    xhat = x / m.radius
+    w = y - float(np.dot(y, xhat)) * xhat
+    nw = float(np.linalg.norm(w))
+    return (d / nw) * w
+
+
+def geodesic(m: mt.MetricModel, x, y, t: float) -> np.ndarray:
+    """Point at parameter t on the unique shortest geodesic x -> y."""
+    return exp(m, x, t * log(m, x, y))
+
+
+def chart_center(m: mt.MetricModel, i: int):
+    """Center of the sphere's chart i, one of the six octahedral points."""
+    v = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)][i]
+    return m.radius * np.array(v, dtype=float)
+
+
+def charts_containing(m: mt.MetricModel, x, lam: float):
+    """All chart indices whose domain contains the disk D(x, lam)."""
+    if m.kind != "sphere":
+        return [0]
+    return [i for i in range(6)
+            if distance(m, x, chart_center(m, i)) + lam <= m.chart_radius]
+
+
+@dataclass(frozen=True)
+class Frame:
+    """A base point with an orthonormal tangent frame (rows of ``axes``)."""
+
+    base: np.ndarray
+    axes: np.ndarray  # (n, ambient dimension)
+
+
+def standard_frame(m: mt.MetricModel, base) -> Frame:
+    """Deterministic orthonormal frame at a point."""
+    base = np.asarray(base, dtype=float)
+    if m.kind in ("flat", "torus"):
+        return Frame(base=base, axes=np.eye(m.n))
+    xhat = base / m.radius
+    k = int(np.argmin(np.abs(xhat)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    a1 = e - float(np.dot(e, xhat)) * xhat
+    a1 /= np.linalg.norm(a1)
+    a2 = np.cross(xhat, a1)
+    return Frame(base=base, axes=np.vstack([a1, a2]))
+
+
+def exp_frame(m: mt.MetricModel, frame: Frame, a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    return exp(m, frame.base, a @ frame.axes)
+
+
+def log_frame(m: mt.MetricModel, frame: Frame, y) -> np.ndarray:
+    return frame.axes @ log(m, frame.base, y)
+
+
+def _chart_frame(m: mt.MetricModel, i: int) -> Frame:
+    return standard_frame(m, chart_center(m, i))
+
+
+def chart_coords(m: mt.MetricModel, i: int, p) -> np.ndarray:
+    """Normal coordinates of p in chart i."""
+    return log_frame(m, _chart_frame(m, i), p)
+
+
+def chart_point(m: mt.MetricModel, i: int, a) -> np.ndarray:
+    """Inverse of chart_coords."""
+    return exp_frame(m, _chart_frame(m, i), a)
+
+
 def parallel_transport(m: mt.MetricModel, x, y, v) -> np.ndarray:
     """The paper's parallel transport of a tangent vector v at x along the
     shortest geodesic x -> y, in closed form: the identity in the flat
@@ -116,31 +247,172 @@ def parallel_transport(m: mt.MetricModel, x, y, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if m.kind in ("flat", "torus"):
         return v.copy()
-    lx = m.log(x, y)
+    lx = log(m, x, y)
     d = float(np.linalg.norm(lx))
     if d == 0.0:
         return v.copy()
     u1 = lx / d
-    ly = m.log(y, x)
+    ly = log(m, y, x)
     u2 = -ly / float(np.linalg.norm(ly))
     along = float(np.dot(v, u1))
     return v - along * u1 + along * u2
 
 
-def align_frame(m: mt.MetricModel, frame_at_x: mt.Frame, y) -> mt.Frame:
+def align_frame(m: mt.MetricModel, frame_at_x: Frame, y) -> Frame:
     """The paper's alignment of frames: the frame at y aligned with
     frame_at_x, by parallel transport of its axes along the geodesic
     followed by Gram-Schmidt correction."""
     y = np.asarray(y, dtype=float)
     if m.kind in ("flat", "torus"):
-        return mt.Frame(base=y, axes=frame_at_x.axes.copy())
-    if m.distance(frame_at_x.base, y) >= m.injectivity_radius():
+        return Frame(base=y, axes=frame_at_x.axes.copy())
+    if distance(m, frame_at_x.base, y) >= injectivity_radius(m):
         raise OutOfChartError("cannot align across an antipodal pair")
     moved = np.vstack([
         parallel_transport(m, frame_at_x.base, y, ax) for ax in frame_at_x.axes
     ])
     axes, _ = gram_schmidt_correct(moved)
-    return mt.Frame(base=y, axes=axes)
+    return Frame(base=y, axes=axes)
+
+
+@dataclass(frozen=True)
+class DistortionReport:
+    """Measured deviations for the four approximate-Euclidean conditions.
+
+    metric_deviation    -- max |g_jk(a) - delta_jk|       (threshold eps/n^2)
+    geodesic_deviation  -- max d(exp(a), affine(a))/|a|   (threshold eps)
+    chord_deviation     -- max d(sigma(t), tau(t))/d(y0,y1)  (threshold eps)
+    volume_deviation    -- max |Vol D(s) - Vol_g D_g(s)|/s^n (threshold eps)
+    """
+
+    metric_deviation: float
+    geodesic_deviation: float
+    chord_deviation: float
+    volume_deviation: float
+    passed: bool
+
+
+def _sample_disk(rng, n: int, lam: float, count: int) -> np.ndarray:
+    """Deterministic samples in D(lam) biased to include the boundary."""
+    dirs = rng.normal(size=(count, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = lam * np.maximum(rng.uniform(size=count) ** (1.0 / n), 1e-3)
+    radii[: max(4, count // 4)] = lam  # boundary samples stress the bounds
+    return dirs * radii[:, None]
+
+
+def _metric_tensor_deviation(m, frame, samples):
+    """Max entrywise deviation of the Gauss-normal-form metric from identity."""
+    h = 1e-5 * max(1.0, float(np.max(np.linalg.norm(samples, axis=1))))
+    worst = 0.0
+    n = m.n
+    for a in samples:
+        cols = []
+        for j in range(n):
+            da = np.zeros(n)
+            da[j] = h
+            cols.append((exp_frame(m, frame, a + da) - exp_frame(m, frame, a - da)) / (2 * h))
+        jac = np.column_stack(cols)
+        g = jac.T @ jac
+        worst = max(worst, float(np.max(np.abs(g - np.eye(n)))))
+    return worst
+
+
+def _chart_differential(m, i, frame):
+    """Columns: pushforward of the frame axes into chart-i coordinates."""
+    h = 1e-6 * (m.radius if m.kind == "sphere" else 1.0)
+    cols = []
+    for ax in frame.axes:
+        p_plus = exp(m, frame.base, h * ax)
+        p_minus = exp(m, frame.base, -h * ax)
+        cols.append((chart_coords(m, i, p_plus) - chart_coords(m, i, p_minus)) / (2 * h))
+    return np.column_stack(cols)
+
+
+def check_approx_euclidean(m: mt.MetricModel, frame: Frame, lam: float, eps: float,
+                           sample_count: int = 128, rng=None) -> DistortionReport:
+    """Measure the four approximate-Euclidean conditions for geodesic
+    coordinates at frame.base, working radius lam, target accuracy eps.
+
+    The geodesic and chord conditions are measured in every ambient chart
+    whose domain contains D(base, lam); the metric-tensor condition in the
+    Gauss normal form of the frame itself.
+    """
+    if lam > m.convexity_radius() / 2 and m.kind != "flat":
+        raise OutOfChartError("lambda exceeds half the convexity radius")
+    n = m.n
+    if m.kind in ("flat", "torus"):
+        # exp is affine and charts are translations: all deviations vanish.
+        return DistortionReport(0.0, 0.0, 0.0, 0.0, True)
+
+    rng = np.random.default_rng(12345) if rng is None else rng
+    quarter = max(8, sample_count // 4)
+
+    dev1 = _metric_tensor_deviation(m, frame, _sample_disk(rng, n, lam, quarter))
+
+    charts = charts_containing(m, frame.base, lam)
+    if not charts:
+        raise OutOfChartError("no chart contains the working disk")
+
+    dev2 = 0.0
+    dev3 = 0.0
+    pair_a = _sample_disk(rng, n, lam, quarter)
+    pair_b = _sample_disk(rng, n, lam, quarter)
+    ts = np.array([0.25, 0.5, 0.75])
+    for i in charts:
+        f_push = _chart_differential(m, i, frame)
+        x_t = chart_coords(m, i, frame.base)
+        for a in _sample_disk(rng, n, lam, quarter):
+            na = float(np.linalg.norm(a))
+            if na == 0.0:
+                continue
+            p = exp_frame(m, frame, a)
+            q = chart_point(m, i, x_t + f_push @ a)
+            dev2 = max(dev2, distance(m, p, q) / na)
+        for a0, a1 in zip(pair_a, pair_b):
+            y0 = exp_frame(m, frame, a0)
+            y1 = exp_frame(m, frame, a1)
+            d01 = distance(m, y0, y1)
+            if d01 < 1e-9 * lam:
+                continue
+            c0 = chart_coords(m, i, y0)
+            c1 = chart_coords(m, i, y1)
+            for t in ts:
+                sigma = geodesic(m, y0, y1, float(t))
+                tau = chart_point(m, i, (1 - t) * c0 + t * c1)
+                dev3 = max(dev3, distance(m, sigma, tau) / d01)
+
+    dev4 = 0.0
+    for s in np.linspace(lam / 4, lam, 8):
+        vol_g = 2.0 * math.pi * m.radius**2 * (1.0 - math.cos(s / m.radius))
+        vol_e = unit_ball_volume(n) * s**n
+        dev4 = max(dev4, abs(vol_e - vol_g) / s**n)
+
+    passed = (
+        dev1 <= eps / n**2 and dev2 <= eps and dev3 <= eps and dev4 <= eps
+    )
+    return DistortionReport(dev1, dev2, dev3, dev4, passed)
+
+
+def _lambda_probe_frames(m: mt.MetricModel, lam: float):
+    """Base points and frames spanning the chart offsets used by the search."""
+    out = []
+    center = chart_center(m, 0)
+    cf = standard_frame(m, center)
+    max_off = m.chart_radius - lam
+    for off in (0.0, 0.35, 0.7, 1.0, 1.15):
+        off_len = min(off * m.radius, max_off * 0.999)
+        for direction in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
+            base = exp_frame(m, cf, off_len * direction)
+            fr = standard_frame(m, base)
+            out.append(fr)
+            # one rotated frame to vary the axes
+            c, s = math.cos(0.63), math.sin(0.63)
+            rot = np.vstack([c * fr.axes[0] + s * fr.axes[1],
+                             -s * fr.axes[0] + c * fr.axes[1]])
+            out.append(Frame(base=base, axes=rot))
+            if off == 0.0:
+                break
+    return out
 
 
 def check_eps_isometry(map_fn, domain_samples, eps: float, metric: mt.MetricModel | None = None) -> bool:
@@ -152,7 +424,7 @@ def check_eps_isometry(map_fn, domain_samples, eps: float, metric: mt.MetricMode
         def dist(a, b):
             return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
     else:
-        dist = metric.distance
+        dist = functools.partial(distance, metric)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if abs(dist(imgs[i], imgs[j]) - dist(pts[i], pts[j])) > eps:
@@ -192,7 +464,7 @@ def estimate_var_div(family, r: float, samples, metric: mt.MetricModel | None = 
         def dist(a, b):
             return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
     else:
-        dist = metric.distance
+        dist = functools.partial(distance, metric)
     pts = [np.asarray(p, dtype=float) for p in samples]
     params = list(family.params)
     images = {p: [transport(family, p, y) for y in pts] for p in params}
@@ -272,7 +544,7 @@ def voronoi_cell(net: tess.Net, i: int, metric) -> VoronoiCell:
     if flat:
         d = np.linalg.norm(p - site, axis=1)
     else:
-        d = np.array([metric.distance(site, q) for q in p])
+        d = np.array([distance(metric, site, q) for q in p])
     nbrs = tuple(j for j in np.nonzero(d <= 4.0 * net.d2)[0] if j != i)
     halfspaces = None
     if flat:
@@ -369,5 +641,5 @@ def realize_simplex(metric, bary, vertex_points) -> np.ndarray:
         base = cone(prefix, verts[:-1])
         if metric is None or metric.kind == "flat":
             return (1.0 - wk) * base + wk * verts[-1]
-        return metric.exp(base, wk * metric.log(base, verts[-1]))
+        return exp(metric, base, wk * log(metric, base, verts[-1]))
     return cone(b, v)

@@ -69,15 +69,19 @@ class Net:
     def closest_pair(self):
         """(distance, i, j): the exact least distance between two sites
         (metric of the ambient chart), with i the first site attaining it
-        and j its nearest; (inf, None, None) below two sites."""
-        from scipy.spatial import cKDTree
+        and j its nearest; (inf, None, None) below two sites.  Queried once
+        per net object, which keeps the result."""
+        if "_closest_pair" not in self.__dict__:
+            p = self.points
+            pair = (np.inf, None, None)
+            if len(p) >= 2:
+                from scipy.spatial import cKDTree
 
-        p = self.points
-        if len(p) < 2:
-            return np.inf, None, None
-        d, j = cKDTree(p).query(p, k=2)
-        i = int(np.argmin(d[:, 1]))
-        return float(d[i, 1]), i, int(j[i, 1])
+                d, j = cKDTree(p).query(p, k=2)
+                i = int(np.argmin(d[:, 1]))
+                pair = (float(d[i, 1]), i, int(j[i, 1]))
+            object.__setattr__(self, "_closest_pair", pair)
+        return self._closest_pair
 
     def interior_mask(self) -> np.ndarray:
         """Sites whose cell provably stays inside the region: inward

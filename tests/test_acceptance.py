@@ -261,16 +261,16 @@ def test_criterion_09_riemannian_certification():
     m = mt.MetricModel.sphere(1.0)
     eps = 0.01
     lam = mt.find_lambda_eps(m, eps)
-    # audit with fresh samples over the same frame set the search covers
+    # audit the closed form with fresh samples over the probe frames
     fresh_ok = True
     broken = False
-    for k, frame in enumerate(mt._lambda_probe_frames(m, lam)):
-        rep = mt.check_approx_euclidean(m, frame, lam, eps, sample_count=1000,
-                                        rng=np.random.default_rng(900 + k))
+    for k, frame in enumerate(paper._lambda_probe_frames(m, lam)):
+        rep = paper.check_approx_euclidean(m, frame, lam, eps, sample_count=1000,
+                                           rng=np.random.default_rng(900 + k))
         fresh_ok = fresh_ok and bool(rep.passed)
-        rep2 = mt.check_approx_euclidean(m, frame, 2.0 * lam, eps,
-                                         sample_count=1000,
-                                         rng=np.random.default_rng(7900 + k))
+        rep2 = paper.check_approx_euclidean(m, frame, 2.0 * lam, eps,
+                                            sample_count=1000,
+                                            rng=np.random.default_rng(7900 + k))
         broken = broken or rep2.geodesic_deviation > eps \
             or rep2.chord_deviation > eps
     ok = lam > 0 and fresh_ok and broken

@@ -14,6 +14,7 @@ import pytest
 import delone
 from delone import cli, jsonio
 from delone import constants as consts
+from delone import metrics as mt
 from delone import netsynth as nsy
 from delone import tessellation as tess
 from delone.errors import UnsupportedDimError
@@ -177,14 +178,23 @@ class TestBadInputs:
 
 
 class TestConstantsCommand:
-    def test_sphere_names_the_working_radius(self, tmp_path, capsys):
-        capsys.readouterr()
-        out = tmp_path / "b.json"
-        rc = cli.main(["constants", "--metric", "sphere:1", "--out", str(out)])
-        assert rc == 1
-        assert not out.exists()
-        err = _one_line_error(capsys)
-        assert "bundle.rF" in err and "lambda_eps0" in err and "sphere:1.0" in err
+    def test_sphere_bundle_runs_the_pipeline(self, tmp_path):
+        """At the practical eps0 the sphere's working radius is the closed
+        form, and its bundle runs every command on a 3 rF box."""
+        b, n, c, ce = (str(tmp_path / x) for x in
+                       ("bundle.json", "net.json", "cx.json", "cert.json"))
+        assert cli.main(["constants", "--metric", "sphere:1", "--out", b]) == 0
+        bundle = jsonio.bundle_from_dict(jsonio.read(b))
+        assert bundle.rF == mt.find_lambda_eps(mt.MetricModel.sphere(1.0), bundle.eps0)
+        assert bundle.rF == pytest.approx(1.9642e-12, rel=1e-4)
+        side = 3.0 * bundle.rF
+        assert cli.main(["synthesize", "--bundle", b, "--box", f"0,0,{side!r},{side!r}",
+                         "--seed", "1", "--out", n]) == 0
+        assert cli.main(["triangulate", "--net", n, "--out", c]) == 0
+        assert cli.main(["certify", "--net", n, "--complex", c, "--bundle", b,
+                         "--family-depth", "2", "--out", ce]) == 0
+        assert cli.main(["duality-check", "--net", n, "--complex", c]) == 0
+        assert jsonio.read(ce)["pass"] is True
 
     def test_writes_valid_bundle(self, tmp_path):
         out = tmp_path / "bundle.json"
@@ -282,6 +292,25 @@ class TestPipeline:
         assert rc == 0
         cert = jsonio.read(out)
         assert cert["pass"] is True
+
+    def test_certify_queries_the_separation_once(self, tiny_files, tmp_path,
+                                                 monkeypatch):
+        # the loader's net keeps its closest pair, which certification reuses
+        import scipy.spatial
+
+        queries = []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queries.extend([len(x)] if k == 2 else [])  # Net.closest_pair's k
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        rc = cli.main(["certify", "--net", tiny_files["net"],
+                       "--complex", tiny_files["cx"], "--bundle", tiny_files["bundle"],
+                       "--family-depth", "1", "--out", str(tmp_path / "cert.json")])
+        assert rc == 0
+        assert queries == [len(jsonio.read(tiny_files["net"])["points"])]
 
     def test_certify_adversarial_fails(self, tiny_files, tmp_path):
         out = tmp_path / "cert_bad.json"
@@ -563,6 +592,7 @@ def test_cli_does_not_import_scipy_optimize(tmp_path):
 import sys
 from delone import cli, jsonio
 from delone import constants as consts
+from delone import metrics as mt
 bundle, net = sys.argv[1], sys.argv[2]
 assert cli.main(["constants", "--out", bundle]) == 0
 rF = jsonio.read(bundle)["rF"]

@@ -1,5 +1,6 @@
 import math
-
+import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -15,19 +16,19 @@ from delone.errors import IllConditionedError, OutOfChartError, ValidationError
 class TestDistances:
     def test_sphere_quarter_great_circle(self):
         m = mt.MetricModel.sphere(1.0)
-        assert m.distance([1, 0, 0], [0, 1, 0]) == pytest.approx(math.pi / 2)
+        assert paper.distance(m, [1, 0, 0], [0, 1, 0]) == pytest.approx(math.pi / 2)
 
     def test_sphere_scales_with_radius(self):
         m = mt.MetricModel.sphere(3.0)
-        assert m.distance([3, 0, 0], [0, 3, 0]) == pytest.approx(1.5 * math.pi)
+        assert paper.distance(m, [3, 0, 0], [0, 3, 0]) == pytest.approx(1.5 * math.pi)
 
     def test_torus_wraparound(self):
         m = mt.MetricModel.flat_torus((1.0, 1.0))
-        assert m.distance([0.05, 0.5], [0.85, 0.5]) == pytest.approx(0.2)
+        assert paper.distance(m, [0.05, 0.5], [0.85, 0.5]) == pytest.approx(0.2)
 
     def test_flat(self):
         m = mt.MetricModel.flat(2)
-        assert m.distance([0, 0], [3, 4]) == pytest.approx(5.0)
+        assert paper.distance(m, [0, 0], [3, 4]) == pytest.approx(5.0)
 
     def test_metric_axioms_sampled(self):
         rng = np.random.default_rng(0)
@@ -45,17 +46,17 @@ class TestDistances:
         for m in models:
             for _ in range(50):
                 x, y, z = sample(m), sample(m), sample(m)
-                dxy = m.distance(x, y)
+                dxy = paper.distance(m, x, y)
                 assert dxy >= 0
-                assert dxy == pytest.approx(m.distance(y, x), abs=1e-12)
-                assert m.distance(x, x) == pytest.approx(0.0, abs=1e-12)
-                assert dxy <= m.distance(x, z) + m.distance(z, y) + 1e-9
+                assert dxy == pytest.approx(paper.distance(m, y, x), abs=1e-12)
+                assert paper.distance(m, x, x) == pytest.approx(0.0, abs=1e-12)
+                assert dxy <= paper.distance(m, x, z) + paper.distance(m, z, y) + 1e-9
 
 
 class TestExpLog:
     def test_flat_exp_is_translation(self):
         m = mt.MetricModel.flat(2)
-        assert np.allclose(m.exp([1.0, 2.0], [0.5, -0.5]), [1.5, 1.5])
+        assert np.allclose(paper.exp(m, [1.0, 2.0], [0.5, -0.5]), [1.5, 1.5])
 
     def test_round_trips(self):
         rng = np.random.default_rng(1)
@@ -74,18 +75,18 @@ class TestExpLog:
                 else:
                     x = rng.standard_normal(2)
                     v = rng.standard_normal(2)
-                y = m.exp(x, v)
-                assert np.allclose(m.log(x, y), v, atol=1e-9)
-                assert m.distance(x, y) == pytest.approx(np.linalg.norm(v), abs=1e-9)
+                y = paper.exp(m, x, v)
+                assert np.allclose(paper.log(m, x, y), v, atol=1e-9)
+                assert paper.distance(m, x, y) == pytest.approx(np.linalg.norm(v), abs=1e-9)
 
     def test_sphere_exp_beyond_injectivity_raises(self):
         m = mt.MetricModel.sphere(1.0)
         with pytest.raises(OutOfChartError):
-            m.exp([1.0, 0.0, 0.0], [0.0, 3.2, 0.0])
+            paper.exp(m, [1.0, 0.0, 0.0], [0.0, 3.2, 0.0])
 
     def test_geodesic_midpoint(self):
         m = mt.MetricModel.sphere(1.0)
-        mid = m.geodesic([1, 0, 0], [0, 1, 0], 0.5)
+        mid = paper.geodesic(m, [1, 0, 0], [0, 1, 0], 0.5)
         assert np.allclose(mid, [math.sqrt(0.5), math.sqrt(0.5), 0.0], atol=1e-12)
 
     def test_parallel_transport_preserves_norm(self):
@@ -197,14 +198,14 @@ class TestGramSchmidt:
 class TestAlignFrame:
     def test_flat_identity(self):
         m = mt.MetricModel.flat(2)
-        fr = mt.standard_frame(m, [0.0, 0.0])
+        fr = paper.standard_frame(m, [0.0, 0.0])
         moved = paper.align_frame(m, fr, [5.0, 5.0])
         assert np.allclose(moved.axes, fr.axes)
         assert np.allclose(moved.base, [5.0, 5.0])
 
     def test_sphere_orthonormal_and_tangent(self):
         m = mt.MetricModel.sphere(1.0)
-        fr = mt.standard_frame(m, [0.0, 0.0, 1.0])
+        fr = paper.standard_frame(m, [0.0, 0.0, 1.0])
         y = np.array([0.0, math.sin(0.4), math.cos(0.4)])
         moved = paper.align_frame(m, fr, y)
         assert np.allclose(moved.axes @ moved.axes.T, np.eye(2), atol=1e-12)
@@ -212,8 +213,8 @@ class TestAlignFrame:
 
     def test_sphere_small_move_small_rotation(self):
         m = mt.MetricModel.sphere(1.0)
-        fr = mt.standard_frame(m, [0.0, 0.0, 1.0])
-        y = m.exp(fr.base, 1e-3 * fr.axes[0])
+        fr = paper.standard_frame(m, [0.0, 0.0, 1.0])
+        y = paper.exp(m, fr.base, 1e-3 * fr.axes[0])
         moved = paper.align_frame(m, fr, y)
         assert np.max(np.abs(moved.axes - fr.axes)) < 1e-2
 
@@ -221,29 +222,29 @@ class TestAlignFrame:
 class TestApproxEuclidean:
     def test_flat_exact(self):
         m = mt.MetricModel.flat(2)
-        rep = mt.check_approx_euclidean(m, mt.standard_frame(m, [0.0, 0.0]),
-                                        10.0, 1e-9)
+        rep = paper.check_approx_euclidean(m, paper.standard_frame(m, [0.0, 0.0]),
+                                           10.0, 1e-9)
         assert rep.passed
         assert rep.metric_deviation == 0.0
         assert rep.chord_deviation == 0.0
 
     def test_torus_exact(self):
         m = mt.MetricModel.flat_torus((1.0, 1.0))
-        rep = mt.check_approx_euclidean(m, mt.standard_frame(m, [0.5, 0.5]),
-                                        0.1, 1e-9)
+        rep = paper.check_approx_euclidean(m, paper.standard_frame(m, [0.5, 0.5]),
+                                           0.1, 1e-9)
         assert rep.passed
 
     def test_sphere_large_lambda_fails(self):
         m = mt.MetricModel.sphere(3.0)
-        fr = mt.standard_frame(m, m.chart_center(0))
-        rep = mt.check_approx_euclidean(m, fr, 1.0, 0.01)
+        fr = paper.standard_frame(m, paper.chart_center(m, 0))
+        rep = paper.check_approx_euclidean(m, fr, 1.0, 0.01)
         assert not rep.passed
 
     def test_sphere_lambda_beyond_chart_raises(self):
         m = mt.MetricModel.sphere(1.0)
-        fr = mt.standard_frame(m, m.chart_center(0))
+        fr = paper.standard_frame(m, paper.chart_center(m, 0))
         with pytest.raises(OutOfChartError):
-            mt.check_approx_euclidean(m, fr, 0.9 * m.convexity_radius(), 0.01)
+            paper.check_approx_euclidean(m, fr, 0.9 * m.convexity_radius(), 0.01)
 
 
 class TestFindLambdaEps:
@@ -258,6 +259,66 @@ class TestFindLambdaEps:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             mt.find_lambda_eps(mt.MetricModel.flat(2), 0.0)
+
+    def test_sphere_closed_form(self):
+        m = mt.MetricModel.sphere(1.0)
+        lam = mt.find_lambda_eps(m, 0.01)
+        s, c = math.sin(1.45), math.cos(1.45)
+        assert 0 < 2 * 0.01 * s * s / (1.45 - s * c) - lam <= 1e-12 * lam
+        t0 = time.perf_counter()
+        for _ in range(100):
+            mt.find_lambda_eps(m, 0.01)
+        assert time.perf_counter() - t0 < 0.1  # under 1 ms a call
+
+    @pytest.mark.parametrize("radius", [1e-2, 0.2, 1.0, 3.0, 1e2])
+    @pytest.mark.parametrize("eps", [1.3258247124928244e-12, 1e-4, 0.01, 0.05, 0.3, 10.0])
+    def test_sphere_rounded_down_from_the_exact_bound(self, radius, eps):
+        m = mt.MetricModel.sphere(radius)
+        exact = _exact_sphere_lambda(m, eps)
+        lam = Decimal(mt.find_lambda_eps(m, eps))
+        assert exact * (1 - Decimal("1e-13")) <= lam <= exact
+
+    def test_sphere_proof_inequalities(self):
+        """The proof's two facts on [0, rho]: M increases, and B^2 <= 2 M^2
+        for the tangential acceleration factor B = 2(1 - r cot r)/sin r."""
+        r = np.linspace(1e-3, 1.45, 10_000)
+        s, c = np.sin(r), np.cos(r)
+        big_m = (r - s * c) / s**2
+        b = 2.0 * (1.0 - r * c / s) / s
+        assert np.all(np.diff(big_m) > 0)
+        assert np.all(b**2 <= 2.0 * big_m**2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(min_value=-2.0, max_value=2.0),
+           st.floats(min_value=-4.0, max_value=math.log10(0.05)),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sphere_sound_under_the_audit(self, log_radius, log_eps, reach, heading,
+                                          turn, seed):
+        """At lambda the sampled geodesic and chord deviations stay within
+        eps for bases up to chart_radius - lambda from a chart's center and
+        rotated frames.  Below eps = 1e-4 the audit's finite differences
+        (h = 1e-6 R) are too coarse to test against."""
+        m = mt.MetricModel.sphere(10.0**log_radius)
+        eps = 10.0**log_eps
+        lam = mt.find_lambda_eps(m, eps)
+        frame = _chart_frame_at(m, reach * (1.0 - 1e-9) * (m.chart_radius - lam),
+                                heading, turn)
+        rep = paper.check_approx_euclidean(m, frame, lam, eps, sample_count=64,
+                                           rng=np.random.default_rng(seed))
+        assert rep.geodesic_deviation <= eps
+        assert rep.chord_deviation <= eps
+
+    @pytest.mark.parametrize("radius,eps", [(1.0, 0.01), (3.0, 1e-3), (0.2, 0.03)])
+    def test_sphere_tight_at_the_chart_edge(self, radius, eps):
+        m = mt.MetricModel.sphere(radius)
+        lam = mt.find_lambda_eps(m, eps)
+        frame = _chart_frame_at(m, (1.0 - 1e-9) * (m.chart_radius - lam), 0.3, 0.0)
+        rep = paper.check_approx_euclidean(m, frame, lam, eps, sample_count=400,
+                                           rng=np.random.default_rng(11))
+        assert 0.9 * eps <= rep.geodesic_deviation <= eps
 
 
 class TestEpsIsometry:
@@ -354,3 +415,29 @@ def _cholesky_frame_deviation(s, delta):
     """Deviation of ``gram_schmidt_correct`` on the frame cholesky(I + delta S)^T."""
     f = np.linalg.cholesky(np.eye(len(s)) + delta * s).T
     return paper.gram_schmidt_correct(f)[1]
+
+
+def _exact_sphere_lambda(m, eps):
+    """``find_lambda_eps``'s closed form for the sphere m at 50 digits, with
+    sin and cos summed as Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rho = Decimal(m.chart_radius) / Decimal(m.radius)
+        s = sum((-1) ** k * rho ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(40))
+        c = sum((-1) ** k * rho ** (2 * k) / math.factorial(2 * k) for k in range(40))
+        pi = Decimal("3.14159265358979323846264338327950288419716939937511")
+        e = Decimal(eps)
+        lam = min(2 * e * s * s / (rho - s * c), (3 * e / 4).sqrt(), (12 * e / pi).sqrt(),
+                  pi / 8)
+        return Decimal(m.radius) * lam
+
+
+def _chart_frame_at(m, offset, heading, turn):
+    """The standard frame, turned by ``turn``, at chart distance ``offset``
+    from chart 0's center in direction ``heading``."""
+    center = paper.standard_frame(m, paper.chart_center(m, 0))
+    base = paper.exp_frame(m, center, offset * np.array([math.cos(heading),
+                                                         math.sin(heading)]))
+    axes = paper.standard_frame(m, base).axes
+    c, s = math.cos(turn), math.sin(turn)
+    return paper.Frame(base=base, axes=np.array([[c, s], [-s, c]]) @ axes)

@@ -792,7 +792,7 @@ class TestBarycentricRealize:
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
         out = paper.realize_simplex(m, [0.5, 0.5], [a, b])
-        assert np.allclose(out, m.geodesic(a, b, 0.5), atol=1e-12)
+        assert np.allclose(out, paper.geodesic(m, a, b, 0.5), atol=1e-12)
 
     def test_bad_barycentric_rejected(self):
         with pytest.raises(ValueError):
