@@ -229,19 +229,17 @@ def render_svg(net: tess.Net, cx: tess.DelaunayComplex | None,
     size = 800.0
     scale = size / span
 
-    def sx(p):
-        return (p[0] - lo[0]) * scale
-
-    def sy(p):
-        return size - (p[1] - lo[1]) * scale
+    def screen(p):
+        """Screen coordinates (x right, y down) of the points p (k, 2)."""
+        return np.column_stack([(p[:, 0] - lo[0]) * scale,
+                                size - (p[:, 1] - lo[1]) * scale])
 
     bad = set()
     if certificate:
-        for rec in certificate.get("per_simplex", []):
-            margins = [v for k, v in rec.items()
-                       if k.endswith("margin") and isinstance(v, (int, float))]
-            if any(m < 0 for m in margins):
-                bad.add(tuple(rec["simplex"]))
+        columns = certificate.get("per_simplex", {})
+        failed = [np.asarray(col, dtype=float) < 0 for key, col in columns.items()
+                  if key.endswith("_margin")]
+        bad = {tuple(columns["simplex"][i]) for i in np.flatnonzero(np.any(failed, axis=0))}
         worst = certificate.get("worst", {})
         if isinstance(worst.get("simplex"), (list, tuple)) and \
                 isinstance(worst.get("margin"), (int, float)) and worst["margin"] < 0:
@@ -252,26 +250,26 @@ def render_svg(net: tess.Net, cx: tess.DelaunayComplex | None,
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
+    xy = screen(pts)
     if cx is not None:
         verts, centers, _ = cx.top_arrays(net.dim)
         edges, count, parents = tess.facets(verts)
-        for a, b in pts[edges]:
+        for (x1, y1), (x2, y2) in xy[edges].tolist():
             parts.append(
-                f'<line x1="{sx(a):.2f}" y1="{sy(a):.2f}" x2="{sx(b):.2f}" '
-                f'y2="{sy(b):.2f}" stroke="#7799cc" stroke-width="1"/>')
+                f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+                f'y2="{y2:.2f}" stroke="#7799cc" stroke-width="1"/>')
         # Voronoi edges: segments between circumcenters of edge-adjacent tops
-        for c1, c2 in centers[parents[count == 2]]:
+        for (x1, y1), (x2, y2) in screen(centers)[parents[count == 2]].tolist():
             parts.append(
-                f'<line x1="{sx(c1):.2f}" y1="{sy(c1):.2f}" x2="{sx(c2):.2f}" '
-                f'y2="{sy(c2):.2f}" stroke="#cc9944" stroke-width="0.7"/>')
+                f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+                f'y2="{y2:.2f}" stroke="#cc9944" stroke-width="0.7"/>')
         for row in verts.tolist():
             if tuple(row) in bad:
-                poly = " ".join(f"{sx(pts[v]):.2f},{sy(pts[v]):.2f}" for v in row)
+                poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in xy[row].tolist())
                 parts.append(f'<polygon points="{poly}" fill="rgba(220,40,40,0.45)" '
                              f'stroke="#cc2222" stroke-width="2"/>')
-    for p in pts:
-        parts.append(f'<circle cx="{sx(p):.2f}" cy="{sy(p):.2f}" r="2.5" '
-                     f'fill="#223355"/>')
+    for x, y in xy.tolist():
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="#223355"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

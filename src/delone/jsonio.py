@@ -3,10 +3,11 @@ certificates, and the one writer of every artifact file.
 
 One object per file, schema version field "v" (``SCHEMA_VERSIONS``, which
 each artifact's writer and loader both read: 1; 2 for the complex, which
-holds its top simplices only; 3 for the certificate), numbers via the shortest
-round-trip float representation, keys sorted: identical inputs produce
-byte-identical files.  Each schema is written and read here alone.  Loading
-re-validates every type invariant and reports violations with field paths.
+holds its top simplices only; 4 for the certificate, which stores
+``per_simplex`` by columns), numbers via the shortest round-trip float
+representation, keys sorted: identical inputs produce byte-identical files.
+Each schema is written and read here alone.  Loading re-validates every type
+invariant and reports violations with field paths.
 
 ``write_text`` is the one writer of artifact files (the CLI's JSON and its
 SVG).  It overwrites a file in place: it writes the new bytes over the old
@@ -33,6 +34,7 @@ import stat
 import numpy as np
 
 from . import constants as consts
+from . import linalg
 from . import netsynth as nsy
 from . import tessellation as tess
 from .errors import ValidationError
@@ -43,7 +45,7 @@ from .errors import ValidationError
 MAX_COORDINATE = 1e150
 
 #: The schema version "v" of each artifact, written and required on load.
-SCHEMA_VERSIONS = {"net": 1, "complex": 2, "bundle": 1, "certificate": 3}
+SCHEMA_VERSIONS = {"net": 1, "complex": 2, "bundle": 1, "certificate": 4}
 
 
 def dumps(obj: dict) -> str:
@@ -157,6 +159,9 @@ def region_from_dict(d: dict, path: str = "region") -> nsy.Region:
 def net_from_dict(d: dict) -> tess.Net:
     _check_version(d, "net")
     dim = _require(d, "dim", int, "net")
+    if not 1 <= dim <= linalg.MAX_DIM:
+        raise ValidationError(f"dim must be in [1, {linalg.MAX_DIM}], got {dim}",
+                              path="net.dim")
     d1 = _require_number(d, "d1", "net")
     d2 = _require_number(d, "d2", "net")
     raw = _require(d, "points", list, "net")
@@ -310,36 +315,35 @@ def bundle_from_dict(d: dict) -> consts.ConstantBundle:
 def certificate_to_dict(cert: nsy.StabilityCertificate) -> dict:
     return {"v": SCHEMA_VERSIONS["certificate"], "pass": cert.ok, "worst": cert.worst,
             "family": dict(cert.family),
-            "per_simplex": [dict(d) for d in cert.per_simplex],
+            "per_simplex": {k: col.tolist() for k, col in cert.per_simplex.items()},
             "budget": dict(cert.budget)}
 
 
-def _check_simplex(v, path: str) -> None:
-    if not (isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool)
-                                        for x in v)):
-        raise ValidationError("simplex must be a list of integers", path=path)
+def _integers(v) -> bool:
+    """Whether v is a list of JSON integers (not bools)."""
+    return isinstance(v, list) and set(map(type, v)) <= {int}
 
 
 def certificate_from_dict(d: dict) -> dict:
     """Check a certificate as ``render`` reads it and return it: its version
-    (3, the schema that names the family by ``depth`` and ``seed``), a bool
-    ``pass``, a ``worst`` object, ``family`` and ``budget`` objects, and
-    ``per_simplex`` records that each name a ``simplex`` of integers and
-    carry numeric ``*_margin`` values."""
+    (4, the schema that stores ``per_simplex`` by columns), a bool ``pass``,
+    a ``worst`` object, ``family`` and ``budget`` objects, and ``per_simplex``
+    columns: ``simplex``, a list of integer rows, and each ``*_margin``
+    column a list of as many numbers."""
     _check_version(d, "certificate")
     _require(d, "pass", bool, "certificate")
     _require(d, "family", dict, "certificate")
     _require(d, "budget", dict, "certificate")
     worst = _require(d, "worst", dict, "certificate")
-    if worst.get("simplex") is not None:
-        _check_simplex(worst["simplex"], "certificate.worst.simplex")
-    for i, rec in enumerate(_require(d, "per_simplex", list, "certificate")):
-        path = f"certificate.per_simplex[{i}]"
-        if not isinstance(rec, dict):
-            raise ValidationError("expected an object", path=path)
-        _check_simplex(_require(rec, "simplex", list, path), f"{path}.simplex")
-        for key, v in rec.items():
-            if key.endswith("_margin") and (isinstance(v, bool)
-                                            or not isinstance(v, (int, float))):
-                raise ValidationError("margin must be a number", path=f"{path}.{key}")
+    if worst.get("simplex") is not None and not _integers(worst["simplex"]):
+        raise ValidationError("simplex must be a list of integers",
+                              path="certificate.worst.simplex")
+    columns = _require(d, "per_simplex", dict, "certificate")
+    path = "certificate.per_simplex"
+    rows = _require(columns, "simplex", list, path)
+    if not all(map(_integers, rows)):
+        raise ValidationError("expected a list of integer rows", path=f"{path}.simplex")
+    for key, col in columns.items():
+        if key.endswith("_margin"):
+            _numbers(col, f"{path}.{key}", len(rows))
     return d

@@ -476,10 +476,9 @@ def forbidden_mask(pts, annuli: Annuli, slabs: Slabs) -> np.ndarray:
 
 
 def excluded_volume_fraction(xi_prime, ball_r, annuli: Annuli, slabs: Slabs,
-                             samples: int = 512, rng=None) -> float:
+                             samples: int, rng: np.random.Generator) -> float:
     """Sampled (Monte-Carlo) fraction of the selection ball covered by the
     forbidden regions; ``excluded_volume_bound`` is the certified figure."""
-    rng = np.random.default_rng(0) if rng is None else rng
     xi = np.asarray(xi_prime, dtype=float)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=samples)
     r = ball_r * np.sqrt(rng.uniform(size=samples))
@@ -539,11 +538,11 @@ def select_point(xi_prime, forbidden, rng, ball_r: float):
 class _Buckets:
     """Uniform spatial hash over the growing net for local queries."""
 
-    def __init__(self, cell: float, dim: int = 2):
+    def __init__(self, cell: float):
         self.cell = cell
         self.map: dict = {}
         self.count = 0
-        self.arr = np.zeros((256, dim))
+        self.arr = np.zeros((256, 2))
 
     def add(self, p):
         key = (int(math.floor(p[0] / self.cell)),
@@ -651,15 +650,15 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
     domain = K.expand(2.0 * bundle.d2)
     lo, hi = domain.bounding_box()
     h = rF / 200.0
-    nx, ny = (int(math.floor((hi[k] - lo[k]) / h)) + 1 for k in range(2))
-    # the front holds one byte per node
-    front_bytes = nx * ny
+    # the node count as a float, inf for a huge box, before any int()
+    with np.errstate(over="ignore"):
+        nodes = float(np.prod(np.floor((hi - lo) / h) + 1.0))
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if front_bytes > memory:
+    if nodes > memory:  # the front holds one byte per node
         raise ValidationError(
-            f"the synthesis grid has {nx * ny} nodes, whose front needs "
-            f"{front_bytes} bytes, more than the {memory} bytes of physical "
-            f"memory", path="region.bounds")
+            f"the synthesis grid has {nodes:.4g} nodes, whose front needs as many "
+            f"bytes, more than the {memory} bytes of physical memory", path="region.bounds")
+    nx, ny = (int(math.floor((hi[k] - lo[k]) / h)) + 1 for k in range(2))
     xs = lo[0] + np.arange(nx) * h
     ys = lo[1] + np.arange(ny) * h
     # node clearance (the selection ball must fit inside the domain) becomes
@@ -741,7 +740,7 @@ class StabilityCertificate:
 
     ok: bool
     worst: dict
-    per_simplex: tuple
+    per_simplex: dict  # column -> array, one row per top simplex
     params_checked: tuple
     family: dict  # {"depth", "seed"}
     budget: dict
@@ -1082,14 +1081,12 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             note("combinatorics", -math.inf, None, param,
                  {"param": param, "symmetric_difference": [list(t) for t in diff[:8]]})
 
-    records = tuple(
-        {"simplex": tuple(row), "robustness_margin": a, "base_clearance_margin": b,
-         "center_drift": c, "radius_drift": r}
-        for row, a, b, c, r in zip(verts.tolist(), rho_m.tolist(), clear_m.tolist(),
-                                   center_drift.tolist(), radius_drift.tolist()))
     if worst["quantity"] is None:
         worst.update(quantity="empty_complex", margin=0.0)
-    return StabilityCertificate(ok=ok, worst=worst, per_simplex=records,
+    columns = {"simplex": verts, "robustness_margin": rho_m,
+               "base_clearance_margin": clear_m, "center_drift": center_drift,
+               "radius_drift": radius_drift}
+    return StabilityCertificate(ok=ok, worst=worst, per_simplex=columns,
                                 params_checked=family.params,
                                 family={"depth": family.depth, "seed": family.seed},
                                 budget=budget)

@@ -19,9 +19,10 @@ through ``qhull_simplices``.  Both branches take every center from
 so they give equal bits.
 The complex is pure and stored by its top simplices alone, which determine
 every face (Boissonnat, Karthik & Tavenas, "Building efficient and compact
-data structures for simplicial complexes", Algorithmica 2017).  Consumers
-read the tops as arrays through ``DelaunayComplex.top_arrays``, and
-codimension-1 faces with their parents come from one kernel, ``facets``.
+data structures for simplicial complexes", Algorithmica 2017), as one
+``TopSimplices`` of arrays per dimension.  Consumers read the tops as
+arrays through ``DelaunayComplex.top_arrays``, and codimension-1 faces with
+their parents come from one kernel, ``facets``.
 Point location has one kernel, ``locate``: it finds the top simplex that
 contains each of a batch of points, and the point's barycentric coordinates
 in it, scanning the simplicial cones of given candidate sites with batched
@@ -31,6 +32,7 @@ in it, scanning the simplicial cones of given candidate sites with batched
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,31 +102,48 @@ class Simplex:
     sphere: CircumSphere
 
 
+@dataclass(frozen=True, eq=False)  # array fields have no truth value
+class TopSimplices(Sequence):
+    """The top simplices of one dimension as arrays (``top_arrays``).  As a
+    sequence, entry i is row i's ``Simplex``, made when it is read, and a
+    slice is the ``TopSimplices`` of the arrays' slices."""
+
+    verts: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+
+    def __len__(self):
+        return len(self.verts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TopSimplices(self.verts[i], self.centers[i], self.radii[i])
+        return Simplex(tuple(self.verts[i].tolist()),
+                       CircumSphere(self.centers[i], float(self.radii[i])))
+
+
 @dataclass(frozen=True)
 class DelaunayComplex:
     """A pure complex, stored by its top simplices only."""
 
-    simplices_by_dim: dict  # n -> list[Simplex], sorted by vertex tuple
+    simplices_by_dim: dict  # n -> TopSimplices, rows in lexicographic order
     regular: bool
 
     @classmethod
     def from_arrays(cls, n: int, verts, centers, radii, regular: bool):
-        """The complex of the top simplices given as arrays, in their order."""
-        top = [Simplex(vertices=tuple(row), sphere=CircumSphere(center=c, radius=r))
-               for row, c, r in zip(verts.tolist(), centers, radii.tolist())]
-        return cls(simplices_by_dim={n: top}, regular=regular)
+        """The complex of the top simplices given as arrays, kept as they are."""
+        return cls(simplices_by_dim={n: TopSimplices(verts, centers, radii)},
+                   regular=regular)
 
-    def top(self, n: int):
-        return self.simplices_by_dim.get(n, [])
+    def top(self, n: int) -> TopSimplices:
+        return self.simplices_by_dim.get(n) or TopSimplices(
+            np.zeros((0, n + 1), dtype=np.int64), np.zeros((0, n)), np.zeros(0))
 
     def top_arrays(self, n: int):
         """The top simplices as arrays (verts, centers, radii): int64 vertex
         rows (t, n+1), circumcenters (t, n) and radii (t,)."""
         top = self.top(n)
-        verts = np.array([s.vertices for s in top], dtype=np.int64).reshape(-1, n + 1)
-        centers = np.array([s.sphere.center for s in top], dtype=float).reshape(-1, n)
-        radii = np.array([s.sphere.radius for s in top], dtype=float)
-        return verts, centers, radii
+        return top.verts, top.centers, top.radii
 
 
 def facets(verts: np.ndarray):

@@ -7,6 +7,7 @@ carries the same condition so the suite stays honest.
 import hashlib
 import itertools
 import math
+import os
 import time
 
 import numpy as np
@@ -328,15 +329,21 @@ NET_3RF_SEED1_SHA256 = "08a27eb565883308a20b52d30096ca5350387792c1480a3ba8e763dd
 ARTIFACTS_3RF_SEED1_SHA256 = {
     "bundle.json": "fcdde416aa1ffc16c213c399f10c871c57a3795f6b850604f0a5a5f8d21474cc",
     "cx.json": "dfa3c9c4c595d60e64630d1a04e5f0702a38106cd04eabeaa88bd998d4a11036",
-    "cert.json": "354a4652be28b95e87a12dadaeefc563425e242b50e833a59339a2bc607a26a6",
+    "cert.json": "be38c05817ad71cf82e0f030130837d2d893a87b771d0932a4e74c2a2ad5d855",
     "net.svg": "07876c055e6e8e325fee7a122bda341f709ad061486e5c7d98dcb601996cae89",
 }
 
 
-def test_criterion_11_net_baseline(tmp_path, bundle2):
+def test_criterion_11_net_baseline(tmp_path, bundle2, monkeypatch):
     # two runs of one tree agree even when both change; this pins the bytes
     b, n, c, ce, sv = (str(tmp_path / x) for x in
                        ("bundle.json", "net.json", "cx.json", "cert.json", "net.svg"))
+
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("a command built a per-top Simplex")
+
+    # every command works on the complex's arrays: none reads a top as an object
+    monkeypatch.setattr(tess, "Simplex", no_simplex)
     side = 3.0 * bundle2.rF
     assert cli.main(["constants", "--dim", "2", "--out", b]) == 0
     assert cli.main(["synthesize", "--bundle", b, "--box", f"0,0,{side!r},{side!r}",
@@ -346,8 +353,11 @@ def test_criterion_11_net_baseline(tmp_path, bundle2):
     assert cli.main(["triangulate", "--net", n, "--out", c]) == 0
     assert cli.main(["certify", "--net", n, "--complex", c, "--bundle", b,
                      "--family-depth", "2", "--out", ce]) == 0
+    assert cli.main(["duality-check", "--net", n, "--complex", c]) == 0
     assert cli.main(["render", "--net", n, "--complex", c, "--certificate", ce,
                      "--out", sv]) == 0
     digests = {x: hashlib.sha256((tmp_path / x).read_bytes()).hexdigest()
                for x in ARTIFACTS_3RF_SEED1_SHA256}
     assert digests == ARTIFACTS_3RF_SEED1_SHA256
+    # per_simplex by columns stores each simplex row once
+    assert os.path.getsize(ce) < os.path.getsize(c)

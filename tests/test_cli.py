@@ -42,6 +42,11 @@ def tiny_files(tmp_path_factory, bundle2, bundle_file):
             "dir": d}
 
 
+def _with_columns(cert: dict, **columns) -> dict:
+    """The certificate dict with the given ``per_simplex`` columns replaced."""
+    return {**cert, "per_simplex": {**cert["per_simplex"], **columns}}
+
+
 class TestExitCodes:
     def test_unknown_command_usage(self, capsys):
         rc = cli.main(["frobnicate"])
@@ -73,7 +78,8 @@ class TestExitCodes:
 
 class TestBadInputs:
     @pytest.mark.parametrize("box", ["0,0,a,1", "0,0,-1,1", "0,0,0,0",
-                                     "0,0,nan,1", "0,0,1,inf"])
+                                     "0,0,nan,1", "0,0,1,inf", "0,0,1e308,1e308",
+                                     "-1e308,-1e308,1e308,1e308"])
     def test_bad_box(self, tmp_path, bundle_file, capsys, box):
         capsys.readouterr()
         out = tmp_path / "net.json"
@@ -83,6 +89,19 @@ class TestBadInputs:
         assert not out.exists()
         err = _one_line_error(capsys)
         assert "--box" in err or "region.bounds" in err
+
+    @pytest.mark.parametrize("dim", [0, 9])
+    @pytest.mark.parametrize("command", ["triangulate", "duality-check", "render"])
+    def test_net_dim_out_of_range(self, tiny_files, tmp_path, capsys, dim, command):
+        bad = tmp_path / "net.json"
+        jsonio.write(bad, {"v": 1, "dim": dim, "d1": 0.1, "d2": 0.2,
+                           "points": [[0.0] * dim, [1.0] * dim]})
+        args = {"triangulate": ["--out", str(tmp_path / "cx.json")],
+                "duality-check": ["--complex", tiny_files["cx"]],
+                "render": ["--out", str(tmp_path / "net.svg")]}[command]
+        capsys.readouterr()
+        assert cli.main([command, "--net", str(bad)] + args) == 1
+        assert "net.dim" in _one_line_error(capsys)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_net_point(self, tiny_files, tmp_path, capsys, value):
@@ -128,12 +147,16 @@ class TestBadInputs:
         (lambda c: {**c, "pass": "yes"}, "certificate.pass"),
         (lambda c: {**c, "worst": []}, "certificate.worst"),
         (lambda c: {**c, "per_simplex": 5}, "certificate.per_simplex"),
-        (lambda c: {**c, "per_simplex": [3]}, "certificate.per_simplex[0]"),
-        (lambda c: {**c, "per_simplex": [{**c["per_simplex"][0], "simplex": [[0]]}]},
-         "certificate.per_simplex[0].simplex"),
-        (lambda c: {**c, "per_simplex": [{**c["per_simplex"][0],
-                                          "robustness_margin": "low"}]},
-         "certificate.per_simplex[0].robustness_margin"),
+        (lambda c: _with_columns(c, simplex=3), "certificate.per_simplex.simplex"),
+        (lambda c: _with_columns(
+            c, simplex=[[0.5, 1, 2]] + c["per_simplex"]["simplex"][1:]),
+         "certificate.per_simplex.simplex"),
+        (lambda c: _with_columns(
+            c, robustness_margin=["low"] + c["per_simplex"]["robustness_margin"][1:]),
+         "certificate.per_simplex.robustness_margin[0]"),
+        (lambda c: _with_columns(
+            c, robustness_margin=c["per_simplex"]["robustness_margin"][1:]),
+         "certificate.per_simplex.robustness_margin"),
     ])
     def test_bad_certificate_for_render(self, tiny_files, tmp_path, capsys,
                                         change, path):
@@ -442,8 +465,10 @@ def _reference_svg(net, cx, certificate):
     def sy(p):
         return size - (p[1] - lo[1]) * scale
 
-    bad = {tuple(rec["simplex"]) for rec in certificate["per_simplex"]
-           if any(v < 0 for k, v in rec.items() if k.endswith("margin"))}
+    columns = certificate["per_simplex"]
+    margins = [col for k, col in columns.items() if k.endswith("_margin")]
+    bad = {tuple(row) for i, row in enumerate(columns["simplex"])
+           if any(col[i] < 0 for col in margins)}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
@@ -482,8 +507,10 @@ class TestRender:
     def test_bytes_equal_to_the_face_dict_renderer(self, small_net_pack, small_complex,
                                                    tmp_path):
         net = small_net_pack["net"]
-        failing = list(small_complex.top(2)[100].vertices)
-        cert = {"per_simplex": [{"simplex": failing, "robustness_margin": -0.01}],
+        verts = small_complex.top_arrays(2)[0]
+        margins = [0.0] * len(verts)
+        margins[100] = -0.01
+        cert = {"per_simplex": {"simplex": verts.tolist(), "robustness_margin": margins},
                 "worst": {}}
         svg = cli.render_svg(net, small_complex, cert)
         assert svg == _reference_svg(net, small_complex, cert)
@@ -491,7 +518,7 @@ class TestRender:
         # and through the files the render command reads
         jsonio.write(tmp_path / "net.json", jsonio.net_to_dict(net))
         jsonio.write(tmp_path / "cx.json", jsonio.complex_to_dict(small_complex, 2))
-        jsonio.write(tmp_path / "cert.json", {**cert, "v": 3, "pass": False,
+        jsonio.write(tmp_path / "cert.json", {**cert, "v": 4, "pass": False,
                                               "family": {}, "budget": {}})
         assert cli.main(["render", "--net", str(tmp_path / "net.json"),
                          "--complex", str(tmp_path / "cx.json"),
@@ -538,8 +565,7 @@ class TestRender:
                        points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                        d1=0.5, d2=0.8)
         cx = tess.build_delaunay(net, None)
-        cert = {"per_simplex": [{"simplex": [0, 1, 2],
-                                 "robustness_margin": -0.01}],
+        cert = {"per_simplex": {"simplex": [[0, 1, 2]], "robustness_margin": [-0.01]},
                 "worst": {}}
         svg = cli.render_svg(net, cx, cert)
         assert "<polygon" in svg

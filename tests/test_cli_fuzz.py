@@ -64,8 +64,8 @@ VALUES = {
               "nan,1,1,1", "1e-8,1e-5", ""],
     "--metric": ["flat:2", "flat:x", "sphere:1", "sphere:-1", "torus:1,1",
                  "torus:0,1", "bogus", ""],
-    "--box": ["0,0,0.3,0.3", "0,0,1", "a", "0,0,nan,1", "0,0,1e9,1e9", "1,1,0,0",
-              "0,0,-1,1", ""],
+    "--box": ["0,0,0.3,0.3", "0,0,1", "a", "0,0,nan,1", "0,0,1e9,1e9", "0,0,1e308,1e308",
+              "1,1,0,0", "0,0,-1,1", ""],
     "--seed": ["0", "1", "-1", "x", "99999999999999999999"],
     "--family-seed": ["0", "1", "-1", "x", "99999999999999999999"],
     "--family-depth": ["1", "2", "0", "-1", "x", "16", "17"],

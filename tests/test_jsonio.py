@@ -213,22 +213,24 @@ class TestCertificateIo:
         assert len(jsonio.dumps(deep)) <= len(jsonio.dumps(shallow)) + 8
 
     @pytest.mark.parametrize("change,path", [
-        (lambda c: {**c, "v": 1}, "certificate.v"),  # the schema before `budget`
+        (lambda c: {**c, "v": 3}, "certificate.v"),  # per_simplex as a list of records
         (lambda c: {k: v for k, v in c.items() if k != "family"}, "certificate.family"),
         (lambda c: {**c, "pass": 1}, "certificate.pass"),
         (lambda c: {k: v for k, v in c.items() if k != "worst"}, "certificate.worst"),
         (lambda c: {**c, "worst": {**c["worst"], "simplex": [0.5]}},
          "certificate.worst.simplex"),
-        (lambda c: {**c, "per_simplex": {}}, "certificate.per_simplex"),
-        (lambda c: {**c, "per_simplex": ["x"]}, "certificate.per_simplex[0]"),
-        (lambda c: {**c, "per_simplex": [{"robustness_margin": 1.0}]},
-         "certificate.per_simplex[0].simplex"),
-        (lambda c: {**c, "per_simplex": [{"simplex": [0, True, 2]}]},
-         "certificate.per_simplex[0].simplex"),
-        (lambda c: {**c, "per_simplex": [{"simplex": [0, 1, 2], "base_clearance_margin": None}]},
-         "certificate.per_simplex[0].base_clearance_margin"),
-        (lambda c: {**c, "per_simplex": [{"simplex": [0, 1, 2], "robustness_margin": False}]},
-         "certificate.per_simplex[0].robustness_margin"),
+        (lambda c: {**c, "per_simplex": []}, "certificate.per_simplex"),
+        (lambda c: {**c, "per_simplex": {"simplex": ["x"]}}, "certificate.per_simplex.simplex"),
+        (lambda c: {**c, "per_simplex": {"robustness_margin": [1.0]}},
+         "certificate.per_simplex.simplex"),
+        (lambda c: {**c, "per_simplex": {"simplex": [[0, True, 2]]}},
+         "certificate.per_simplex.simplex"),
+        (lambda c: {**c, "per_simplex": {"simplex": [[0, 1, 2]], "base_clearance_margin": [None]}},
+         "certificate.per_simplex.base_clearance_margin[0]"),
+        (lambda c: {**c, "per_simplex": {"simplex": [[0, 1, 2]], "robustness_margin": [False]}},
+         "certificate.per_simplex.robustness_margin[0]"),
+        (lambda c: {**c, "per_simplex": {"simplex": [[0, 1, 2]], "robustness_margin": [1.0, 2.0]}},
+         "certificate.per_simplex.robustness_margin"),
     ])
     def test_malformed_rejected_with_path(self, bundle2, change, path):
         with pytest.raises(ValidationError, match=rf"^{re.escape(path)}:"):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -433,24 +434,64 @@ def _enumeration_complex(net):
     n = net.dim
     pts = net.points
     subsets = _joined_subsets(pts, n, 2.0 * net.d2)
-    kept = []
+    keep = np.zeros(len(subsets), dtype=bool)
+    centers, radii = np.zeros((0, n)), np.zeros(0)
     if len(subsets):
         centers, radii, valid = cs.circumcenter_batch(pts[subsets])
         idx = np.nonzero(valid & (radii <= net.d2))[0]
         if idx.size:
             dmin, _ = cKDTree(pts).query(centers[idx])
-            for j in idx[dmin >= radii[idx] * (1.0 - tess.EMPTY_RTOL)]:
-                kept.append(tess.Simplex(
-                    vertices=tuple(int(v) for v in subsets[j]),
-                    sphere=cs.CircumSphere(center=centers[j], radius=float(radii[j]))))
-    kept.sort(key=lambda s: s.vertices)
+            keep[idx[dmin >= radii[idx] * (1.0 - tess.EMPTY_RTOL)]] = True
+    order = np.lexsort(subsets[keep].T[::-1])
+    verts, centers, radii = subsets[keep][order], centers[keep][order], radii[keep][order]
     # regular: no site off a kept sphere within 1e-9 * radius of it
     regular = True
-    if kept:
-        d = tess.sphere_neighbours(pts, np.array([s.sphere.center for s in kept]), n)[0]
-        radii = np.array([s.sphere.radius for s in kept])
+    if len(verts):
+        d = tess.sphere_neighbours(pts, centers, n)[0]
         regular = not bool(np.any(d[:, n + 1] <= radii * (1.0 + 1e-9)))
-    return tess.DelaunayComplex(simplices_by_dim={n: kept}, regular=regular)
+    return tess.DelaunayComplex.from_arrays(n, verts, centers, radii, regular)
+
+
+class TestTopSimplices:
+    """The complex keeps its top arrays; ``Simplex`` entries and slices are
+    views made when they are read."""
+
+    def test_entries_and_slices_equal_the_arrays(self):
+        net = _net(_poisson(np.random.default_rng(14), 25, 0.15), 0.15, 0.35)
+        verts, centers, radii = tess.delaunay_top(net.points, net.d2)[:3]
+        cx = tess.DelaunayComplex.from_arrays(2, verts, centers, radii, True)
+        assert all(a is b for a, b in zip(cx.top_arrays(2), (verts, centers, radii)))
+        top = cx.top(2)
+        assert len(top) == len(verts) > 4
+        for i in (0, 3, -1):
+            s = top[i]
+            assert s.vertices == tuple(verts[i].tolist())
+            assert type(s.vertices[0]) is int
+            assert s.sphere.center.tobytes() == centers[i].tobytes()
+            assert s.sphere.radius == radii[i]
+        part = top[1:4]
+        assert isinstance(part, tess.TopSimplices)
+        assert np.array_equal(part.verts, verts[1:4])
+        assert np.array_equal(part.centers, centers[1:4])
+        assert np.array_equal(part.radii, radii[1:4])
+        assert [s.vertices for s in part] == [tuple(r) for r in verts[1:4].tolist()]
+        with pytest.raises(IndexError):
+            top[len(verts)]
+
+    def test_replace_with_a_slice_drops_the_first_row(self, small_complex):
+        # the contract of perfbench's dropped-simplex check
+        cx = dataclasses.replace(small_complex,
+                                 simplices_by_dim={2: small_complex.top(2)[1:]})
+        for got, want in zip(cx.top_arrays(2), small_complex.top_arrays(2)):
+            assert np.array_equal(got, want[1:])
+
+    def test_absent_dimension_is_empty_arrays(self):
+        cx = tess.DelaunayComplex.from_arrays(
+            2, np.zeros((0, 3), dtype=np.int64), np.zeros((0, 2)), np.zeros(0), True)
+        verts, centers, radii = cx.top_arrays(3)
+        assert verts.shape == (0, 4) and verts.dtype == np.int64
+        assert centers.shape == (0, 3) and radii.shape == (0,)
+        assert len(cx.top(3)) == 0 and list(cx.top(2)) == []
 
 
 def _reference_facets(verts):
@@ -549,10 +590,9 @@ class TestDuality:
         net = _net(SQUARE_CENTER, 0.3, 0.6)
         cx = tess.build_delaunay(net, None)
         # drop one kept top simplex: the backward scan must flag it
-        tops = list(cx.top(2))
-        broken = tess.DelaunayComplex(
-            simplices_by_dim={**cx.simplices_by_dim, 2: tops[1:]},
-            regular=cx.regular)
+        verts, centers, radii = cx.top_arrays(2)
+        broken = tess.DelaunayComplex.from_arrays(2, verts[1:], centers[1:], radii[1:],
+                                                  cx.regular)
         rep = tess.check_duality(net, broken)
         kinds = {v[0] for v in rep.violations}
         assert "missing_simplex" in kinds
@@ -628,9 +668,12 @@ def _one_piece_duality(net, complex_, rtol=tess.MEMBERSHIP_RTOL):
                               checked=len(fwd) + len(new))
 
 
-def _with_top(cx, tops):
-    return tess.DelaunayComplex(simplices_by_dim={**cx.simplices_by_dim, 2: tops},
-                                regular=cx.regular)
+def _with_top(cx, keep, centers=None):
+    """The complex of cx's top rows ``keep``, with the given centers if any."""
+    verts, cx_centers, radii = cx.top_arrays(2)
+    centers = cx_centers if centers is None else centers
+    return tess.DelaunayComplex.from_arrays(2, verts[keep], centers[keep], radii[keep],
+                                            cx.regular)
 
 
 class TestBatchedDuality:
@@ -644,14 +687,13 @@ class TestBatchedDuality:
             yield net, tess.build_delaunay(net, None)
         net = _net(_lattice(2) + 0.05 * rng.standard_normal((25, 2)), 0.7, 0.9)
         cx = tess.build_delaunay(net, None)
-        tops = list(cx.top(2))
+        verts, centers, _ = cx.top_arrays(2)
         yield net, cx
-        yield net, _with_top(cx, tops[::2])  # missing simplices
+        yield net, _with_top(cx, slice(None, None, 2))  # missing simplices
         # centers pulled toward the first vertex leave the cells of the others
-        moved = [tess.Simplex(vertices=s.vertices, sphere=cs.CircumSphere(
-            center=0.5 * (s.sphere.center + net.points[s.vertices[0]]),
-            radius=s.sphere.radius)) for s in tops[3:6]]
-        yield net, _with_top(cx, tops[:3] + moved + tops[6:])
+        moved = centers.copy()
+        moved[3:6] = 0.5 * (centers[3:6] + net.points[verts[3:6, 0]])
+        yield net, _with_top(cx, slice(None), moved)
 
     def test_matches_scalar_reference(self):
         found = set()
@@ -706,8 +748,8 @@ class TestConeAndFilling:
         cx = tess.build_delaunay(net, None)
         i = {"center": 4, "corner": 0, "holed": 4, "isolated": 5}[case]
         if case == "holed":
-            top = cx.top(2)[1:]
-            cx = tess.DelaunayComplex(simplices_by_dim={2: top}, regular=True)
+            verts, centers, radii = cx.top_arrays(2)
+            cx = tess.DelaunayComplex.from_arrays(2, verts[1:], centers[1:], radii[1:], True)
         want = {"center": True}.get(case, False)
         assert _filling_loop(net, cx, i) == want
         assert paper.check_filling(net, cx, i) == want
