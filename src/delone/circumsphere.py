@@ -6,17 +6,20 @@ u_k = y_{k-1} - y_n against the last point as base, and lambda(U) collects
 their squared norms.  ``circumcenter_batch`` is the one kernel: Cramer's rule
 in the plane, LAPACK's batched solve above; ``circumcenter`` is its row 0.
 The closed form ``displacement_bound`` bounds how far the center can move
-when every vertex moves by at most eps.
+when every vertex moves by at most eps, and ``planar_center_error`` the
+rounding of a planar center.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateError, InvalidBudgetError
+from .robustness import v2_constant
 
 @dataclass(frozen=True)
 class CircumSphere:
@@ -118,6 +121,25 @@ def circumcenter_batch(pts: np.ndarray):
                                            0.5 * lam[:, valid].T[..., None])[..., 0].T
     radii = np.where(valid, np.sqrt(np.add.reduce(xi * xi, axis=0)), np.inf)
     return np.ascontiguousarray((xi + q[-1]).T), radii, valid
+
+
+def planar_center_error(e1: float, radius: float, span: float) -> float:
+    """phi_c: within it of the exact values lie the center and radius that
+    ``circumcenter_batch`` computes for three sites pairwise >= e1 apart on a
+    circle of radius <= ``radius``, and a distance computed from that center,
+    when every coordinate is at most span - radius in magnitude; inf when
+    the determinant bound below is not positive.
+
+    With eta_c = 64 u span, a vertex move that covers the rounding of an
+    edge, of a center and of a distance, and |det U| >= v2_constant(e1,
+    radius) - spread(eta_c), spread(t) = (2 radius + 2t)^2 - (2 radius)^2 (the
+    most |det U| of edges <= 2 radius changes under vertex moves t), the
+    planar closed form's bound gamma_6 12 radius^3 / |det U| is below
+    84 u radius^3 / that (84 u > 12 gamma_6).
+    """
+    eta = 64.0 * 2.0 ** -53 * span
+    delta = v2_constant(e1, radius) - ((2.0 * radius + 2.0 * eta) ** 2 - (2.0 * radius) ** 2)
+    return eta + 84.0 * 2.0 ** -53 * radius ** 3 / delta if delta > 0 else math.inf
 
 
 def displacement_bound(budget: PerturbationBudget, n: int):

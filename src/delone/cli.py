@@ -190,10 +190,13 @@ def cmd_duality(net_path, cx_path):
     """Verify Voronoi/Delaunay duality; exit 2 on violations."""
     net, cx = _load_net_and_complex(net_path, cx_path)
     report = tess.check_duality(net, cx)
+    if report.fallback is not None:
+        _log(f"duality: the tops certificate does not apply ({report.fallback}); "
+             f"enumerating")
     if not report.ok:
-        _log(f"duality violations: {report.violations[:5]}")
+        _log(f"duality violations ({report.method}): {report.violations[:5]}")
         raise _CertFailure()
-    _log(f"duality holds on {report.checked} checks")
+    _log(f"duality holds on {report.checked} checks ({report.method})")
 
 
 @cli.command("render")

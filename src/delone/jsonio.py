@@ -26,6 +26,7 @@ read-only file are those of ``open(path, "w")``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import os
@@ -222,17 +223,50 @@ def complex_from_dict(d: dict, net: tess.Net | None = None) -> tess.DelaunayComp
         limit, within = 2 ** 63, "int64"
     else:
         limit, within = len(net), f"a {len(net)}-point net"
-    rows = [_top_row(sd, i, dim, limit, within) for i, sd in enumerate(raw)]
-    verts = np.array([v for v, _, _ in rows], dtype=np.int64).reshape(-1, dim + 1)
+    columns = _top_columns(raw, dim, limit)
+    if columns is None:  # some record may fail: the record loop names the first
+        rows = [_top_row(sd, i, dim, limit, within) for i, sd in enumerate(raw)]
+        columns = [v for v, _, _ in rows], [c for _, c, _ in rows], [r for _, _, r in rows]
+    verts = np.asarray(columns[0], dtype=np.int64).reshape(-1, dim + 1)
     order = np.lexsort(verts.T[::-1])  # stable: an earlier copy comes first
     same = np.all(verts[order[1:]] == verts[order[:-1]], axis=1)
     if np.any(same):
         raise ValidationError("duplicate simplex",
                               path=f"complex.simplices[{int(order[1:][same].min())}].verts")
-    centers = np.array([c for _, c, _ in rows], dtype=float).reshape(-1, dim)
-    radii = np.array([r for _, _, r in rows], dtype=float)
+    centers = np.asarray(columns[1], dtype=float).reshape(-1, dim)
+    radii = np.asarray(columns[2], dtype=float)
     return tess.DelaunayComplex.from_arrays(dim, verts[order], centers[order],
                                             radii[order], regular)
+
+
+def _top_columns(raw: list, dim: int, limit: int):
+    """The verts, center and radius columns of the top simplex records when
+    each passes ``_top_row``'s checks, tested by one type pass over the
+    records and numpy tests on the columns; None when a test fails, and
+    ``_top_row`` then names the first failing record.  The types are exact
+    (JSON's dict, list, int and float), so anything else takes the record
+    loop."""
+    try:
+        verts = [sd["verts"] for sd in raw]
+        center = [sd["center"] for sd in raw]
+        radius = [sd["radius"] for sd in raw]
+    except (TypeError, KeyError):  # a record that is not an object, or lacks a field
+        return None
+    if not (set(map(type, raw)) <= {dict} and set(map(type, verts)) <= {list}
+            and set(map(type, center)) <= {list} and set(map(type, radius)) <= {int, float}
+            and set(map(type, itertools.chain.from_iterable(verts))) <= {int}
+            and set(map(type, itertools.chain.from_iterable(center))) <= {int, float}):
+        return None
+    try:
+        v = np.array(verts, dtype=np.int64)
+        c = np.array(center, dtype=float)
+        r = np.array(radius, dtype=float)
+    except (ValueError, OverflowError):  # ragged rows, or integers beyond int64 or float
+        return None
+    ok = (v.shape == (len(raw), dim + 1) and c.shape == (len(raw), dim)
+          and np.all(v[:, 0] >= 0) and np.all(v[:, 1:] > v[:, :-1]) and np.all(v[:, -1] < limit)
+          and np.all(np.abs(c) <= MAX_COORDINATE) and np.all(np.abs(r) <= MAX_COORDINATE))
+    return (v, c, r) if ok else None
 
 
 def _top_row(sd, i: int, dim: int, limit: int, within: str) -> tuple:

@@ -897,10 +897,10 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        lemma, a Qhull triangle of radius <= rho' and so a top: no T exists.
        Floats: for R = 2 rho' and eta_c = 64 u (max |coordinate| + R),
        radii up to R carry phi_c = eta_c + 84 u R^3 / (v2_constant(e1, R)
-       - spread_R(eta_c)) (step 1's closed form, 84 u > 12 gamma_6) and
-       clearances 2 phi_c; eps = 2 R (EMPTY_RTOL R + 2 phi_c) + 2^-40
-       (max |coordinate| + R)^2, the last term for larger S, whose
-       emptiness is left to Qhull's roundoff (a few u of that square).
+       - spread_R(eta_c)) (``cs.planar_center_error``: step 1's closed
+       form, 84 u > 12 gamma_6) and clearances 2 phi_c; eps = 2 R
+       (EMPTY_RTOL R + 2 phi_c) + 2^-40 (max |coordinate| + R)^2, the last
+       term for larger S, whose emptiness is left to Qhull's roundoff (a few u of that square).
        The settle takes the sites within r_S + 2 phi_c + t_B of c_S, and
        T's radius is <= rho' <= R: it keeps a triple degenerate in floats
        or of radius <= rho' + phi_c and depth <= alpha + 2 phi_c.  If Delta
@@ -973,8 +973,8 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     if np.any(valid):
         clearance[valid] = _clearances(pts, centers[valid], radii[valid])
 
-    def spread(t, e2=d2):
-        return (2.0 * e2 + 2.0 * t) ** 2 - (2.0 * e2) ** 2
+    def spread(t):
+        return (2.0 * d2 + 2.0 * t) ** 2 - (2.0 * d2) ** 2
 
     def drift(t, delta):
         """D(t, delta), and inf where delta is not positive."""
@@ -1019,10 +1019,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             alpha = 2.0 * (dc_nm + eta + phi_nm) + tess.EMPTY_RTOL * d2
             cap = 2.0 * reach
             span = float(np.max(np.abs(pts), initial=0.0)) + cap
-            eta_c = 64.0 * 2.0 ** -53 * span
-            delta_c = robustness.v2_constant(e1, cap) - spread(eta_c, cap)
-            phi_c = eta_c + 84.0 * 2.0 ** -53 * cap ** 3 / delta_c \
-                if delta_c > 0 else math.inf
+            phi_c = cs.planar_center_error(e1, cap, span)
             # the lemma's eps, Delta and range radius rho' + Delta + eps / e1 + phi_c
             slack = 2.0 * cap * (tess.EMPTY_RTOL * cap + 2.0 * phi_c) \
                 + 2.0 ** -40 * span ** 2

@@ -12,9 +12,13 @@ When it is not, or Qhull cannot triangulate the input, the kernel falls back
 to enumerating every (n+1)-subset of sites pairwise within 2*d2, which keeps
 all empty spheres of a cospherical configuration.  That enumeration
 (``small_spheres``, vectorized from one ``cKDTree.query_pairs``) is also the
-independent oracle of ``check_duality``, which takes it one block at a
-time; the certifier's near-miss pass reads Qhull's whole triangulation
-through ``qhull_simplices``.  Both branches take every center from
+fallback and the tests' oracle of ``check_duality``
+(``duality_by_enumeration``, one block at a time): in the plane
+``check_duality`` certifies duality's backward direction from the top rows
+alone, by their clearances, ``facets`` and exact ``orientations``, and
+enumerates only where that certificate does not apply.  The certifier's
+near-miss pass reads Qhull's whole triangulation through
+``qhull_simplices``.  Both branches take every center from
 ``circumsphere.circumcenter_batch``, whose rows do not depend on the batch,
 so they give equal bits.
 The complex is pure and stored by its top simplices alone, which determine
@@ -32,14 +36,17 @@ in it, scanning the simplicial cones of given candidate sites with batched
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from . import circumsphere as cs
 from .circumsphere import CircumSphere
-from .errors import ValidationError
+from .errors import InvalidBudgetError, ValidationError
+from .robustness import v2_constant
 
 #: Relative tolerance for cell-membership and duality point location.
 MEMBERSHIP_RTOL = 1e-9
@@ -364,55 +371,259 @@ def build_delaunay(net: Net, metric) -> DelaunayComplex:
 
 @dataclass(frozen=True)
 class DualityReport:
+    """The verdict of ``check_duality``: its violations, the checks made, how
+    the backward direction was decided (``method``, "tops" or
+    "enumeration") and, after a fallback, the first failed condition of the
+    tops certificate."""
+
     violations: tuple
     checked: int
+    method: str = "enumeration"
+    fallback: str | None = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
+#: Shewchuk's bound on the rounding of the planar orientation determinant
+#: (a - c) x (b - c): the computed value is within _ORIENT_ERR (|detleft| +
+#: |detright|) of the exact one, so its sign is exact above that.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+
+
+def orientations(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """The exact sign (1, -1 or 0) of the orientation (y_1 - y_0) x
+    (y_2 - y_0) of each planar row (y_0, y_1, y_2) of ``verts``: the float
+    determinant where it exceeds its error bound (Shewchuk, "Adaptive
+    precision floating-point arithmetic and fast robust geometric
+    predicates", DCG 1997), a ``fractions.Fraction`` evaluation below it."""
+    a, b, c = (pts[verts[:, k]] for k in range(3))
+    left = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+    right = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+    det = left - right
+    sign = np.sign(det).astype(np.int64)
+    for i in np.nonzero(np.abs(det) <= _ORIENT_ERR * (np.abs(left) + np.abs(right)))[0]:
+        (ax, ay), (bx, by), (cx, cy) = ([Fraction(x) for x in p]
+                                        for p in pts[verts[i]].tolist())
+        exact = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+        sign[i] = (exact > 0) - (exact < 0)
+    return sign
+
+
+def _tops_failure(net: Net, verts: np.ndarray, interior: np.ndarray, tree):
+    """None when the tops certify the backward direction of duality
+    (``check_duality``, conditions (1)-(4)); else the first failed
+    condition, with its top, facet or site."""
+    if net.dim != 2:
+        return f"dimension {net.dim}: the tops certificate is planar"
+    pts, d2 = net.points, net.d2
+    unsorted = np.nonzero(np.any(verts[:, 1:] <= verts[:, :-1], axis=1))[0]
+    if len(unsorted):
+        return f"top {tuple(verts[unsorted[0]].tolist())} is not a strictly increasing row"
+    # the float bounds: phi_c for radii up to R = 2 d2, T's depth alpha and
+    # radius rho, and the lemma's t_B
+    e1 = min(net.d1, net.closest_pair()[0]) * (1.0 - 2.0 ** -40)
+    cap = 2.0 * d2
+    try:
+        phi_c = cs.planar_center_error(e1, cap, float(np.max(np.abs(pts), initial=0.0)) + cap)
+        if phi_c == math.inf:
+            return f"no float bound on circles of radius <= {cap:.6g}"
+        rho = d2 + phi_c
+        alpha = MEMBERSHIP_RTOL * d2 + 2.0 * phi_c
+        t_b = 4.0 * rho ** 2 * alpha / min(e1 * e1, v2_constant(e1, rho))
+    except InvalidBudgetError as exc:  # a separation e1 not in (0, d2)
+        return f"no separation bound: {exc}"
+    # (1) recomputed circles: valid, radius <= d2, clearance > t_B + 2 phi_c
+    centers, radii, valid = cs.circumcenter_batch(pts[verts])
+    small = valid & (radii <= d2)
+    if not np.all(small):
+        return f"top {tuple(verts[np.argmin(small)].tolist())} has no circle of radius <= d2"
+    clearance = tree.query(centers, k=4)[0][:, 3] - radii - 2.0 * phi_c
+    if len(verts) and not clearance.min() > t_b:
+        i = int(np.argmin(clearance))
+        return (f"top {tuple(verts[i].tolist())} has clearance {clearance[i]:.3g} "
+                f"<= t_B = {t_b:.3g}")
+    # (2) one or two parents per facet, the two of an inner facet on opposite
+    # sides: the side of a parent is its orientation, negated when the vertex
+    # off the facet is the row's middle one
+    faces, count, parents = facets(verts)
+    if np.any(count > 2):
+        f = int(np.argmax(count > 2))
+        return f"facet {tuple(faces[f].tolist())} has {count[f]} parents"
+    sign = orientations(pts, verts)
+    if np.any(sign == 0):
+        return f"top {tuple(verts[np.argmin(np.abs(sign))].tolist())} is degenerate"
+    inner = np.nonzero(count == 2)[0]
+    side = []
+    for k in range(2):
+        rows = verts[parents[inner, k]]
+        middle = (rows[:, 0] == faces[inner, 0]) & (rows[:, 1] != faces[inner, 1])
+        side.append(np.where(middle, -1, 1) * sign[parents[inner, k]])
+    same = side[0] == side[1]
+    if np.any(same):
+        f = inner[np.argmax(same)]
+        return f"facet {tuple(faces[f].tolist())} has both parents on one side"
+    # (4) no boundary facet at an interior site
+    touch = (count == 1) & np.any(interior[faces], axis=1)
+    if np.any(touch):
+        return f"boundary facet {tuple(faces[np.argmax(touch)].tolist())} touches an interior site"
+    # (3) the angles of the tops at each interior site sum to below 3 pi
+    p = pts[verts]
+    e, f = p[:, [1, 2, 0]] - p, p[:, [2, 0, 1]] - p
+    angle = np.arctan2(np.abs(e[..., 0] * f[..., 1] - e[..., 1] * f[..., 0]),
+                       np.einsum("tkd,tkd->tk", e, f))
+    total = np.bincount(verts.ravel(), weights=angle.ravel(), minlength=len(pts))
+    tops = np.bincount(verts.ravel(), minlength=len(pts))
+    fan = ~interior | ((tops > 0) & (total < 3.0 * math.pi))
+    if not np.all(fan):
+        i = int(np.argmin(fan))
+        return (f"the tops at interior site {i} do not close into a single fan "
+                f"(angle sum {total[i]:.6g})")
+    return None
+
+
+def _forward_duality(pts, interior, tree, verts, centers):
+    """The forward direction of ``check_duality``: (violations, checks) of
+    the stored centers of the tops with interior vertices."""
+    fwd = np.nonzero(np.all(interior[verts], axis=1))[0]
+    _, inside = _in_cells(pts, tree, verts[fwd], centers[fwd])
+    violations = [("center_outside_cell", tuple(verts[fwd[j]].tolist()),
+                   int(verts[fwd[j], np.argmin(inside[j])]))
+                  for j in np.nonzero(~np.all(inside, axis=1))[0]]
+    return violations, len(fwd)
+
+
+def _in_cells(pts, tree, verts, centers):
+    """(nearest-site distance, per-vertex in-cell mask) of each center."""
+    dmin, _ = tree.query(centers)
+    dv = np.linalg.norm(pts[verts] - centers[:, None, :], axis=2)
+    return dmin, dv <= (dmin + MEMBERSHIP_RTOL * np.maximum(1.0, dmin))[:, None]
+
+
 def check_duality(net: Net, complex_: DelaunayComplex) -> DualityReport:
     """Both directions of flat Voronoi/Delaunay duality on interior sites.
 
     Forward: the circumcenter of every kept top simplex (all vertices
-    interior) lies in each incident Voronoi cell.  Backward: every local
-    (n+1)-subset of interior sites whose circumsphere has radius <= d2 and
-    whose circumcenter lies in all its cells, with no site inside the
-    sphere, appears as a kept simplex.  The backward candidates are those
-    of the ``small_spheres`` enumeration, not Qhull's, so the check is
-    independent of the builder; each block of ``_local_subsets`` is solved
-    and tested as it comes, so the small spheres are never held at once.
-    "In a cell" means no farther from the site than from the nearest site,
-    up to MEMBERSHIP_RTOL*max(1, distance).
+    interior), as stored, lies in each incident Voronoi cell.  Backward:
+    every local (n+1)-subset of interior sites whose circumsphere has radius
+    <= d2 and whose circumcenter lies in all its cells, with no site inside
+    the sphere, appears as a kept simplex.  "In a cell" means no farther
+    from the site than from the nearest site, up to
+    MEMBERSHIP_RTOL*max(1, distance); "no site inside" means none nearer
+    the center than radius*(1 - MEMBERSHIP_RTOL).
+
+    In the plane the backward direction is certified from the top rows
+    (``method`` "tops"; ``checked`` counts the forward checks and the tops)
+    when these conditions hold, in the style of Mehlhorn et al., "Checking
+    geometric programs or verification of geometric structures", CGTA 1999:
+
+    (1) every top's circle, recomputed by ``circumcenter_batch`` from its
+        vertex rows, is valid with radius <= d2, and its clearance (the
+        distance from its center to the fourth-nearest site, one
+        ``cKDTree`` query with k = n+2, minus its radius) exceeds
+        t_B + 2 phi_c (below);
+    (2) through ``facets``, the rows are strictly increasing, every facet
+        has one or two parents, and the two parents of an inner facet lie
+        on opposite sides of it, read from each top's exact orientation
+        (``orientations``);
+    (3) every interior site is a vertex of a top, and its tops close into a
+        single fan: their angles at the site sum to less than 3 pi;
+    (4) no boundary facet (one parent) touches an interior site.
+
+    Otherwise, or when n != 2, every local subset is enumerated
+    (``duality_by_enumeration``, ``method`` "enumeration", ``fallback``
+    naming the first failed condition).
+
+    Why (1)-(4) leave the enumeration no missing simplex.  Let e1 = min(d1,
+    separation) (1 - 2^-40), the separation's rounding covered, and phi_c
+    = ``circumsphere.planar_center_error`` for radii up to R = 2 d2, as in
+    step 3 of ``netsynth.certify_family_stability``: a triangle of sites
+    with computed radius <= d2 has
+    exact radius <= rho = d2 + phi_c (its exact radius is |a| |b| |a - b| /
+    2 |det U| >= e1^3 / 2 |det U|, and det U is computed within gamma_2 |a|
+    |b|), and its computed center, radius and distances from that center
+    are within phi_c of the exact ones.  So a triangle T the enumeration
+    flags (interior sites, not a top, computed radius <= d2, no site nearer
+    its computed center than r (1 - MEMBERSHIP_RTOL)) has exact radius r_T
+    <= rho, sides >= e1 and no site deeper in its circle than alpha =
+    MEMBERSHIP_RTOL d2 + 2 phi_c.  By (1) each top S has exact radius r_S
+    in [e1/2, rho], |det U_S| >= v2 = ``v2_constant(e1, rho)``, and every
+    site off S lies farther than r_S + t_B from its center: the sites
+    within the computed fourth distance - phi_c of it are at most three,
+    S's vertices among them.  In particular no site lies in a closed top
+    but its vertices.
+    Lifting (step 3's lemma, with that alpha): with pi_X(x) = 2 c_X.x +
+    r_X^2 - |c_X|^2, the plane of X's lifted circle, h = pi_T - pi_S is
+    affine, 0 at a common vertex, h(y) = power_S(y) >= 2 r_S t_S at a
+    vertex of T off S (t_S > t_B its clearance) and h(y) = -power_T(y) <=
+    2 r_T alpha at a vertex of S off T.  So at a point x of S and T whose
+    barycentric weights in T on T's vertices off S sum to L,
+    2 r_S t_S L <= h(x) <= 2 r_T alpha, and t_S <= r_T alpha / (r_S L).
+    Cover: at an interior site v, (4) gives every facet at v two parents,
+    on opposite sides by (2), so the tops at v fall into cycles through
+    their facets at v, each turning one way about v with angles (in (0,
+    pi), (2)'s signs being nonzero) summing to 2 pi k, k >= 1.  The sum of
+    (3), computed within 2^-40 per angle, leaves one cycle with k = 1, whose
+    closed sectors cover every direction at v.
+    So a vertex v of T has a top S != T whose open sector at v meets T's.
+    Either the sectors are equal, or an edge (v, p) of one lies strictly
+    inside the other's sector:
+    (a) T's edge (v, a) inside S's: a is outside S, so va leaves S through
+        the edge opposite v at x, |x - v| >= |det U_S| / 2 r_S; L >= |x -
+        v| / |a - v| >= |det U_S| / 4 r_S r_T, t_S <= 4 r_T^2 alpha /
+        |det U_S|.
+    (b) S's edge (v, s) inside T's, S = (v, s, w): if w is a vertex of T,
+        S and T share the edge vw and s lies on the side of T's third
+        vertex y; h vanishes on line vw, so h(s) / dist(s) = h(y) / dist(y)
+        with dist(s) = |det U_S| / |v - w| and dist(y) <= 2 r_T: t_S <= 4
+        r_T^2 alpha / |det U_S|.  Else, if s is in T, x = s has L = 1 -
+        lambda_v >= |s - v| / 2 r_T >= e1 / 2 r_T: t_S <= 2 r_T^2 alpha /
+        r_S e1.  Else vs leaves T through the edge opposite v, where L =
+        1: t_S <= r_T alpha / r_S.
+    (c) Equal sectors: T's vertices lie on the rays of S's; a site strictly
+        between v and a vertex of S would lie in S, and a vertex s of S
+        strictly between v and a vertex a of T lies in T with L >= |s - v|
+        / |a - v| >= e1 / 2 r_T, as in (b); else S = T.
+    Each bound is at most t_B = 4 rho^2 alpha / min(e1^2, v2), against
+    t_S > t_B: no T exists, the backward direction holds, and the verdict
+    is the forward one, the enumeration's.
     """
+    from scipy.spatial import cKDTree
+
+    pts = net.points
+    interior = net.interior_mask()
+    tree = cKDTree(pts)
+    verts, centers, _ = complex_.top_arrays(net.dim)
+    failed = _tops_failure(net, verts, interior, tree)
+    if failed is not None:
+        return replace(duality_by_enumeration(net, complex_), fallback=failed)
+    violations, checked = _forward_duality(pts, interior, tree, verts, centers)
+    return DualityReport(violations=tuple(violations), checked=checked + len(verts),
+                         method="tops")
+
+
+def duality_by_enumeration(net: Net, complex_: DelaunayComplex) -> DualityReport:
+    """``check_duality`` with the backward direction enumerated: every
+    candidate of the ``small_spheres`` enumeration, not Qhull's, so the
+    check is independent of the builder.  Each block of ``_local_subsets``
+    is solved and tested as it comes, so the small spheres are never held
+    at once.  ``checked`` counts the forward checks and the candidates of
+    interior sites that are not tops.  The fallback of ``check_duality``
+    and the oracle its tops certificate is tested against."""
     from scipy.spatial import cKDTree
 
     n = net.dim
     pts = net.points
     interior = net.interior_mask()
     tree = cKDTree(pts)
-    violations = []
-
-    def in_cells(verts, centers):
-        """(nearest-site distance, per-vertex in-cell mask) of each center."""
-        dmin, _ = tree.query(centers)
-        dv = np.linalg.norm(pts[verts] - centers[:, None, :], axis=2)
-        return dmin, dv <= (dmin + MEMBERSHIP_RTOL * np.maximum(1.0, dmin))[:, None]
-
     verts, centers, _ = complex_.top_arrays(n)
-    fwd = np.nonzero(np.all(interior[verts], axis=1))[0]
-    _, inside = in_cells(verts[fwd], centers[fwd])
-    for j in np.nonzero(~np.all(inside, axis=1))[0]:
-        violations.append(("center_outside_cell", tuple(verts[fwd[j]].tolist()),
-                           int(verts[fwd[j], np.argmin(inside[j])])))
-
-    checked = len(fwd)
+    violations, checked = _forward_duality(pts, interior, tree, verts, centers)
     for block in _local_subsets(pts, n, 2.0 * net.d2):
         rows, c, r = _sphere_rows(pts, block, net.d2)
         new = np.nonzero(np.all(interior[rows], axis=1)
                          & ~rows_in(rows, verts, len(pts)))[0]
-        dmin, inside = in_cells(rows[new], c[new])
+        dmin, inside = _in_cells(pts, tree, rows[new], c[new])
         # in all n+1 cells and no site inside => the subset had an empty sphere
         missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - MEMBERSHIP_RTOL))
         violations.extend(("missing_simplex", tuple(row), None)

@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
@@ -296,15 +297,17 @@ class TestConstantsCommand:
 
 
 class TestPipeline:
-    def test_triangulate_and_checks(self, tiny_files, tmp_path):
+    def test_triangulate_and_checks(self, tiny_files, tmp_path, capsys):
         cx_out = tmp_path / "cx2.json"
         rc = cli.main(["triangulate", "--net", tiny_files["net"],
                        "--out", str(cx_out)])
         assert rc == 0
         assert cx_out.read_text() == open(tiny_files["cx"]).read()
+        capsys.readouterr()
         rc = cli.main(["duality-check", "--net", tiny_files["net"],
                        "--complex", tiny_files["cx"]])
         assert rc == 0
+        assert re.fullmatch(r"duality holds on \d+ checks \(tops\)\n", capsys.readouterr().err)
 
     def test_certify_passes(self, tiny_files, tmp_path):
         out = tmp_path / "cert.json"

@@ -698,7 +698,7 @@ class TestBatchedDuality:
     def test_matches_scalar_reference(self):
         found = set()
         for net, cx in self._cases():
-            got = tess.check_duality(net, cx)
+            got = tess.duality_by_enumeration(net, cx)
             want = _scalar_duality(net, cx)
             assert got.violations == want.violations
             assert got.checked == want.checked
@@ -707,7 +707,7 @@ class TestBatchedDuality:
 
     def test_synthesized_net(self, small_net_pack, small_complex):
         net = small_net_pack["net"]
-        got = tess.check_duality(net, small_complex)
+        got = tess.duality_by_enumeration(net, small_complex)
         want = _scalar_duality(net, small_complex)
         assert got.ok and got.violations == want.violations
         assert got.checked == want.checked > 0
@@ -719,9 +719,178 @@ class TestBatchedDuality:
         for net, cx in cases:
             want = _one_piece_duality(net, cx)
             with mock.patch.object(tess, "_BLOCK", block):
-                got = tess.check_duality(net, cx)
+                got = tess.duality_by_enumeration(net, cx)
             assert got.violations == want.violations
             assert got.checked == want.checked
+
+
+def _darts(rng, region, sep, draws=4000):
+    """A Poisson-disk net of the region: uniform draws kept when inside it and
+    at least sep from every kept site, near saturation."""
+    lo, hi = region.bounding_box()
+    draws = rng.uniform(lo, hi, (draws, 2))
+    kept = np.zeros((0, 2))
+    for p in draws[region.boundary_distance(draws) >= 0.0]:
+        if not len(kept) or np.min(np.sum((kept - p) ** 2, axis=1)) >= sep * sep:
+            kept = np.vstack([kept, p])
+    return kept
+
+
+def _honeycomb(k):
+    """The hexagonal (honeycomb) lattice of unit edges within the triangular
+    lattice i a + j b, |i|, |j| <= k: its hexagon centers, (i - j) = 0 mod 3,
+    left out; each hexagon's six sites are cocircular."""
+    a, b = np.array([1.0, 0.0]), np.array([0.5, math.sqrt(3.0) / 2.0])
+    return np.array([i * a + j * b for i in range(-k, k + 1) for j in range(-k, k + 1)
+                     if (i - j) % 3])
+
+
+def _duality_case(kind, seed):
+    """A net of the kind with its complex: a Poisson net in a box or a disk,
+    or a cocircular square or honeycomb lattice, scaled and shifted."""
+    from delone import netsynth as nsy
+
+    rng = np.random.default_rng(seed)
+    if kind in ("box", "disk"):
+        region = nsy.Region.box([0.0, 0.0], [1.0, 1.0]) if kind == "box" \
+            else nsy.Region.disk([0.5, 0.5], 0.5)
+        net = _net(_darts(rng, region, 0.08), 0.08, 0.2, region=region)
+    else:
+        pts = _lattice(3) if kind == "square" else _honeycomb(4)
+        scale, shift = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0, 2)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        region = nsy.Region.box(scale * lo + shift, scale * hi + shift)
+        d1, d2 = (0.7, 0.75) if kind == "square" else (0.9, 1.05)
+        net = _net(scale * pts + shift, d1 * scale, d2 * scale, region=region)
+    return net, tess.build_delaunay(net, None)
+
+
+def _corrupted(net, cx, how, rng):
+    """cx with one corruption: a top of interior sites or one touching the
+    boundary dropped, a triangle whose circle holds a site added, an inner
+    facet of interior sites flipped, or stored centers pulled toward their
+    first vertex, out of the other cells."""
+    verts, centers, radii = cx.top_arrays(2)
+    inner = np.all(net.interior_mask()[verts], axis=1)
+    keep = np.ones(len(verts), dtype=bool)
+    if how in ("drop_interior", "drop_boundary"):
+        pool = np.nonzero(inner if how == "drop_interior" else ~inner)[0]
+        keep[rng.choice(pool)] = False
+        return _with_top(cx, keep)
+    if how in ("add_nonempty", "flip_edge"):
+        # a triangle across an inner facet of interior sites: its circle holds
+        # the facet's other vertex; a flip replaces the facet's two parents
+        faces, count, parents = tess.facets(verts)
+        far = np.array([[np.setdiff1d(verts[q], faces[f])[0] for q in parents[f]]
+                        if count[f] == 2 else [-1, -1] for f in range(len(faces))])
+        rows = np.concatenate([np.column_stack([far, faces[:, k]]) for k in (0, 1)])
+        rows = np.sort(rows, axis=1)
+        ok = np.all(rows >= 0, axis=1) & np.all(net.interior_mask()[rows], axis=1)
+        if how == "flip_edge":  # two new triangles on opposite sides of far: convex
+            sign = tess.orientations(net.points, np.where(ok[:, None], rows, 0))
+            ok &= np.tile(sign[:len(faces)] != sign[len(faces):], 2) & (sign != 0)
+        f = rng.choice(np.nonzero(ok[:len(faces)])[0])
+        row = rows[[f, f + len(faces)]] if how == "flip_edge" else rows[[f]]
+        if how == "flip_edge":
+            keep[parents[f]] = False
+        c, r, _ = cs.circumcenter_batch(net.points[row])
+        verts, centers, radii = (np.concatenate(x) for x in
+                                 ((verts[keep], row), (centers[keep], c), (radii[keep], r)))
+        order = np.lexsort(verts.T[::-1])
+        return tess.DelaunayComplex.from_arrays(2, verts[order], centers[order],
+                                                radii[order], cx.regular)
+    moved = centers.copy()
+    pick = rng.choice(np.nonzero(inner)[0], 3, replace=False)
+    moved[pick] = 0.5 * (centers[pick] + net.points[verts[pick, 0]])
+    return _with_top(cx, keep, moved)
+
+
+class TestTopsDuality:
+    """``check_duality`` certified from the tops against its enumeration."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["box", "disk", "square", "honeycomb"]),
+           st.sampled_from(["none", "drop_interior", "drop_boundary", "add_nonempty",
+                            "flip_edge", "move_centers"]),
+           st.integers(0, 2**32 - 1))
+    def test_equal_verdicts(self, kind, how, seed):
+        net, cx = _duality_case(kind, seed)
+        if how != "none":
+            cx = _corrupted(net, cx, how, np.random.default_rng(seed + 1))
+        got = tess.check_duality(net, cx)
+        want = tess.duality_by_enumeration(net, cx)
+        assert got.violations == want.violations
+        assert (got.method == "tops") == (got.fallback is None)
+        if kind in ("square", "honeycomb"):  # cocircular: no clearance
+            assert got.method == "enumeration"
+        elif how in ("none", "move_centers"):  # the circles are recomputed
+            assert got.method == "tops"
+            assert got.ok == (how == "none")
+        elif how == "drop_interior":  # a top of interior sites is missing
+            assert got.method == "enumeration" and not got.ok
+        elif how == "add_nonempty":  # its circle holds a site: no clearance
+            assert got.method == "enumeration"
+        elif how == "flip_edge":  # a triangulation still, but not Delaunay
+            assert "clearance" in got.fallback and not got.ok
+
+    @pytest.mark.parametrize("side", [3.0, 5.0])
+    def test_synthesized_nets_take_the_tops(self, bundle2, side):
+        from delone import netsynth as nsy
+
+        K = nsy.Region.box([0.0, 0.0], [side * bundle2.rF, side * bundle2.rF])
+        net, _ = nsy.synthesize_net(K, bundle2, seed=1)
+        cx = tess.build_delaunay(net, None)
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("check_duality enumerated the small circles")
+
+        with mock.patch.object(tess, "_local_subsets", no_enumeration):
+            rep = tess.check_duality(net, cx)
+        assert rep.ok and rep.method == "tops" and rep.fallback is None
+        verts = cx.top_arrays(2)[0]
+        fwd = int(np.sum(np.all(net.interior_mask()[verts], axis=1)))
+        assert rep.checked == fwd + len(verts)
+
+    def test_fallback_names_the_failed_condition(self):
+        net, cx = _duality_case("box", 3)
+        verts = cx.top_arrays(2)[0]
+        inner = np.nonzero(np.all(net.interior_mask()[verts], axis=1))[0]
+        rep = tess.check_duality(net, _with_top(cx, np.arange(len(verts)) != inner[0]))
+        assert rep.method == "enumeration"
+        assert rep.fallback.startswith("boundary facet (")
+        assert rep.fallback.endswith("touches an interior site")
+        assert any(v[0] == "missing_simplex" for v in rep.violations)
+        sq, sq_cx = _duality_case("square", 3)
+        assert "clearance" in tess.check_duality(sq, sq_cx).fallback
+        rng = np.random.default_rng(2)
+        pts = rng.uniform(0.0, 1.0, (14, 3))
+        net3 = _net(pts, 0.01, 0.6, dim=3)
+        rep3 = tess.check_duality(net3, tess.build_delaunay(net3, None))
+        assert rep3.fallback == "dimension 3: the tops certificate is planar"
+
+    def test_orientations_are_exact(self):
+        from fractions import Fraction
+
+        # near-collinear rows, a few ulps off a line, where the float
+        # determinant's sign is unreliable
+        rng = np.random.default_rng(11)
+        p = rng.uniform(-1.0, 1.0, (600, 1, 2))
+        d = rng.uniform(-1.0, 1.0, (600, 1, 2))
+        t = np.concatenate([np.zeros((600, 1, 1)), rng.uniform(0.1, 3.0, (600, 2, 1))], axis=1)
+        pts = (p + t * d) + rng.integers(-2, 3, (600, 3, 2)) * 2.0 ** -52
+        # and rows on a line exactly: integer points p + k d
+        pts[:100] = rng.integers(-9, 10, (100, 1, 2)) \
+            + rng.integers(-3, 4, (100, 3, 1)) * rng.integers(-9, 10, (100, 1, 2))
+        pts = pts.reshape(-1, 2)
+        verts = np.arange(len(pts)).reshape(-1, 3)
+        want = []
+        for row in verts:
+            (ax, ay), (bx, by), (cx, cy) = ([Fraction(x) for x in q] for q in pts[row])
+            det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            want.append((det > 0) - (det < 0))
+        got = tess.orientations(pts, verts)
+        assert got.tolist() == want
+        assert len(set(want)) == 3  # both signs and exact zeros occur
 
 
 class TestConeAndFilling:
