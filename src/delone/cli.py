@@ -80,10 +80,6 @@ class _IoFailure(Exception):
     pass
 
 
-class _CertFailure(Exception):
-    pass
-
-
 @click.group()
 def cli():
     """Delaunay/Voronoi net synthesis and stability certification."""
@@ -179,7 +175,7 @@ def cmd_certify(net_path, cx_path, bundle_path, family_depth, family_seed,
     _write_out(out, jsonio.certificate_to_dict(cert))
     if not cert.ok:
         _log(f"certificate FAILED: worst={cert.worst}")
-        raise _CertFailure()
+        return EXIT_CERTIFICATION
     _log(f"certificate passed over {len(cert.params_checked)} parameters")
 
 
@@ -195,7 +191,7 @@ def cmd_duality(net_path, cx_path):
              f"enumerating")
     if not report.ok:
         _log(f"duality violations ({report.method}): {report.violations[:5]}")
-        raise _CertFailure()
+        return EXIT_CERTIFICATION
     _log(f"duality holds on {report.checked} checks ({report.method})")
 
 
@@ -211,11 +207,7 @@ def cmd_render(net_path, cx_path, cert_path, out):
     else:
         net, cx = _load(net_path, jsonio.net_from_dict), None
     cert = _load(cert_path, jsonio.certificate_from_dict) if cert_path else None
-    svg = render_svg(net, cx, cert)
-    try:
-        jsonio.write_text(out, svg)
-    except OSError as exc:
-        raise _IoFailure(f"{out}: {exc}") from exc
+    _write_out(out, render_svg(net, cx, cert))
     _log(f"svg written: {out}")
 
 
@@ -277,10 +269,14 @@ def render_svg(net: tess.Net, cx: tess.DelaunayComplex | None,
     return "\n".join(parts) + "\n"
 
 
-def _write_out(path, obj: dict) -> None:
+def _write_out(path, obj: dict | str) -> None:
+    """Write an artifact to ``path``, or to standard output for "-": a dict
+    as JSON through ``jsonio.write``, a str (render's SVG) as it is."""
     try:
         if path == "-":
-            sys.stdout.write(jsonio.dumps(obj))
+            sys.stdout.write(obj if isinstance(obj, str) else jsonio.dumps(obj))
+        elif isinstance(obj, str):
+            jsonio.write_text(path, obj)
         else:
             jsonio.write(path, obj)
     except OSError as exc:
@@ -289,8 +285,8 @@ def _write_out(path, obj: dict) -> None:
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return EXIT_OK
+        # click returns the command's value: EXIT_CERTIFICATION or None
+        return cli.main(args=argv, standalone_mode=False) or EXIT_OK
     except click.exceptions.Abort:
         return EXIT_VALIDATION
     except click.UsageError as exc:
@@ -306,8 +302,6 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         _log(exc.format_message())
         return EXIT_VALIDATION
-    except _CertFailure:
-        return EXIT_CERTIFICATION
     except _IoFailure as exc:
         _log(f"I/O error: {exc}")
         return EXIT_IO

@@ -184,7 +184,7 @@ def net_from_dict(d: dict) -> tess.Net:
         raise ValidationError(f"a {region.dim}-dimensional region for a {dim}-dimensional "
                               f"net", path="net.region.bounds")
     net = tess.Net(dim=dim, points=pts, d1=d1, d2=d2, region=region)
-    sep, i, j = net.closest_pair()
+    sep, i, j = net.closest_pair
     if sep < d1:
         raise ValidationError(f"points {i} and {j} are {sep:.6g} < d1 apart",
                               path="net.points")

@@ -746,14 +746,6 @@ class StabilityCertificate:
     budget: dict
 
 
-def _clearances(points: np.ndarray, centers, radii) -> np.ndarray:
-    """min over non-vertex net points of d(center, y) - radius, per simplex:
-    the (n+2)-nd nearest site of each center, since the n+1 vertices sit at
-    distance ~radius."""
-    n = points.shape[1]
-    return tess.sphere_neighbours(points, centers, n)[0][:, n + 1] - radii
-
-
 def _over_budget(family: ParamFamily) -> list:
     """The parameters carrying an override longer than the budget
     ``family.eps``, in the family's (lexicographic) order."""
@@ -761,31 +753,29 @@ def _over_budget(family: ParamFamily) -> list:
                    if float(np.linalg.norm(vec)) > family.eps})
 
 
-def _near_misses(pts, verts, reach, deep, radius, least):
+def _near_misses(net: tess.Net, verts, reach, deep, radius, least):
     """Step 3's pass over Qhull's triangles (``certify_family_stability``):
     (witnesses, flagged, margin, row), the sorted witness triples, the count
     of flagged triangles, and the least clearance - ``least`` over the
     unflagged triangles of radius <= ``radius`` with the row attaining it."""
-    from scipy.spatial import cKDTree
-
-    m = len(pts)
+    pts, m = net.points, len(net)
     rows = tess.qhull_simplices(pts)
     if rows is None:  # fewer than three sites, all on a line, or coincident ones
         return [], int(m > 2), math.inf, None
     centers, radii, valid = cs.circumcenter_batch(pts[rows])
     flat, rows, centers, radii = rows[~valid], rows[valid], centers[valid], radii[valid]
-    d = tess.sphere_neighbours(pts, centers, 2)[0]
+    d = tess.sphere_neighbours(net, centers)[0]
     margin = np.where(radii <= radius, d[:, 3] - radii - least, np.inf)
     own = (d[:, 0] < radii * (1.0 - tess.EMPTY_RTOL)) | \
         ((radii <= reach) & ~tess.rows_in(rows, verts, m)) | \
         ((margin < 0) & (not math.isfinite(least)))  # no t_B: nothing is settled
     close = np.nonzero((margin < 0) & ~own)[0]
-    named, tree = [], cKDTree(pts) if len(close) else None
+    named = []
     for k in close:  # the settle: S's vertices and the sites within least of its circle
-        ball = set(tree.query_ball_point(centers[k], radii[k] + least)) | set(rows[k])
+        ball = set(net.tree.query_ball_point(centers[k], radii[k] + least)) | set(rows[k])
         cand = np.array(list(itertools.combinations(sorted(ball), 3)), dtype=np.int64)
         c, r, ok = cs.circumcenter_batch(pts[cand])
-        depth = r - tree.query(np.nan_to_num(c))[0]  # inf where degenerate
+        depth = r - net.tree.query(np.nan_to_num(c))[0]  # inf where degenerate
         hit = (~ok | ((r <= reach) & (depth <= deep))) & ~tess.rows_in(cand, verts, m)
         named += cand[hit][:1].tolist()  # none kept: S is settled
         margin[k] = np.inf  # flagged or settled, S leaves the margin
@@ -886,12 +876,13 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        triangulation of the base net (``tess.qhull_simplices``, a tiling
        of the sites' hull) that is degenerate, holds a site deeper than
        EMPTY_RTOL r_S (``delaunay_top``'s test, one ``sphere_neighbours``
-       query over all centers, so Qhull's roundoff is tested), has radius
-       <= rho' and is not a top, or has radius <= rho' + Delta + eps / e1
-       and clearance <= t_B.  By the lemma, T's vertices are S's and sites
-       within t_B of S's circle: an S flagged for its clearance alone is
-       unflagged (settled) when no triple of those sites has T's
-       conditions (radius <= rho', no site deeper than alpha, not a top).
+       query of the net's ``tess.Net.tree`` over all centers, so Qhull's
+       roundoff is tested), has radius <= rho' and is not a top, or has
+       radius <= rho' + Delta + eps / e1 and clearance <= t_B.  By the
+       lemma, T's vertices are S's and sites within t_B of S's circle: an
+       S flagged for its clearance alone is unflagged (settled) when no
+       triple of those sites has T's conditions (radius <= rho', no site
+       deeper than alpha, not a top).
        If none stays flagged, the S holding T's centroid would, if settled,
        have T among its triples; so S was never flagged and is T by the
        lemma, a Qhull triangle of radius <= rho' and so a top: no T exists.
@@ -901,20 +892,23 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        form, 84 u > 12 gamma_6) and clearances 2 phi_c; eps = 2 R
        (EMPTY_RTOL R + 2 phi_c) + 2^-40 (max |coordinate| + R)^2, the last
        term for larger S, whose emptiness is left to Qhull's roundoff (a few u of that square).
-       The settle takes the sites within r_S + 2 phi_c + t_B of c_S, and
-       T's radius is <= rho' <= R: it keeps a triple degenerate in floats
-       or of radius <= rho' + phi_c and depth <= alpha + 2 phi_c.  If Delta
-       >= r0, the root is not positive or Delta + eps / e1 + phi_c > rho',
-       every S in range is flagged and none is settled.  The near_miss
-       margin is the least clearance - 2 phi_c - t_B over the unflagged S
-       in range, a bound.  A flagged S fails with margin -inf and is
-       counted in ``budget``, named by S or, if flagged for its clearance
-       alone, by its first triple that the settle keeps.
+       The settle takes the sites within r_S + 2 phi_c + t_B of c_S from
+       the same tree, and T's radius is <= rho' <= R: it keeps a triple
+       degenerate in floats or of radius <= rho' + phi_c and depth <=
+       alpha + 2 phi_c.  If Delta >= r0, the root is not positive or
+       Delta + eps / e1 + phi_c > rho', every S in range is flagged and
+       none is settled.  The near_miss margin is the least clearance -
+       2 phi_c - t_B over the unflagged S in range, a bound.  A flagged S
+       fails with margin -inf and is counted in ``budget``, named by S or,
+       if flagged for its clearance alone, by its first triple that the
+       settle keeps.
     4. Over budget.  A parameter with an override longer than family.eps
        runs the per-parameter check: its translate's circumcenters, the
        margins robustness, translate_clearance, center_drift and
        radius_drift there, and identity of ``tess.delaunay_top`` of the
-       translate with the complex (witness ``combinatorics``).
+       translate with the complex (witness ``combinatorics``); the
+       translate's clearances and its ``delaunay_top`` ask one tree, its
+       own.
 
     Float errors: each margin is reported net of its error bound and passes
     when >= 0.  Clearances carry 2 phi (a center and a distance), the
@@ -967,11 +961,13 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         note("circumcenter_exists", -math.inf, verts[np.argmin(valid)], None)
     eta_f = 64.0 * 2.0 ** -53 * (float(np.max(np.abs(pts), initial=0.0)) + d2)
     eta = family.eps + eta_f
-    e1 = min(net.d1, net.closest_pair()[0])
+    e1 = min(net.d1, net.closest_pair[0])
     rho = robustness.prefix_distances(stacks).min(axis=1) if len(verts) else np.zeros(0)
     clearance = np.full(len(verts), -np.inf)
     if np.any(valid):
-        clearance[valid] = _clearances(pts, centers[valid], radii[valid])
+        # the (n+2)-nd nearest site: the n+1 vertices sit at distance ~radius
+        clearance[valid] = tess.sphere_neighbours(net, centers[valid])[0][:, n + 1] \
+            - radii[valid]
 
     def spread(t):
         return (2.0 * d2 + 2.0 * t) ** 2 - (2.0 * d2) ** 2
@@ -1031,7 +1027,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             t_b = (3.0 * r0 * alpha + slack) / math.sqrt(root) \
                 if lift < r0 and root > 0 and held <= cap else math.inf
             witnesses, near, margin, row = _near_misses(
-                pts, verts, reach + phi_c, alpha + 2.0 * phi_c, held, 2.0 * phi_c + t_b)
+                net, verts, reach + phi_c, alpha + 2.0 * phi_c, held, 2.0 * phi_c + t_b)
             if near:
                 note("near_miss", -math.inf, witnesses[0] if witnesses else None,
                      None, {"near_miss": witnesses[:8]})
@@ -1065,12 +1061,12 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             np.maximum(radius_drift, drp, out=radius_drift)
             check("robustness", robustness.prefix_distances(tstacks).min(axis=1)
                   - rho_floor, param)
-            check("translate_clearance",
-                  _clearances(tnet.points, tc, tr) - clear_trans, param)
+            check("translate_clearance", tess.sphere_neighbours(tnet, tc)[0][:, n + 1]
+                  - tr - clear_trans, param)
             check("center_drift", drift_c_max - dcp, param)
             check("radius_drift", drift_r_max - drp, param)
         # combinatorial identity under translation
-        tverts = tess.delaunay_top(tnet.points, d2)[0]
+        tverts = tess.delaunay_top(tnet)[0]
         if np.array_equal(tverts, verts):
             continue
         diff = sorted(set(map(tuple, tverts.tolist())) ^ set(map(tuple, verts.tolist())))
@@ -1168,8 +1164,6 @@ def build_product_structure(K: Region, net: tess.Net,
     naming the first such sample, when a sample's nearest site is not
     interior or the sample escapes those cones.
     """
-    from scipy.spatial import cKDTree
-
     lo, hi = K.bounding_box()
     axes = [np.linspace(lo[k], hi[k], grid_shape[k]) for k in range(K.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -1183,7 +1177,7 @@ def build_product_structure(K: Region, net: tess.Net,
     verts = complex_.top_arrays(n)[0]
     interior = net.interior_mask()
     k = min(12, len(net))
-    dist, near = cKDTree(net.points).query(grid, k=k)
+    dist, near = net.tree.query(grid, k=k)
     dist, near = dist.reshape(len(grid), k), near.reshape(len(grid), k)
     order = np.lexsort((near, dist), axis=1)
     near = np.take_along_axis(near, order, axis=1)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import circumsphere as cs
 from . import constants as consts
@@ -522,7 +521,7 @@ def check_density(net: tess.Net, resolution: float) -> float:
     grid = region_grid(net.region, resolution)
     if grid.size == 0:
         return 0.0
-    d, _ = cKDTree(net.points).query(grid)
+    d, _ = net.tree.query(grid)
     return float(np.max(d))
 
 
@@ -609,7 +608,7 @@ def check_filling(net: tess.Net, complex_: tess.DelaunayComplex, i: int,
         return False
     pts = net.points
     q = pts[i] + rng.uniform(-net.d2, net.d2, size=(100 * samples, net.dim))
-    _, nearest = cKDTree(pts).query(q)
+    _, nearest = net.tree.query(q)
     q = q[nearest == i][:samples]
     simplex, _ = tess.locate(pts, verts, q, np.full((len(q), 1), i))
     return bool(np.all(simplex >= 0))

@@ -11,8 +11,8 @@ triangulation is unique, so this equals the set of all empty small spheres.
 When it is not, or Qhull cannot triangulate the input, the kernel falls back
 to enumerating every (n+1)-subset of sites pairwise within 2*d2, which keeps
 all empty spheres of a cospherical configuration.  That enumeration
-(``small_spheres``, vectorized from one ``cKDTree.query_pairs``) is also the
-fallback and the tests' oracle of ``check_duality``
+(``small_spheres``, vectorized from one ``query_pairs`` of the net's tree) is
+also the fallback and the tests' oracle of ``check_duality``
 (``duality_by_enumeration``, one block at a time): in the plane
 ``check_duality`` certifies duality's backward direction from the top rows
 alone, by their clearances, ``facets`` and exact ``orientations``, and
@@ -21,6 +21,11 @@ near-miss pass reads Qhull's whole triangulation through
 ``qhull_simplices``.  Both branches take every center from
 ``circumsphere.circumcenter_batch``, whose rows do not depend on the batch,
 so they give equal bits.
+Every nearest-site query (emptiness, clearance, cell membership, the pairs
+within reach) asks one k-d tree (Bentley, "Multidimensional binary search
+trees used for associative searching", CACM 1975), the net's own
+``Net.tree``, built on first use; the kernels that query sites take the
+``Net``.
 The complex is pure and stored by its top simplices alone, which determine
 every face (Boissonnat, Karthik & Tavenas, "Building efficient and compact
 data structures for simplicial complexes", Algorithmica 2017), as one
@@ -40,6 +45,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -75,22 +81,25 @@ class Net:
     def __len__(self):
         return len(self.points)
 
+    @cached_property
+    def tree(self):
+        """The sites' ``scipy.spatial.cKDTree``, built on first use and kept:
+        the one spatial index of the net, which every nearest-site query
+        asks."""
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.points)
+
+    @cached_property
     def closest_pair(self):
         """(distance, i, j): the exact least distance between two sites
         (metric of the ambient chart), with i the first site attaining it
-        and j its nearest; (inf, None, None) below two sites.  Queried once
-        per net object, which keeps the result."""
-        if "_closest_pair" not in self.__dict__:
-            p = self.points
-            pair = (np.inf, None, None)
-            if len(p) >= 2:
-                from scipy.spatial import cKDTree
-
-                d, j = cKDTree(p).query(p, k=2)
-                i = int(np.argmin(d[:, 1]))
-                pair = (float(d[i, 1]), i, int(j[i, 1]))
-            object.__setattr__(self, "_closest_pair", pair)
-        return self._closest_pair
+        and j its nearest; (inf, None, None) below two sites."""
+        if len(self.points) < 2:
+            return np.inf, None, None
+        d, j = self.tree.query(self.points, k=2)
+        i = int(np.argmin(d[:, 1]))
+        return float(d[i, 1]), i, int(j[i, 1])
 
     def interior_mask(self) -> np.ndarray:
         """Sites whose cell provably stays inside the region: inward
@@ -181,28 +190,27 @@ def facets(verts: np.ndarray):
 _BLOCK = 4096
 
 
-def _local_subsets(points: np.ndarray, n: int, reach: float):
-    """Sorted (n+1)-tuples of indices pairwise within ``reach``, yielded as
-    int64 blocks of shape (<= _BLOCK, n+1) whose rows, joined, are every
-    such tuple once, in lexicographic order.
+def _local_subsets(net: Net, reach: float):
+    """Sorted (n+1)-tuples of site indices pairwise within ``reach``,
+    yielded as int64 blocks of shape (<= _BLOCK, n+1) whose rows, joined,
+    are every such tuple once, in lexicographic order.
 
-    The pairs i < j within reach come from one ``cKDTree.query_pairs``
-    call.  They form each site's list of higher neighbours, and a tuple is
-    grown one vertex at a time from its least vertex i: the next vertex is
-    a later member of i's list, and its squared distance to every other
-    vertex of the tuple, summed by ``einsum``, must be at most reach^2.
+    The pairs i < j within reach come from one ``query_pairs`` call on the
+    net's tree.  They form each site's list of higher neighbours, and a
+    tuple is grown one vertex at a time from its least vertex i: the next
+    vertex is a later member of i's list, and its squared distance to every
+    other vertex of the tuple, summed by ``einsum``, must be at most
+    reach^2.
     Blocks of consecutive pairs are grown one after another, each with
     about _BLOCK pairs and first-step candidates in all (a pair's
     candidates are the later members of its least vertex's list), and each
     grown block is yielded in slices of _BLOCK rows: a consumer that
     handles one block at a time holds only the pairs and one block.
     """
-    from scipy.spatial import cKDTree
-
-    m = len(points)
+    points, n, m = net.points, net.dim, len(net)
     if m < n + 1:
         return
-    pairs = cKDTree(points).query_pairs(reach, output_type="ndarray").astype(np.int64)
+    pairs = net.tree.query_pairs(reach, output_type="ndarray").astype(np.int64)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     nbr = pairs[:, 1]
     end = np.searchsorted(pairs[:, 0], np.arange(m), side="right")
@@ -257,18 +265,17 @@ def _sphere_rows(pts: np.ndarray, rows: np.ndarray, radius: float):
     return rows[keep], centers[keep], radii[keep]
 
 
-def small_spheres(points, n: int, radius: float):
+def small_spheres(net: Net, radius: float):
     """Every (n+1)-subset of sites whose circumsphere is valid and of
     radius <= ``radius``: (rows, centers, radii), the rows sorted and in
     lexicographic order, each center bitwise the one ``circumcenter_batch``
     gives the row on its own.  The candidates are the ``_local_subsets``
     within 2*radius, solved one block at a time.
     """
-    pts = np.asarray(points, dtype=float)
     # a leading empty block gives the joined columns their shapes
-    blocks = itertools.chain([np.zeros((0, n + 1), dtype=np.int64)],
-                             _local_subsets(pts, n, 2.0 * radius))
-    parts = [_sphere_rows(pts, rows, radius) for rows in blocks]
+    blocks = itertools.chain([np.zeros((0, net.dim + 1), dtype=np.int64)],
+                             _local_subsets(net, 2.0 * radius))
+    parts = [_sphere_rows(net.points, rows, radius) for rows in blocks]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -289,25 +296,23 @@ def qhull_simplices(pts: np.ndarray):
     return np.sort(tri.simplices, axis=1).astype(np.int64)
 
 
-def sphere_neighbours(points: np.ndarray, centers: np.ndarray, n: int):
+def sphere_neighbours(net: Net, centers: np.ndarray):
     """Distances from each center to its n+2 nearest sites and their
     indices, both of shape (len(centers), n+2); inf distances where the net
     has fewer sites.  For the circumsphere of n+1 sites, column 0 is the
     emptiness test and column n+1 is the nearest site off the sphere: its
     clearance, and the cospherical test."""
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points).query(centers, k=n + 2)
+    return net.tree.query(centers, k=net.dim + 2)
 
 
-def _empty_spheres(pts: np.ndarray, rows: np.ndarray, centers: np.ndarray,
+def _empty_spheres(net: Net, rows: np.ndarray, centers: np.ndarray,
                    radii: np.ndarray):
     """The rows whose sphere is empty of other sites, in lexicographic
     order: (verts, centers, radii, regular)."""
-    n = pts.shape[1]
+    n = net.dim
     if not len(rows):
         return rows, np.zeros((0, n)), np.zeros(0), True
-    d = sphere_neighbours(pts, centers, n)[0]
+    d = sphere_neighbours(net, centers)[0]
     empty = d[:, 0] >= radii * (1.0 - EMPTY_RTOL)
     # an extra site within COSPHERICAL_RTOL*radius of a kept sphere's surface
     # makes n+2 cospherical sites; sites deeper inside fail the emptiness test
@@ -317,8 +322,9 @@ def _empty_spheres(pts: np.ndarray, rows: np.ndarray, centers: np.ndarray,
     return rows[keep], centers[keep], radii[keep], regular
 
 
-def delaunay_top(points, d2: float):
-    """Top simplices of the flat Delaunay complex with circumradius <= d2.
+def delaunay_top(net: Net):
+    """Top simplices of the net's flat Delaunay complex with circumradius
+    <= d2.
 
     Returns (verts, centers, radii, regular): sorted int64 vertex rows in
     lexicographic order, their circumcenters and radii, and False iff some
@@ -349,13 +355,12 @@ def delaunay_top(points, d2: float):
     is not regular: the enumeration keeps every empty sphere of a
     cospherical configuration.
     """
-    pts = np.asarray(points, dtype=float)
-    rows = qhull_simplices(pts)
+    rows = qhull_simplices(net.points)
     if rows is not None:
-        top = _empty_spheres(pts, *_sphere_rows(pts, rows, d2))
+        top = _empty_spheres(net, *_sphere_rows(net.points, rows, net.d2))
         if top[3]:
             return top
-    return _empty_spheres(pts, *small_spheres(pts, pts.shape[1], d2))
+    return _empty_spheres(net, *small_spheres(net, net.d2))
 
 
 def build_delaunay(net: Net, metric) -> DelaunayComplex:
@@ -366,7 +371,7 @@ def build_delaunay(net: Net, metric) -> DelaunayComplex:
     if metric is not None and metric.kind != "flat":
         raise ValidationError(f"the Delaunay complex is built in the flat metric "
                               f"only, not {metric.selector()}")
-    return DelaunayComplex.from_arrays(net.dim, *delaunay_top(net.points, net.d2))
+    return DelaunayComplex.from_arrays(net.dim, *delaunay_top(net))
 
 
 @dataclass(frozen=True)
@@ -411,7 +416,7 @@ def orientations(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return sign
 
 
-def _tops_failure(net: Net, verts: np.ndarray, interior: np.ndarray, tree):
+def _tops_failure(net: Net, verts: np.ndarray, interior: np.ndarray):
     """None when the tops certify the backward direction of duality
     (``check_duality``, conditions (1)-(4)); else the first failed
     condition, with its top, facet or site."""
@@ -423,7 +428,7 @@ def _tops_failure(net: Net, verts: np.ndarray, interior: np.ndarray, tree):
         return f"top {tuple(verts[unsorted[0]].tolist())} is not a strictly increasing row"
     # the float bounds: phi_c for radii up to R = 2 d2, T's depth alpha and
     # radius rho, and the lemma's t_B
-    e1 = min(net.d1, net.closest_pair()[0]) * (1.0 - 2.0 ** -40)
+    e1 = min(net.d1, net.closest_pair[0]) * (1.0 - 2.0 ** -40)
     cap = 2.0 * d2
     try:
         phi_c = cs.planar_center_error(e1, cap, float(np.max(np.abs(pts), initial=0.0)) + cap)
@@ -439,7 +444,7 @@ def _tops_failure(net: Net, verts: np.ndarray, interior: np.ndarray, tree):
     small = valid & (radii <= d2)
     if not np.all(small):
         return f"top {tuple(verts[np.argmin(small)].tolist())} has no circle of radius <= d2"
-    clearance = tree.query(centers, k=4)[0][:, 3] - radii - 2.0 * phi_c
+    clearance = sphere_neighbours(net, centers)[0][:, 3] - radii - 2.0 * phi_c
     if len(verts) and not clearance.min() > t_b:
         i = int(np.argmin(clearance))
         return (f"top {tuple(verts[i].tolist())} has clearance {clearance[i]:.3g} "
@@ -483,21 +488,21 @@ def _tops_failure(net: Net, verts: np.ndarray, interior: np.ndarray, tree):
     return None
 
 
-def _forward_duality(pts, interior, tree, verts, centers):
+def _forward_duality(net: Net, interior, verts, centers):
     """The forward direction of ``check_duality``: (violations, checks) of
     the stored centers of the tops with interior vertices."""
     fwd = np.nonzero(np.all(interior[verts], axis=1))[0]
-    _, inside = _in_cells(pts, tree, verts[fwd], centers[fwd])
+    _, inside = _in_cells(net, verts[fwd], centers[fwd])
     violations = [("center_outside_cell", tuple(verts[fwd[j]].tolist()),
                    int(verts[fwd[j], np.argmin(inside[j])]))
                   for j in np.nonzero(~np.all(inside, axis=1))[0]]
     return violations, len(fwd)
 
 
-def _in_cells(pts, tree, verts, centers):
+def _in_cells(net: Net, verts, centers):
     """(nearest-site distance, per-vertex in-cell mask) of each center."""
-    dmin, _ = tree.query(centers)
-    dv = np.linalg.norm(pts[verts] - centers[:, None, :], axis=2)
+    dmin, _ = net.tree.query(centers)
+    dv = np.linalg.norm(net.points[verts] - centers[:, None, :], axis=2)
     return dmin, dv <= (dmin + MEMBERSHIP_RTOL * np.maximum(1.0, dmin))[:, None]
 
 
@@ -521,7 +526,7 @@ def check_duality(net: Net, complex_: DelaunayComplex) -> DualityReport:
     (1) every top's circle, recomputed by ``circumcenter_batch`` from its
         vertex rows, is valid with radius <= d2, and its clearance (the
         distance from its center to the fourth-nearest site, one
-        ``cKDTree`` query with k = n+2, minus its radius) exceeds
+        ``sphere_neighbours`` query, minus its radius) exceeds
         t_B + 2 phi_c (below);
     (2) through ``facets``, the rows are strictly increasing, every facet
         has one or two parents, and the two parents of an inner facet lie
@@ -589,16 +594,12 @@ def check_duality(net: Net, complex_: DelaunayComplex) -> DualityReport:
     t_S > t_B: no T exists, the backward direction holds, and the verdict
     is the forward one, the enumeration's.
     """
-    from scipy.spatial import cKDTree
-
-    pts = net.points
     interior = net.interior_mask()
-    tree = cKDTree(pts)
     verts, centers, _ = complex_.top_arrays(net.dim)
-    failed = _tops_failure(net, verts, interior, tree)
+    failed = _tops_failure(net, verts, interior)
     if failed is not None:
         return replace(duality_by_enumeration(net, complex_), fallback=failed)
-    violations, checked = _forward_duality(pts, interior, tree, verts, centers)
+    violations, checked = _forward_duality(net, interior, verts, centers)
     return DualityReport(violations=tuple(violations), checked=checked + len(verts),
                          method="tops")
 
@@ -611,19 +612,14 @@ def duality_by_enumeration(net: Net, complex_: DelaunayComplex) -> DualityReport
     at once.  ``checked`` counts the forward checks and the candidates of
     interior sites that are not tops.  The fallback of ``check_duality``
     and the oracle its tops certificate is tested against."""
-    from scipy.spatial import cKDTree
-
-    n = net.dim
-    pts = net.points
     interior = net.interior_mask()
-    tree = cKDTree(pts)
-    verts, centers, _ = complex_.top_arrays(n)
-    violations, checked = _forward_duality(pts, interior, tree, verts, centers)
-    for block in _local_subsets(pts, n, 2.0 * net.d2):
-        rows, c, r = _sphere_rows(pts, block, net.d2)
+    verts, centers, _ = complex_.top_arrays(net.dim)
+    violations, checked = _forward_duality(net, interior, verts, centers)
+    for block in _local_subsets(net, 2.0 * net.d2):
+        rows, c, r = _sphere_rows(net.points, block, net.d2)
         new = np.nonzero(np.all(interior[rows], axis=1)
-                         & ~rows_in(rows, verts, len(pts)))[0]
-        dmin, inside = _in_cells(pts, tree, rows[new], c[new])
+                         & ~rows_in(rows, verts, len(net)))[0]
+        dmin, inside = _in_cells(net, rows[new], c[new])
         # in all n+1 cells and no site inside => the subset had an empty sphere
         missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - MEMBERSHIP_RTOL))
         violations.extend(("missing_simplex", tuple(row), None)

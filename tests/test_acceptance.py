@@ -211,7 +211,7 @@ def test_criterion_06_net_synthesis_quality(bundle2, big_net_pack):
     K = big_net_pack["K"]
     elapsed = big_net_pack["elapsed"]
     rF = bundle2.rF
-    sep = net.closest_pair()[0]
+    sep = net.closest_pair[0]
     grid = paper.region_grid(K, rF / 100.0)
     dens, _ = cKDTree(net.points).query(grid)
     dens = float(np.max(dens))

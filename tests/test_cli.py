@@ -319,24 +319,40 @@ class TestPipeline:
         cert = jsonio.read(out)
         assert cert["pass"] is True
 
-    def test_certify_queries_the_separation_once(self, tiny_files, tmp_path,
-                                                 monkeypatch):
-        # the loader's net keeps its closest pair, which certification reuses
+    @pytest.mark.parametrize("command, trees, code", [
+        ("triangulate", 1, 0), ("certify", 1, 0), ("certify-over-budget", 2, 2),
+        ("duality-check", 1, 0), ("render", 1, 0)])
+    def test_one_kd_tree_per_point_set(self, tiny_files, tmp_path, monkeypatch,
+                                       command, trees, code):
+        # every nearest-site query asks Net.tree: the loaded net's tree, which
+        # also answers its separation query once, and an over-budget
+        # override's translate's own
         import scipy.spatial
 
-        queries = []
+        built, queries = [], []
 
         class CountingTree(scipy.spatial.cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                built.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
             def query(self, x, k=1, **kwargs):
                 queries.extend([len(x)] if k == 2 else [])  # Net.closest_pair's k
                 return super().query(x, k=k, **kwargs)
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
-        rc = cli.main(["certify", "--net", tiny_files["net"],
-                       "--complex", tiny_files["cx"], "--bundle", tiny_files["bundle"],
-                       "--family-depth", "1", "--out", str(tmp_path / "cert.json")])
-        assert rc == 0
-        assert queries == [len(jsonio.read(tiny_files["net"])["points"])]
+        net, cx, out = tiny_files["net"], tiny_files["cx"], str(tmp_path / "out")
+        certify = ["certify", "--net", net, "--complex", cx, "--bundle",
+                   tiny_files["bundle"], "--family-depth", "1", "--out", out]
+        args = {"triangulate": ["triangulate", "--net", net, "--out", out],
+                "certify": certify,
+                "certify-over-budget": certify + ["--adversarial", "1:0:1.0,0.0"],
+                "duality-check": ["duality-check", "--net", net, "--complex", cx],
+                "render": ["render", "--net", net, "--complex", cx, "--out", out]}[command]
+        assert cli.main(args) == code
+        m = len(jsonio.read(net)["points"])
+        assert built == [m] * trees
+        assert queries == [m]
 
     def test_certify_adversarial_fails(self, tiny_files, tmp_path):
         out = tmp_path / "cert_bad.json"
@@ -613,6 +629,18 @@ class TestStdout:
         out = capsys.readouterr().out
         assert '"v": 1' in out
 
+    def test_render_dash_writes_svg_to_stdout(self, tiny_files, tmp_path, capsys,
+                                              monkeypatch):
+        """render's --out - is standard output, as for the JSON commands,
+        not a file named "-"."""
+        monkeypatch.chdir(tmp_path)
+        args = ["render", "--net", tiny_files["net"], "--complex", tiny_files["cx"]]
+        assert cli.main(args + ["--out", "net.svg"]) == 0
+        capsys.readouterr()
+        assert cli.main(args + ["--out", "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "net.svg").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.svg"]
+
 
 def test_cli_does_not_import_scipy_optimize(tmp_path):
     """The constants and synthesize commands run without scipy.optimize or
@@ -834,3 +862,34 @@ def test_package_writes_only_through_write_text():
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
     assert os_open == ["jsonio.py"] and "os.open(" in inspect.getsource(jsonio.write_text)
+
+
+def test_package_builds_kd_trees_only_in_net_tree():
+    """``cKDTree`` is constructed in one place, ``tessellation.Net.tree``,
+    and only ``tessellation`` imports ``scipy.spatial``, at any level and
+    in every module, ``paper`` included: each nearest-site query asks the
+    net's own tree."""
+    built, importers = [], set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                fn = child.func
+                if (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) \
+                        == "cKDTree":
+                    built.append(f"{module}.{scope}")
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                mod = getattr(child, "module", None) or ""  # None for "from . import x"
+                names = [a.name for a in child.names] if isinstance(child, ast.Import) \
+                    else [mod] + [f"{mod}.{a.name}" for a in child.names]
+                if any(n == "scipy.spatial" or n.startswith("scipy.spatial.") for n in names):
+                    importers.add(module)
+            visit(child, module, inner)
+
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    assert built == ["tessellation.Net.tree"]
+    assert importers == {"tessellation"}

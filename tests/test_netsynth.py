@@ -683,7 +683,7 @@ class TestSynthesizeNet:
         K = nsy.Region.disk([0.0, 0.0], 0.2)
         net, report = nsy.synthesize_net(K, bundle2, seed=5)
         assert len(net) > 3
-        assert net.closest_pair()[0] >= bundle2.d1
+        assert net.closest_pair[0] >= bundle2.d1
         # the synthesis domain (K plus the 2*d2 collar) is d2-dense
         assert paper.check_density(net, bundle2.rF / 100.0) <= bundle2.d2
         assert report.max_excluded_fraction < 0.5
@@ -1016,7 +1016,7 @@ def _near_miss_reach(net, family, bundle):
     d2 = net.d2
     eta_f = 64.0 * 2.0 ** -53 * (float(np.max(np.abs(net.points))) + d2)
     eta = family.eps + eta_f
-    e1 = min(net.d1, net.closest_pair()[0])
+    e1 = min(net.d1, net.closest_pair[0])
 
     def drift(t, delta):
         return float(cs.displacement_bound(cs.PerturbationBudget(
@@ -1034,7 +1034,7 @@ def _enumerated_near_misses(net, complex_, family, bundle):
     holds no site deeper than alpha inside its circle, by the exact
     nearest-site depth."""
     rho, alpha = _near_miss_reach(net, family, bundle)
-    rows, c, r = tess.small_spheres(net.points, 2, rho)
+    rows, c, r = tess.small_spheres(net, rho)
     other = ~tess.rows_in(rows, complex_.top_arrays(2)[0], len(net))
     depth = r[other] - cKDTree(net.points).query(c[other])[0]
     return rows[other][depth <= alpha]

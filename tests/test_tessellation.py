@@ -37,7 +37,7 @@ SQUARE_CENTER = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
 class TestNet:
     def test_separation(self):
         net = _net(SQUARE_CENTER, 0.3, 0.6)
-        sep, i, j = net.closest_pair()
+        sep, i, j = net.closest_pair
         assert sep == pytest.approx(math.sqrt(0.5))
         assert i == 0 and j == 4  # the first site at the least distance, and its nearest
 
@@ -257,7 +257,7 @@ def _local_subsets_loop(points, n, reach):
 def _joined_subsets(points, n, reach):
     """The blocks of ``_local_subsets`` joined into one (M, n+1) array."""
     return np.concatenate([np.zeros((0, n + 1), dtype=np.int64),
-                           *tess._local_subsets(points, n, reach)])
+                           *tess._local_subsets(_net(points, 0.0, 0.0, dim=n), reach)])
 
 
 class TestLocalSubsets:
@@ -280,7 +280,7 @@ class TestLocalSubsets:
         # blocks of at most _BLOCK rows, joined in order
         for block in (7, tess._BLOCK):
             with mock.patch.object(tess, "_BLOCK", block):
-                blocks = list(tess._local_subsets(pts, n, reach))
+                blocks = list(tess._local_subsets(_net(pts, 0.0, 0.0, dim=n), reach))
             assert all(0 < len(b) <= block for b in blocks)
             got = np.concatenate([np.zeros((0, n + 1), dtype=np.int64), *blocks])
             assert got.dtype == want.dtype == np.int64
@@ -311,7 +311,7 @@ class TestLocalSubsets:
         if not 0.0 < radius < 1.0:
             radius = 0.4
         with mock.patch.object(tess, "_BLOCK", 5):
-            got = tess.small_spheres(pts, n, radius)
+            got = tess.small_spheres(_net(pts, 0.0, radius, dim=n), radius)
         want = tess._sphere_rows(pts, _joined_subsets(pts, n, 2.0 * radius), radius)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)  # bitwise
@@ -353,7 +353,7 @@ def _enumeration_top(pts, d2):
     """The kernel's enumeration path on its own."""
     n = pts.shape[1]
     rows = _joined_subsets(pts, n, 2.0 * d2)
-    return tess._empty_spheres(pts, *tess._sphere_rows(pts, rows, d2))
+    return tess._empty_spheres(_net(pts, 0.0, d2, dim=n), *tess._sphere_rows(pts, rows, d2))
 
 
 def _kernel_case(kind, rng):
@@ -388,7 +388,7 @@ class TestDelaunayKernel:
                             "poisson3d"]))
     def test_matches_brute_force_and_enumeration(self, seed, kind):
         pts, d2 = _kernel_case(kind, np.random.default_rng(seed))
-        got = tess.delaunay_top(pts, d2)
+        got = tess.delaunay_top(_net(pts, 0.0, d2, dim=pts.shape[1]))
         _assert_same_top(got, _all_subsets_top(pts, d2))
         _assert_same_top(got, _enumeration_top(pts, d2))
         if kind == "square" and len(got[0]):
@@ -401,7 +401,7 @@ class TestDelaunayKernel:
     ])
     def test_small_inputs(self, pts):
         pts = np.array(pts)
-        got = tess.delaunay_top(pts, 0.8)
+        got = tess.delaunay_top(_net(pts, 0.0, 0.8))
         _assert_same_top(got, _all_subsets_top(pts, 0.8))
         _assert_same_top(got, _enumeration_top(pts, 0.8))
 
@@ -412,7 +412,7 @@ class TestDelaunayKernel:
         calls = []
         monkeypatch.setattr(tess, "_local_subsets",
                             lambda *a: calls.append(a) or np.zeros((0, 3), np.int64))
-        _assert_same_top(tess.delaunay_top(pts, 0.9), want)
+        _assert_same_top(tess.delaunay_top(_net(pts, 0.0, 0.9)), want)
         assert calls == []
 
     @pytest.mark.parametrize("pts", [
@@ -424,7 +424,7 @@ class TestDelaunayKernel:
         enumerate_ = tess._local_subsets
         monkeypatch.setattr(tess, "_local_subsets",
                             lambda *a: calls.append(a) or enumerate_(*a))
-        tess.delaunay_top(pts, 0.75)
+        tess.delaunay_top(_net(pts, 0.0, 0.75))
         assert len(calls) == 1
 
 
@@ -447,7 +447,7 @@ def _enumeration_complex(net):
     # regular: no site off a kept sphere within 1e-9 * radius of it
     regular = True
     if len(verts):
-        d = tess.sphere_neighbours(pts, centers, n)[0]
+        d = tess.sphere_neighbours(net, centers)[0]
         regular = not bool(np.any(d[:, n + 1] <= radii * (1.0 + 1e-9)))
     return tess.DelaunayComplex.from_arrays(n, verts, centers, radii, regular)
 
@@ -458,7 +458,7 @@ class TestTopSimplices:
 
     def test_entries_and_slices_equal_the_arrays(self):
         net = _net(_poisson(np.random.default_rng(14), 25, 0.15), 0.15, 0.35)
-        verts, centers, radii = tess.delaunay_top(net.points, net.d2)[:3]
+        verts, centers, radii = tess.delaunay_top(net)[:3]
         cx = tess.DelaunayComplex.from_arrays(2, verts, centers, radii, True)
         assert all(a is b for a, b in zip(cx.top_arrays(2), (verts, centers, radii)))
         top = cx.top(2)
@@ -657,7 +657,7 @@ def _one_piece_duality(net, complex_, rtol=tess.MEMBERSHIP_RTOL):
     for j in np.nonzero(~np.all(inside, axis=1))[0]:
         violations.append(("center_outside_cell", tuple(verts[fwd[j]].tolist()),
                            int(verts[fwd[j], np.argmin(inside[j])])))
-    rows, c, r = tess.small_spheres(pts, n, net.d2)
+    rows, c, r = tess.small_spheres(net, net.d2)
     new = np.nonzero(np.all(interior[rows], axis=1)
                      & ~tess.rows_in(rows, verts, len(pts)))[0]
     dmin, inside = in_cells(rows[new], c[new])
