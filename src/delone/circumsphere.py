@@ -5,20 +5,21 @@ linear system U xi = lambda(U)/2 where the rows of U are the edge vectors
 u_k = y_{k-1} - y_n against the last point as base, and lambda(U) collects
 their squared norms.  ``circumcenter_batch`` is the one kernel: Cramer's rule
 in the plane, LAPACK's batched solve above; ``circumcenter`` is its row 0.
-The closed form ``displacement_bound`` bounds how far the center can move
-when every vertex moves by at most eps, and ``planar_center_error`` the
+The closed forms, on plain numbers and arrays: ``displacement_bound``
+bounds how far the center can move when every vertex moves by at most eps,
+``spread`` how far a planar |det U| can, and ``planar_center_error`` the
 rounding of a planar center.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateError, InvalidBudgetError
+from .errors import DegenerateError
 from .robustness import v2_constant
 
 @dataclass(frozen=True)
@@ -27,33 +28,6 @@ class CircumSphere:
 
     center: np.ndarray
     radius: float
-
-
-@dataclass(frozen=True)
-class PerturbationBudget:
-    """Scale constants for the displacement/stability bounds.
-
-    e1 <= pairwise distances <= 2*e2 for the configurations covered;
-    e3 = e2 + eps; rho is the robustness floor; delta a lower bound for the
-    parallelepiped volume |det U| of the configuration, or an array of
-    such bounds, one per configuration.
-    """
-
-    e1: float
-    e2: float
-    eps: float
-    rho: float
-    delta: float
-    e3: float = field(init=False)
-
-    def __post_init__(self):
-        if not (0 < self.e1 < self.e2):
-            raise InvalidBudgetError("require 0 < e1 < e2")
-        if self.eps < 0:
-            raise InvalidBudgetError("require eps >= 0")
-        if self.rho <= 0 or np.any(np.asarray(self.delta) <= 0):
-            raise InvalidBudgetError("require rho > 0 and delta > 0")
-        object.__setattr__(self, "e3", self.e2 + self.eps)
 
 
 def circumcenter(pts) -> CircumSphere:
@@ -123,6 +97,13 @@ def circumcenter_batch(pts: np.ndarray):
     return np.ascontiguousarray((xi + q[-1]).T), radii, valid
 
 
+def spread(radius: float, t):
+    """The most |det U| of a planar edge matrix with rows <= 2 radius
+    changes when each vertex moves by at most t: (2 radius + 2t)^2 -
+    (2 radius)^2 (Hadamard's inequality)."""
+    return (2.0 * radius + 2.0 * t) ** 2 - (2.0 * radius) ** 2
+
+
 def planar_center_error(e1: float, radius: float, span: float) -> float:
     """phi_c: within it of the exact values lie the center and radius that
     ``circumcenter_batch`` computes for three sites pairwise >= e1 apart on a
@@ -132,29 +113,30 @@ def planar_center_error(e1: float, radius: float, span: float) -> float:
 
     With eta_c = 64 u span, a vertex move that covers the rounding of an
     edge, of a center and of a distance, and |det U| >= v2_constant(e1,
-    radius) - spread(eta_c), spread(t) = (2 radius + 2t)^2 - (2 radius)^2 (the
-    most |det U| of edges <= 2 radius changes under vertex moves t), the
-    planar closed form's bound gamma_6 12 radius^3 / |det U| is below
-    84 u radius^3 / that (84 u > 12 gamma_6).
+    radius) - spread(radius, eta_c), the planar closed form's bound
+    gamma_6 12 radius^3 / |det U| is below 84 u radius^3 / that
+    (84 u > 12 gamma_6).
     """
     eta = 64.0 * 2.0 ** -53 * span
-    delta = v2_constant(e1, radius) - ((2.0 * radius + 2.0 * eta) ** 2 - (2.0 * radius) ** 2)
+    delta = v2_constant(e1, radius) - spread(radius, eta)
     return eta + 84.0 * 2.0 ** -53 * radius ** 3 / delta if delta > 0 else math.inf
 
 
-def displacement_bound(budget: PerturbationBudget, n: int):
+def displacement_bound(eps, e2, delta, n: int):
     """The paper's circumcenter displacement estimate: a certified bound on
     the center's move under per-vertex moves of size <= eps, for
-    configurations with |det U| >= delta (an array of bounds for an array
-    of deltas).
+    configurations with pairwise distances <= 2 e2 and |det U| >= delta (an
+    array of bounds for an array of deltas):
 
-    eps * {1 + n^{3/2} 2^{n+1} e3^n / delta + 2 n^3 2^{2n} e3^{2n} / delta^2};
-    scale-invariant when lengths scale by s and delta by s^n.
+    eps * {1 + n^{3/2} 2^{n+1} e3^n / delta + 2 n^3 2^{2n} e3^{2n} / delta^2},
+    e3 = e2 + eps, and inf where delta is not positive.  Scale-invariant
+    when lengths scale by s and delta by s^n.
     """
-    e3 = budget.e3
-    d = budget.delta
-    return budget.eps * (
+    e3 = e2 + eps
+    pos = np.asarray(delta) > 0
+    d = np.where(pos, delta, 1.0)
+    return np.where(pos, eps * (
         1.0
         + n**1.5 * 2.0 ** (n + 1) * e3**n / d
         + 2.0 * n**3 * 2.0 ** (2 * n) * e3 ** (2 * n) / d**2
-    )
+    ), np.inf)[()]

@@ -167,8 +167,7 @@ def cmd_certify(net_path, cx_path, bundle_path, family_depth, family_seed,
     """Certify family stability of a complex; exit 2 on a failing certificate."""
     net, cx = _load_net_and_complex(net_path, cx_path)
     bundle = _load(bundle_path, jsonio.bundle_from_dict)
-    family = nsy.make_family(bundle, depth=family_depth, dim=net.dim,
-                             seed=family_seed)
+    family = nsy.make_family(bundle, depth=family_depth, seed=family_seed)
     if adv_str:
         family = family.with_override(*_parse_override(adv_str, family, net))
     cert = nsy.certify_family_stability(net, cx, family, bundle)

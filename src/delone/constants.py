@@ -153,11 +153,9 @@ def eps0_bounds(n: int, eps1: float, eps2: float, eps3: float, eps4: float,
 
 
 def eps0_constraints_hold(eps0: float, bounds: dict) -> bool:
-    for cid, b in bounds.items():
-        ok = eps0 <= b if cid == "le_50n_(2/5)^n_eps1" else eps0 < b
-        if not ok:
-            return False
-    return True
+    """eps0 is positive and clears each of the eight upper bounds."""
+    return eps0 > 0 and all(eps0 <= b if cid == "le_50n_(2/5)^n_eps1" else eps0 < b
+                            for cid, b in bounds.items())
 
 
 def compute_eps0(n: int, eps1: float, eps2: float, eps3: float, eps4: float,
@@ -296,6 +294,9 @@ def _finish_bundle(n, mode, eps0, eps1, eps2, eps3, eps4, gs_delta, binding,
                    metric, provenance) -> ConstantBundle:
     if metric is None:
         metric = mt.MetricModel.flat(n)
+    elif metric.n != n:
+        raise ValidationError(f"metric {metric.selector()} is {metric.n}-dimensional, "
+                              f"the bundle {n}-dimensional", path="metric")
     # one leaf, no foliated-chart limits: dFU = 1 and lF = inf leave
     # rF = min{lambda_eps0, 1}
     rF = compute_rF(metric, eps0, 1.0, math.inf)

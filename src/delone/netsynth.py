@@ -192,7 +192,6 @@ class ParamFamily:
     adversarial tests."""
 
     depth: int
-    dim: int
     eps: float  # displacement sup-norm (eps0 * rF)
     scale: float  # working length scale (rF)
     seed: int = 0
@@ -224,7 +223,7 @@ class ParamFamily:
         phase = alpha + 0.03 * np.sum(pts, axis=1) / self.scale
         out = np.zeros_like(pts)
         out[:, 0] = np.cos(phase)
-        if self.dim > 1:
+        if pts.shape[1] > 1:
             out[:, 1] = np.sin(phase)
         return m * self.eps * out
 
@@ -237,14 +236,14 @@ class ParamFamily:
         return disp
 
     def with_override(self, param: str, index: int, vector) -> "ParamFamily":
-        return ParamFamily(depth=self.depth, dim=self.dim, eps=self.eps,
+        return ParamFamily(depth=self.depth, eps=self.eps,
                            scale=self.scale, seed=self.seed,
                            overrides=self.overrides + ((param, int(index), tuple(float(x) for x in vector)),))
 
 
-def make_family(bundle, depth: int, dim: int = 2, seed: int = 0) -> ParamFamily:
+def make_family(bundle, depth: int, seed: int = 0) -> ParamFamily:
     """Family of 2^depth smooth displacement fields with sup-norm eps0*rF."""
-    return ParamFamily(depth=depth, dim=dim, eps=bundle.eps0 * bundle.rF,
+    return ParamFamily(depth=depth, eps=bundle.eps0 * bundle.rF,
                        scale=bundle.rF, seed=seed)
 
 
@@ -274,7 +273,6 @@ class Slabs:
     directions: np.ndarray  # (m, n) unit directions
     point_patches: np.ndarray  # (q, n) kept singleton patches
     width: float
-    count_total: int  # all <= n-subsets of the local set
 
 
 _LOCAL_PACK: dict = {"cap": -1, "pack": None}
@@ -400,8 +398,7 @@ def forbidden_regions(net_points, xi_prime, bundle):
     s = len(omega)
     if s == 0:
         return (Annuli(np.zeros((0, n)), np.zeros(0), w_ann, 0),
-                Slabs(np.zeros((0, n)), np.zeros((0, n)), np.zeros((0, n)),
-                      w_slab, 0))
+                Slabs(np.zeros((0, n)), np.zeros((0, n)), np.zeros((0, n)), w_slab))
     if n != 2:
         raise ValidationError("synthesis is implemented for dim 2")
 
@@ -440,19 +437,16 @@ def forbidden_regions(net_points, xi_prime, bundle):
                     count_total=count_ann)
 
     # slabs: lines through local pairs plus singleton patches
-    count_slab = s  # singleton patches
     anchors = np.zeros((0, n))
     dirs = np.zeros((0, n))
     if s >= 2:
         dlen = np.sqrt(l2p)
-        ok = dlen > 0
-        count_slab += int(np.count_nonzero(ok))
-        j = (ok & (np.abs(crossp) <= (ball_r + w_slab) * dlen)).nonzero()[0]
+        j = ((dlen > 0) & (np.abs(crossp) <= (ball_r + w_slab) * dlen)).nonzero()[0]
         anchors = omega.take(pr[0].take(j), axis=0)
         dirs = dvec.take(j, axis=0) / dlen.take(j)[:, None]
     near_pts = omega[sq <= (ball_r + w_slab) ** 2]
     slabs = Slabs(anchors=anchors, directions=dirs, point_patches=near_pts,
-                  width=w_slab, count_total=count_slab)
+                  width=w_slab)
     return annuli, slabs
 
 
@@ -797,19 +791,21 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
 
     Notation: S a top triangle with vertices y_0, y_1, y_2, U its edge
     matrix (rows y_k - y_2), c and r its circumcenter and radius, e1 =
-    min(d1, separation of the net), spread(t) = (2 d2 + 2t)^2 - (2 d2)^2,
-    the most |det U| of rows <= 2 d2 changes when each vertex moves by t
-    (Hadamard's inequality).  The float slack eta_f = 64 u (max |coordinate|
-    + d2), u = 2^-53, is a vertex move that covers the rounding of an edge,
-    of a moved site and of a distance; the computed |det U| is within
-    gamma_2 |a| |b| <= gamma_2 4 d2^2 < 512 u d2^2 <= spread(eta_f) of the
-    exact one (a, b the rows of U, gamma_k = k u / (1 - k u)).  Below, eta
+    min(d1, separation of the net), spread(t) = ``cs.spread(d2, t)`` =
+    (2 d2 + 2t)^2 - (2 d2)^2, the most |det U| of rows <= 2 d2 changes when
+    each vertex moves by t (Hadamard's inequality).  The float slack eta_f =
+    64 u (max |coordinate| + d2), u = 2^-53, is a vertex move that covers
+    the rounding of an edge, of a moved site and of a distance; the
+    computed |det U| is within gamma_2 |a| |b| <= gamma_2 4 d2^2 < 512 u
+    d2^2 <= spread(eta_f) of the exact one (a, b the rows of U, gamma_k =
+    k u / (1 - k u)).  Below, eta
     stands for family.eps + eta_f, so the certificate covers the exact
     fields and their rounded translates alike.
 
-    1. Drift.  D(t, delta) = ``cs.displacement_bound`` bounds the move of
-       c when each vertex moves by t and every moved |det U| is >= delta;
-       r then moves by at most D + t.  (Directly: with U' = U + E, |E_k| <=
+    1. Drift.  D(t, delta) = ``cs.displacement_bound(t, d2, delta, 2)``
+       bounds the move of c when each vertex moves by t and every moved
+       |det U| is >= delta, and is inf where delta is not positive; r then
+       moves by at most D + t.  (Directly: with U' = U + E, |E_k| <=
        2t, c' - c = d_2 + U'^-1 (f - E x), |x| = r <= d2, |f_k| <=
        2t (2 d2 + t) and ||U'^-1|| <= 2 sqrt(2) e3 / delta, so the move is
        at most t (1 + 24 e3^2 / delta); the paper's estimate
@@ -888,8 +884,8 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        lemma, a Qhull triangle of radius <= rho' and so a top: no T exists.
        Floats: for R = 2 rho' and eta_c = 64 u (max |coordinate| + R),
        radii up to R carry phi_c = eta_c + 84 u R^3 / (v2_constant(e1, R)
-       - spread_R(eta_c)) (``cs.planar_center_error``: step 1's closed
-       form, 84 u > 12 gamma_6) and clearances 2 phi_c; eps = 2 R
+       - spread at R, ``cs.spread(R, eta_c)``) (``cs.planar_center_error``:
+       step 1's closed form, 84 u > 12 gamma_6) and clearances 2 phi_c; eps = 2 R
        (EMPTY_RTOL R + 2 phi_c) + 2^-40 (max |coordinate| + R)^2, the last
        term for larger S, whose emptiness is left to Qhull's roundoff (a few u of that square).
        The settle takes the sites within r_S + 2 phi_c + t_B of c_S from
@@ -905,10 +901,10 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     4. Over budget.  A parameter with an override longer than family.eps
        runs the per-parameter check: its translate's circumcenters, the
        margins robustness, translate_clearance, center_drift and
-       radius_drift there, and identity of ``tess.delaunay_top`` of the
-       translate with the complex (witness ``combinatorics``); the
-       translate's clearances and its ``delaunay_top`` ask one tree, its
-       own.
+       radius_drift there, and identity of the translate's complex
+       (``tess.build_delaunay``, one call per such parameter) with the
+       complex (witness ``combinatorics``); the translate's clearances and
+       its Delaunay build ask one tree, its own.
 
     Float errors: each margin is reported net of its error bound and passes
     when >= 0.  Clearances carry 2 phi (a center and a distance), the
@@ -969,16 +965,6 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         clearance[valid] = tess.sphere_neighbours(net, centers[valid])[0][:, n + 1] \
             - radii[valid]
 
-    def spread(t):
-        return (2.0 * d2 + 2.0 * t) ** 2 - (2.0 * d2) ** 2
-
-    def drift(t, delta):
-        """D(t, delta), and inf where delta is not positive."""
-        pos = delta > 0
-        b = cs.PerturbationBudget(e1=e1, e2=d2, eps=t, rho=rho_floor,
-                                  delta=np.where(pos, delta, 1.0))
-        return np.where(pos, cs.displacement_bound(b, n), np.inf)
-
     dc = phi = np.full(len(verts), np.inf)  # unbounded unless the budget's constants exist
     rho_err = math.inf
     near = None
@@ -990,11 +976,11 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         note("budget", -math.inf, None, None, {"budget": str(exc)})
     else:
         det = np.abs(linalg.determinant(stacks[:, :-1] - stacks[:, -1:]))
-        delta = np.maximum(v2, det - spread(eta_f)) - spread(eta)
-        dc = drift(eta, delta)
-        phi = drift(eta_f, delta) + eta_f
+        delta = np.maximum(v2, det - cs.spread(d2, eta_f)) - cs.spread(d2, eta)
+        dc = cs.displacement_bound(eta, d2, delta, n)
+        phi = cs.displacement_bound(eta_f, d2, delta, n) + eta_f
         rho_err = (step + 1.0) * eta_f
-        floor = linalg.DEGENERACY_REL * (2.0 * d2 + 2.0 * eta) ** n + spread(eta_f)
+        floor = linalg.DEGENERACY_REL * (2.0 * d2 + 2.0 * eta) ** n + cs.spread(d2, eta_f)
         check("circumcenter_exists", delta - floor)
         check("translate_robustness", rho - eta * step - rho_floor - rho_err)
         check("translate_clearance",
@@ -1003,9 +989,9 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         check("center_drift", drift_c_max - dc * (1.0 + 2.0 ** -48))
         check("radius_drift", drift_r_max - (dc + eta) * (1.0 + 2.0 ** -48))
 
-        delta_nm = np.array(v2_moved - spread(eta))
-        dc_nm = float(drift(eta, delta_nm))
-        phi_nm = float(drift(eta_f, delta_nm)) + eta_f
+        delta_nm = v2_moved - cs.spread(d2, eta)
+        dc_nm = float(cs.displacement_bound(eta, d2, delta_nm, n))
+        phi_nm = float(cs.displacement_bound(eta_f, d2, delta_nm, n)) + eta_f
         bound_m = drift_c_max - dc_nm * (1.0 + 2.0 ** -48)
         if not bound_m >= 0:  # inf or nan drift too: Qhull is not run
             note("near_miss", bound_m if bound_m < 0 else -math.inf, None, None,
@@ -1066,13 +1052,12 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             check("center_drift", drift_c_max - dcp, param)
             check("radius_drift", drift_r_max - drp, param)
         # combinatorial identity under translation
-        tverts = tess.delaunay_top(tnet)[0]
+        tverts = tess.build_delaunay(tnet, None).top_arrays(n)[0]
         if np.array_equal(tverts, verts):
             continue
         diff = sorted(set(map(tuple, tverts.tolist())) ^ set(map(tuple, verts.tolist())))
-        if diff:
-            note("combinatorics", -math.inf, None, param,
-                 {"param": param, "symmetric_difference": [list(t) for t in diff[:8]]})
+        note("combinatorics", -math.inf, None, param,
+             {"param": param, "symmetric_difference": [list(t) for t in diff[:8]]})
 
     if worst["quantity"] is None:
         worst.update(quantity="empty_complex", margin=0.0)

@@ -30,10 +30,11 @@ def edge_matrix(pts: np.ndarray) -> np.ndarray:
     return p[:-1] - p[-1]
 
 
-def stability_radius(budget: cs.PerturbationBudget, n: int) -> float:
+def stability_radius(delta: float, e2: float, n: int) -> float:
     """The per-vertex displacement the paper's perturbation lemma for
-    circumcenters licenses: delta / (2^{n+1} n^{3/2} e2^{n-1})."""
-    return budget.delta / (2.0 ** (n + 1) * n**1.5 * budget.e2 ** (n - 1))
+    circumcenters licenses to configurations with pairwise distances <= 2 e2
+    and |det U| >= delta: delta / (2^{n+1} n^{3/2} e2^{n-1})."""
+    return delta / (2.0 ** (n + 1) * n**1.5 * e2 ** (n - 1))
 
 
 def refine_center(pts, guess, c1: float):

@@ -56,7 +56,8 @@ def delta_m_sequence(rho0: float, eps: float, e1: float, e2: float, m: int):
     """The coefficients delta_1..delta_m of the perturbed-robustness recursion.
 
     delta_1 = 2;  delta_j = 2 + 4 e4/e1 + 2 sum_{k=2}^{j-1} (1+delta_k) e4/rho_k
-    with e4 = 4(e2+e1) and rho_k = rho0 - eps*delta_k.
+    with e4 = 4(e2+e1) and rho_k = rho0 - eps*delta_k, each rho_k (k < m)
+    computed once; raises InvalidBudgetError when one is not positive.
     """
     if not (0 < e1 < e2):
         raise InvalidBudgetError("require 0 < e1 < e2")
@@ -65,18 +66,14 @@ def delta_m_sequence(rho0: float, eps: float, e1: float, e2: float, m: int):
     if m < 1:
         raise ValueError("m must be >= 1")
     e4 = 4.0 * (e2 + e1)
-    deltas = [2.0]
-    for j in range(2, m + 1):
-        acc = 2.0 + 4.0 * e4 / e1
-        for k in range(2, j):
-            rho_k = rho0 - eps * deltas[k - 1]
+    deltas, tail = [2.0], 0.0  # tail: the sum up to k - 1, added in order of k
+    for k in range(2, m + 1):
+        deltas.append(2.0 + 4.0 * e4 / e1 + 2.0 * tail)
+        if k < m:
+            rho_k = rho0 - eps * deltas[-1]
             if rho_k <= 0:
                 raise InvalidBudgetError(f"rho_{k} <= 0 in the recursion")
-        acc += 2.0 * sum(
-            (1.0 + deltas[k - 1]) * e4 / (rho0 - eps * deltas[k - 1])
-            for k in range(2, j)
-        )
-        deltas.append(acc)
+            tail += (1.0 + deltas[-1]) * e4 / rho_k
     return deltas
 
 

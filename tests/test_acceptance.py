@@ -91,13 +91,8 @@ def test_criterion_03_perturbation_soundness():
         if min(dists) < 0.5 or delta < 0.1:
             continue
         configs += 1
-        rho = rb.prefix_distances(pts[None])[0].min()
-        budget0 = cs.PerturbationBudget(e1=0.5 * min(dists), e2=max(dists),
-                                        eps=0.0, rho=rho, delta=delta)
-        eps = paper.stability_radius(budget0, n)
-        budget = cs.PerturbationBudget(e1=budget0.e1, e2=budget0.e2,
-                                       eps=eps, rho=rho, delta=delta)
-        bound = cs.displacement_bound(budget, n)
+        eps = paper.stability_radius(delta, max(dists), n)
+        bound = cs.displacement_bound(eps, max(dists), delta, n)
         center = cs.circumcenter(pts).center
         # 100 perturbations, each vertex moved by at most eps
         noise = rng.standard_normal((100, n + 1, n))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from delone import circumsphere as cs
 from delone import linalg, paper
-from delone.errors import DegenerateError, InvalidBudgetError
+from delone.errors import DegenerateError
 
 
 def _random_simplex(rng, n, spread=1.0):
@@ -234,41 +234,52 @@ class TestPlanarBranch:
 
 
 class TestBounds:
-    def test_budget_validation(self):
-        with pytest.raises(InvalidBudgetError):
-            cs.PerturbationBudget(e1=2.0, e2=1.0, eps=0.0, rho=1.0, delta=1.0)
-        with pytest.raises(InvalidBudgetError):
-            cs.PerturbationBudget(e1=1.0, e2=2.0, eps=-0.1, rho=1.0, delta=1.0)
-        b = cs.PerturbationBudget(e1=1.0, e2=2.0, eps=0.5, rho=1.0, delta=1.0)
-        assert b.e3 == 2.5
+    @staticmethod
+    def _closed_form(eps, e2, delta, n):
+        e3 = e2 + eps
+        return eps * (1 + n**1.5 * 2**(n + 1) * e3**n / delta
+                      + 2 * n**3 * 2**(2 * n) * e3**(2 * n) / delta**2)
 
     def test_zero_eps_zero_bound(self):
-        b = cs.PerturbationBudget(e1=1.0, e2=2.0, eps=0.0, rho=1.0, delta=1.0)
-        assert cs.displacement_bound(b, 2) == 0.0
+        assert cs.displacement_bound(0.0, 2.0, 1.0, 2) == 0.0
 
     def test_displacement_formula(self):
-        b = cs.PerturbationBudget(e1=1.0, e2=2.0, eps=0.01, rho=1.0, delta=1.0)
-        n, e3, d = 2, 2.01, 1.0
-        expect = 0.01 * (1 + n**1.5 * 2**(n + 1) * e3**n / d
-                         + 2 * n**3 * 2**(2 * n) * e3**(2 * n) / d**2)
-        assert cs.displacement_bound(b, 2) == pytest.approx(expect, rel=1e-14)
+        expect = self._closed_form(0.01, 2.0, 1.0, 2)
+        assert cs.displacement_bound(0.01, 2.0, 1.0, 2) == pytest.approx(expect, rel=1e-14)
+
+    def test_inf_exactly_where_delta_not_positive(self):
+        delta = np.array([0.3, 0.0, -0.2, 1.7, -0.0, 2.5e-3, -np.inf])
+        for n in (2, 3):
+            got = cs.displacement_bound(0.01, 2.0, delta, n)
+            assert got.shape == delta.shape
+            assert np.array_equal(np.isinf(got), delta <= 0)
+            for g, d in zip(got, delta):
+                if d > 0:
+                    assert g == pytest.approx(self._closed_form(0.01, 2.0, d, n), rel=1e-14)
+                    assert g == cs.displacement_bound(0.01, 2.0, d, n)
+            for d in (0.0, -0.0, -1.5):
+                assert cs.displacement_bound(0.01, 2.0, d, n) == math.inf
+            assert np.isfinite(cs.displacement_bound(0.01, 2.0, 0.3, n))
 
     def test_scale_invariance(self):
         # doubling every length (and the volume delta by 2^n) doubles the bound
         for n in (2, 3):
-            b1 = cs.PerturbationBudget(e1=1.0, e2=2.0, eps=0.01, rho=0.5, delta=0.3)
-            b2 = cs.PerturbationBudget(e1=2.0, e2=4.0, eps=0.02, rho=1.0,
-                                       delta=0.3 * 2**n)
-            assert cs.displacement_bound(b2, n) == pytest.approx(
-                2.0 * cs.displacement_bound(b1, n), rel=1e-12)
-            assert paper.stability_radius(b2, n) == pytest.approx(
-                2.0 * paper.stability_radius(b1, n), rel=1e-12)
+            assert cs.displacement_bound(0.02, 4.0, 0.3 * 2**n, n) == pytest.approx(
+                2.0 * cs.displacement_bound(0.01, 2.0, 0.3, n), rel=1e-12)
+            assert paper.stability_radius(0.3 * 2**n, 4.0, n) == pytest.approx(
+                2.0 * paper.stability_radius(0.3, 2.0, n), rel=1e-12)
 
     def test_stability_radius_formula(self):
-        b = cs.PerturbationBudget(e1=1.0, e2=2.0, eps=0.0, rho=0.5, delta=0.7)
         for n in (2, 3):
-            assert paper.stability_radius(b, n) == pytest.approx(
+            assert paper.stability_radius(0.7, 2.0, n) == pytest.approx(
                 0.7 / (2**(n + 1) * n**1.5 * 2.0**(n - 1)))
+
+    def test_spread(self):
+        # (2R + 2t)^2 - (2R)^2 = 8 R t + 4 t^2
+        assert cs.spread(1.0, 0.0) == 0.0
+        assert cs.spread(2.0, 0.5) == pytest.approx(8.0 * 2.0 * 0.5 + 4.0 * 0.25)
+        t = np.array([0.0, 1e-3, 0.1])
+        assert np.allclose(cs.spread(0.5, t), 8.0 * 0.5 * t + 4.0 * t * t)
 
 
 class TestRefineCenter:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import itertools
 import os
@@ -294,6 +295,35 @@ class TestConstantsCommand:
         rc = cli.main(["constants", "--dim", "2", "--eps", "1e-8,1e-5",
                        "--out", str(tmp_path / "b.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("e0", ["0", "-1", "-0.0"])
+    def test_nonpositive_eps0_refused(self, tmp_path, capsys, e0):
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert cli.main(["constants", "--eps", f"1e-8,1e-5,1e-5,2e-9,{e0}",
+                         "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "eps0: " in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("args", [["--metric", "flat:5"],
+                                      ["--mode", "paper", "--dim", "3", "--metric", "sphere:1"],
+                                      ["--mode", "paper", "--dim", "1", "--metric", "torus:1,1"]])
+    def test_metric_of_another_dimension_refused(self, tmp_path, capsys, args):
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert cli.main(["constants", *args, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "metric: " in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("selector, digest", [
+        ("flat:2", "fcdde416aa1ffc16c213c399f10c871c57a3795f6b850604f0a5a5f8d21474cc"),
+        ("sphere:1", "17b62fa730544a5df0ae1845d407d5edcee68f51f6981df0542d0175adfb0aee"),
+        ("torus:1,1", "f77a3ec6464039d5198478158e7f14d589d40c52210821afd3b8cc198b0f4f17")])
+    def test_metric_of_the_bundle_dimension_accepted(self, tmp_path, selector, digest):
+        out = tmp_path / "b.json"
+        assert cli.main(["constants", "--dim", "2", "--metric", selector,
+                         "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestPipeline:

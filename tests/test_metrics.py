@@ -368,7 +368,7 @@ class TestVarDiv:
     def test_eps_bounded_fields(self, bundle2):
         from delone import netsynth as nsy
 
-        fam = nsy.make_family(bundle2, depth=2, dim=2, seed=3)
+        fam = nsy.make_family(bundle2, depth=2, seed=3)
         pts = np.random.default_rng(8).uniform(0, 1, size=(8, 2))
         eps = bundle2.eps0 * bundle2.rF
         var, div = paper.estimate_var_div(fam, 1.0, pts)

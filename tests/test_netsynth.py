@@ -115,7 +115,7 @@ class TestRegion:
 
 class TestParamFamily:
     def _family(self, depth=3, eps=1e-3):
-        return nsy.ParamFamily(depth=depth, dim=2, eps=eps, scale=1.0, seed=0)
+        return nsy.ParamFamily(depth=depth, eps=eps, scale=1.0, seed=0)
 
     def test_param_count(self):
         assert len(self._family(depth=4).params) == 16
@@ -188,7 +188,6 @@ class TestForbiddenRegions:
         annuli, slabs = nsy.forbidden_regions(np.zeros((0, 2)), [0.0, 0.0],
                                               bundle2)
         assert annuli.count_total == 0
-        assert slabs.count_total == 0
         assert len(annuli.radii) == 0
         assert len(slabs.directions) == 0
 
@@ -200,8 +199,6 @@ class TestForbiddenRegions:
         assert annuli.count_total == 1
         assert len(annuli.radii) == 1
         assert annuli.radii[0] == pytest.approx(sph.radius, rel=1e-9)
-        # 3 pair patches + 3 point patches
-        assert slabs.count_total == 6
 
     def test_far_probe_keeps_nothing(self, bundle2):
         xi = np.array([0.1, 0.05])  # inside the triangle, far from its circle
@@ -426,16 +423,14 @@ def _float32_forbidden_regions(net_points, xi_prime, bundle):
             sel = valid & reach & (radii <= cap_r)
             keep_c, keep_r = centers[sel], radii[sel]
     annuli = nsy.Annuli(centers=keep_c, radii=keep_r, width=w_ann, count_total=count_ann)
-    anchors, dirs, count_slab = np.zeros((0, n)), np.zeros((0, n)), s
+    anchors, dirs = np.zeros((0, n)), np.zeros((0, n))
     if s >= 2:
         dlen = np.sqrt(l2p)
-        ok = dlen > 0
-        count_slab += int(np.sum(ok))
-        sel = ok & (np.abs(crossp) <= (ball_r + w_slab) * dlen)
+        sel = (dlen > 0) & (np.abs(crossp) <= (ball_r + w_slab) * dlen)
         anchors, dirs = omega[pr[sel, 0]], dvec[sel] / dlen[sel][:, None]
     slabs = nsy.Slabs(anchors=anchors, directions=dirs,
                       point_patches=omega[sq <= (ball_r + w_slab) ** 2],
-                      width=w_slab, count_total=count_slab)
+                      width=w_slab)
     return annuli, slabs
 
 
@@ -443,8 +438,7 @@ def _same_regions(got, ref) -> bool:
     (a, s), (ra, rs) = got, ref
     return all(x.shape == y.shape and np.array_equal(x, y) for x, y in (
         (a.centers, ra.centers), (a.radii, ra.radii), (s.anchors, rs.anchors),
-        (s.directions, rs.directions), (s.point_patches, rs.point_patches))) \
-        and s.count_total == rs.count_total
+        (s.directions, rs.directions), (s.point_patches, rs.point_patches)))
 
 
 def _nondegenerate_triples(omega, xi) -> int:
@@ -539,7 +533,7 @@ class TestExcludedVolumeBound:
     def test_formula(self):
         rho, wa, ws = 1.0, 0.01, 0.02
         annuli = nsy.Annuli(np.zeros((2, 2)), np.ones(2), wa, 2)
-        slabs = nsy.Slabs(np.zeros((3, 2)), np.ones((3, 2)), np.zeros((1, 2)), ws, 4)
+        slabs = nsy.Slabs(np.zeros((3, 2)), np.ones((3, 2)), np.zeros((1, 2)), ws)
         want = (2 * 2 * wa * 2 * math.pi * (rho + wa) + 3 * 2 * ws * 2 * (rho + ws)
                 + math.pi * ws * ws) / (math.pi * rho * rho)
         assert nsy.excluded_volume_bound(rho, annuli, slabs) == pytest.approx(want)
@@ -555,7 +549,7 @@ class TestExcludedVolumeBound:
             theta = rng.uniform(0, math.pi, size=3)
             slabs = nsy.Slabs(rng.uniform(-0.8, 0.8, size=(3, 2)),
                               np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                              rng.uniform(-0.8, 0.8, size=(2, 2)), 0.04, 5)
+                              rng.uniform(-0.8, 0.8, size=(2, 2)), 0.04)
             bound = nsy.excluded_volume_bound(rho, annuli, slabs)
             frac = nsy.excluded_volume_fraction(xi, rho, annuli, slabs,
                                                 samples=20_000, rng=rng)
@@ -635,7 +629,7 @@ class TestForbiddenMaskAndFallback:
         theta = rng.uniform(0, math.pi, size=2)
         slabs = nsy.Slabs(xi + rho * rng.uniform(-0.8, 0.8, size=(2, 2)),
                           np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                          xi + rho * rng.uniform(-0.8, 0.8, size=(2, 2)), 0.1 * rho, 4)
+                          xi + rho * rng.uniform(-0.8, 0.8, size=(2, 2)), 0.1 * rho)
         return annuli, slabs
 
     def test_mask_matches_scalar_oracle(self):
@@ -651,7 +645,7 @@ class TestForbiddenMaskAndFallback:
         xi, rho = self.XI, self.RHO
         # a vertical slab over the ball's first rows moves the answer inward
         first_rows = nsy.Slabs(np.array([[xi[0] - rho, 0.0]]), np.array([[0.0, 1.0]]),
-                               np.zeros((0, 2)), 0.3 * rho, 1)
+                               np.zeros((0, 2)), 0.3 * rho)
         rng = np.random.default_rng(8)
         cases = [(self.NO_ANNULI, first_rows)] + [self._wide_regions(rng) for _ in range(12)]
         for forb in cases:
@@ -663,7 +657,7 @@ class TestForbiddenMaskAndFallback:
     def test_covered_ball_raises(self, monkeypatch):
         monkeypatch.setattr(nsy, "MAX_REJECTIONS", 0)
         xi, rho = self.XI, self.RHO
-        covered = nsy.Slabs(np.zeros((0, 2)), np.zeros((0, 2)), xi[None], 1.5 * rho, 1)
+        covered = nsy.Slabs(np.zeros((0, 2)), np.zeros((0, 2)), xi[None], 1.5 * rho)
         assert _grid_fallback(xi, rho, self.NO_ANNULI, covered) is None
         with pytest.raises(SelectionFailedError):
             nsy.select_point(xi, (self.NO_ANNULI, covered), np.random.default_rng(0), rho)
@@ -1009,7 +1003,7 @@ def _lattice_patch(bundle, rng, kind, jitter_rF, side=5):
     return tess.Net(dim=2, points=pts, d1=bundle.d1, d2=bundle.d2)
 
 
-def _near_miss_reach(net, family, bundle):
+def _near_miss_reach(net, family):
     """(rho, alpha) of step 3 of ``certify_family_stability``, from its
     docstring: the largest base radius of a translate's new top triangle
     and the depth of the deepest site its base circle may hold."""
@@ -1019,8 +1013,7 @@ def _near_miss_reach(net, family, bundle):
     e1 = min(net.d1, net.closest_pair[0])
 
     def drift(t, delta):
-        return float(cs.displacement_bound(cs.PerturbationBudget(
-            e1=e1, e2=d2, eps=t, rho=1.5 * bundle.eps2 * bundle.rF, delta=delta), 2))
+        return float(cs.displacement_bound(t, d2, delta, 2))
 
     delta = robustness.v2_constant(e1 - 2.0 * eta, d2) - ((2.0 * d2 + 2.0 * eta) ** 2
                                                           - (2.0 * d2) ** 2)
@@ -1028,12 +1021,12 @@ def _near_miss_reach(net, family, bundle):
     return d2 + dc + eta + phi, 2.0 * (dc + eta + phi) + tess.EMPTY_RTOL * d2
 
 
-def _enumerated_near_misses(net, complex_, family, bundle):
+def _enumerated_near_misses(net, complex_, family):
     """The near-miss search by enumeration, the reference for the Qhull
     pass: every triple of circumradius <= rho that is not a top triangle and
     holds no site deeper than alpha inside its circle, by the exact
     nearest-site depth."""
-    rho, alpha = _near_miss_reach(net, family, bundle)
+    rho, alpha = _near_miss_reach(net, family)
     rows, c, r = tess.small_spheres(net, rho)
     other = ~tess.rows_in(rows, complex_.top_arrays(2)[0], len(net))
     depth = r[other] - cKDTree(net.points).query(c[other])[0]
@@ -1103,7 +1096,7 @@ class TestCertification:
         rng = np.random.default_rng(seed)
         net = _lattice_patch(bundle2, rng, kind, jitter)
         cx = tess.build_delaunay(net, None)
-        fam = nsy.ParamFamily(depth=depth, dim=2, eps=eps_rF * bundle2.rF,
+        fam = nsy.ParamFamily(depth=depth, eps=eps_rF * bundle2.rF,
                               scale=bundle2.rF, seed=seed % 997)
         if override:
             length = {"within": fam.eps, "beyond": 1e-6 * bundle2.rF,
@@ -1203,7 +1196,7 @@ class TestCertification:
             cert = nsy.certify_family_stability(net, cx, fam, bundle2)
         assert cert.ok and cert.budget["near_miss"] == 0
         assert cert.worst["quantity"] != "near_miss"
-        assert len(_enumerated_near_misses(net, cx, fam, bundle2)) == 0
+        assert len(_enumerated_near_misses(net, cx, fam)) == 0
 
     @pytest.mark.parametrize("seed, real", [(0, False), (1, True), (3, True), (4, False),
                                             (5, False), (6, True), (7, False), (8, False)])
@@ -1215,7 +1208,7 @@ class TestCertification:
         cx = tess.build_delaunay(net, None)
         fam = nsy.make_family(bundle2, depth=2, seed=0)
         cert = nsy.certify_family_stability(net, cx, fam, bundle2)
-        enumerated = set(map(tuple, _enumerated_near_misses(net, cx, fam, bundle2).tolist()))
+        enumerated = set(map(tuple, _enumerated_near_misses(net, cx, fam).tolist()))
         assert bool(enumerated) == real
         if real:
             assert not cert.ok and cert.worst["quantity"] == "near_miss"
@@ -1237,11 +1230,11 @@ class TestCertification:
         # near miss either
         net = _lattice_patch(bundle2, np.random.default_rng(seed), kind, jitter)
         cx = tess.build_delaunay(net, None)
-        fam = nsy.ParamFamily(depth=1, dim=2, eps=eta_rF * bundle2.rF, scale=bundle2.rF,
+        fam = nsy.ParamFamily(depth=1, eps=eta_rF * bundle2.rF, scale=bundle2.rF,
                               seed=seed % 997)
         cert = nsy.certify_family_stability(net, cx, fam, bundle2)
         if cert.budget["near_miss"] == 0:
-            assert len(_enumerated_near_misses(net, cx, fam, bundle2)) == 0
+            assert len(_enumerated_near_misses(net, cx, fam)) == 0
         elif cert.budget["near_miss"] is not None:
             assert cert.worst["quantity"] == "near_miss" and cert.worst["margin"] == -math.inf
 
@@ -1292,7 +1285,7 @@ class TestCertification:
                        d2=bundle2.d2)
         with pytest.raises(UnsupportedDimError, match="dim = 2"):
             nsy.certify_family_stability(net, tess.build_delaunay(net, None),
-                                         nsy.make_family(bundle2, depth=1, dim=3),
+                                         nsy.make_family(bundle2, depth=1),
                                          bundle2)
 
     def test_only_overrides_beyond_the_budget_are_audited(self, tiny, bundle2, monkeypatch):
@@ -1309,6 +1302,24 @@ class TestCertification:
         cert = nsy.certify_family_stability(net, cx, beyond, bundle2)
         assert cert.budget["over_budget"] == ["10"] and audited == ["10"]
         assert cert.params_checked == fam.params
+
+    def test_rebuilds_go_through_build_delaunay(self, tiny, bundle2, monkeypatch):
+        # one build per over-budget parameter, through the module attribute
+        # that tracers wrap, and none for a family within its budget
+        net, cx = tiny
+        fam = nsy.make_family(bundle2, depth=2)
+        built = []
+        real = tess.build_delaunay
+        monkeypatch.setattr(tess, "build_delaunay",
+                            lambda net_, metric: built.append(net_) or real(net_, metric))
+        nsy.certify_family_stability(net, cx, fam.with_override("01", 0, [fam.eps, 0.0]),
+                                     bundle2)
+        assert built == []
+        beyond = fam.with_override("01", 0, [0.0, 2.0 * fam.eps]) \
+            .with_override("11", 1, [10.0 * bundle2.d1, 0.0])
+        cert = nsy.certify_family_stability(net, cx, beyond, bundle2)
+        assert cert.budget["over_budget"] == ["01", "11"] and len(built) == 2
+        assert not cert.ok and cert.worst["param"] == "11"
 
 
 def _vertex_incidence(complex_, n):

@@ -117,6 +117,33 @@ class TestRecursion:
         vals = [rb.rho_m_recursion(2.0, 1e-5, 1.0, 2.0, m) for m in range(1, 5)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
+    def test_nonpositive_rho_k_raises(self):
+        # delta_2 = 50: rho_2 = 1 - 50 eps is 0 at eps = 0.02, -0.5 at 0.03
+        for eps in (0.02, 0.03):
+            assert len(rb.delta_m_sequence(1.0, eps, 1.0, 2.0, 2)) == 2  # rho_2 unused
+            for m in (3, 5):
+                with pytest.raises(InvalidBudgetError, match="rho_2 <= 0"):
+                    rb.delta_m_sequence(1.0, eps, 1.0, 2.0, m)
+        with pytest.raises(InvalidBudgetError, match="rho_2 <= 0"):
+            rb.delta_m_sequence(-1.0, 0.0, 1.0, 2.0, 3)
+
+    @given(rho0=st.floats(0.5, 4.0), eps=st.floats(0.0, 2e-3),
+           e1=st.floats(0.1, 1.0), ratio=st.floats(1.01, 4.0), m=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_sequence_matches_the_formula_term_by_term(self, rho0, eps, e1, ratio, m):
+        # the recursion as written in the docstring, every sum started afresh
+        e2 = e1 * ratio
+        e4 = 4.0 * (e2 + e1)
+        want = [2.0]
+        for j in range(2, m + 1):
+            if any(rho0 - eps * want[k - 1] <= 0 for k in range(2, j)):
+                with pytest.raises(InvalidBudgetError):
+                    rb.delta_m_sequence(rho0, eps, e1, e2, m)
+                return
+            want.append(2.0 + 4.0 * e4 / e1 + 2.0 * sum(
+                (1.0 + want[k - 1]) * e4 / (rho0 - eps * want[k - 1]) for k in range(2, j)))
+        assert rb.delta_m_sequence(rho0, eps, e1, e2, m) == want
+
     def test_preconditions(self):
         with pytest.raises(InvalidBudgetError):
             rb.rho_m_recursion(1.0, 0.3, 1.0, 2.0, 2)  # eps >= e1/4
