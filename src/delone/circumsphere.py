@@ -53,10 +53,11 @@ def circumcenter_batch(pts: np.ndarray):
 
     pts has shape (m, n+1, n).  Returns (centers, radii, valid) where valid
     flags the simplices with |det U| >= DEGENERACY_REL cb^n, cb the longest
-    edge to the last vertex, and det U != 0 (the floor underflows to 0 for
-    cb below about 1e-154, coincident points included).  Degenerate rows
-    carry NaN centers and infinite radii.  Each row is computed on its own,
-    so its bits do not depend on the stack it comes in.
+    edge to the last vertex, and, in the plane, 2^-327 <= cb <= 2^340 (the
+    range below); above it det U != 0 instead (the floor underflows to 0 for
+    small cb, coincident points included).  Degenerate rows carry NaN
+    centers and infinite radii.  Each row is computed on its own, so its
+    bits do not depend on the stack it comes in.
 
     In the plane, with a, b the rows of U, Cramer's rule gives
       c - y_2 = (|a|^2 b_1 - |b|^2 a_1, |b|^2 a_0 - |a|^2 b_0) / (2 det U)
@@ -71,6 +72,17 @@ def circumcenter_batch(pts: np.ndarray):
     cofactor expansion but without the call, so the bound, and the
     certifier's use of it, hold for its bits.  Above the plane the center
     is LAPACK's batched solve.
+
+    Range.  The count takes every rounding as relative: gradual underflow
+    adds up to 2^-1075 absolute per rounding, and overflow breaks it.  A
+    valid row has |a| |b| >= |det U| >= 1e-12 cb^2, so the bound's terms T
+    = |a|^2 |b| + |b|^2 |a| >= |a| |b| cb are >= 1e-12 cb^3, and r >= cb / 2.
+    For cb >= 2^-327 underflows reach the numerators through factors <= 2
+    cb, below 2^-1071 cb <= 2^-377 T, and the radius's squares below 2^-418
+    r^2: far inside the bound.  For cb <= 2^340 the largest values, the
+    numerators (<= 2 cb^3 <= 2^1021) and r^2 (r <= |a| |b| |a - b| / (2
+    |det U|) <= 1e12 cb), do not overflow.  Inside the range the floor is
+    positive, so valid rows have det U != 0.
     """
     p = np.asarray(pts, dtype=float)
     m, k, n = p.shape
@@ -79,20 +91,30 @@ def circumcenter_batch(pts: np.ndarray):
     # coordinates first, so every elementwise step runs along the stack
     q = np.ascontiguousarray(p.transpose(1, 2, 0))  # (n+1, n, m)
     u = q[:-1] - q[-1]  # u[i, j] = (y_i - y_n)_j
-    lam = np.add.reduce(u * u, axis=1)  # (n, m)
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] if n == 2 \
-        else linalg.determinant(u.transpose(2, 0, 1))
-    cb = np.maximum(np.sqrt(lam.max(axis=0)), 1e-300)
-    valid = (np.abs(det) >= linalg.DEGENERACY_REL * cb**n) & (det != 0.0)
     if n == 2:
-        den = 2.0 * np.where(valid, det, np.nan)
-        xi = np.stack([(lam[0] * u[1, 1] - lam[1] * u[0, 1]) / den,
-                       (lam[1] * u[0, 0] - lam[0] * u[1, 0]) / den])
-    else:
-        xi = np.full((n, m), np.nan)
-        if np.any(valid):
-            xi[:, valid] = np.linalg.solve(u.transpose(2, 0, 1)[valid],
-                                           0.5 * lam[:, valid].T[..., None])[..., 0].T
+        a0, a1, b0, b1 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
+        la, lb, det = a0 * a0 + a1 * a1, b0 * b0 + b1 * b1, a0 * b1 - a1 * b0
+        cb = np.sqrt(np.maximum(la, lb))
+        valid = (np.abs(det) >= linalg.DEGENERACY_REL * (cb * cb)) \
+            & (cb >= 2.0 ** -327) & (cb <= 2.0 ** 340)
+        bad, den = ~valid, det + det
+        den[bad] = np.nan
+        xi = np.empty((m, 2))
+        x, y = xi[:, 0], xi[:, 1]
+        np.divide(la * b1 - lb * a1, den, out=x)
+        np.divide(lb * a0 - la * b0, den, out=y)
+        radii = np.sqrt(x * x + y * y)
+        radii[bad] = np.inf
+        xi += q[-1].T
+        return xi, radii, valid
+    lam = np.add.reduce(u * u, axis=1)  # (n, m)
+    det = linalg.determinant(u.transpose(2, 0, 1))
+    valid = (np.abs(det) >= linalg.DEGENERACY_REL * np.sqrt(lam.max(axis=0))**n) \
+        & (det != 0.0)
+    xi = np.full((n, m), np.nan)
+    if np.any(valid):
+        xi[:, valid] = np.linalg.solve(u.transpose(2, 0, 1)[valid],
+                                       0.5 * lam[:, valid].T[..., None])[..., 0].T
     radii = np.where(valid, np.sqrt(np.add.reduce(xi * xi, axis=0)), np.inf)
     return np.ascontiguousarray((xi + q[-1]).T), radii, valid
 

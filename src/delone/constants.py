@@ -336,7 +336,13 @@ def practical_bundle(n: int, eps1: float, eps2: float, eps3: float, eps4: float,
                      eps0: float | None = None,
                      metric: mt.MetricModel | None = None) -> ConstantBundle:
     """A user-supplied ladder validated against the identical inequality
-    system; eps0 defaults to a safety factor below its tightest bound."""
+    system; eps0 defaults to a safety factor below its tightest bound.
+    Each supplied entry is checked first, so a bad one is named, not eps0,
+    whose default it would poison."""
+    for name, value in (("eps1", eps1), ("eps2", eps2), ("eps3", eps3),
+                        ("eps4", eps4), ("eps0", eps0)):
+        if value is not None and not 0 < value < math.inf:
+            raise ValidationError("must be positive and finite", path=name)
     if not eps4_inequalities_hold(n, eps2, eps4):
         raise ValidationError("supplied eps4 fails the interleaving inequalities",
                               path="eps4")

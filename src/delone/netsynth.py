@@ -27,6 +27,10 @@ whether the node is still beyond the band, in it, or below it (or too near
 the domain's edge), with per-row counts of the nodes in the band; the node
 in the band of least flat index is the next candidate.  The codes are all
 the front keeps, so the synthesizer's memory is about one byte per node.
+A step's cost is its count of numpy calls (about 150, some 150 us at 5 rF),
+not arithmetic: it barely grows with the local set.  ``_Buckets``' geometry
+(cells of side L, a 3 x 3 block) is fixed: it orders the local set, which
+orders each triple's vertices and so sets every circle's bits.
 
 Stability of the resulting Delaunay complex is then certified for every
 displacement field within the family's budget at once: margins on each top
@@ -391,27 +395,29 @@ def forbidden_regions(net_points, xi_prime, bundle):
     n = len(xi)
     pts = np.asarray(net_points, dtype=float).reshape(-1, n)
     ball_r, w_ann, w_slab, cap_r, local_r = _local_radii(bundle)
-    q = pts - xi
-    sq = np.einsum("ij,ij->i", q, q)
+    if n != 2:
+        raise ValidationError("synthesis is implemented for dim 2")
+    x0, y0 = xi.tolist()
+    qx, qy = pts[:, 0] - x0, pts[:, 1] - y0
+    sq = qx * qx + qy * qy
     local = (sq <= local_r * local_r).nonzero()[0]
-    omega, q, sq = pts.take(local, axis=0), q.take(local, axis=0), sq.take(local)
-    s = len(omega)
+    s = len(local)
     if s == 0:
         return (Annuli(np.zeros((0, n)), np.zeros(0), w_ann, 0),
                 Slabs(np.zeros((0, n)), np.zeros((0, n)), np.zeros((0, n)), w_slab))
-    if n != 2:
-        raise ValidationError("synthesis is implemented for dim 2")
+    omega = pts.take(local, axis=0)
+    qx, qy, sq = qx.take(local), qy.take(local), sq.take(local)
 
     count_ann = 0
     keep_c = np.zeros((0, n))
     keep_r = np.zeros(0)
     pr, tri, pairs = _local_pack(s)
-    qa, qb = q.take(pr[0], axis=0), q.take(pr[1], axis=0)
-    dvec = qb - qa
-    l2p = np.einsum("ij,ij->i", dvec, dvec)
+    ax, ay, bx, by = qx.take(pr[0]), qy.take(pr[0]), qx.take(pr[1]), qy.take(pr[1])
+    dx, dy = bx - ax, by - ay
+    l2p = dx * dx + dy * dy
     # cross(a - xi, b - xi) doubles as 2 * signed_area(xi, a, b), i.e. the
     # perpendicular distance from xi to line(a, b) times |b - a|
-    crossp = qa[:, 0] * qb[:, 1] - qa[:, 1] * qb[:, 0]
+    crossp = ax * by - ay * bx
     if s >= 3:
         x, sqt = crossp.take(pairs), sq.take(tri)  # X_ab, X_ac, X_bc; |P_a|^2, ...
         two_s = np.abs(x[2] - x[1] + x[0])
@@ -424,15 +430,15 @@ def forbidden_regions(net_points, xi_prime, bundle):
                 two_s.take(low) > 1e-12 * l2p.take(pairs[:, low]).max(axis=0)))
         det = sqt[0] * x[2] - sqt[1] * x[1] + sqt[2] * x[0]
         rho = ball_r + w_ann
-        slack = 2.0 ** -44 * local_r ** 3 * (2.0 * local_r + max(abs(xi[0]), abs(xi[1])))
-        k = (np.abs(det) <= two_s * ((2.0 * cap_r + rho) * rho) + slack).nonzero()[0]
+        slack = 2.0 ** -44 * local_r ** 3 * (2.0 * local_r + max(abs(x0), abs(y0)))
+        k = (np.abs(det, out=det) <= two_s * ((2.0 * cap_r + rho) * rho) + slack).nonzero()[0]
         if len(k):
             centers, radii, valid = cs.circumcenter_batch(
                 omega.take(tri.take(k, axis=1).T, axis=0))
             e = centers - xi
             reach = np.abs(np.sqrt(np.add.reduce(e * e, axis=1)) - radii) <= rho
-            sel = valid & reach & (radii <= cap_r)
-            keep_c, keep_r = centers[sel], radii[sel]
+            sel = (valid & reach & (radii <= cap_r)).nonzero()[0]
+            keep_c, keep_r = centers.take(sel, axis=0), radii.take(sel)
     annuli = Annuli(centers=keep_c, radii=keep_r, width=w_ann,
                     count_total=count_ann)
 
@@ -443,8 +449,10 @@ def forbidden_regions(net_points, xi_prime, bundle):
         dlen = np.sqrt(l2p)
         j = ((dlen > 0) & (np.abs(crossp) <= (ball_r + w_slab) * dlen)).nonzero()[0]
         anchors = omega.take(pr[0].take(j), axis=0)
-        dirs = dvec.take(j, axis=0) / dlen.take(j)[:, None]
-    near_pts = omega[sq <= (ball_r + w_slab) ** 2]
+        dirs, dl = np.empty((len(j), 2)), dlen.take(j)
+        np.divide(dx.take(j), dl, out=dirs[:, 0])
+        np.divide(dy.take(j), dl, out=dirs[:, 1])
+    near_pts = omega.take((sq <= (ball_r + w_slab) ** 2).nonzero()[0], axis=0)
     slabs = Slabs(anchors=anchors, directions=dirs, point_patches=near_pts,
                   width=w_slab)
     return annuli, slabs
@@ -453,20 +461,22 @@ def forbidden_regions(net_points, xi_prime, bundle):
 def forbidden_mask(pts, annuli: Annuli, slabs: Slabs) -> np.ndarray:
     """Which of the (k, 2) points lie in a forbidden region: within the
     width of an annulus's circle, of a slab's line or of a point patch."""
-    hit = np.zeros(len(pts), dtype=bool)
+    tests = []  # one (k, regions) mask per kind of region present
     if len(annuli.radii):
         e = pts[:, None, :] - annuli.centers[None, :, :]
         d = np.sqrt(np.add.reduce(e * e, axis=2))  # np.linalg.norm(e, axis=2)
-        hit |= (np.abs(d - annuli.radii) <= annuli.width).any(axis=1)
+        tests.append(np.abs(d - annuli.radii) <= annuli.width)
     if len(slabs.directions):
         rel = pts[:, None, :] - slabs.anchors[None, :, :]
         perp = np.abs(rel[:, :, 0] * slabs.directions[None, :, 1]
                       - rel[:, :, 1] * slabs.directions[None, :, 0])
-        hit |= (perp <= slabs.width).any(axis=1)
+        tests.append(perp <= slabs.width)
     if len(slabs.point_patches):
         e = pts[:, None, :] - slabs.point_patches[None, :, :]
-        hit |= (np.sqrt(np.add.reduce(e * e, axis=2)) <= slabs.width).any(axis=1)
-    return hit
+        tests.append(np.sqrt(np.add.reduce(e * e, axis=2)) <= slabs.width)
+    if not tests:
+        return np.zeros(len(pts), dtype=bool)
+    return np.concatenate(tests, axis=1).any(axis=1)
 
 
 def excluded_volume_fraction(xi_prime, ball_r, annuli: Annuli, slabs: Slabs,
@@ -511,7 +521,8 @@ def select_point(xi_prime, forbidden, rng, ball_r: float):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         r = ball_r * math.sqrt(rng.uniform())
         p = xi + np.array([r * math.cos(theta), r * math.sin(theta)])
-        if np.linalg.norm(p - xi) <= ball_r * (1 + 1e-12) \
+        d = p - xi  # math.sqrt(d.dot(d)) is how np.linalg.norm(d) evaluates
+        if math.sqrt(d.dot(d)) <= ball_r * (1 + 1e-12) \
                 and not forbidden_mask(p[None], annuli, slabs)[0]:
             return p
     h = ball_r / 50.0
@@ -539,8 +550,8 @@ class _Buckets:
         self.arr = np.zeros((256, 2))
 
     def add(self, p):
-        key = (int(math.floor(p[0] / self.cell)),
-               int(math.floor(p[1] / self.cell)))
+        x, y = p.tolist()
+        key = (int(math.floor(x / self.cell)), int(math.floor(y / self.cell)))
         self.map.setdefault(key, []).append(self.count)
         if self.count == len(self.arr):
             self.arr = np.concatenate([self.arr, np.zeros_like(self.arr)])
@@ -550,14 +561,15 @@ class _Buckets:
     def near(self, q, radius: float) -> np.ndarray:
         """The points of the cells within ``radius`` of q's cell, a superset
         of the points within ``radius`` of q: the caller filters them."""
+        x, y = q.tolist()
         reach = int(math.ceil(radius / self.cell))
-        bi = int(math.floor(q[0] / self.cell))
-        bj = int(math.floor(q[1] / self.cell))
+        bi = int(math.floor(x / self.cell))
+        bj = int(math.floor(y / self.cell))
         idx: list = []
         for di in range(-reach, reach + 1):
             for dj in range(-reach, reach + 1):
                 idx.extend(self.map.get((bi + di, bj + dj), ()))
-        return self.arr[idx]
+        return self.arr.take(idx, axis=0)
 
 
 class _BandFront:
@@ -582,17 +594,19 @@ class _BandFront:
         """Fold squared distances dd into the codes of the window at (i0, j0)."""
         i1 = i0 + dd.shape[0]
         sub = self.code[i0:i1, j0:j0 + dd.shape[1]]
-        self.rows[i0:i1] -= (sub == 1).sum(axis=1)
-        np.maximum(sub, (dd <= self.hi2).view(np.uint8) + (dd < self.lo2), out=sub)
-        self.rows[i0:i1] += (sub == 1).sum(axis=1)
+        new = np.maximum((dd <= self.hi2).view(np.uint8) + (dd < self.lo2), sub)
+        # codes are 0, 1 or 2, so & 1 marks code 1: a row's count moves by its
+        # sum of (new & 1) - (old & 1) in int8, exact in int16 below 2^15 columns
+        step = (new & 1) - (sub & 1)
+        self.rows[i0:i1] += step.view(np.int8).sum(axis=1, dtype=np.int16)
+        sub[...] = new
 
     def next(self):
         """(row, column) of the node of code 1 of least flat index, or None."""
-        nz = self.rows.nonzero()[0]
-        if not len(nz):
+        i = int((self.rows != 0).argmax())
+        if not self.rows[i]:
             return None
-        i = int(nz[0])
-        return i, int(np.argmax(self.code[i] == 1))
+        return i, int((self.code[i] == 1).argmax())
 
 
 class _Draws:
@@ -654,6 +668,7 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
             f"bytes, more than the {memory} bytes of physical memory", path="region.bounds")
     nx, ny = (int(math.floor((hi[k] - lo[k]) / h)) + 1 for k in range(2))
     xs = lo[0] + np.arange(nx) * h
+    lx, ly = lo.tolist()
     ys = lo[1] + np.arange(ny) * h
     # node clearance (the selection ball must fit inside the domain) becomes
     # the front's codes; band tests compare squared distances against the
@@ -666,15 +681,16 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
 
     def add_point(z):
         buckets.add(z)
-        i0 = max(0, int(math.ceil((z[0] - band_hi - lo[0]) / h)))
-        i1 = min(nx - 1, int(math.floor((z[0] + band_hi - lo[0]) / h)))
-        j0 = max(0, int(math.ceil((z[1] - band_hi - lo[1]) / h)))
-        j1 = min(ny - 1, int(math.floor((z[1] + band_hi - lo[1]) / h)))
+        zx, zy = z.tolist()
+        i0 = max(0, int(math.ceil((zx - band_hi - lx) / h)))
+        i1 = min(nx - 1, int(math.floor((zx + band_hi - lx) / h)))
+        j0 = max(0, int(math.ceil((zy - band_hi - ly) / h)))
+        j1 = min(ny - 1, int(math.floor((zy + band_hi - ly) / h)))
         if i0 > i1 or j0 > j1:
             return
-        gx = xs[i0:i1 + 1][:, None] - z[0]
-        gy = ys[j0:j1 + 1][None, :] - z[1]
-        front.lower(i0, j0, gx * gx + gy * gy)
+        gx = np.square(xs[i0:i1 + 1] - zx)
+        gy = np.square(ys[j0:j1 + 1] - zy)
+        front.lower(i0, j0, gx[:, None] + gy)
 
     def step(xi):
         forb = forbidden_regions(buckets.near(xi, local_r), xi, bundle)

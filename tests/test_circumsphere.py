@@ -74,8 +74,9 @@ class TestCircumcenterBatch:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_coincident_rows_flagged(self, n):
-        # the floor DEGENERACY_REL cb^n underflows to 0 for coincident points
-        # (cb is clamped to 1e-300), so det U = 0 must flag them on its own
+        # the floor DEGENERACY_REL cb^n is 0 for coincident points, so they
+        # must be flagged on their own: by the edge range in the plane, by
+        # det U = 0 above it
         good = _random_simplex(np.random.default_rng(n), n)
         bad = np.full((n + 1, n), 0.25)
         alone = cs.circumcenter_batch(good[None])
@@ -231,6 +232,29 @@ class TestPlanarBranch:
             for k in rng.choice(rows, size=min(rows, 4), replace=False):
                 assert _bits_equal(cs.circumcenter_batch(pts[k:k + 1]),
                                    [a[k:k + 1] for a in got])
+
+
+class TestPlanarRange:
+    @pytest.mark.parametrize("k", [-110, -106, -100, 0, 100, 103, 110])
+    def test_scaled_right_triangle_is_valid_and_accurate_or_flagged(self, k):
+        # outside 2^-327 <= cb <= 2^340 the numerators underflow or overflow:
+        # such a row must be flagged, never valid with a radius of 0 or inf
+        s = 10.0 ** k
+        with np.errstate(over="ignore", invalid="ignore"):
+            centers, radii, valid = cs.circumcenter_batch(
+                np.array([[[s, 0.0], [0.0, s], [0.0, 0.0]]]))
+        cb_in_range = 2.0 ** -327 <= s <= 2.0 ** 340
+        assert valid[0] == cb_in_range
+        if not valid[0]:
+            assert np.all(np.isnan(centers[0])) and radii[0] == np.inf
+            return
+        r = s / math.sqrt(2.0)  # within u r of the exact radius
+        assert 0.0 < radii[0] < math.inf
+        # the docstring bound for |a| = |b| = s, det U = s^2: gamma_6 (s + r),
+        # plus the rounding of the radius and of the reference
+        bound = _gamma(6) * (s + r) + _gamma(5) * r + 2.0 ** -53 * r
+        assert abs(radii[0] - r) <= bound * (1.0 + 64.0 * 2.0 ** -53)
+        assert np.all(np.abs(centers[0] - [s / 2.0, s / 2.0]) <= bound)
 
 
 class TestBounds:

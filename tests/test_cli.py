@@ -296,6 +296,19 @@ class TestConstantsCommand:
                        "--out", str(tmp_path / "b.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("eps, bad", [("0,1e-5,1e-5,2e-9", "eps1"),
+                                          ("1e-8,0,1e-5,2e-9", "eps2"),
+                                          ("1e-8,1e-5,0,2e-9", "eps3"),
+                                          ("1e-8,1e-5,1e-5,inf", "eps4")])
+    def test_bad_eps_entry_is_named(self, tmp_path, capsys, eps, bad):
+        # a bad entry is named, not the eps0 whose default it would poison
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert cli.main(["constants", "--dim", "2", "--eps", eps, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert _one_line_error(capsys).strip() == \
+            f"validation error: {bad}: must be positive and finite"
+
     @pytest.mark.parametrize("e0", ["0", "-1", "-0.0"])
     def test_nonpositive_eps0_refused(self, tmp_path, capsys, e0):
         out = tmp_path / "b.json"

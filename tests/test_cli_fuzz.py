@@ -61,7 +61,8 @@ VALUES = {
     "--dim": ["1", "2", "3", "9", "0", "-1", "x", ""],
     "--mode": ["paper", "practical", "x"],
     "--eps": ["1e-8,1e-5,1e-5,2e-9", "1e-8,1e-5,1e-5,2e-9,1e-13", "a", "1,2,3,4",
-              "nan,1,1,1", "1e-8,1e-5", "1e-8,1e-5,1e-5,2e-9,0", "1e-8,1e-5,1e-5,2e-9,-1", ""],
+              "nan,1,1,1", "1e-8,1e-5", "1e-8,1e-5,1e-5,2e-9,0", "1e-8,1e-5,1e-5,2e-9,-1",
+              "0,1e-5,1e-5,2e-9", "1e-8,1e-5,0,2e-9", "1e-8,0,1e-5,2e-9", ""],
     "--metric": ["flat:2", "flat:x", "sphere:1", "sphere:-1", "torus:1,1",
                  "torus:0,1", "bogus", ""],
     "--box": ["0,0,0.3,0.3", "0,0,1", "a", "0,0,nan,1", "0,0,1e9,1e9", "0,0,1e308,1e308",

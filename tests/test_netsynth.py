@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import heapq
 import itertools
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay, cKDTree
 
 from delone import circumsphere as cs
-from delone import jsonio, paper, robustness
+from delone import cli, jsonio, paper, robustness
 from delone import netsynth as nsy
 from delone import tessellation as tess
 from delone.errors import (CoverageGapError, RegionExhaustedError, SelectionFailedError,
@@ -500,6 +501,26 @@ class TestPrefilter:
             kept += len(_float32_forbidden_regions(omega, xi, bundle2)[0].radii)
         assert kept >= 20
 
+    def test_replays_every_step_of_a_3rf_synthesis(self, bundle2, monkeypatch):
+        # the local sets and probes of the 3 rF seed-1 net, step by step
+        steps = []
+        regions = nsy.forbidden_regions
+
+        def record(net_points, xi, bundle):
+            steps.append((np.array(net_points), np.array(xi)))
+            return regions(net_points, xi, bundle)
+
+        monkeypatch.setattr(nsy, "forbidden_regions", record)
+        side = 3.0 * bundle2.rF
+        net, _ = nsy.synthesize_net(nsy.Region.box([0.0, 0.0], [side, side]), bundle2, seed=1)
+        assert len(steps) == len(net) > 900
+        kept = 0
+        for net_points, xi in steps:
+            got = regions(net_points, xi, bundle2)
+            assert _same_regions(got, _float32_forbidden_regions(net_points, xi, bundle2))
+            kept += len(got[0].radii)
+        assert kept > len(steps)
+
     @pytest.mark.parametrize("side", [1.0, -1.0])  # xi outside or inside the circle
     @pytest.mark.parametrize("reach,kept", [(1.0 - 1e-9, 1), (1.0 + 1e-9, 0)])
     def test_circle_of_radius_just_below_r(self, bundle2, side, reach, kept):
@@ -572,6 +593,13 @@ class TestSelectPoint:
         assert np.all(d > annuli.width)
         dp = np.linalg.norm(TRIANGLE - p1, axis=1)
         assert np.all(dp > slabs.width)
+
+    def test_ball_test_is_the_norm(self):
+        # select_point tests a draw against its ball by math.sqrt(d.dot(d))
+        rng = np.random.default_rng(5)
+        scale = 10.0 ** rng.uniform(-150.0, 150.0, 4_000)
+        for d in rng.uniform(-1.0, 1.0, (4_000, 2)) * scale[:, None]:
+            assert math.sqrt(d.dot(d)) == np.linalg.norm(d)
 
     @pytest.mark.parametrize("block", [1, 3, 256])
     def test_block_draws_select_what_the_generator_selects(self, block, monkeypatch):
@@ -709,6 +737,18 @@ class TestSynthesizeNet:
         K = nsy.Region(kind="box", bounds=([0, 0, 0], [1, 1, 1]))
         with pytest.raises(ValidationError):
             nsy.synthesize_net(K, bundle2)
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("1", "7fa827ed9c3fd72cfd0d1b00423469322f575ebee10a05d138089c5c5d480831"),
+        ("2", "6af517fba2b9806384f3ecd491fabb013dc59d349a44b1934defb5d108e765a7"),
+    ])
+    def test_5rf_net_baseline(self, tmp_path, seed, digest):
+        # the benchmark's synth_5rF size: every step of the synthesizer, pinned
+        b, n = str(tmp_path / "bundle.json"), tmp_path / "net.json"
+        assert cli.main(["constants", "--dim", "2", "--out", b]) == 0
+        assert cli.main(["synthesize", "--bundle", b, "--box", "0,0,5.0,5.0",
+                         "--seed", seed, "--out", str(n)]) == 0
+        assert hashlib.sha256(n.read_bytes()).hexdigest() == digest
 
 
 class _HeapFront:
