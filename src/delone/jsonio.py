@@ -7,7 +7,10 @@ holds its top simplices only; 4 for the certificate, which stores
 ``per_simplex`` by columns), numbers via the shortest round-trip float
 representation, keys sorted: identical inputs produce byte-identical files.
 Each schema is written and read here alone.  Loading re-validates every type
-invariant and reports violations with field paths.
+invariant and reports violations with field paths.  Writers hand arrays out
+by ``ndarray.tolist()``; every numeric list a loader reads, of numbers or of
+rows of numbers, is checked and converted by ``_array`` alone, so a number is
+defined once: a JSON int or float, never a bool or a string.
 
 ``write_text`` is the one writer of artifact files (the CLI's JSON and its
 SVG).  It overwrites a file in place: it writes the new bytes over the old
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import os
 import stat
 
@@ -81,7 +83,9 @@ def read(path) -> dict:
     return data
 
 
-def _require(d: dict, key: str, types, path: str):
+def _require(d: dict, key: str, types, path: str, length: int | None = None):
+    """d[key], an instance of ``types`` (a bool only if ``types`` is bool),
+    and with ``length``, a list of that many entries."""
     if not isinstance(d, dict):
         raise ValidationError(f"expected an object, got {type(d).__name__}", path=path)
     if key not in d:
@@ -90,33 +94,74 @@ def _require(d: dict, key: str, types, path: str):
     if not isinstance(v, types) or (isinstance(v, bool) and types is not bool):
         raise ValidationError(f"expected {types}, got {type(v).__name__}",
                               path=f"{path}.{key}")
+    if length is not None and len(v) != length:
+        raise ValidationError(f"expected a list of {length}, got {len(v)}",
+                              path=f"{path}.{key}")
     return v
 
 
-def _number(v, path: str) -> float:
-    """A JSON number (not a bool) as a float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"expected a number, got {type(v).__name__}", path=path)
+def _array(v: list, at: str, what: str, width: int | None = None, dtype=float,
+           limit: float | None = None) -> np.ndarray:
+    """The list ``v`` of JSON numbers, or of rows of ``width`` of them, as a
+    float64 or int64 array of shape (len(v),) or (len(v), width).  A JSON
+    number is an int or a float, or a subclass such as np.float64, which
+    in-memory dicts hold; never a bool or a string.  An int64 array holds
+    indices: ints alone, none negative.  With ``limit``, every float is at
+    most ``limit`` in magnitude (NaN fails).  The types are tested as a set
+    and the values by numpy on the whole array; on a failure,
+    ValidationError(what, path=at) names the first failing entry i (a number
+    or a row), "{i}" in both replaced by i."""
+    a = _convert(v, width, dtype)
+    if a is None:  # then some entry fails alone, and this raises
+        _first([_convert([x], width, dtype) is None for x in v], at, what)
+    if dtype is np.int64:
+        bad = a < 0
+    elif limit is not None:
+        bad = ~(np.abs(a) <= limit)
+    else:
+        return a
+    _first(bad if width is None else bad.any(axis=1), at, what)
+    return a
+
+
+def _convert(v: list, width: int | None, dtype):
+    """``_array``'s array of ``v`` without its value tests, or None when an
+    entry is not a JSON number (a list of ``width`` of them)."""
+    if width is not None and not all(issubclass(t, list) for t in set(map(type, v))):
+        return None
+    kinds = int if dtype is np.int64 else (int, float)
+    entries = v if width is None else itertools.chain.from_iterable(v)
+    if not all(issubclass(t, kinds) and t is not bool for t in set(map(type, entries))):
+        return None
     try:
-        return float(v)
-    except OverflowError:
-        raise ValidationError("number out of float range", path=path) from None
+        a = np.array(v, dtype=dtype)
+    except (ValueError, OverflowError):  # ragged rows; an int beyond int64 or float
+        return None
+    if width is None or a.shape == (len(v), width):
+        return a
+    return None if v else a.reshape(0, width)  # [] converts to shape (0,)
+
+
+def _first(bad, at: str, what: str) -> None:
+    """Raise ValidationError(what, path=at) for the first entry i that
+    ``bad`` flags, "{i}" in both replaced by i; nothing if none is."""
+    hit = np.flatnonzero(bad)
+    if len(hit):
+        i = str(hit[0])
+        raise ValidationError(what.replace("{i}", i), path=at.replace("{i}", i))
+
+
+def _number(v, path: str) -> float:
+    """A JSON number, as ``_array`` defines it, as a float."""
+    return float(_array([v], path, "expected a number")[0])
 
 
 def _require_number(d: dict, key: str, path: str) -> float:
     return _number(_require(d, key, (int, float), path), f"{path}.{key}")
 
 
-def _numbers(v, path: str, length: int | None = None) -> list:
-    """A JSON list of numbers, of the given length if one is given."""
-    if not isinstance(v, list) or (length is not None and len(v) != length):
-        want = "a list" if length is None else f"a list of {length}"
-        raise ValidationError(f"expected {want} numbers", path=path)
-    return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
-
-
 def _check_version(d: dict, path: str):
-    if d.get("v") != SCHEMA_VERSIONS[path]:
+    if type(d.get("v")) is not int or d["v"] != SCHEMA_VERSIONS[path]:  # no bool
         raise ValidationError(f"unsupported schema version {d.get('v')!r}",
                               path=f"{path}.v")
 
@@ -130,7 +175,7 @@ def net_to_dict(net: tess.Net) -> dict:
         "dim": net.dim,
         "d1": net.d1,
         "d2": net.d2,
-        "points": [[float(x) for x in p] for p in net.points],
+        "points": net.points.tolist(),
     }
     if net.region is not None:
         d["region"] = region_to_dict(net.region)
@@ -138,23 +183,23 @@ def net_to_dict(net: tess.Net) -> dict:
 
 
 def region_to_dict(region: nsy.Region) -> dict:
-    a, b = region.bounds
-    if region.kind == "box":
-        return {"kind": "box", "bounds": [list(a), list(b)]}
-    return {"kind": "disk", "bounds": [list(a), b]}
+    """A box's bounds (lo, hi) or a disk's (center, radius), each as written
+    by ``tolist()``."""
+    return {"kind": region.kind, "bounds": [np.asarray(x).tolist() for x in region.bounds]}
 
 
-def region_from_dict(d: dict, path: str = "region") -> nsy.Region:
+def region_from_dict(d: dict, dim: int, path: str) -> nsy.Region:
+    """A region of a ``dim``-dimensional net: a box's bounds are two rows of
+    ``dim`` numbers, a disk's a row of ``dim`` numbers and a number."""
     kind = _require(d, "kind", str, path)
-    bounds = _require(d, "bounds", list, path)
     if kind not in ("box", "disk"):
         raise ValidationError(f"unknown region kind {kind!r}", path=f"{path}.kind")
-    if len(bounds) != 2:
-        raise ValidationError("expected a pair", path=f"{path}.bounds")
-    a = _numbers(bounds[0], f"{path}.bounds[0]")
+    bounds = _require(d, "bounds", list, path, length=2)
+    rows = _array(bounds if kind == "box" else bounds[:1], f"{path}.bounds[{{i}}]",
+                  f"expected a list of {dim} numbers", width=dim)
     if kind == "box":
-        return nsy.Region.box(a, _numbers(bounds[1], f"{path}.bounds[1]"))
-    return nsy.Region.disk(a, _number(bounds[1], f"{path}.bounds[1]"))
+        return nsy.Region.box(rows[0], rows[1])
+    return nsy.Region.disk(rows[0], _number(bounds[1], f"{path}.bounds[1]"))
 
 
 def net_from_dict(d: dict) -> tess.Net:
@@ -166,23 +211,13 @@ def net_from_dict(d: dict) -> tess.Net:
     d1 = _require_number(d, "d1", "net")
     d2 = _require_number(d, "d2", "net")
     raw = _require(d, "points", list, "net")
-    try:
-        pts = np.asarray(raw, dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        pts = None
-    if pts is None or pts.ndim != 2 or pts.shape[1] != dim:
-        raise ValidationError(f"points must be {dim}-vectors", path="net.points")
-    bad = ~np.all(np.abs(pts) <= MAX_COORDINATE, axis=1)  # NaN fails too
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise ValidationError(f"point {i} is not finite or exceeds {MAX_COORDINATE:g} "
-                              f"in magnitude", path="net.points")
+    if not raw:
+        raise ValidationError("expected at least one point", path="net.points")
+    pts = _array(raw, "net.points", f"point {{i}} is not a {dim}-vector of numbers at most "
+                 f"{MAX_COORDINATE:g} in magnitude", width=dim, limit=MAX_COORDINATE)
     if not (0 < d1 < d2 <= MAX_COORDINATE):
         raise ValidationError(f"require 0 < d1 < d2 <= {MAX_COORDINATE:g}", path="net.d1")
-    region = region_from_dict(d["region"], "net.region") if "region" in d else None
-    if region is not None and region.dim != dim:
-        raise ValidationError(f"a {region.dim}-dimensional region for a {dim}-dimensional "
-                              f"net", path="net.region.bounds")
+    region = region_from_dict(d["region"], dim, "net.region") if "region" in d else None
     net = tess.Net(dim=dim, points=pts, d1=d1, d2=d2, region=region)
     sep, i, j = net.closest_pair
     if sep < d1:
@@ -218,78 +253,34 @@ def complex_from_dict(d: dict, net: tess.Net | None = None) -> tess.DelaunayComp
         raise ValidationError(f"dim {dim} differs from the net's dim {net.dim}",
                               path="complex.dim")
     regular = _require(d, "regular", bool, "complex")
-    raw = _require(d, "simplices", list, "complex")
-    if net is None:
-        limit, within = 2 ** 63, "int64"
-    else:
-        limit, within = len(net), f"a {len(net)}-point net"
-    columns = _top_columns(raw, dim, limit)
-    if columns is None:  # some record may fail: the record loop names the first
-        rows = [_top_row(sd, i, dim, limit, within) for i, sd in enumerate(raw)]
-        columns = [v for v, _, _ in rows], [c for _, c, _ in rows], [r for _, _, r in rows]
-    verts = np.asarray(columns[0], dtype=np.int64).reshape(-1, dim + 1)
+    records = _require(d, "simplices", list, "complex")
+    at = "complex.simplices[{i}]"
+    try:  # the column of each field
+        verts, center, radius = ([sd[key] for sd in records]
+                                 for key in ("verts", "center", "radius"))
+    except (TypeError, KeyError):  # a record is not an object, or lacks a field
+        for i, sd in enumerate(records):
+            for key, types in (("verts", list), ("center", list), ("radius", (int, float))):
+                _require(sd, key, types, at.replace("{i}", str(i)))
+    increasing = f"verts must be {dim + 1} strictly increasing nonnegative integers"
+    verts = _array(verts, at + ".verts", increasing, width=dim + 1, dtype=np.int64)
+    _first(np.any(verts[:, 1:] <= verts[:, :-1], axis=1), at + ".verts", increasing)
+    out = np.flatnonzero(verts[:, -1] >= len(net)) if net is not None else ()
+    if len(out):
+        raise ValidationError(f"vertex {verts[out[0], -1]} is out of range for a "
+                              f"{len(net)}-point net", path=f"complex.simplices[{out[0]}].verts")
+    sphere = (f"center must be a finite {dim}-vector and radius a finite number, "
+              f"at most {MAX_COORDINATE:g} in magnitude")
+    centers = _array(center, at, sphere, width=dim, limit=MAX_COORDINATE)
+    radii = _array(radius, at + ".radius", "expected a number")
+    _first(~(np.abs(radii) <= MAX_COORDINATE), at, sphere)
     order = np.lexsort(verts.T[::-1])  # stable: an earlier copy comes first
     same = np.all(verts[order[1:]] == verts[order[:-1]], axis=1)
     if np.any(same):
         raise ValidationError("duplicate simplex",
                               path=f"complex.simplices[{int(order[1:][same].min())}].verts")
-    centers = np.asarray(columns[1], dtype=float).reshape(-1, dim)
-    radii = np.asarray(columns[2], dtype=float)
     return tess.DelaunayComplex.from_arrays(dim, verts[order], centers[order],
                                             radii[order], regular)
-
-
-def _top_columns(raw: list, dim: int, limit: int):
-    """The verts, center and radius columns of the top simplex records when
-    each passes ``_top_row``'s checks, tested by one type pass over the
-    records and numpy tests on the columns; None when a test fails, and
-    ``_top_row`` then names the first failing record.  The types are exact
-    (JSON's dict, list, int and float), so anything else takes the record
-    loop."""
-    try:
-        verts = [sd["verts"] for sd in raw]
-        center = [sd["center"] for sd in raw]
-        radius = [sd["radius"] for sd in raw]
-    except (TypeError, KeyError):  # a record that is not an object, or lacks a field
-        return None
-    if not (set(map(type, raw)) <= {dict} and set(map(type, verts)) <= {list}
-            and set(map(type, center)) <= {list} and set(map(type, radius)) <= {int, float}
-            and set(map(type, itertools.chain.from_iterable(verts))) <= {int}
-            and set(map(type, itertools.chain.from_iterable(center))) <= {int, float}):
-        return None
-    try:
-        v = np.array(verts, dtype=np.int64)
-        c = np.array(center, dtype=float)
-        r = np.array(radius, dtype=float)
-    except (ValueError, OverflowError):  # ragged rows, or integers beyond int64 or float
-        return None
-    ok = (v.shape == (len(raw), dim + 1) and c.shape == (len(raw), dim)
-          and np.all(v[:, 0] >= 0) and np.all(v[:, 1:] > v[:, :-1]) and np.all(v[:, -1] < limit)
-          and np.all(np.abs(c) <= MAX_COORDINATE) and np.all(np.abs(r) <= MAX_COORDINATE))
-    return (v, c, r) if ok else None
-
-
-def _top_row(sd, i: int, dim: int, limit: int, within: str) -> tuple:
-    """(verts, center, radius) of top simplex record i, checked: dim+1
-    strictly increasing nonnegative integers below ``limit`` (the size of
-    ``within``), a ``dim``-vector of JSON numbers and a number, all at most
-    MAX_COORDINATE in magnitude, as a net's coordinates are."""
-    path = f"complex.simplices[{i}]"
-    verts = _require(sd, "verts", list, path)
-    center = _require(sd, "center", list, path)
-    radius = _require(sd, "radius", (int, float), path)
-    if not (len(verts) == dim + 1 and set(map(type, verts)) == {int}  # no bools
-            and verts[0] >= 0 and all(map(operator.lt, verts, verts[1:]))):
-        raise ValidationError(f"verts must be {dim + 1} strictly increasing nonnegative "
-                              f"integers", path=f"{path}.verts")
-    if verts[-1] >= limit:
-        raise ValidationError(f"vertex {verts[-1]} is out of range for {within}",
-                              path=f"{path}.verts")
-    if not (len(center) == dim and set(map(type, center)) <= {int, float}
-            and all(abs(x) <= MAX_COORDINATE for x in (*center, radius))):  # NaN fails
-        raise ValidationError(f"center must be a finite {dim}-vector and radius a finite "
-                              f"number, at most {MAX_COORDINATE:g} in magnitude", path=path)
-    return verts, center, radius
 
 
 # -- bundle -----------------------------------------------------------------
@@ -315,8 +306,14 @@ def bundle_to_dict(b: consts.ConstantBundle) -> dict:
 
 def bundle_from_dict(d: dict) -> consts.ConstantBundle:
     _check_version(d, "bundle")
-    eps = _numbers(_require(d, "eps", list, "bundle"), "bundle.eps", 5)
-    dl = _numbers(_require(d, "d", list, "bundle"), "bundle.d", 6)
+    eps, dl = (_array(_require(d, key, list, "bundle", length=n), f"bundle.{key}[{{i}}]",
+                      "expected a number").tolist() for key, n in (("eps", 5), ("d", 6)))
+    rho_hat = []  # pairs of any length: validate_bundle names a short one
+    for k, pair in enumerate(_require(d, "rho_hat", list, "bundle")):
+        if not isinstance(pair, list):
+            raise ValidationError("expected a list of numbers", path=f"bundle.rho_hat[{k}]")
+        rho_hat.append(tuple(_array(pair, f"bundle.rho_hat[{k}][{{i}}]",
+                                    "expected a number").tolist()))
     v2 = d.get("v2", {})
     provenance = d.get("provenance", {})
     for key, value in (("v2", v2), ("provenance", provenance)):
@@ -330,8 +327,7 @@ def bundle_from_dict(d: dict) -> consts.ConstantBundle:
         rF=_require_number(d, "rF", "bundle"),
         r_star=_require_number(d, "r_star", "bundle"),
         d1=dl[0], d1p=dl[1], d1pp=dl[2], d2pp=dl[3], d2p=dl[4], d2=dl[5],
-        rho_hat=tuple(tuple(_numbers(pair, f"bundle.rho_hat[{k}]"))
-                      for k, pair in enumerate(_require(d, "rho_hat", list, "bundle"))),
+        rho_hat=tuple(rho_hat),
         gs_delta=_require_number(d, "gs_delta", "bundle"),
         binding_eps0=_require(d, "binding_eps0", str, "bundle"),
         v2={str(k): _number(v, f"bundle.v2.{k}") for k, v in v2.items()},
@@ -353,31 +349,29 @@ def certificate_to_dict(cert: nsy.StabilityCertificate) -> dict:
             "budget": dict(cert.budget)}
 
 
-def _integers(v) -> bool:
-    """Whether v is a list of JSON integers (not bools)."""
-    return isinstance(v, list) and set(map(type, v)) <= {int}
-
-
 def certificate_from_dict(d: dict) -> dict:
     """Check a certificate as ``render`` reads it and return it: its version
     (4, the schema that stores ``per_simplex`` by columns), a bool ``pass``,
-    a ``worst`` object, ``family`` and ``budget`` objects, and ``per_simplex``
-    columns: ``simplex``, a list of integer rows, and each ``*_margin``
-    column a list of as many numbers."""
+    a ``worst`` object whose ``simplex``, if not null, is a list of vertex
+    indices, ``family`` and ``budget`` objects, and ``per_simplex`` columns:
+    ``simplex``, rows of one width of vertex indices (nonnegative integers),
+    and each ``*_margin`` column a list of as many numbers."""
     _check_version(d, "certificate")
     _require(d, "pass", bool, "certificate")
     _require(d, "family", dict, "certificate")
     _require(d, "budget", dict, "certificate")
     worst = _require(d, "worst", dict, "certificate")
-    if worst.get("simplex") is not None and not _integers(worst["simplex"]):
-        raise ValidationError("simplex must be a list of integers",
-                              path="certificate.worst.simplex")
+    if worst.get("simplex") is not None:
+        _array(_require(worst, "simplex", list, "certificate.worst"), "certificate.worst.simplex",
+               "vertex {i} is not a nonnegative integer", dtype=np.int64)
     columns = _require(d, "per_simplex", dict, "certificate")
     path = "certificate.per_simplex"
     rows = _require(columns, "simplex", list, path)
-    if not all(map(_integers, rows)):
-        raise ValidationError("expected a list of integer rows", path=f"{path}.simplex")
-    for key, col in columns.items():
+    _array(rows, f"{path}.simplex", "row {i} is not a list of nonnegative integers as long "
+           "as row 0", width=len(rows[0]) if rows and isinstance(rows[0], list) else 0,
+           dtype=np.int64)
+    for key in columns:
         if key.endswith("_margin"):
-            _numbers(col, f"{path}.{key}", len(rows))
+            _array(_require(columns, key, list, path, length=len(rows)),
+                   f"{path}.{key}[{{i}}]", "expected a number")
     return d

