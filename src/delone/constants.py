@@ -253,15 +253,11 @@ def validate_bundle(b: ConstantBundle) -> None:
     for key, value in b.v2.items():  # "e1,e2": v2_constant(e1, e2)
         try:
             e1, e2 = map(float, str(key).split(","))
-        except ValueError:
-            e1 = e2 = math.nan
-        # in this range v2_constant's floats neither overflow nor pass through
-        # subnormals, whose lost digits can leave its ulp descent ~1e15 steps
-        # long (key "2e-108,3e-108")
-        if not 1e-100 <= e1 < e2 <= 1e100:
+            want = robustness.v2_constant(e1, e2)
+        except (ValueError, InvalidBudgetError):
             raise ValidationError("key must be 'e1,e2' with 1e-100 <= e1 < e2 <= 1e100",
-                                  path=f"v2.{key}")
-        if off(value, robustness.v2_constant(e1, e2)):
+                                  path=f"v2.{key}") from None
+        if off(value, want):
             raise ValidationError("v2 entry off-formula", path=f"v2.{key}")
     for name in ("eps0", "eps1", "eps2", "eps3", "eps4", "gs_delta"):
         if not 0 < getattr(b, name) < math.inf:

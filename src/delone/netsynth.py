@@ -36,7 +36,8 @@ Stability of the resulting Delaunay complex is then certified for every
 displacement field within the family's budget at once: margins on each top
 simplex (drift, clearance, radius, robustness from
 ``robustness.prefix_distances``) show it survives, and one pass over Qhull's
-triangulation of the net, through the lifting map, shows no other simplex can
+triangulation of the net (``tessellation.Net.qhull``, the one the Delaunay
+build filters), through the lifting map, shows no other simplex can
 appear.  Only parameters whose overrides exceed the budget are checked one by
 one, against a Qhull rebuild of their translate.
 """
@@ -768,13 +769,12 @@ def _near_misses(net: tess.Net, verts, reach, deep, radius, least):
     (witnesses, flagged, margin, row), the sorted witness triples, the count
     of flagged triangles, and the least clearance - ``least`` over the
     unflagged triangles of radius <= ``radius`` with the row attaining it."""
-    pts, m = net.points, len(net)
-    rows = tess.qhull_simplices(pts)
-    if rows is None:  # fewer than three sites, all on a line, or coincident ones
+    m = len(net)
+    if net.qhull is None:  # fewer than three sites, all on a line, or coincident ones
         return [], int(m > 2), math.inf, None
-    centers, radii, valid = cs.circumcenter_batch(pts[rows])
-    flat, rows, centers, radii = rows[~valid], rows[valid], centers[valid], radii[valid]
-    d = tess.sphere_neighbours(net, centers)[0]
+    rows, centers, radii, valid, d = net.qhull
+    flat = rows[~valid]
+    rows, centers, radii, d = (a[valid] for a in (rows, centers, radii, d))
     margin = np.where(radii <= radius, d[:, 3] - radii - least, np.inf)
     own = (d[:, 0] < radii * (1.0 - tess.EMPTY_RTOL)) | \
         ((radii <= reach) & ~tess.rows_in(rows, verts, m)) | \
@@ -784,8 +784,8 @@ def _near_misses(net: tess.Net, verts, reach, deep, radius, least):
     for k in close:  # the settle: S's vertices and the sites within least of its circle
         ball = set(net.tree.query_ball_point(centers[k], radii[k] + least)) | set(rows[k])
         cand = np.array(list(itertools.combinations(sorted(ball), 3)), dtype=np.int64)
-        c, r, ok = cs.circumcenter_batch(pts[cand])
-        depth = r - net.tree.query(np.nan_to_num(c))[0]  # inf where degenerate
+        _, r, ok, dist = tess.spheres(net, cand)
+        depth = r - dist[:, 0]  # inf where degenerate
         hit = (~ok | ((r <= reach) & (depth <= deep))) & ~tess.rows_in(cand, verts, m)
         named += cand[hit][:1].tolist()  # none kept: S is settled
         margin[k] = np.inf  # flagged or settled, S leaves the margin
@@ -885,11 +885,12 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        - 6 r0 alpha - 2 eps) (cf. Boissonnat, Dyer & Ghosh, "The stability
        of Delaunay triangulations", IJCGA 2013).
        The pass ``_near_misses`` flags each triangle S of Qhull's Delaunay
-       triangulation of the base net (``tess.qhull_simplices``, a tiling
-       of the sites' hull) that is degenerate, holds a site deeper than
-       EMPTY_RTOL r_S (``delaunay_top``'s test, one ``sphere_neighbours``
-       query of the net's ``tess.Net.tree`` over all centers, so Qhull's
-       roundoff is tested), has radius <= rho' and is not a top, or has
+       triangulation of the base net (``tess.Net.qhull``, a tiling of the
+       sites' hull, with the circles and nearest sites of ``tess.spheres``,
+       the ones ``delaunay_top`` filters) that is degenerate, holds a site
+       deeper than EMPTY_RTOL r_S (``delaunay_top``'s test, one query of
+       the net's ``tess.Net.tree`` over all centers, so Qhull's roundoff is
+       tested), has radius <= rho' and is not a top, or has
        radius <= rho' + Delta + eps / e1 and clearance <= t_B.  By the
        lemma, T's vertices are S's and sites within t_B of S's circle: an
        S flagged for its clearance alone is unflagged (settled) when no
@@ -920,7 +921,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        radius_drift there, and identity of the translate's complex
        (``tess.build_delaunay``, one call per such parameter) with the
        complex (witness ``combinatorics``); the translate's clearances and
-       its Delaunay build ask one tree, its own.
+       its Delaunay build ask one tree and one Qhull run, its own.
 
     Float errors: each margin is reported net of its error bound and passes
     when >= 0.  Clearances carry 2 phi (a center and a distance), the
@@ -948,7 +949,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
 
     verts = complex_.top_arrays(n)[0]
     stacks = pts[verts]
-    centers, radii, valid = cs.circumcenter_batch(stacks)
+    centers, radii, valid, dist = tess.spheres(net, verts)
 
     worst = {"quantity": None, "simplex": None, "param": None, "margin": math.inf}
     ok = True
@@ -975,11 +976,8 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     eta = family.eps + eta_f
     e1 = min(net.d1, net.closest_pair[0])
     rho = robustness.prefix_distances(stacks).min(axis=1) if len(verts) else np.zeros(0)
-    clearance = np.full(len(verts), -np.inf)
-    if np.any(valid):
-        # the (n+2)-nd nearest site: the n+1 vertices sit at distance ~radius
-        clearance[valid] = tess.sphere_neighbours(net, centers[valid])[0][:, n + 1] \
-            - radii[valid]
+    # the (n+2)-nd nearest site: the n+1 vertices sit at distance ~radius
+    clearance = dist[:, n + 1] - radii  # -inf where degenerate
 
     dc = phi = np.full(len(verts), np.inf)  # unbounded unless the budget's constants exist
     rho_err = math.inf
@@ -1052,7 +1050,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         tnet = translate_net(net, param, family)
         if len(verts):
             tstacks = tnet.points[verts]
-            tc, tr, tvalid = cs.circumcenter_batch(tstacks)
+            tc, tr, tvalid, tdist = tess.spheres(tnet, verts)
             if not np.all(tvalid):
                 note("circumcenter_exists", -math.inf,
                      verts[int(np.nonzero(~tvalid)[0][0])], param)
@@ -1063,8 +1061,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             np.maximum(radius_drift, drp, out=radius_drift)
             check("robustness", robustness.prefix_distances(tstacks).min(axis=1)
                   - rho_floor, param)
-            check("translate_clearance", tess.sphere_neighbours(tnet, tc)[0][:, n + 1]
-                  - tr - clear_trans, param)
+            check("translate_clearance", tdist[:, n + 1] - tr - clear_trans, param)
             check("center_drift", drift_c_max - dcp, param)
             check("radius_drift", drift_r_max - drp, param)
         # combinatorial identity under translation

@@ -111,10 +111,14 @@ def v2_constant(e1: float, e2: float) -> float:
 
     The float value is stepped down one ulp at a time (``math.nextafter``)
     until its square is at most the exact rational square of the minimum,
-    so float rounding cannot lift it above the true minimum.
+    so float rounding cannot lift it above the true minimum.  Only for
+    1e-100 <= e1 < e2 <= 1e100: there no intermediate overflows or passes
+    through subnormals, whose lost digits can leave the descent ~1e15 steps
+    long (e1 ** 3 at e1 = 2e-108); elsewhere it raises InvalidBudgetError.
     """
-    if not (0 < e1 < e2):
-        raise InvalidBudgetError("require 0 < e1 < e2")
+    if not 1e-100 <= e1 < e2 <= 1e100:
+        raise InvalidBudgetError(f"require 1e-100 <= e1 < e2 <= 1e100, "
+                                 f"got e1 = {e1:.6g}, e2 = {e2:.6g}")
     q1, q2 = Fraction(e1), Fraction(e2)
     exact_sq = q1 ** 6 / q2 ** 2 * (1 - q1 ** 2 / (4 * q2 ** 2))
     v2 = e1 ** 3 / e2 * math.sqrt(1.0 - e1 * e1 / (4.0 * e2 * e2))

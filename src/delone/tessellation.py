@@ -16,16 +16,19 @@ also the fallback and the tests' oracle of ``check_duality``
 (``duality_by_enumeration``, one block at a time): in the plane
 ``check_duality`` certifies duality's backward direction from the top rows
 alone, by their clearances, ``facets`` and exact ``orientations``, and
-enumerates only where that certificate does not apply.  The certifier's
-near-miss pass reads Qhull's whole triangulation through
-``qhull_simplices``.  Both branches take every center from
-``circumsphere.circumcenter_batch``, whose rows do not depend on the batch,
-so they give equal bits.
-Every nearest-site query (emptiness, clearance, cell membership, the pairs
-within reach) asks one k-d tree (Bentley, "Multidimensional binary search
-trees used for associative searching", CACM 1975), the net's own
-``Net.tree``, built on first use; the kernels that query sites take the
-``Net``.
+enumerates only where that certificate does not apply.  Qhull runs at most
+once per net: its triangulation, with every triangle's circle and nearest
+sites, is the net's own ``Net.qhull``, built on first use, which the kernel
+filters and the certifier's near-miss pass reads whole; the duality check
+never reads it, so it stays independent of the builder.
+A circle with its nearest sites has one kernel, ``spheres``: the centers
+of ``circumsphere.circumcenter_batch`` and one query of the net's k-d tree
+(Bentley, "Multidimensional binary search trees used for associative
+searching", CACM 1975).  Its rows do not depend on the batch, so Qhull's
+and the enumeration's branches give equal bits.  Every nearest-site query
+(emptiness, clearance, cell membership, the pairs within reach) asks that
+one tree, the net's own ``Net.tree``, built on first use; the kernels that
+query sites take the ``Net``.
 The complex is pure and stored by its top simplices alone, which determine
 every face (Boissonnat, Karthik & Tavenas, "Building efficient and compact
 data structures for simplicial complexes", Algorithmica 2017), as one
@@ -100,6 +103,30 @@ class Net:
         d, j = self.tree.query(self.points, k=2)
         i = int(np.argmin(d[:, 1]))
         return float(d[i, 1]), i, int(j[i, 1])
+
+    @cached_property
+    def qhull(self):
+        """Qhull's Delaunay triangulation of the sites, built on first use and
+        kept: (rows, centers, radii, valid, dist), its triangles as sorted
+        int64 rows and their ``spheres``, all read-only.  None when Qhull
+        cannot triangulate the sites (fewer than n+1 of them, all in a
+        hyperplane, or dimension 1) or sets coincident sites aside."""
+        from scipy.spatial import Delaunay, QhullError
+
+        n = self.dim
+        if n < 2 or len(self.points) < n + 1:
+            return None
+        try:
+            tri = Delaunay(self.points)
+        except QhullError:  # all points in a hyperplane
+            return None
+        if len(tri.coplanar):
+            return None
+        rows = np.sort(tri.simplices, axis=1).astype(np.int64)
+        kept = (rows, *spheres(self, rows))
+        for a in kept:  # shared by every reader of the net
+            a.flags.writeable = False
+        return kept
 
     def interior_mask(self) -> np.ndarray:
         """Sites whose cell provably stays inside the region: inward
@@ -279,44 +306,30 @@ def small_spheres(net: Net, radius: float):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def qhull_simplices(pts: np.ndarray):
-    """Qhull's Delaunay simplices as sorted int64 rows, or None when Qhull
-    cannot triangulate the points or sets coincident points aside."""
-    from scipy.spatial import Delaunay, QhullError
-
-    n = pts.shape[1]
-    if n < 2 or len(pts) < n + 1:  # Qhull triangulates in dimension >= 2
-        return None
-    try:
-        tri = Delaunay(pts)
-    except QhullError:  # all points in a hyperplane
-        return None
-    if len(tri.coplanar):
-        return None
-    return np.sort(tri.simplices, axis=1).astype(np.int64)
-
-
-def sphere_neighbours(net: Net, centers: np.ndarray):
-    """Distances from each center to its n+2 nearest sites and their
-    indices, both of shape (len(centers), n+2); inf distances where the net
-    has fewer sites.  For the circumsphere of n+1 sites, column 0 is the
-    emptiness test and column n+1 is the nearest site off the sphere: its
-    clearance, and the cospherical test."""
-    return net.tree.query(centers, k=net.dim + 2)
+def spheres(net: Net, rows: np.ndarray):
+    """The circumspheres of the index rows (m, n+1) with their nearest
+    sites: (centers, radii, valid, dist), the first three from
+    ``circumcenter_batch`` of the rows' sites and ``dist`` (m, n+2) the
+    distances from each valid center to its n+2 nearest sites (inf where
+    the net has fewer), -inf rows for invalid centers.  Column 0 is the
+    emptiness test and column n+1 the nearest site off the sphere: its
+    clearance, and the cospherical test.  Each row is computed on its own,
+    so its bits do not depend on the batch."""
+    centers, radii, valid = cs.circumcenter_batch(net.points[rows])
+    dist = np.full((len(rows), net.dim + 2), -np.inf)
+    if np.any(valid):
+        dist[valid] = net.tree.query(centers[valid], k=net.dim + 2)[0]
+    return centers, radii, valid, dist
 
 
-def _empty_spheres(net: Net, rows: np.ndarray, centers: np.ndarray,
-                   radii: np.ndarray):
-    """The rows whose sphere is empty of other sites, in lexicographic
-    order: (verts, centers, radii, regular)."""
-    n = net.dim
-    if not len(rows):
-        return rows, np.zeros((0, n)), np.zeros(0), True
-    d = sphere_neighbours(net, centers)[0]
-    empty = d[:, 0] >= radii * (1.0 - EMPTY_RTOL)
+def _empty_spheres(n: int, rows, centers, radii, valid, dist, radius: float):
+    """The valid rows of ``spheres`` with radius <= ``radius`` whose sphere
+    is empty of other sites, in lexicographic order: (verts, centers, radii,
+    regular)."""
+    empty = valid & (radii <= radius) & (dist[:, 0] >= radii * (1.0 - EMPTY_RTOL))
     # an extra site within COSPHERICAL_RTOL*radius of a kept sphere's surface
     # makes n+2 cospherical sites; sites deeper inside fail the emptiness test
-    regular = not bool(np.any(d[empty, n + 1] <= radii[empty] * (1.0 + COSPHERICAL_RTOL)))
+    regular = not bool(np.any(dist[empty, n + 1] <= radii[empty] * (1.0 + COSPHERICAL_RTOL)))
     keep = np.nonzero(empty)[0]
     keep = keep[np.lexsort(rows[keep].T[::-1])]
     return rows[keep], centers[keep], radii[keep], regular
@@ -333,8 +346,9 @@ def delaunay_top(net: Net):
     pairwise within 2*d2 and keeping the valid spheres of radius <= d2 with
     no site nearer their center than radius*(1 - EMPTY_RTOL).
 
-    The candidates are Qhull's Delaunay simplices.  Why a regular Qhull
-    result equals the enumeration set:
+    The candidates are Qhull's Delaunay simplices, read from ``Net.qhull``
+    with their circles and nearest sites.  Why a regular Qhull result equals
+    the enumeration set:
 
     * Every kept Qhull simplex is a sorted row whose vertices are pairwise
       within 2*radius <= 2*d2, and it passes the enumeration's tests,
@@ -355,12 +369,12 @@ def delaunay_top(net: Net):
     is not regular: the enumeration keeps every empty sphere of a
     cospherical configuration.
     """
-    rows = qhull_simplices(net.points)
-    if rows is not None:
-        top = _empty_spheres(net, *_sphere_rows(net.points, rows, net.d2))
+    if net.qhull is not None:
+        top = _empty_spheres(net.dim, *net.qhull, net.d2)
         if top[3]:
             return top
-    return _empty_spheres(net, *small_spheres(net, net.d2))
+    rows = small_spheres(net, net.d2)[0]
+    return _empty_spheres(net.dim, rows, *spheres(net, rows), net.d2)
 
 
 def build_delaunay(net: Net, metric) -> DelaunayComplex:
@@ -440,11 +454,11 @@ def _tops_failure(net: Net, verts: np.ndarray, interior: np.ndarray):
     except InvalidBudgetError as exc:  # a separation e1 not in (0, d2)
         return f"no separation bound: {exc}"
     # (1) recomputed circles: valid, radius <= d2, clearance > t_B + 2 phi_c
-    centers, radii, valid = cs.circumcenter_batch(pts[verts])
+    _, radii, valid, dist = spheres(net, verts)
     small = valid & (radii <= d2)
     if not np.all(small):
         return f"top {tuple(verts[np.argmin(small)].tolist())} has no circle of radius <= d2"
-    clearance = sphere_neighbours(net, centers)[0][:, 3] - radii - 2.0 * phi_c
+    clearance = dist[:, 3] - radii - 2.0 * phi_c
     if len(verts) and not clearance.min() > t_b:
         i = int(np.argmin(clearance))
         return (f"top {tuple(verts[i].tolist())} has clearance {clearance[i]:.3g} "
@@ -523,10 +537,9 @@ def check_duality(net: Net, complex_: DelaunayComplex) -> DualityReport:
     when these conditions hold, in the style of Mehlhorn et al., "Checking
     geometric programs or verification of geometric structures", CGTA 1999:
 
-    (1) every top's circle, recomputed by ``circumcenter_batch`` from its
-        vertex rows, is valid with radius <= d2, and its clearance (the
-        distance from its center to the fourth-nearest site, one
-        ``sphere_neighbours`` query, minus its radius) exceeds
+    (1) every top's circle, recomputed by ``spheres`` from its vertex rows,
+        is valid with radius <= d2, and its clearance (the distance from
+        its center to the fourth-nearest site, minus its radius) exceeds
         t_B + 2 phi_c (below);
     (2) through ``facets``, the rows are strictly increasing, every facet
         has one or two parents, and the two parents of an inner facet lie

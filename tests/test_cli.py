@@ -350,6 +350,19 @@ class TestConstantsCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def _command_args(files, tmp_path, command):
+    """The arguments of one pipeline command on the net and complex files;
+    "certify-over-budget" certifies with an override longer than the budget."""
+    net, cx, out = files["net"], files["cx"], str(tmp_path / "out")
+    certify = ["certify", "--net", net, "--complex", cx, "--bundle",
+               files["bundle"], "--family-depth", "1", "--out", out]
+    return {"triangulate": ["triangulate", "--net", net, "--out", out],
+            "certify": certify,
+            "certify-over-budget": certify + ["--adversarial", "1:0:1.0,0.0"],
+            "duality-check": ["duality-check", "--net", net, "--complex", cx],
+            "render": ["render", "--net", net, "--complex", cx, "--out", out]}[command]
+
+
 class TestPipeline:
     def test_triangulate_and_checks(self, tiny_files, tmp_path, capsys):
         cx_out = tmp_path / "cx2.json"
@@ -395,18 +408,31 @@ class TestPipeline:
                 return super().query(x, k=k, **kwargs)
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
-        net, cx, out = tiny_files["net"], tiny_files["cx"], str(tmp_path / "out")
-        certify = ["certify", "--net", net, "--complex", cx, "--bundle",
-                   tiny_files["bundle"], "--family-depth", "1", "--out", out]
-        args = {"triangulate": ["triangulate", "--net", net, "--out", out],
-                "certify": certify,
-                "certify-over-budget": certify + ["--adversarial", "1:0:1.0,0.0"],
-                "duality-check": ["duality-check", "--net", net, "--complex", cx],
-                "render": ["render", "--net", net, "--complex", cx, "--out", out]}[command]
-        assert cli.main(args) == code
-        m = len(jsonio.read(net)["points"])
+        assert cli.main(_command_args(tiny_files, tmp_path, command)) == code
+        m = len(jsonio.read(tiny_files["net"])["points"])
         assert built == [m] * trees
         assert queries == [m]
+
+    @pytest.mark.parametrize("command, runs, code", [
+        ("triangulate", 1, 0), ("certify", 1, 0), ("certify-over-budget", 2, 2),
+        ("duality-check", 0, 0), ("render", 0, 0)])
+    def test_one_qhull_run_per_point_set(self, tiny_files, tmp_path, monkeypatch,
+                                         command, runs, code):
+        # the build and the certifier's near-miss pass read the loaded net's
+        # Net.qhull, an over-budget override's translate its own; the
+        # duality check never triangulates
+        import scipy.spatial
+
+        built = []
+
+        class CountingDelaunay(scipy.spatial.Delaunay):
+            def __init__(self, points, *args, **kwargs):
+                built.append(len(points))
+                super().__init__(points, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", CountingDelaunay)
+        assert cli.main(_command_args(tiny_files, tmp_path, command)) == code
+        assert built == [len(jsonio.read(tiny_files["net"])["points"])] * runs
 
     def test_certify_adversarial_fails(self, tiny_files, tmp_path):
         out = tmp_path / "cert_bad.json"
@@ -443,6 +469,36 @@ class TestPipeline:
         cert = jsonio.read(out)
         assert cert["worst"]["quantity"] == "near_miss"
         assert cert["budget"]["near_miss"] is None
+
+    @pytest.mark.parametrize("scale", [3e-105, 1e110])
+    @pytest.mark.parametrize("command, code", [("duality-check", 0), ("certify", 2)])
+    def test_extreme_scale_nets_return_at_once(self, tmp_path, bundle_file, capsys,
+                                               scale, command, code):
+        # a 36-site triangular lattice net scaled so that d1 leaves
+        # v2_constant's range [1e-100, 1e100]: below it e1 ** 3 is subnormal
+        # and the ulp descent would not end, above it e1 ** 3 overflows
+        s = 0.142 * scale
+        i, j = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+        pts = np.stack([(i + 0.5 * (j % 2)) * s, j * s * np.sqrt(3.0) / 2.0],
+                       axis=-1).reshape(-1, 2)
+        net = tess.Net(dim=2, points=pts, d1=0.1 * scale, d2=0.2 * scale)
+        net_path, cx_path, out = (str(tmp_path / f) for f in ("net.json", "cx.json", "c.json"))
+        jsonio.write(net_path, jsonio.net_to_dict(net))
+        assert cli.main(["triangulate", "--net", net_path, "--out", cx_path]) == 0
+        capsys.readouterr()
+        args = {"duality-check": ["duality-check", "--net", net_path, "--complex", cx_path],
+                "certify": ["certify", "--net", net_path, "--complex", cx_path,
+                            "--bundle", bundle_file, "--out", out]}[command]
+        t0 = time.perf_counter()
+        assert cli.main(args) == code
+        assert time.perf_counter() - t0 < 30.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "1e-100 <= e1 < e2 <= 1e100" in err
+        if command == "duality-check":
+            assert err.startswith("duality: the tops certificate does not apply "
+                                  "(no separation bound: ")
+        else:
+            assert jsonio.read(out)["worst"]["quantity"] == "budget"
 
 
 def _one_line_error(capsys) -> str:
@@ -918,12 +974,11 @@ def test_package_writes_only_through_write_text():
     assert os_open == ["jsonio.py"] and "os.open(" in inspect.getsource(jsonio.write_text)
 
 
-def test_package_builds_kd_trees_only_in_net_tree():
-    """``cKDTree`` is constructed in one place, ``tessellation.Net.tree``,
-    and only ``tessellation`` imports ``scipy.spatial``, at any level and
-    in every module, ``paper`` included: each nearest-site query asks the
-    net's own tree."""
-    built, importers = [], set()
+def _spatial_constructions():
+    """({class name: [module.scope, ...]}, importers): where each module of
+    the package, ``paper`` included, calls ``cKDTree`` or ``Delaunay``, at
+    any level, and the modules that import ``scipy.spatial``."""
+    built, importers = {"cKDTree": [], "Delaunay": []}, set()
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
@@ -932,9 +987,9 @@ def test_package_builds_kd_trees_only_in_net_tree():
                 inner = f"{scope}.{child.name}" if scope else child.name
             elif isinstance(child, ast.Call):
                 fn = child.func
-                if (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) \
-                        == "cKDTree":
-                    built.append(f"{module}.{scope}")
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in built:
+                    built[name].append(f"{module}.{scope}")
             elif isinstance(child, (ast.Import, ast.ImportFrom)):
                 mod = getattr(child, "module", None) or ""  # None for "from . import x"
                 names = [a.name for a in child.names] if isinstance(child, ast.Import) \
@@ -945,5 +1000,19 @@ def test_package_builds_kd_trees_only_in_net_tree():
 
     for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, "")
-    assert built == ["tessellation.Net.tree"]
+    return built, importers
+
+
+def test_package_builds_kd_trees_only_in_net_tree():
+    """``cKDTree`` is constructed in one place, ``tessellation.Net.tree``,
+    and only ``tessellation`` imports ``scipy.spatial``: each nearest-site
+    query asks the net's own tree."""
+    built, importers = _spatial_constructions()
+    assert built["cKDTree"] == ["tessellation.Net.tree"]
     assert importers == {"tessellation"}
+
+
+def test_package_runs_qhull_only_in_net_qhull():
+    """``Delaunay`` is constructed in one place, ``tessellation.Net.qhull``:
+    the Delaunay build and the certifier read the net's one triangulation."""
+    assert _spatial_constructions()[0]["Delaunay"] == ["tessellation.Net.qhull"]

@@ -1090,6 +1090,35 @@ class TestCertification:
         assert cert.worst["margin"] >= 0
         assert len(cert.per_simplex["simplex"]) == len(cx.top(2))
 
+    def test_one_qhull_run_per_net(self, tiny, bundle2, monkeypatch):
+        # the build and every certify call read the net's Net.qhull; each
+        # over-budget parameter's translate is a net of its own, with its own
+        import scipy.spatial
+
+        runs = []
+
+        class CountingDelaunay(scipy.spatial.Delaunay):
+            def __init__(self, points, *args, **kwargs):
+                runs.append(len(points))
+                super().__init__(points, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", CountingDelaunay)
+        net = dataclasses.replace(tiny[0])  # a new object: nothing cached
+        cx = tess.build_delaunay(net, None)
+        fam = nsy.make_family(bundle2, depth=2, seed=0)
+        for _ in range(2):
+            cert = nsy.certify_family_stability(net, cx, fam, bundle2)
+            assert cert.ok and cert.budget["near_miss"] == 0
+        assert runs == [len(net)]
+        for over in (["10"], ["01", "10"]):
+            runs.clear()
+            bad = fam
+            for param in over:
+                bad = bad.with_override(param, 0, [10.0 * bundle2.d1, 0.0])
+            cert = nsy.certify_family_stability(net, cx, bad, bundle2)
+            assert cert.budget["over_budget"] == over
+            assert runs == [len(net)] * len(over)
+
     def test_adversarial_fails_with_witness(self, tiny, bundle2):
         net, cx = tiny
         fam = nsy.make_family(bundle2, depth=2, seed=0)
@@ -1200,7 +1229,7 @@ class TestCertification:
             raise AssertionError("the near-miss set was searched")
 
         monkeypatch.setattr(tess, "small_spheres", refuse)
-        monkeypatch.setattr(tess, "qhull_simplices", refuse)
+        monkeypatch.setattr(tess.Net, "qhull", property(refuse))
         cert = nsy.certify_family_stability(loose, cx, nsy.make_family(bundle2, depth=2),
                                             bundle2)
         assert not cert.ok

@@ -1,4 +1,6 @@
+import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,6 +213,21 @@ class TestV2Constant:
     def test_infeasible_raises(self):
         with pytest.raises(InvalidBudgetError):
             rb.v2_constant(3.9, 2.0)
+
+    @pytest.mark.parametrize("e1,e2", [(2e-108, 3e-108), (9e-101, 1.0), (1e99, 2e100),
+                                       (6e102, 1e103), (math.nan, 1.0), (1.0, math.inf)])
+    def test_out_of_range_raises(self, e1, e2):
+        # subnormal intermediates would leave the ulp descent ~1e15 steps
+        # long, and e1 ** 3 overflows above ~5.6e102
+        with pytest.raises(InvalidBudgetError, match="1e-100 <= e1 < e2 <= 1e100"):
+            rb.v2_constant(e1, e2)
+
+    @pytest.mark.parametrize("e1,e2", [(1e-100, 2e-100), (5e99, 1e100)])
+    def test_range_ends_round_down(self, e1, e2):
+        v2 = rb.v2_constant(e1, e2)
+        q1, q2 = Fraction(e1), Fraction(e2)
+        exact_sq = q1 ** 6 / q2 ** 2 * (1 - q1 ** 2 / (4 * q2 ** 2))
+        assert Fraction(v2) ** 2 <= exact_sq < Fraction(v2 * (1.0 + 2.0 ** -50)) ** 2
 
     @pytest.mark.parametrize("e1,e2", [(1.0, 2.0), (0.8, 2.0), (1.0, 3.0)])
     def test_witness_attains_bound(self, e1, e2):

@@ -353,7 +353,7 @@ def _enumeration_top(pts, d2):
     """The kernel's enumeration path on its own."""
     n = pts.shape[1]
     rows = _joined_subsets(pts, n, 2.0 * d2)
-    return tess._empty_spheres(_net(pts, 0.0, d2, dim=n), *tess._sphere_rows(pts, rows, d2))
+    return tess._empty_spheres(n, rows, *tess.spheres(_net(pts, 0.0, d2, dim=n), rows), d2)
 
 
 def _kernel_case(kind, rng):
@@ -428,6 +428,29 @@ class TestDelaunayKernel:
         assert len(calls) == 1
 
 
+class TestSpheres:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]))
+    def test_pieces_equal_the_whole_batch(self, seed, n):
+        # Net.qhull's rows and every caller's rows come through one batch;
+        # byte-identical artifacts need each row's bits free of its batch
+        rng = np.random.default_rng(seed)
+        net = _net(rng.uniform(0.0, 1.0, (int(rng.integers(n + 1, 30)), n)), 0.0, 0.5,
+                   dim=n)
+        rows = rng.integers(0, len(net), (int(rng.integers(0, 60)), n + 1))
+        rows[: len(rows) // 4, 1] = rows[: len(rows) // 4, 0]  # degenerate rows
+        whole = tess.spheres(net, rows)
+        cuts = np.sort(rng.integers(0, len(rows) + 1, int(rng.integers(0, 6))))
+        pieces = [tess.spheres(net, part) for part in np.split(rows, cuts)]
+        for k, col in enumerate(whole):
+            joined = np.concatenate([p[k] for p in pieces])
+            assert joined.dtype == col.dtype and joined.shape == col.shape
+            assert joined.tobytes() == col.tobytes()
+        valid, dist = whole[2:]
+        assert dist.shape == (len(rows), n + 2)
+        assert np.all(dist[~valid] == -np.inf) and not np.any(valid[: len(rows) // 4])
+
+
 def _enumeration_complex(net):
     """The flat complex as built by enumerating every local subset, with
     its own regularity test: the builder's reference."""
@@ -447,7 +470,7 @@ def _enumeration_complex(net):
     # regular: no site off a kept sphere within 1e-9 * radius of it
     regular = True
     if len(verts):
-        d = tess.sphere_neighbours(net, centers)[0]
+        d = tess.spheres(net, verts)[3]
         regular = not bool(np.any(d[:, n + 1] <= radii * (1.0 + 1e-9)))
     return tess.DelaunayComplex.from_arrays(n, verts, centers, radii, regular)
 
