@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateError
+from .errors import DegenerateError, InvalidBudgetError
 from .robustness import v2_constant
 
 @dataclass(frozen=True)
@@ -152,13 +152,16 @@ def displacement_bound(eps, e2, delta, n: int):
 
     eps * {1 + n^{3/2} 2^{n+1} e3^n / delta + 2 n^3 2^{2n} e3^{2n} / delta^2},
     e3 = e2 + eps, and inf where delta is not positive.  Scale-invariant
-    when lengths scale by s and delta by s^n.
+    when lengths scale by s and delta by s^n.  Raises InvalidBudgetError
+    where a float e3 makes the constants overflow (e3 above about 1e77 for
+    n = 2).
     """
     e3 = e2 + eps
+    try:
+        c1, c2 = n**1.5 * 2.0 ** (n + 1) * e3**n, 2.0 * n**3 * 2.0 ** (2 * n) * e3 ** (2 * n)
+    except OverflowError:
+        raise InvalidBudgetError(f"the displacement bound overflows: e3 ** {2 * n} "
+                                 f"at e3 = {e3:.6g}") from None
     pos = np.asarray(delta) > 0
     d = np.where(pos, delta, 1.0)
-    return np.where(pos, eps * (
-        1.0
-        + n**1.5 * 2.0 ** (n + 1) * e3**n / d
-        + 2.0 * n**3 * 2.0 ** (2 * n) * e3 ** (2 * n) / d**2
-    ), np.inf)[()]
+    return np.where(pos, eps * (1.0 + c1 / d + c2 / d**2), np.inf)[()]

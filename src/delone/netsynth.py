@@ -728,15 +728,16 @@ def synthesize_net(K: Region, bundle, seed: int = 0):
         step(np.array([xs[node[0]], ys[node[1]]]))
 
     pts = buckets.arr[:buckets.count].copy()
+    pts.flags.writeable = False  # the net keeps it as it is
     net = tess.Net(dim=2, points=pts, d1=bundle.d1, d2=bundle.d2, region=domain)
     return net, report
 
 
 def translate_net(net: tess.Net, param: str, family: ParamFamily) -> tess.Net:
     """Apply the parameter's displacement field per transversal index."""
-    disp = family.indexed_displacements(param, net.points)
-    return tess.Net(dim=net.dim, points=net.points + disp,
-                    d1=net.d1, d2=net.d2, region=net.region)
+    moved = net.points + family.indexed_displacements(param, net.points)
+    moved.flags.writeable = False  # the net keeps it as it is
+    return tess.Net(dim=net.dim, points=moved, d1=net.d1, d2=net.d2, region=net.region)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +778,7 @@ def _near_misses(net: tess.Net, verts, reach, deep, radius, least):
     rows, centers, radii, d = (a[valid] for a in (rows, centers, radii, d))
     margin = np.where(radii <= radius, d[:, 3] - radii - least, np.inf)
     own = (d[:, 0] < radii * (1.0 - tess.EMPTY_RTOL)) | \
-        ((radii <= reach) & ~tess.rows_in(rows, verts, m)) | \
+        ((radii <= reach) & (tess.row_index(rows, verts, m) < 0)) | \
         ((margin < 0) & (not math.isfinite(least)))  # no t_B: nothing is settled
     close = np.nonzero((margin < 0) & ~own)[0]
     named = []
@@ -786,7 +787,7 @@ def _near_misses(net: tess.Net, verts, reach, deep, radius, least):
         cand = np.array(list(itertools.combinations(sorted(ball), 3)), dtype=np.int64)
         _, r, ok, dist = tess.spheres(net, cand)
         depth = r - dist[:, 0]  # inf where degenerate
-        hit = (~ok | ((r <= reach) & (depth <= deep))) & ~tess.rows_in(cand, verts, m)
+        hit = (~ok | ((r <= reach) & (depth <= deep))) & (tess.row_index(cand, verts, m) < 0)
         named += cand[hit][:1].tolist()  # none kept: S is settled
         margin[k] = np.inf  # flagged or settled, S leaves the margin
     witnesses = sorted(set(map(tuple, named + flat.tolist() + rows[own].tolist())))
@@ -839,6 +840,11 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        computed |det U|), while D(eta_f, delta_S) >= eta_f 16 sqrt(2) d2^2 /
        delta_S >= 64 u 16 sqrt(2) d2^3 / delta_S, and eta_f covers the
        rounding of c, of r and of a distance.
+       c, r and the clearance are ``tess.spheres`` of S's row, read through
+       ``tess.known_spheres`` from the net's Qhull pass (``tess.Net.qhull``,
+       which the build has already run) when S is one of its triangles, as
+       every top of a complex built from the net is, and solved otherwise:
+       the same bits either way.
     2. Base in translate.  Every site moves by <= eta, so S keeps an empty
        circle of radius <= d2, with the bundle's translate margins, when
          clearance - 2 (Delta c + eta) >= eps1 rF   (translate_clearance)
@@ -920,8 +926,11 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
        margins robustness, translate_clearance, center_drift and
        radius_drift there, and identity of the translate's complex
        (``tess.build_delaunay``, one call per such parameter) with the
-       complex (witness ``combinatorics``); the translate's clearances and
-       its Delaunay build ask one tree and one Qhull run, its own.
+       complex (witness ``combinatorics``, the first eight rows of the
+       symmetric difference in lexicographic order).  The translate's own
+       Qhull pass, one run, serves both its Delaunay build and, through
+       ``tess.known_spheres``, the circles and clearances of the tops that
+       are its triangles; only the other tops are solved, on its own tree.
 
     Float errors: each margin is reported net of its error bound and passes
     when >= 0.  Clearances carry 2 phi (a center and a distance), the
@@ -949,7 +958,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
 
     verts = complex_.top_arrays(n)[0]
     stacks = pts[verts]
-    centers, radii, valid, dist = tess.spheres(net, verts)
+    centers, radii, valid, dist = tess.known_spheres(net, verts)
 
     worst = {"quantity": None, "simplex": None, "param": None, "margin": math.inf}
     ok = True
@@ -986,13 +995,13 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         v2 = robustness.v2_constant(e1, d2)
         v2_moved = robustness.v2_constant(e1 - 2.0 * eta, d2)
         step = robustness.delta_m_sequence(e1, eta, e1, d2, n)[-1]
+        det = np.abs(linalg.determinant(stacks[:, :-1] - stacks[:, -1:]))
+        delta = np.maximum(v2, det - cs.spread(d2, eta_f)) - cs.spread(d2, eta)
+        dc = cs.displacement_bound(eta, d2, delta, n)  # raises first: eta > eta_f
+        phi = cs.displacement_bound(eta_f, d2, delta, n) + eta_f
     except InvalidBudgetError as exc:
         note("budget", -math.inf, None, None, {"budget": str(exc)})
     else:
-        det = np.abs(linalg.determinant(stacks[:, :-1] - stacks[:, -1:]))
-        delta = np.maximum(v2, det - cs.spread(d2, eta_f)) - cs.spread(d2, eta)
-        dc = cs.displacement_bound(eta, d2, delta, n)
-        phi = cs.displacement_bound(eta_f, d2, delta, n) + eta_f
         rho_err = (step + 1.0) * eta_f
         floor = linalg.DEGENERACY_REL * (2.0 * d2 + 2.0 * eta) ** n + cs.spread(d2, eta_f)
         check("circumcenter_exists", delta - floor)
@@ -1050,7 +1059,7 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         tnet = translate_net(net, param, family)
         if len(verts):
             tstacks = tnet.points[verts]
-            tc, tr, tvalid, tdist = tess.spheres(tnet, verts)
+            tc, tr, tvalid, tdist = tess.known_spheres(tnet, verts)
             if not np.all(tvalid):
                 note("circumcenter_exists", -math.inf,
                      verts[int(np.nonzero(~tvalid)[0][0])], param)
@@ -1068,9 +1077,11 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
         tverts = tess.build_delaunay(tnet, None).top_arrays(n)[0]
         if np.array_equal(tverts, verts):
             continue
-        diff = sorted(set(map(tuple, tverts.tolist())) ^ set(map(tuple, verts.tolist())))
+        m = len(net)
+        diff = np.unique(np.vstack([tverts[tess.row_index(tverts, verts, m) < 0],
+                                    verts[tess.row_index(verts, tverts, m) < 0]]), axis=0)
         note("combinatorics", -math.inf, None, param,
-             {"param": param, "symmetric_difference": [list(t) for t in diff[:8]]})
+             {"param": param, "symmetric_difference": diff[:8].tolist()})
 
     if worst["quantity"] is None:
         worst.update(quantity="empty_complex", margin=0.0)

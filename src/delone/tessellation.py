@@ -19,13 +19,17 @@ alone, by their clearances, ``facets`` and exact ``orientations``, and
 enumerates only where that certificate does not apply.  Qhull runs at most
 once per net: its triangulation, with every triangle's circle and nearest
 sites, is the net's own ``Net.qhull``, built on first use, which the kernel
-filters and the certifier's near-miss pass reads whole; the duality check
-never reads it, so it stays independent of the builder.
+filters, the certifier's near-miss pass reads whole and ``known_spheres``
+reads row by row for the certifier's tops; the duality check never reads
+it, so it stays independent of the builder.  The sites are read-only, so
+that cache cannot go stale.
 A circle with its nearest sites has one kernel, ``spheres``: the centers
 of ``circumsphere.circumcenter_batch`` and one query of the net's k-d tree
 (Bentley, "Multidimensional binary search trees used for associative
 searching", CACM 1975).  Its rows do not depend on the batch, so Qhull's
-and the enumeration's branches give equal bits.  Every nearest-site query
+and the enumeration's branches give equal bits, and a row read from
+``Net.qhull`` is the row solved.  Rows are found in a set of rows by one
+kernel, ``row_index``.  Every nearest-site query
 (emptiness, clearance, cell membership, the pairs within reach) asks that
 one tree, the net's own ``Net.tree``, built on first use; the kernels that
 query sites take the ``Net``.
@@ -70,7 +74,8 @@ COSPHERICAL_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class Net:
-    """A d1-separated point set that is d2-dense in its region."""
+    """A d1-separated point set that is d2-dense in its region, a value: its
+    ``points`` are read-only."""
 
     dim: int
     points: np.ndarray  # (m, dim)
@@ -79,7 +84,14 @@ class Net:
     region: object = None  # a netsynth.Region, or None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
+        # the caches below hold the sites' circles and tree, so the sites are
+        # a value: read-only, copied unless the array given is read-only and
+        # its own
+        pts = np.asarray(self.points, dtype=float)
+        if pts.flags.writeable or not pts.flags.owndata:
+            pts = pts.copy()
+            pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
     def __len__(self):
         return len(self.points)
@@ -266,22 +278,25 @@ def _local_subsets(net: Net, reach: float):
             yield rows[at:at + _BLOCK]
 
 
-def rows_in(rows: np.ndarray, kept: np.ndarray, m: int) -> np.ndarray:
-    """For each index row, whether it is a row of ``kept`` (indices < m),
-    tested on one integer key per row by a binary search in the sorted keys
-    of ``kept``, which is cheap for the lexicographic blocks of
-    ``check_duality``; where m^k would overflow int64, on ``np.unique`` row
-    ids instead (much slower)."""
+def row_index(rows: np.ndarray, kept: np.ndarray, m: int) -> np.ndarray:
+    """For each index row, its position in ``kept`` (indices < m), or -1
+    where it is not a row of ``kept``; a row held twice gives its first
+    position.  Rows are matched as given, entry by entry.  Each row is
+    found by one integer key in the sorted keys of ``kept``, which is cheap
+    for the lexicographic blocks of ``check_duality``; where m^k would
+    overflow int64, by ``np.unique`` row ids instead (much slower)."""
     k = rows.shape[1]
+    if not len(kept):
+        return np.full(len(rows), -1, dtype=np.int64)
     if m ** k < 2 ** 63:
         w = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        keys, q = np.sort(kept @ w), rows @ w
-        at = np.searchsorted(keys, q)
-        hit = at < len(keys)
-        hit[hit] = keys[at[hit]] == q[hit]
-        return hit
-    ids = np.unique(np.vstack([kept, rows]), axis=0, return_inverse=True)[1].ravel()
-    return np.isin(ids[len(kept):], ids[:len(kept)])
+        keys, q = kept @ w, rows @ w
+    else:
+        ids = np.unique(np.vstack([kept, rows]), axis=0, return_inverse=True)[1].ravel()
+        keys, q = ids[:len(kept)], ids[len(kept):]
+    order = np.argsort(keys, kind="stable")
+    at = order[np.minimum(np.searchsorted(keys[order], q), len(kept) - 1)]
+    return np.where(np.all(kept[at] == rows, axis=1), at, -1)
 
 
 def _sphere_rows(pts: np.ndarray, rows: np.ndarray, radius: float):
@@ -314,12 +329,30 @@ def spheres(net: Net, rows: np.ndarray):
     the net has fewer), -inf rows for invalid centers.  Column 0 is the
     emptiness test and column n+1 the nearest site off the sphere: its
     clearance, and the cospherical test.  Each row is computed on its own,
-    so its bits do not depend on the batch."""
+    so its bits do not depend on the batch: ``Net.qhull`` holds this of
+    Qhull's rows, and ``known_spheres`` reads it there."""
     centers, radii, valid = cs.circumcenter_batch(net.points[rows])
     dist = np.full((len(rows), net.dim + 2), -np.inf)
     if np.any(valid):
         dist[valid] = net.tree.query(centers[valid], k=net.dim + 2)[0]
     return centers, radii, valid, dist
+
+
+def known_spheres(net: Net, rows: np.ndarray):
+    """``spheres(net, rows)``, bit for bit, reading the rows of the net's
+    ``Net.qhull`` from it (found by ``row_index``, as given, so an unsorted
+    row is solved) and solving only the others: the tops of a complex built
+    from the net cost no solve and no query.  Every row is solved when
+    Qhull cannot triangulate the net."""
+    if net.qhull is None:
+        return spheres(net, rows)
+    at = row_index(rows, net.qhull[0], len(net))
+    out = tuple(a[at] for a in net.qhull[1:])  # -1 gathers a placeholder
+    miss = at < 0
+    if np.any(miss):
+        for a, solved in zip(out, spheres(net, rows[miss])):
+            a[miss] = solved
+    return out
 
 
 def _empty_spheres(n: int, rows, centers, radii, valid, dist, radius: float):
@@ -631,7 +664,7 @@ def duality_by_enumeration(net: Net, complex_: DelaunayComplex) -> DualityReport
     for block in _local_subsets(net, 2.0 * net.d2):
         rows, c, r = _sphere_rows(net.points, block, net.d2)
         new = np.nonzero(np.all(interior[rows], axis=1)
-                         & ~rows_in(rows, verts, len(net)))[0]
+                         & (row_index(rows, verts, len(net)) < 0))[0]
         dmin, inside = _in_cells(net, rows[new], c[new])
         # in all n+1 cells and no site inside => the subset had an empty sphere
         missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - MEMBERSHIP_RTOL))

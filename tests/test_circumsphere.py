@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from delone import circumsphere as cs
 from delone import linalg, paper
-from delone.errors import DegenerateError
+from delone.errors import DegenerateError, InvalidBudgetError
 
 
 def _random_simplex(rng, n, spread=1.0):
@@ -284,6 +284,12 @@ class TestBounds:
             for d in (0.0, -0.0, -1.5):
                 assert cs.displacement_bound(0.01, 2.0, d, n) == math.inf
             assert np.isfinite(cs.displacement_bound(0.01, 2.0, 0.3, n))
+
+    def test_overflow_is_a_budget_error(self):
+        # e3 ** 4 overflows a float above e3 ~ 1e77 (n = 2)
+        assert np.isfinite(cs.displacement_bound(0.01, 1e75, 1e150, 2))
+        with pytest.raises(InvalidBudgetError, match="overflows"):
+            cs.displacement_bound(0.01, 1e80, np.array([1e160]), 2)
 
     def test_scale_invariance(self):
         # doubling every length (and the volume delta by 2^n) doubles the bound

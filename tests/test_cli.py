@@ -477,14 +477,7 @@ class TestPipeline:
         # a 36-site triangular lattice net scaled so that d1 leaves
         # v2_constant's range [1e-100, 1e100]: below it e1 ** 3 is subnormal
         # and the ulp descent would not end, above it e1 ** 3 overflows
-        s = 0.142 * scale
-        i, j = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
-        pts = np.stack([(i + 0.5 * (j % 2)) * s, j * s * np.sqrt(3.0) / 2.0],
-                       axis=-1).reshape(-1, 2)
-        net = tess.Net(dim=2, points=pts, d1=0.1 * scale, d2=0.2 * scale)
-        net_path, cx_path, out = (str(tmp_path / f) for f in ("net.json", "cx.json", "c.json"))
-        jsonio.write(net_path, jsonio.net_to_dict(net))
-        assert cli.main(["triangulate", "--net", net_path, "--out", cx_path]) == 0
+        net_path, cx_path, out = _scaled_lattice_files(tmp_path, scale)
         capsys.readouterr()
         args = {"duality-check": ["duality-check", "--net", net_path, "--complex", cx_path],
                 "certify": ["certify", "--net", net_path, "--complex", cx_path,
@@ -499,6 +492,41 @@ class TestPipeline:
                                   "(no separation bound: ")
         else:
             assert jsonio.read(out)["worst"]["quantity"] == "budget"
+
+    @pytest.mark.parametrize("scale", [1e75, 1e80, 1e99])
+    def test_drift_bound_overflow_is_a_budget_failure(self, tmp_path, bundle_file, capsys,
+                                                      scale):
+        # inside v2_constant's range, the drift bound's e3 ** 4 overflows a
+        # float above d2 ~ 1e77: the certificate fails on its budget, in one
+        # line, and a certificate below that scale keeps its bytes
+        net_path, cx_path, out = _scaled_lattice_files(tmp_path, scale)
+        capsys.readouterr()
+        assert cli.main(["certify", "--net", net_path, "--complex", cx_path,
+                         "--bundle", bundle_file, "--out", out]) == 2
+        err = _one_line_error(capsys)
+        worst = jsonio.read(out)["worst"]
+        if scale == 1e75:
+            assert worst["quantity"] == "near_miss"
+            assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == (
+                "0ee8da1680fd6b35644d9234af425c44f08802a6542db511c936bd638ff97a6e")
+        else:
+            assert worst["quantity"] == "budget"
+            assert "the displacement bound overflows" in err
+
+
+def _scaled_lattice_files(tmp_path, scale):
+    """(net.json, cx.json, certificate) paths of a 36-site triangular
+    lattice of spacing 0.142 scale with d1 = 0.1 scale and d2 = 0.2 scale,
+    its complex written by ``triangulate``."""
+    s = 0.142 * scale
+    i, j = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+    pts = np.stack([(i + 0.5 * (j % 2)) * s, j * s * np.sqrt(3.0) / 2.0],
+                   axis=-1).reshape(-1, 2)
+    net = tess.Net(dim=2, points=pts, d1=0.1 * scale, d2=0.2 * scale)
+    net_path, cx_path, out = (str(tmp_path / f) for f in ("net.json", "cx.json", "c.json"))
+    jsonio.write(net_path, jsonio.net_to_dict(net))
+    assert cli.main(["triangulate", "--net", net_path, "--out", cx_path]) == 0
+    return net_path, cx_path, out
 
 
 def _one_line_error(capsys) -> str:

@@ -1068,7 +1068,7 @@ def _enumerated_near_misses(net, complex_, family):
     nearest-site depth."""
     rho, alpha = _near_miss_reach(net, family)
     rows, c, r = tess.small_spheres(net, rho)
-    other = ~tess.rows_in(rows, complex_.top_arrays(2)[0], len(net))
+    other = tess.row_index(rows, complex_.top_arrays(2)[0], len(net)) < 0
     depth = r[other] - cKDTree(net.points).query(c[other])[0]
     return rows[other][depth <= alpha]
 
@@ -1118,6 +1118,28 @@ class TestCertification:
             cert = nsy.certify_family_stability(net, cx, bad, bundle2)
             assert cert.budget["over_budget"] == over
             assert runs == [len(net)] * len(over)
+
+    def test_tops_circles_are_read_from_the_qhull_pass(self, tiny, bundle2, monkeypatch):
+        # after the build, a clean certificate solves none of the tops'
+        # circles; an over-budget translate solves only its tops that are
+        # not triangles of its own Qhull pass
+        net = dataclasses.replace(tiny[0])
+        cx = tess.build_delaunay(net, None)
+        verts = cx.top_arrays(2)[0]
+        fam = nsy.make_family(bundle2, depth=2, seed=0)
+        bad = fam.with_override("10", 0, [10.0 * bundle2.d1, 0.0])
+        moved = nsy.translate_net(net, "10", bad).qhull[0]
+        held = set(map(tuple, moved.tolist()))
+        unread = verts[[tuple(v) not in held for v in verts.tolist()]]
+        assert 0 < len(unread) < len(verts)
+        solved = []
+        spheres = tess.spheres
+        monkeypatch.setattr(tess, "spheres",
+                            lambda net_, rows: solved.append(rows) or spheres(net_, rows))
+        assert nsy.certify_family_stability(net, cx, fam, bundle2).ok
+        assert solved == []
+        assert not nsy.certify_family_stability(net, cx, bad, bundle2).ok
+        assert [r.tolist() for r in solved] == [moved.tolist(), unread.tolist()]
 
     def test_adversarial_fails_with_witness(self, tiny, bundle2):
         net, cx = tiny
@@ -1229,7 +1251,7 @@ class TestCertification:
             raise AssertionError("the near-miss set was searched")
 
         monkeypatch.setattr(tess, "small_spheres", refuse)
-        monkeypatch.setattr(tess.Net, "qhull", property(refuse))
+        monkeypatch.setattr(nsy, "_near_misses", refuse)
         cert = nsy.certify_family_stability(loose, cx, nsy.make_family(bundle2, depth=2),
                                             bundle2)
         assert not cert.ok

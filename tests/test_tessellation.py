@@ -53,6 +53,20 @@ class TestNet:
         # farthest grid point from the five sites: midpoints of the edges
         assert paper.check_density(net, 0.05) <= 0.5 + 1e-9
 
+    def test_points_are_a_read_only_value(self):
+        # Net.tree and Net.qhull cache the sites: a site moved in place
+        # would leave their circles stale, so the net keeps its own copy
+        pts = SQUARE_CENTER.copy()
+        net = _net(pts, 0.1, 1.0)
+        with pytest.raises(ValueError):
+            net.points[0, 0] = 9.0
+        pts[0, 0] = 9.0
+        assert net.points[0, 0] == 0.0 and pts.flags.writeable
+        assert dataclasses.replace(net).points is net.points  # read-only and its own
+        view = pts.view()
+        view.flags.writeable = False
+        assert not np.shares_memory(_net(view, 0.1, 1.0).points, pts)
+
     def test_interior_mask(self):
         from delone import netsynth as nsy
 
@@ -288,13 +302,19 @@ class TestLocalSubsets:
             assert np.array_equal(got, want)
 
     def test_row_membership_keys(self):
-        # int64 keys, and the np.unique ids used when m^k would overflow them
+        # int64 keys, and the np.unique ids used when m^k would overflow
+        # them: each row's first position in kept, -1 for a row not in it
         rng = np.random.default_rng(4)
         kept = np.sort(rng.integers(0, 9, (12, 3)), axis=1)
-        rows = np.vstack([kept[::3], np.sort(rng.integers(0, 9, (20, 3)), axis=1)])
-        want = [tuple(r) in set(map(tuple, kept.tolist())) for r in rows.tolist()]
-        assert tess.rows_in(rows, kept, 9).tolist() == want
-        assert tess.rows_in(rows, kept, 2 ** 40).tolist() == want
+        kept[7] = kept[2]  # a row held twice
+        rows = np.vstack([kept[7], kept[::3], np.sort(rng.integers(0, 9, (20, 3)), axis=1),
+                          kept[2, ::-1]])
+        held = kept.tolist()
+        want = [held.index(r) if r in held else -1 for r in rows.tolist()]
+        assert want[0] == 2 and want[-1] == -1
+        assert tess.row_index(rows, kept, 9).tolist() == want
+        assert tess.row_index(rows, kept, 2 ** 40).tolist() == want
+        assert tess.row_index(rows, kept[:0], 9).tolist() == [-1] * len(rows)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]))
@@ -449,6 +469,31 @@ class TestSpheres:
         valid, dist = whole[2:]
         assert dist.shape == (len(rows), n + 2)
         assert np.all(dist[~valid] == -np.inf) and not np.any(valid[: len(rows) // 4])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]),
+           st.booleans())
+    def test_known_spheres_are_the_rows_solved(self, seed, n, flat):
+        # Qhull's rows are read from Net.qhull, permuted rows and other
+        # tuples (degenerate ones, with NaN centers, among them) are solved,
+        # and sites in a hyperplane (no Net.qhull) solve every row
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, (int(rng.integers(n + 1, 30)), n))
+        if flat:
+            pts[:, -1] = 0.5 * pts[:, 0]
+        net = _net(pts, 0.0, 0.5, dim=n)
+        assert (net.qhull is None) == flat
+        qhull = np.zeros((0, n + 1), dtype=np.int64) if flat else net.qhull[0]
+        picked = qhull[rng.integers(0, len(qhull), int(rng.integers(0, 40)))] \
+            if len(qhull) else qhull
+        other = rng.integers(0, len(net), (int(rng.integers(0, 20)), n + 1))
+        other[: len(other) // 3, 1] = other[: len(other) // 3, 0]
+        rows = np.vstack([picked, rng.permuted(picked, axis=1), other])
+        rows = rows[rng.permutation(len(rows))]
+        got, want = tess.known_spheres(net, rows), tess.spheres(net, rows)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True) and g.tobytes() == w.tobytes()
 
 
 def _enumeration_complex(net):
@@ -682,7 +727,7 @@ def _one_piece_duality(net, complex_, rtol=tess.MEMBERSHIP_RTOL):
                            int(verts[fwd[j], np.argmin(inside[j])])))
     rows, c, r = tess.small_spheres(net, net.d2)
     new = np.nonzero(np.all(interior[rows], axis=1)
-                     & ~tess.rows_in(rows, verts, len(pts)))[0]
+                     & (tess.row_index(rows, verts, len(pts)) < 0))[0]
     dmin, inside = in_cells(rows[new], c[new])
     missing = np.all(inside, axis=1) & (dmin >= r[new] * (1.0 - rtol))
     violations.extend(("missing_simplex", tuple(row), None)
