@@ -82,7 +82,10 @@ def circumcenter_batch(pts: np.ndarray):
     r^2: far inside the bound.  For cb <= 2^340 the largest values, the
     numerators (<= 2 cb^3 <= 2^1021) and r^2 (r <= |a| |b| |a - b| / (2
     |det U|) <= 1e12 cb), do not overflow.  Inside the range the floor is
-    positive, so valid rows have det U != 0.
+    positive, so valid rows have det U != 0.  An invalid row's center is
+    solved from NaN edges, so a row out of the range raises no numpy
+    warning while its squares are finite (coordinates below about 1e154;
+    the net loader refuses any above 1e150).
     """
     p = np.asarray(pts, dtype=float)
     m, k, n = p.shape
@@ -98,7 +101,9 @@ def circumcenter_batch(pts: np.ndarray):
         valid = (np.abs(det) >= linalg.DEGENERACY_REL * (cb * cb)) \
             & (cb >= 2.0 ** -327) & (cb <= 2.0 ** 340)
         bad, den = ~valid, det + det
-        den[bad] = np.nan
+        # an invalid row's NaN edges give its NaN center, and spare a row
+        # out of the range the overflow warnings of its numerators
+        np.copyto(u, np.nan, where=bad)
         xi = np.empty((m, 2))
         x, y = xi[:, 0], xi[:, 1]
         np.divide(la * b1 - lb * a1, den, out=x)

@@ -39,7 +39,9 @@ simplex (drift, clearance, radius, robustness from
 triangulation of the net (``tessellation.Net.qhull``, the one the Delaunay
 build filters), through the lifting map, shows no other simplex can
 appear.  Only parameters whose overrides exceed the budget are checked one by
-one, against a Qhull rebuild of their translate.
+one.  Stability is local, so while that certificate holds a translate's
+complex is read around its overrides alone (``tessellation.moved_tops``);
+where it fails, from a Qhull rebuild of the translate.
 """
 
 from __future__ import annotations
@@ -924,13 +926,31 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
     4. Over budget.  A parameter with an override longer than family.eps
        runs the per-parameter check: its translate's circumcenters, the
        margins robustness, translate_clearance, center_drift and
-       radius_drift there, and identity of the translate's complex
-       (``tess.build_delaunay``, one call per such parameter) with the
+       radius_drift there, and identity of the translate's complex with the
        complex (witness ``combinatorics``, the first eight rows of the
-       symmetric difference in lexicographic order).  The translate's own
-       Qhull pass, one run, serves both its Delaunay build and, through
-       ``tess.known_spheres``, the circles and clearances of the tops that
-       are its triangles; only the other tops are solved, on its own tree.
+       symmetric difference in lexicographic order).  Let Y be the
+       translate, O the sites overridden at the parameter, Y'' the
+       translate without those overrides (every site moved by the family's
+       own field, within eta) and E(.) the rows ``tess.delaunay_top``
+       returns: valid, radius <= d2, no site nearer than r (1 -
+       EMPTY_RTOL).  When steps 1-3 and the base margins have passed, they
+       prove E(Y'') = verts, and E(Y) is read without a rebuild (cf.
+       Boissonnat, Dyer & Ghosh, where stability is local): a triangle of
+       E(Y) not in E(Y'') has a vertex o in O, or holds Y''_o in its
+       circle, whose other sites sit where they do in Y; either way its
+       vertices lie within about 2 d2 of Y_o or of Y''_o.  So
+       ``tess.moved_tops`` returns the rows of verts that pass the
+       emptiness test in Y, read from the ``tess.spheres`` of verts on the
+       translate's own tree that the margins use, with the triples near
+       the overrides that pass it and are not rows of verts, in
+       lexicographic order; its docstring bounds the float slack of that
+       locality.  Y''_o is translate_net's sum without the override.  No
+       Qhull run and no other tree.  Otherwise (a failed certificate or no
+       tops) the translate's own Qhull pass, one run, serves both its
+       Delaunay build (``tess.build_delaunay``, one call per such
+       parameter) and, through ``tess.known_spheres``, the circles and
+       clearances of the tops that are its triangles; only the other tops
+       are solved, on its own tree.
 
     Float errors: each margin is reported net of its error bound and passes
     when >= 0.  Clearances carry 2 phi (a center and a distance), the
@@ -1055,11 +1075,14 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
 
     center_drift = dc.copy()
     radius_drift = dc + eta
+    m = len(net)
+    local = ok and len(verts) > 0  # steps 1-3 hold: verts holds every top of Y''
     for param in over:
         tnet = translate_net(net, param, family)
         if len(verts):
             tstacks = tnet.points[verts]
-            tc, tr, tvalid, tdist = tess.known_spheres(tnet, verts)
+            known = (tess.spheres if local else tess.known_spheres)(tnet, verts)
+            tc, tr, tvalid, tdist = known
             if not np.all(tvalid):
                 note("circumcenter_exists", -math.inf,
                      verts[int(np.nonzero(~tvalid)[0][0])], param)
@@ -1074,10 +1097,14 @@ def certify_family_stability(net: tess.Net, complex_: tess.DelaunayComplex,
             check("center_drift", drift_c_max - dcp, param)
             check("radius_drift", drift_r_max - drp, param)
         # combinatorial identity under translation
-        tverts = tess.build_delaunay(tnet, None).top_arrays(n)[0]
+        if local:
+            moved = sorted({index % m for p, index, _ in family.overrides if p == param})
+            before = pts[moved] + family.displacement_batch(param, pts)[moved]
+            tverts = tess.moved_tops(tnet, verts, known, moved, before)
+        else:
+            tverts = tess.build_delaunay(tnet, None).top_arrays(n)[0]
         if np.array_equal(tverts, verts):
             continue
-        m = len(net)
         diff = np.unique(np.vstack([tverts[tess.row_index(tverts, verts, m) < 0],
                                     verts[tess.row_index(verts, tverts, m) < 0]]), axis=0)
         note("combinatorics", -math.inf, None, param,

@@ -22,7 +22,10 @@ sites, is the net's own ``Net.qhull``, built on first use, which the kernel
 filters, the certifier's near-miss pass reads whole and ``known_spheres``
 reads row by row for the certifier's tops; the duality check never reads
 it, so it stays independent of the builder.  The sites are read-only, so
-that cache cannot go stale.
+that cache cannot go stale.  A net that differs from one of known tops
+only at a few moved sites runs no Qhull at all: ``moved_tops`` keeps the
+known rows that stay empty and adds the tops among the triples near the
+moved sites, the certifier's check of an over-budget translate.
 A circle with its nearest sites has one kernel, ``spheres``: the centers
 of ``circumsphere.circumcenter_batch`` and one query of the net's k-d tree
 (Bentley, "Multidimensional binary search trees used for associative
@@ -355,11 +358,18 @@ def known_spheres(net: Net, rows: np.ndarray):
     return out
 
 
+def _empty(radii, valid, dist, radius: float) -> np.ndarray:
+    """The emptiness test of a top: of the rows of ``spheres``, those valid,
+    of radius <= ``radius`` and with no site nearer their center than
+    radius * (1 - EMPTY_RTOL)."""
+    return valid & (radii <= radius) & (dist[:, 0] >= radii * (1.0 - EMPTY_RTOL))
+
+
 def _empty_spheres(n: int, rows, centers, radii, valid, dist, radius: float):
     """The valid rows of ``spheres`` with radius <= ``radius`` whose sphere
     is empty of other sites, in lexicographic order: (verts, centers, radii,
     regular)."""
-    empty = valid & (radii <= radius) & (dist[:, 0] >= radii * (1.0 - EMPTY_RTOL))
+    empty = _empty(radii, valid, dist, radius)
     # an extra site within COSPHERICAL_RTOL*radius of a kept sphere's surface
     # makes n+2 cospherical sites; sites deeper inside fail the emptiness test
     regular = not bool(np.any(dist[empty, n + 1] <= radii[empty] * (1.0 + COSPHERICAL_RTOL)))
@@ -408,6 +418,79 @@ def delaunay_top(net: Net):
             return top
     rows = small_spheres(net, net.d2)[0]
     return _empty_spheres(net.dim, rows, *spheres(net, rows), net.d2)
+
+
+def _close_rows(pts: np.ndarray, ids: np.ndarray, k: int, reach: float) -> np.ndarray:
+    """The k-subsets of the sorted site indices ``ids`` whose sites are
+    pairwise within ``reach``, as sorted int64 rows in lexicographic order."""
+    ids = np.asarray(ids, dtype=np.int64)
+    x, y = pts[ids, 0], pts[ids, 1]
+    dx, dy = x[:, None] - x, y[:, None] - y
+    later = np.triu(dx * dx + dy * dy <= reach * reach, 1)  # j > i and close to i
+    pos = np.arange(len(ids))[:, None]
+    for _ in range(k - 1):  # grow each row by a later index close to all of it
+        grow = later[pos[:, -1]]
+        for col in pos[:, :-1].T:
+            grow &= later[col]
+        row, nxt = np.nonzero(grow)
+        pos = np.column_stack([pos[row], nxt])
+    return ids[pos]
+
+
+def moved_tops(net: Net, verts: np.ndarray, known, moved, before) -> np.ndarray:
+    """``delaunay_top(net)[0]`` of a planar net Y whose sites ``moved`` sat
+    at ``before`` in a net Y'' with every other site of Y where it is, from
+    index rows ``verts`` that hold every top of Y'' and their ``known`` =
+    ``spheres(net, verts)`` in Y: the strictly increasing rows of ``verts``
+    that pass ``delaunay_top``'s emptiness test in Y, and the tops of Y found
+    around the moved sites, in lexicographic order, each once.  No Qhull
+    run and no new tree: the candidates come from ``Net.tree``.
+
+    Why that is every top.  A computed circle (c, r) of a valid planar row
+    with r <= d2 has every vertex within (1 + 2^-7) r + eta_t of c, eta_t =
+    2^-40 (max |coordinate| + d2): ``circumcenter_batch``'s bound puts c
+    within gamma_6 10^12 (cb + r) <= 2^-8 r of the exact center (a valid
+    row has |det U| >= 1e-12 cb^2, and cb <= 2 r), r is |c - y_2| as
+    computed, and eta_t covers the rounding of the coordinates.  Let T be a
+    top of Y that is not a row of ``verts``, so not a top of Y''.  If T has
+    a moved vertex o, its other vertices lie within R = 2 (1 + 2^-7) d2 +
+    2 eta_t of Y_o.  Otherwise T's circle has the same bits in Y'', and so
+    has the distance from its center to every site that did not move (a
+    distance depends on its two points only): its emptiness fails in Y''
+    through a moved site, |c - Y''_o| < r (1 - EMPTY_RTOL), and its
+    vertices lie within R of Y''_o.  So the candidates are the triples
+    holding o of sites pairwise within R of Y_o and the triples of unmoved
+    sites pairwise within R of Y''_o, kept where valid, of radius <= d2,
+    with |c - Y''_o|^2 <= r^2 for the latter and no site nearer c than r (1
+    - 2^-20) (the EMPTY_RTOL margin is far above the rounding of either
+    test); the rows of ``verts`` among them are dropped, and the rest pass
+    or fail the emptiness test of ``verts`` and ``delaunay_top``."""
+    pts, d2 = net.points, net.d2
+    rows = verts[_empty(*known[1:], d2) & (verts[:, 0] < verts[:, 1]) & (verts[:, 1] < verts[:, 2])]
+    reach = 2.0 * (1.0 + 2.0 ** -7) * d2 \
+        + 2.0 ** -39 * (float(np.max(np.abs(pts), initial=0.0)) + d2)
+    moved = np.asarray(moved, dtype=np.int64)
+    found = [rows]
+    for o, q in zip(moved.tolist(), np.asarray(before, dtype=float)):
+        pairs = _close_rows(pts, np.setdiff1d(net.tree.query_ball_point(pts[o], reach), [o]),
+                            2, reach)
+        held = np.sort(np.column_stack([np.full(len(pairs), o), pairs]), axis=1)
+        around = np.array(net.tree.query_ball_point(q, reach), dtype=np.int64)
+        cand = np.concatenate([held, _close_rows(pts, np.setdiff1d(around, moved), 3, reach)])
+        centers, radii, valid = cs.circumcenter_batch(pts[cand])
+        inside = np.einsum("ij,ij->i", centers - q, centers - q) <= radii * radii
+        inside[:len(held)] = True
+        keep = np.nonzero(valid & (radii <= d2) & inside)[0]
+        keep = keep[row_index(cand[keep], verts, len(net)) < 0]
+        # a site deep inside a circle fails its emptiness test
+        nearest = net.tree.query(centers[keep])[0]
+        cand = cand[keep[nearest >= radii[keep] * (1.0 - 2.0 ** -20)]]
+        found.append(_empty_spheres(2, cand, *spheres(net, cand), d2)[0])
+    rows = np.concatenate(found)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)  # a row held or found twice is kept once
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[first]
 
 
 def build_delaunay(net: Net, metric) -> DelaunayComplex:

@@ -1043,6 +1043,19 @@ def _lattice_patch(bundle, rng, kind, jitter_rF, side=5):
     return tess.Net(dim=2, points=pts, d1=bundle.d1, d2=bundle.d2)
 
 
+def _near_cocircular(bundle, radius_d2=0.75):
+    """Four sites on one circle of radius radius_d2 d2, the last pushed out
+    by 1e-10 of its radius (beyond EMPTY_RTOL, so only one diagonal's two
+    triangles are kept), and its complex: a net whose budget certificate
+    fails on a near miss."""
+    r = radius_d2 * bundle.d2
+    angles = np.array([0.1, 1.7, 3.3, 4.6])
+    pts = r * np.column_stack([np.cos(angles), np.sin(angles)])
+    pts[3] *= 1.0 + 1e-10
+    net = tess.Net(dim=2, points=pts, d1=bundle.d1, d2=bundle.d2)
+    return net, tess.build_delaunay(net, None)
+
+
 def _near_miss_reach(net, family):
     """(rho, alpha) of step 3 of ``certify_family_stability``, from its
     docstring: the largest base radius of a translate's new top triangle
@@ -1091,8 +1104,9 @@ class TestCertification:
         assert len(cert.per_simplex["simplex"]) == len(cx.top(2))
 
     def test_one_qhull_run_per_net(self, tiny, bundle2, monkeypatch):
-        # the build and every certify call read the net's Net.qhull; each
-        # over-budget parameter's translate is a net of its own, with its own
+        # the build and every certify call read the net's Net.qhull; an
+        # over-budget parameter's translate runs none while the budget
+        # certificate holds, and its own (one per parameter) when it fails
         import scipy.spatial
 
         runs = []
@@ -1117,21 +1131,27 @@ class TestCertification:
                 bad = bad.with_override(param, 0, [10.0 * bundle2.d1, 0.0])
             cert = nsy.certify_family_stability(net, cx, bad, bundle2)
             assert cert.budget["over_budget"] == over
-            assert runs == [len(net)] * len(over)
+            assert runs == []
+        cocircular, ccx = _near_cocircular(bundle2)
+        runs.clear()
+        bad = nsy.make_family(bundle2, depth=2).with_override("01", 0, [bundle2.d1, 0.0]) \
+            .with_override("10", 1, [0.0, bundle2.d1])
+        cert = nsy.certify_family_stability(cocircular, ccx, bad, bundle2)
+        assert cert.worst["quantity"] == "near_miss"
+        assert cert.budget["over_budget"] == ["01", "10"]
+        assert runs == [len(cocircular)] * 2
 
     def test_tops_circles_are_read_from_the_qhull_pass(self, tiny, bundle2, monkeypatch):
         # after the build, a clean certificate solves none of the tops'
-        # circles; an over-budget translate solves only its tops that are
-        # not triangles of its own Qhull pass
+        # circles; an over-budget translate solves its tops once and the
+        # few new triples found around its override while the budget
+        # certificate holds, and, when it fails, only its tops that are not
+        # triangles of its own Qhull pass
         net = dataclasses.replace(tiny[0])
         cx = tess.build_delaunay(net, None)
         verts = cx.top_arrays(2)[0]
         fam = nsy.make_family(bundle2, depth=2, seed=0)
         bad = fam.with_override("10", 0, [10.0 * bundle2.d1, 0.0])
-        moved = nsy.translate_net(net, "10", bad).qhull[0]
-        held = set(map(tuple, moved.tolist()))
-        unread = verts[[tuple(v) not in held for v in verts.tolist()]]
-        assert 0 < len(unread) < len(verts)
         solved = []
         spheres = tess.spheres
         monkeypatch.setattr(tess, "spheres",
@@ -1139,6 +1159,21 @@ class TestCertification:
         assert nsy.certify_family_stability(net, cx, fam, bundle2).ok
         assert solved == []
         assert not nsy.certify_family_stability(net, cx, bad, bundle2).ok
+        assert solved[0].tolist() == verts.tolist()
+        found = np.concatenate(solved[1:])
+        assert 0 < len(found) < len(verts) // 4
+        assert np.all(tess.row_index(found, verts, len(net)) < 0)
+        # a d1 far below the spacing fails the budget: the translate's own
+        # Qhull pass serves its tops
+        loose = tess.Net(dim=2, points=net.points, d1=net.d1 * 1e-2, d2=net.d2,
+                         region=net.region)
+        lcx = tess.build_delaunay(loose, None)
+        moved = nsy.translate_net(loose, "10", bad).qhull[0]
+        held = set(map(tuple, moved.tolist()))
+        unread = verts[[tuple(v) not in held for v in verts.tolist()]]
+        assert 0 < len(unread) < len(verts)
+        solved.clear()
+        assert not nsy.certify_family_stability(loose, lcx, bad, bundle2).ok
         assert [r.tolist() for r in solved] == [moved.tolist(), unread.tolist()]
 
     def test_adversarial_fails_with_witness(self, tiny, bundle2):
@@ -1200,19 +1235,66 @@ class TestCertification:
         _assert_covers_reference(cert, _rebuild_certificate(net, cx, fam, bundle2),
                                  bundle2)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["triangular", "square"]),
+           jitter=st.sampled_from([0.0, 1e-9, 0.005, 0.02]),
+           eps_rF=st.sampled_from([1e-10, 1e-7, 1e-5]),
+           moves=st.lists(st.sampled_from(["within", "beyond", "far", "twice", "onto",
+                                           "out"]), min_size=1, max_size=4))
+    def test_local_tops_equal_the_rebuild(self, bundle2, seed, kind, jitter, eps_rF,
+                                          moves):
+        # the translate's tops found around its overrides are those of its
+        # rebuild, row for row, and the certificate is the rebuild's, byte
+        # for byte
+        rng = np.random.default_rng(seed)
+        net = _lattice_patch(bundle2, rng, kind, jitter)
+        cx = tess.build_delaunay(net, None)
+        fam = nsy.ParamFamily(depth=2, eps=eps_rF * bundle2.rF, scale=bundle2.rF,
+                              seed=seed % 997)
+        param = fam.params[int(rng.integers(4))]  # every override at one parameter
+        pts, index = net.points, int(rng.integers(len(net)))
+        for move in moves:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            unit = np.array([math.cos(angle), math.sin(angle)])
+            if move != "twice":
+                index = int(rng.integers(len(net)))
+            if move == "onto":  # onto its nearest other site
+                vec = pts[net.tree.query(pts[index], k=2)[1][1]] - pts[index]
+            elif move == "out":  # well beyond the hull
+                vec = pts[index] - pts.mean(axis=0)
+                vec = 2.0 * np.ptp(pts) * vec / max(np.linalg.norm(vec), 1e-300)
+            else:
+                vec = {"within": fam.eps, "beyond": fam.eps * (1.0 + 1e-6),
+                       "far": 10.0 * bundle2.d1, "twice": 10.0 * bundle2.d1}[move] * unit
+            fam = fam.with_override(param, index, vec)
+        found = []
+        moved_tops = tess.moved_tops
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tess, "moved_tops",
+                       lambda tnet, *args: found.append(moved_tops(tnet, *args)) or found[-1])
+            cert = nsy.certify_family_stability(net, cx, fam, bundle2)
+        for tops in found:
+            want = tess.build_delaunay(nsy.translate_net(net, param, fam), None)
+            assert tops.tolist() == want.top_arrays(2)[0].tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tess, "moved_tops",
+                       lambda tnet, *args: tess.build_delaunay(tnet, None).top_arrays(2)[0])
+            rebuilt = nsy.certify_family_stability(net, cx, fam, bundle2)
+        assert jsonio.dumps(jsonio.certificate_to_dict(cert)) == \
+            jsonio.dumps(jsonio.certificate_to_dict(rebuilt))
+        want = _rebuild_certificate(net, cx, fam, bundle2)
+        _assert_covers_reference(cert, want, bundle2)
+        if found and cert.worst["quantity"] == "combinatorics":
+            # the budget certificate held, so only param's complex changed
+            assert _json(cert.worst) == _json(want["worst"])
+
     @pytest.mark.parametrize("radius_d2", [0.75, 1.0 + 1e-9])
     def test_near_cocircular_net_fails_with_near_miss(self, bundle2, radius_d2):
-        # four sites on one circle, the last pushed out by 1e-10 of its
-        # radius (beyond EMPTY_RTOL, so only one diagonal's two triangles are
-        # kept): the other two (all four when the radius is just above d2)
-        # have circles far less deep than the drift allowance, so a translate
-        # within the budget may flip them
-        r = radius_d2 * bundle2.d2
-        angles = np.array([0.1, 1.7, 3.3, 4.6])
-        pts = r * np.column_stack([np.cos(angles), np.sin(angles)])
-        pts[3] *= 1.0 + 1e-10
-        net = tess.Net(dim=2, points=pts, d1=bundle2.d1, d2=bundle2.d2)
-        cx = tess.build_delaunay(net, None)
+        # the other two triangles (all four when the radius is just above
+        # d2) have circles far less deep than the drift allowance, so a
+        # translate within the budget may flip them
+        net, cx = _near_cocircular(bundle2, radius_d2)
         cert = nsy.certify_family_stability(net, cx, nsy.make_family(bundle2, depth=3),
                                             bundle2)
         assert not cert.ok
@@ -1395,8 +1477,9 @@ class TestCertification:
         assert cert.params_checked == fam.params
 
     def test_rebuilds_go_through_build_delaunay(self, tiny, bundle2, monkeypatch):
-        # one build per over-budget parameter, through the module attribute
-        # that tracers wrap, and none for a family within its budget
+        # a build of an over-budget parameter's translate only where the
+        # budget certificate fails, one per parameter, through the module
+        # attribute that tracers wrap; none for a family within its budget
         net, cx = tiny
         fam = nsy.make_family(bundle2, depth=2)
         built = []
@@ -1409,8 +1492,15 @@ class TestCertification:
         beyond = fam.with_override("01", 0, [0.0, 2.0 * fam.eps]) \
             .with_override("11", 1, [10.0 * bundle2.d1, 0.0])
         cert = nsy.certify_family_stability(net, cx, beyond, bundle2)
-        assert cert.budget["over_budget"] == ["01", "11"] and len(built) == 2
+        assert cert.budget["over_budget"] == ["01", "11"] and built == []
         assert not cert.ok and cert.worst["param"] == "11"
+        cocircular, ccx = _near_cocircular(bundle2)
+        built.clear()
+        cert = nsy.certify_family_stability(cocircular, ccx, beyond, bundle2)
+        assert cert.worst["quantity"] == "near_miss"
+        assert cert.budget["over_budget"] == ["01", "11"]
+        assert [b.points.tolist() for b in built] == \
+            [nsy.translate_net(cocircular, p, beyond).points.tolist() for p in ("01", "11")]
 
 
 def _vertex_incidence(complex_, n):

@@ -414,6 +414,30 @@ class TestDelaunayKernel:
         if kind == "square" and len(got[0]):
             assert not got[3]
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["poisson", "jittered", "square", "duplicate"]),
+           st.sampled_from([1e-9, 0.05, 0.5, 3.0, "onto"]))
+    def test_moved_tops_are_the_moved_nets_tops(self, seed, kind, move):
+        # a net with up to three sites moved: its tops from the tops before
+        # the move, given shuffled with one row twice and one row permuted,
+        # and the triples near each moved site's two places
+        rng = np.random.default_rng(seed)
+        pts, d2 = _kernel_case(kind, rng)
+        verts = tess.delaunay_top(_net(pts, 0.0, d2))[0]
+        moved = np.unique(rng.integers(0, len(pts), int(rng.integers(1, 4))))
+        after = pts.copy()
+        if move == "onto":
+            after[moved] = pts[(moved + 1) % len(pts)]
+        else:
+            after[moved] += move * rng.standard_normal((len(moved), 2))
+        net = _net(after, 0.0, d2)
+        known = np.vstack([verts, verts[:1], verts[:1, ::-1]])
+        known = known[rng.permutation(len(known))]
+        got = tess.moved_tops(net, known, tess.spheres(net, known), moved, pts[moved])
+        assert got.dtype == np.int64
+        assert got.tolist() == tess.delaunay_top(net)[0].tolist()
+
     @pytest.mark.parametrize("pts", [
         [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],  # collinear: Qhull refuses
         [[0.0, 0.0], [1.0, 0.0]],  # fewer than n+1 points
